@@ -8,20 +8,19 @@ locate Einstein and constant scalar curvature metrics.
 """
 
 from .complexes import (Complex, Face, Tet, ComplexError, double_tetrahedron,
-                        six_hundred_cell, from_simplicial_tets, max_edge_degree,
+                        six_hundred_cell, from_simplicial_tets,
                         load_complex, save_complex, parse_complex, format_complex,
                         validate)
 from .geometry import (InadmissibleMetricError, TetGeometry, cayley_menger,
-                       cayley_menger_gradient, tet_volume, tet_volume_gradient,
-                       face_angle, dihedral_angles, embed_tet, heights_and_areas,
-                       tet_geometry, dual_lengths, is_admissible, assert_admissible)
+                       tet_volume, dihedral_angles, tet_geometry, dual_lengths,
+                       is_admissible, assert_admissible)
 from .curvature import (CurvatureReport, BoundsReport, edge_curvatures,
                         functionals, grad_lengths, grad_conformal, hessian_fd,
                         gradient_fd, hessian_fd_lengths, conformal_hessian_fd,
                         laplacian_matrix, normal_matrix, lehr_conformal_hessian_csc,
                         einstein_residual, csc_residual, bounds_report,
                         ehr_value, lehr_value, vehr_value)
-from .conformal import (ConformalClass, EquihedralPoint, apply_factors,
+from .conformal import (ConformalClass, EquihedralPoint, induced_lengths,
                         cross_ratios, equihedral_point, is_equihedral,
                         random_equihedral_lengths)
 from .solve import (Spectrum, SolveTrace, SweepTable, YamabeEstimate, eig_sym,

@@ -169,14 +169,10 @@ def cmd_spectrum(args) -> int:
 
 
 def _equal_length_reference(functional: str, space: str, k: float):
-    acos13 = np.arccos(1.0 / 3.0)
     if space == "lengths" and functional == "lehr":
-        lam1, lam2 = 2 * np.sqrt(2) / 9 / k ** 2, -2 * np.sqrt(2) / 3 / k ** 2
-        return np.array(sorted([lam1] * 3 + [lam2] * 2 + [0.0]))
+        return reproduce.LEHR_EIGS / k ** 2
     if space == "lengths" and functional == "vehr":
-        lam1 = 2 ** (7 / 6) * 3 ** (-2 / 3) / k ** 2 * (2 ** 1.5 + 9 * np.pi - 9 * acos13)
-        lam2 = 2 ** (7 / 6) * 3 ** (1 / 3) / k ** 2 * (7 * np.pi - 2 ** 1.5 - 7 * acos13)
-        return np.array(sorted([lam1] * 3 + [lam2] * 2 + [0.0]))
+        return reproduce.VEHR_EIGS / k ** 2
     if space == "conformal" and functional == "lehr":
         return np.array([0.0] + [4 * np.sqrt(2) / 9] * 3)
     return None

@@ -141,6 +141,11 @@ class Complex:
             raise ValueError(f"expected {self.num_edges} edge lengths, got shape {lengths.shape}")
         return lengths[self.tet_edges]
 
+    def edge_sum(self, per_tet) -> np.ndarray:
+        """Sum a per-tet edge quantity (T, 6) over the tets at each edge, (E,)."""
+        return np.bincount(self.tet_edges.ravel(), np.ravel(per_tet),
+                           minlength=self.num_edges)
+
 
 def validate(c: Complex) -> None:
     """Check all structural invariants; raise ComplexError on violation."""
@@ -329,11 +334,6 @@ def six_hundred_cell() -> Complex:
                     if m > k:
                         tets.append((i, j, k, m))
     return from_simplicial_tets(n, tets)
-
-
-def max_edge_degree(c: Complex) -> int:
-    """Largest number of tetrahedra incident to any edge."""
-    return int(c.edge_degrees.max())
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,13 @@ from .complexes import Complex, OPPOSITE_EDGE
 from . import geometry
 
 
+def induced_lengths(c: Complex, background, factors) -> np.ndarray:
+    """The factor map l_e = exp((f_v + f_v') / 2) * L_e, without any check."""
+    ev = c.edge_vertices
+    f = np.asarray(factors, dtype=float)
+    return np.exp(0.5 * (f[ev[:, 0]] + f[ev[:, 1]])) * background
+
+
 @dataclass(frozen=True)
 class ConformalClass:
     """Background lengths defining a conformal class on a complex."""
@@ -44,13 +51,8 @@ class ConformalClass:
         if f.shape != (self.complex.num_vertices,):
             raise ValueError(
                 f"expected {self.complex.num_vertices} factors, got shape {f.shape}")
-        ev = self.complex.edge_vertices
-        lengths = np.exp(0.5 * (f[ev[:, 0]] + f[ev[:, 1]])) * self.background
+        lengths = induced_lengths(self.complex, self.background, f)
         return lengths, geometry.is_admissible(self.complex, lengths)
-
-
-def apply_factors(cls: ConformalClass, factors):
-    return cls.apply(factors)
 
 
 def cross_ratios(c: Complex, lengths) -> np.ndarray:
@@ -100,8 +102,7 @@ def equihedral_point(cls: ConformalClass) -> EquihedralPoint:
     f[vj] = np.log(bg(vi, vl) * bg(vk, vl) / (bg(vj, vk) * bg(vi, vj)))
     f[vk] = np.log(bg(vi, vl) * bg(vj, vl) / (bg(vi, vk) * bg(vj, vk)))
     f[vl] = 0.0
-    ev = c.edge_vertices
-    lengths = np.exp(0.5 * (f[ev[:, 0]] + f[ev[:, 1]])) * cls.background
+    lengths = induced_lengths(c, cls.background, f)
     return EquihedralPoint(factors=f, lengths=lengths,
                            admissible=geometry.is_admissible(c, lengths))
 

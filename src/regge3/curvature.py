@@ -33,6 +33,7 @@ import numpy as np
 
 from .complexes import Complex
 from . import geometry
+from .conformal import induced_lengths
 from .geometry import InadmissibleMetricError
 
 
@@ -71,21 +72,22 @@ class CurvatureReport:
         return "\n".join(lines) + "\n"
 
 
+def _curvatures(c: Complex, lengths):
+    """One kernel call: the per-tet geometry and the edge curvatures K_e."""
+    lengths = np.asarray(lengths, dtype=float)
+    geo = geometry.tet_geometry(c.tet_lengths(lengths))
+    return geo, (2.0 * np.pi - c.edge_sum(geo.dihedrals)) * lengths
+
+
 def edge_curvatures(c: Complex, lengths) -> np.ndarray:
     """K_e = (2 pi - sum of dihedral angles at e) * l_e, shape (E,)."""
-    lengths = np.asarray(lengths, dtype=float)
-    betas = geometry.dihedral_angles(c.tet_lengths(lengths))
-    angle_sum = np.zeros(c.num_edges)
-    np.add.at(angle_sum, c.tet_edges.ravel(), betas.ravel())
-    return (2.0 * np.pi - angle_sum) * lengths
+    return _curvatures(c, lengths)[1]
 
 
 def _vertex_half_sums(c: Complex, per_edge) -> np.ndarray:
-    out = np.zeros(c.num_vertices)
     half = 0.5 * np.asarray(per_edge, dtype=float)
-    np.add.at(out, c.edge_vertices[:, 0], half)
-    np.add.at(out, c.edge_vertices[:, 1], half)
-    return out
+    return np.bincount(c.edge_vertices.ravel(), np.repeat(half, 2),
+                       minlength=c.num_vertices)
 
 
 def ehr_value(c: Complex, lengths) -> float:
@@ -97,8 +99,8 @@ def lehr_value(c: Complex, lengths) -> float:
 
 
 def vehr_value(c: Complex, lengths) -> float:
-    vol = float(geometry.tet_volume(c.tet_lengths(lengths)).sum())
-    return ehr_value(c, lengths) / vol ** (1.0 / 3.0)
+    geo, k_edge = _curvatures(c, lengths)
+    return float(k_edge.sum()) / float(geo.volume.sum()) ** (1.0 / 3.0)
 
 
 FUNCTIONALS = {"ehr": ehr_value, "lehr": lehr_value, "vehr": vehr_value}
@@ -107,13 +109,7 @@ FUNCTIONALS = {"ehr": ehr_value, "lehr": lehr_value, "vehr": vehr_value}
 def functionals(c: Complex, lengths) -> CurvatureReport:
     """Assemble the full :class:`CurvatureReport` for an admissible metric."""
     lengths = np.asarray(lengths, dtype=float)
-    geometry.assert_admissible(c, lengths)
-    tl = c.tet_lengths(lengths)
-    geo = geometry.tet_geometry(tl)
-
-    angle_sum = np.zeros(c.num_edges)
-    np.add.at(angle_sum, c.tet_edges.ravel(), geo.dihedrals.ravel())
-    k_edge = (2.0 * np.pi - angle_sum) * lengths
+    geo, k_edge = _curvatures(c, lengths)
     k_vertex = _vertex_half_sums(c, k_edge)
     l_vertex = _vertex_half_sums(c, lengths)
 
@@ -124,24 +120,8 @@ def functionals(c: Complex, lengths) -> CurvatureReport:
     # V_v = (1/3) sum over incident (tet, face) pairs of h_{f<t} A_f
     hA = geo.h_face * geo.areas                       # (T, 4)
     fverts = c.face_vertices[c.tet_faces]             # (T, 4, 3)
-    v_vertex = np.zeros(c.num_vertices)
-    np.add.at(v_vertex, fverts.ravel(),
-              np.repeat(hA.ravel() / 3.0, 3))
-
-    # V_e = l_e dV/dl_e from the analytic Cayley-Menger gradient
-    dvol = geometry.cayley_menger_gradient(tl) / (576.0 * geo.volume[..., None])
-    dV_dl = np.zeros(c.num_edges)
-    np.add.at(dV_dl, c.tet_edges.ravel(), dvol.ravel())
-    v_edge = lengths * dV_dl
-
-    # dual areas, from the per-tet heights already computed
-    contrib = np.zeros_like(tl)
-    for m in range(6):
-        (f1, k1), (f2, k2) = geometry.EDGE_FACES[m]
-        contrib[..., m] = 0.5 * (geo.h_edge[..., f1, k1] * geo.h_face[..., f1]
-                                 + geo.h_edge[..., f2, k2] * geo.h_face[..., f2])
-    dual = np.zeros(c.num_edges)
-    np.add.at(dual, c.tet_edges.ravel(), contrib.ravel())
+    v_vertex = np.bincount(fverts.ravel(), np.repeat(hA.ravel() / 3.0, 3),
+                           minlength=c.num_vertices)
 
     return CurvatureReport(
         k_edge=k_edge,
@@ -153,8 +133,8 @@ def functionals(c: Complex, lengths) -> CurvatureReport:
         vehr=ehr / volume ** (1.0 / 3.0),
         l_vertex=l_vertex,
         v_vertex=v_vertex,
-        v_edge=v_edge,
-        dual_length=dual,
+        v_edge=lengths * c.edge_sum(geo.dvolume),
+        dual_length=c.edge_sum(geo.dual),
     )
 
 
@@ -170,7 +150,7 @@ def grad_lengths(c: Complex, lengths, which: str) -> np.ndarray:
     """
     lengths = np.asarray(lengths, dtype=float)
     which = which.lower()
-    k_edge = edge_curvatures(c, lengths)
+    geo, k_edge = _curvatures(c, lengths)
     base = k_edge / lengths
     if which == "ehr":
         return base
@@ -178,14 +158,10 @@ def grad_lengths(c: Complex, lengths, which: str) -> np.ndarray:
         L = float(lengths.sum())
         return (base - k_edge.sum() / L) / L
     if which == "vehr":
-        tl = c.tet_lengths(lengths)
-        vols = geometry.tet_volume(tl)
-        vol = float(vols.sum())
-        dvol = geometry.cayley_menger_gradient(tl) / (576.0 * vols[..., None])
-        dV_dl = np.zeros(c.num_edges)
-        np.add.at(dV_dl, c.tet_edges.ravel(), dvol.ravel())
+        vol = float(geo.volume.sum())
         ehr = float(k_edge.sum())
-        return (base - ehr / (3.0 * vol) * dV_dl) / vol ** (1.0 / 3.0)
+        return (base - ehr / (3.0 * vol) * c.edge_sum(geo.dvolume)) \
+            / vol ** (1.0 / 3.0)
     raise ValueError(f"unknown functional {which!r}")
 
 
@@ -221,8 +197,9 @@ def hessian_fd(fun, x, step=None, richardson: bool = False) -> np.ndarray:
     leading O(h^2) truncation term (used by the golden-value tests, where
     the larger base step eps^(1/6) keeps roundoff small as well).
 
-    If an evaluation fails (e.g. a neighbor point is inadmissible) the
-    steps are halved once and the whole stencil is retried.
+    If a neighbor point is inadmissible (``InadmissibleMetricError``) the
+    steps are halved once and the whole stencil is retried; any other
+    error propagates.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
@@ -255,7 +232,7 @@ def hessian_fd(fun, x, step=None, richardson: bool = False) -> np.ndarray:
 
     try:
         H = build(h)
-    except Exception:
+    except InadmissibleMetricError:
         H = build(0.5 * h)  # reduce step once, then let failures propagate
     return 0.5 * (H + H.T)
 
@@ -308,11 +285,9 @@ def conformal_hessian_fd(c: Complex, lengths, which: str,
     """
     lengths = np.asarray(lengths, dtype=float)
     fun = FUNCTIONALS[which.lower()]
-    ev = c.edge_vertices
 
     def obj(u):
-        scaled = lengths * np.exp(u[ev[:, 0]] + u[ev[:, 1]])
-        return fun(c, scaled)
+        return fun(c, induced_lengths(c, lengths, 2.0 * u))
 
     step = np.finfo(float).eps ** 0.2 if richardson else None
     return hessian_fd(obj, np.zeros(c.num_vertices), step=step,
@@ -395,8 +370,8 @@ def einstein_residual(c: Complex, lengths, which: str) -> np.ndarray:
     """
     lengths = np.asarray(lengths, dtype=float)
     which = which.upper()
-    k_edge = edge_curvatures(c, lengths)
     if which == "L":
+        k_edge = edge_curvatures(c, lengths)
         return k_edge - (k_edge.sum() / lengths.sum()) * lengths
     if which == "V":
         rep = functionals(c, lengths)

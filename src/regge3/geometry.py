@@ -10,6 +10,14 @@ positive, i.e. the lengths are realized by a nondegenerate Euclidean
 tetrahedron.  Operations that require admissibility raise
 :class:`InadmissibleMetricError` instead of clamping, so optimization
 paths can detect the boundary of the metric space exactly.
+
+Every per-tet quantity comes from one kernel, :func:`tet_geometry`: the
+5x5 bordered Cayley-Menger matrix ``A`` of squared lengths, its
+determinant CM3 = 288 V^2 and its inverse ``G``.  With rows and columns of
+``G`` numbered 1..4 for the vertices and 0 for the border, ``G[0, k]`` are
+the barycentric coordinates of the circumcenter and the vertex block is
+-1/(18 V^2) times the Gram matrix of the area-weighted outward face
+normals.
 """
 
 from __future__ import annotations
@@ -18,14 +26,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import (Complex, EDGE_FACES, FACE_EDGES, FACE_VERTICES,
-                        LOCAL_PAIRS)
+from .complexes import Complex, EDGE_FACES, FACE_EDGES, LOCAL_PAIRS
 
 #: lookup (i, j) -> local edge index
 PAIR_INDEX = {}
 for _m, (_i, _j) in enumerate(LOCAL_PAIRS):
     PAIR_INDEX[(_i, _j)] = _m
     PAIR_INDEX[(_j, _i)] = _m
+
+# rows of the bordered matrix for the two ends (I, J) of each local edge and
+# for the two vertices (K, L) off it
+_I, _J = np.array(LOCAL_PAIRS).T + 1
+_K, _L = np.array([[v for v in range(4) if v not in p] for p in LOCAL_PAIRS]).T + 1
+# the two (face, slot) incidences of each local edge, as index arrays (6, 2)
+_EF_FACE, _EF_SLOT = np.moveaxis(np.array(EDGE_FACES), -1, 0)
 
 
 class InadmissibleMetricError(ValueError):
@@ -39,6 +53,16 @@ def _as_lengths(lengths) -> np.ndarray:
     return l
 
 
+def _cm_matrix(l) -> np.ndarray:
+    """The bordered matrix (..., 5, 5) of squared lengths."""
+    q = l * l
+    A = np.ones(l.shape[:-1] + (5, 5))
+    A[..., range(5), range(5)] = 0.0
+    A[..., _I, _J] = q
+    A[..., _J, _I] = q
+    return A
+
+
 def cayley_menger(lengths) -> np.ndarray:
     """Determinant of the 5x5 bordered matrix of squared lengths.
 
@@ -46,46 +70,7 @@ def cayley_menger(lengths) -> np.ndarray:
     lengths are realized by a nondegenerate tetrahedron, and equal to
     288 * volume^2 in that case.
     """
-    l = _as_lengths(lengths)
-    q = l * l
-    A = np.zeros(l.shape[:-1] + (5, 5))
-    A[..., 0, 1:] = 1.0
-    A[..., 1:, 0] = 1.0
-    for m, (i, j) in enumerate(LOCAL_PAIRS):
-        A[..., i + 1, j + 1] = q[..., m]
-        A[..., j + 1, i + 1] = q[..., m]
-    return np.linalg.det(A)
-
-
-_MINOR_ROWS = np.empty((6, 4, 1), dtype=np.intp)
-_MINOR_COLS = np.empty((6, 1, 4), dtype=np.intp)
-_MINOR_SIGNS = np.empty(6)
-for _m, (_i, _j) in enumerate(LOCAL_PAIRS):
-    _p, _r = _i + 1, _j + 1
-    _MINOR_ROWS[_m, :, 0] = [x for x in range(5) if x != _p]
-    _MINOR_COLS[_m, 0, :] = [x for x in range(5) if x != _r]
-    _MINOR_SIGNS[_m] = (-1.0) ** (_p + _r)
-
-
-def cayley_menger_gradient(lengths) -> np.ndarray:
-    """Analytic gradient of :func:`cayley_menger` with respect to the lengths.
-
-    Uses cofactor expansion of the bordered matrix: the determinant is
-    linear in each squared length, which appears in two symmetric entries.
-    """
-    l = _as_lengths(lengths)
-    q = l * l
-    A = np.zeros(l.shape[:-1] + (5, 5))
-    A[..., 0, 1:] = 1.0
-    A[..., 1:, 0] = 1.0
-    for m, (i, j) in enumerate(LOCAL_PAIRS):
-        A[..., i + 1, j + 1] = q[..., m]
-        A[..., j + 1, i + 1] = q[..., m]
-    # all six 4x4 minors in one batched determinant
-    sub = A[..., np.broadcast_to(_MINOR_ROWS, (6, 4, 4)),
-            np.broadcast_to(_MINOR_COLS, (6, 4, 4))]
-    cof = _MINOR_SIGNS * np.linalg.det(sub)
-    return 4.0 * l * cof
+    return np.linalg.det(_cm_matrix(_as_lengths(lengths)))
 
 
 def _face_margins(l) -> np.ndarray:
@@ -99,210 +84,101 @@ def _face_margins(l) -> np.ndarray:
     return np.sum(sides, axis=-1) - 2.0 * np.max(sides, axis=-1)
 
 
-def assert_admissible_lengths(lengths) -> np.ndarray:
-    """Return CM3 values, raising if any tetrahedron is degenerate."""
-    l = _as_lengths(lengths)
+def _admissible_cm(l, A=None) -> np.ndarray:
+    """CM3 of each tet of ``l`` (..., 6); raise naming the worst tet if any
+    has a nonpositive or non-finite length, a degenerate face or CM3 <= 0.
+
+    Tets are numbered by their flat index in the leading axes, which for
+    ``Complex.tet_lengths`` output is the tet id.
+    """
     if np.any(l <= 0.0) or not np.all(np.isfinite(l)):
         raise InadmissibleMetricError("edge lengths must be positive and finite")
-    if np.any(_face_margins(l) <= 0.0):
-        raise InadmissibleMetricError("a face violates the strict triangle inequality")
-    cm = cayley_menger(l)
-    if np.any(cm <= 0.0):
-        worst = float(np.min(cm))
+    margins = np.min(_face_margins(l), axis=-1)
+    if np.any(margins <= 0.0):
+        tid = int(np.argmin(margins))
         raise InadmissibleMetricError(
-            f"Cayley-Menger determinant not positive (min CM3 = {worst:.6g})")
+            f"metric not admissible: tet {tid} has a degenerate face triangle")
+    cm = np.linalg.det(_cm_matrix(l) if A is None else A)
+    if np.any(cm <= 0.0):
+        tid = int(np.argmin(cm))
+        raise InadmissibleMetricError(
+            f"metric not admissible: tet {tid} has CM3 = {float(cm.flat[tid]):.6g} <= 0")
     return cm
 
 
 def tet_volume(lengths) -> np.ndarray:
     """Volume sqrt(CM3 / 288) of each tetrahedron."""
-    cm = assert_admissible_lengths(lengths)
-    return np.sqrt(cm / 288.0)
+    return np.sqrt(_admissible_cm(_as_lengths(lengths)) / 288.0)
 
 
-def tet_volume_gradient(lengths) -> np.ndarray:
-    """d(volume)/d(lengths), shape (..., 6)."""
-    l = _as_lengths(lengths)
-    vol = tet_volume(l)
-    return cayley_menger_gradient(l) / (576.0 * vol[..., None])
-
-
-def face_angle(a, b, c) -> np.ndarray:
-    """Interior angle opposite side ``a`` in a triangle with sides a, b, c."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    if np.any(a <= 0) or np.any(b <= 0) or np.any(c <= 0):
-        raise InadmissibleMetricError("triangle sides must be positive")
-    if np.any(a >= b + c) or np.any(b >= a + c) or np.any(c >= a + b):
-        raise InadmissibleMetricError("degenerate triangle (inequality not strict)")
-    cos = (b * b + c * c - a * a) / (2.0 * b * c)
-    return np.arccos(np.clip(cos, -1.0, 1.0))
-
-
-def dihedral_angles(lengths, at_second_vertex: bool = False) -> np.ndarray:
-    """Dihedral angles at the six edges, via the spherical cosine law.
-
-    For the edge between local vertices i and j, the angle is computed
-    from the three face angles at vertex i (or at vertex j when
-    ``at_second_vertex`` is set; both give the same value, which the test
-    suite checks).  Each angle lies in (0, pi).
-    """
-    l = _as_lengths(lengths)
-    assert_admissible_lengths(l)
-
-    def L(i, j):
-        return l[..., PAIR_INDEX[(i, j)]]
-
-    out = np.empty_like(l)
-    for m, (i, j) in enumerate(LOCAL_PAIRS):
-        if at_second_vertex:
-            i, j = j, i
-        k, w = (v for v in range(4) if v not in (i, j))
-        th_jk = face_angle(L(j, k), L(i, j), L(i, k))
-        th_jw = face_angle(L(j, w), L(i, j), L(i, w))
-        th_kw = face_angle(L(k, w), L(i, k), L(i, w))
-        cosb = (np.cos(th_kw) - np.cos(th_jk) * np.cos(th_jw)) / (np.sin(th_jk) * np.sin(th_jw))
-        out[..., m] = np.arccos(np.clip(cosb, -1.0, 1.0))
-    return out
-
-
-def embed_tet(lengths) -> np.ndarray:
-    """Coordinates (..., 4, 3) realizing the lengths.
-
-    Vertex 0 at the origin, vertex 1 on the positive x axis, vertex 2 in
-    the upper xy half-plane, vertex 3 with positive z.
-    """
-    l = _as_lengths(lengths)
-    assert_admissible_lengths(l)
-    l01, l02, l03, l12, l13, l23 = (l[..., m] for m in range(6))
-    p = np.zeros(l.shape[:-1] + (4, 3))
-    p[..., 1, 0] = l01
-    x2 = (l01 ** 2 + l02 ** 2 - l12 ** 2) / (2.0 * l01)
-    y2sq = l02 ** 2 - x2 ** 2
-    x3 = (l01 ** 2 + l03 ** 2 - l13 ** 2) / (2.0 * l01)
-    if np.any(y2sq <= 0.0):
-        raise InadmissibleMetricError("degenerate base triangle in embedding")
-    y2 = np.sqrt(y2sq)
-    y3 = (l02 ** 2 + l03 ** 2 - l23 ** 2 - 2.0 * x2 * x3) / (2.0 * y2)
-    z3sq = l03 ** 2 - x3 ** 2 - y3 ** 2
-    if np.any(z3sq <= 0.0):
-        raise InadmissibleMetricError("degenerate tetrahedron in embedding")
-    p[..., 2, 0] = x2
-    p[..., 2, 1] = y2
-    p[..., 3, 0] = x3
-    p[..., 3, 1] = y3
-    p[..., 3, 2] = np.sqrt(z3sq)
-    return p
-
-
-def tet_circumcenter(points) -> np.ndarray:
-    """Circumcenter of tetrahedra given as (..., 4, 3) coordinates."""
-    p0 = points[..., 0, :]
-    d = points[..., 1:, :] - p0[..., None, :]
-    rhs = 0.5 * np.sum(d * d, axis=-1)
-    return p0 + np.linalg.solve(d, rhs[..., None])[..., 0]
-
-
-def face_circumcenters(points) -> np.ndarray:
-    """Circumcenters of the four faces, (..., 4, 3), in face slot order."""
-    out = np.empty(points.shape[:-2] + (4, 3))
-    for k, fv in enumerate(FACE_VERTICES):
-        tri = points[..., list(fv), :]
-        p0 = tri[..., 0, :]
-        d1 = tri[..., 1, :] - p0
-        d2 = tri[..., 2, :] - p0
-        g11 = np.sum(d1 * d1, axis=-1)
-        g12 = np.sum(d1 * d2, axis=-1)
-        g22 = np.sum(d2 * d2, axis=-1)
-        det = g11 * g22 - g12 * g12
-        b1 = 0.5 * g11
-        b2 = 0.5 * g22
-        x1 = (b1 * g22 - b2 * g12) / det
-        x2 = (b2 * g11 - b1 * g12) / det
-        out[..., k, :] = p0 + x1[..., None] * d1 + x2[..., None] * d2
-    return out
-
-
-def _face_side_lengths(lengths) -> np.ndarray:
-    """Per-face side lengths (..., 4, 3); side k is opposite face vertex k."""
-    l = _as_lengths(lengths)
-    return l[..., np.asarray(FACE_EDGES)]
-
-
-def heights_and_areas(lengths):
-    """Areas and signed circumcentric heights of a tetrahedron.
-
-    Returns
-    -------
-    areas : (..., 4) face areas by Heron's formula.
-    h_face : (..., 4) signed distance from the tet circumcenter to each
-        face plane, positive when the circumcenter lies on the same side
-        as the opposite vertex.
-    h_edge : (..., 4, 3) signed distance from each face circumcenter to
-        the face's edges (slot k opposite face vertex k), positive when
-        the circumcenter is on the same side of the edge as the opposite
-        vertex; equals (l/2) cot(opposite angle).
-    """
-    l = _as_lengths(lengths)
-    sides = _face_side_lengths(l)
-    a, b, c = sides[..., 0], sides[..., 1], sides[..., 2]
-    s = 0.5 * (a + b + c)
-    areas = np.sqrt(s * (s - a) * (s - b) * (s - c))
-    # (l_e/2) cot(opposite angle) without trig: cot = (b^2+c^2-a^2)/(4A)
-    h_edge = np.empty_like(sides)
-    for k in range(3):
-        sk = sides[..., k]
-        sk1 = sides[..., (k + 1) % 3]
-        sk2 = sides[..., (k + 2) % 3]
-        h_edge[..., k] = sk * (sk1 ** 2 + sk2 ** 2 - sk ** 2) / (8.0 * areas)
-
-    points = embed_tet(l)
-    ct = tet_circumcenter(points)
-    h_face = np.empty(l.shape[:-1] + (4,))
-    for k, fv in enumerate(FACE_VERTICES):
-        tri = points[..., list(fv), :]
-        n = np.cross(tri[..., 1, :] - tri[..., 0, :], tri[..., 2, :] - tri[..., 0, :])
-        n = n / np.linalg.norm(n, axis=-1, keepdims=True)
-        d_opp = np.sum((points[..., k, :] - tri[..., 0, :]) * n, axis=-1)
-        d_c = np.sum((ct - tri[..., 0, :]) * n, axis=-1)
-        h_face[..., k] = d_c * np.sign(d_opp)
-    return areas, h_face, h_edge
+def dihedral_angles(lengths) -> np.ndarray:
+    """Dihedral angles at the six edges, each in (0, pi)."""
+    return tet_geometry(lengths).dihedrals
 
 
 @dataclass(frozen=True)
 class TetGeometry:
-    """All per-tetrahedron derived geometry for a batch of length vectors."""
+    """All per-tetrahedron derived geometry for a batch of length vectors.
+
+    ``h_face`` is the signed distance from the tet circumcenter to each
+    face plane, positive when the circumcenter lies on the same side as
+    the opposite vertex.  ``h_edge`` (slot k opposite face vertex k) is
+    the signed distance from each face circumcenter to the face's edges,
+    positive on the side of the opposite vertex; it equals
+    (l/2) cot(opposite angle).
+    """
 
     lengths: np.ndarray        # (..., 6)
     cm3: np.ndarray            # (...)
     volume: np.ndarray         # (...)
     dihedrals: np.ndarray      # (..., 6)
-    areas: np.ndarray          # (..., 4)
+    areas: np.ndarray          # (..., 4) face areas, by Heron's formula
     h_face: np.ndarray         # (..., 4)
     h_edge: np.ndarray         # (..., 4, 3)
-    points: np.ndarray         # (..., 4, 3)
-    circumcenter: np.ndarray   # (..., 3)
-    face_circumcenters: np.ndarray  # (..., 4, 3)
+    dvolume: np.ndarray        # (..., 6) d(volume)/d(lengths)
+
+    @property
+    def dual(self) -> np.ndarray:
+        """Signed dual-area piece of each edge, (..., 6).
+
+        The edge receives (h_{e<f} h_{f<t} + h_{e<f'} h_{f'<t}) / 2 from
+        its two faces f, f' in the tetrahedron.
+        """
+        return 0.5 * np.sum(self.h_edge[..., _EF_FACE, _EF_SLOT]
+                            * self.h_face[..., _EF_FACE], axis=-1)
 
 
 def tet_geometry(lengths) -> TetGeometry:
-    """Compute the full :class:`TetGeometry` bundle for admissible lengths."""
+    """Compute the full :class:`TetGeometry` bundle for admissible lengths.
+
+    With (k, l) the vertices off edge ij: cos beta_ij = G_kl / sqrt(G_kk G_ll),
+    h_face_k = G_0k * 3V / A_k (the circumcenter's barycentric coordinate
+    times the height of vertex k) and dV/dl_ij = 2 l_ij V G_ij.
+    """
     l = _as_lengths(lengths)
-    cm = assert_admissible_lengths(l)
-    points = embed_tet(l)
-    areas, h_face, h_edge = heights_and_areas(l)
+    A = _cm_matrix(l)
+    cm = _admissible_cm(l, A)
+    volume = np.sqrt(cm / 288.0)
+    G = np.linalg.inv(A)
+    cos = G[..., _K, _L] / np.sqrt(G[..., _K, _K] * G[..., _L, _L])
+
+    sides = l[..., np.asarray(FACE_EDGES)]
+    a, b, c = sides[..., 0], sides[..., 1], sides[..., 2]
+    s = 0.5 * (a + b + c)
+    areas = np.sqrt(s * (s - a) * (s - b) * (s - c))
+    # (l_e/2) cot(opposite angle) without trig: cot = (b^2+c^2-a^2)/(4A)
+    sq = sides * sides
+    h_edge = sides * (sq[..., [1, 2, 0]] + sq[..., [2, 0, 1]] - sq) / (8.0 * areas[..., None])
+
     return TetGeometry(
         lengths=l,
         cm3=cm,
-        volume=np.sqrt(cm / 288.0),
-        dihedrals=dihedral_angles(l),
+        volume=volume,
+        dihedrals=np.arccos(np.clip(cos, -1.0, 1.0)),
         areas=areas,
-        h_face=h_face,
+        h_face=G[..., 0, 1:] * (3.0 * volume[..., None] / areas),
         h_edge=h_edge,
-        points=points,
-        circumcenter=tet_circumcenter(points),
-        face_circumcenters=face_circumcenters(points),
+        dvolume=2.0 * l * volume[..., None] * G[..., _I, _J],
     )
 
 
@@ -314,50 +190,25 @@ def is_admissible(c: Complex, lengths) -> bool:
     """True when every tetrahedron is realizable: positive lengths, faces
     satisfying strict triangle inequalities, and CM3 > 0."""
     lengths = np.asarray(lengths, dtype=float)
-    if lengths.shape != (c.num_edges,) or np.any(lengths <= 0.0) \
-            or not np.all(np.isfinite(lengths)):
+    if lengths.shape != (c.num_edges,):
         return False
-    tl = c.tet_lengths(lengths)
-    if np.any(_face_margins(tl) <= 0.0):
+    try:
+        _admissible_cm(c.tet_lengths(lengths))
+    except InadmissibleMetricError:
         return False
-    return bool(np.all(cayley_menger(tl) > 0.0))
+    return True
 
 
 def assert_admissible(c: Complex, lengths) -> np.ndarray:
     """Return per-tet CM3 values; raise with the worst tet on failure."""
-    lengths = np.asarray(lengths, dtype=float)
-    if np.any(lengths <= 0.0) or not np.all(np.isfinite(lengths)):
-        raise InadmissibleMetricError("edge lengths must be positive and finite")
-    tl = c.tet_lengths(lengths)
-    margins = _face_margins(tl)
-    if np.any(margins <= 0.0):
-        tid = int(np.argmin(np.min(margins, axis=-1)))
-        raise InadmissibleMetricError(
-            f"metric not admissible: tet {tid} has a degenerate face triangle")
-    cm = cayley_menger(tl)
-    if np.any(cm <= 0.0):
-        tid = int(np.argmin(cm))
-        raise InadmissibleMetricError(
-            f"metric not admissible: tet {tid} has CM3 = {float(cm[tid]):.6g} <= 0")
-    return cm
+    return _admissible_cm(c.tet_lengths(lengths))
 
 
 def dual_lengths(c: Complex, lengths) -> np.ndarray:
     """Signed dual areas l*_e associated to the edges.
 
-    For every incident tetrahedron, the edge receives
-    (h_{e<f} h_{f<t} + h_{e<f'} h_{f'<t>}) / 2 from its two faces f, f'
-    in that tetrahedron.  The result is the signed area of the
-    circumcentric dual cell orthogonal to the edge.
+    Each incident tetrahedron contributes :attr:`TetGeometry.dual`; the
+    result is the signed area of the circumcentric dual cell orthogonal
+    to the edge.
     """
-    assert_admissible(c, lengths)
-    tl = c.tet_lengths(lengths)
-    _, h_face, h_edge = heights_and_areas(tl)
-    contrib = np.zeros_like(tl)
-    for m in range(6):
-        (f1, k1), (f2, k2) = EDGE_FACES[m]
-        contrib[..., m] = 0.5 * (h_edge[..., f1, k1] * h_face[..., f1]
-                                 + h_edge[..., f2, k2] * h_face[..., f2])
-    out = np.zeros(c.num_edges)
-    np.add.at(out, c.tet_edges.ravel(), contrib.ravel())
-    return out
+    return c.edge_sum(tet_geometry(c.tet_lengths(lengths)).dual)

@@ -8,13 +8,14 @@ command and the acceptance test module both run these rows.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import curvature, geometry, solve
-from .complexes import double_tetrahedron, max_edge_degree, six_hundred_cell
-from .conformal import ConformalClass, random_equihedral_lengths
+from .complexes import double_tetrahedron, six_hundred_cell
+from .conformal import ConformalClass, induced_lengths, random_equihedral_lengths
 from .solve import diagonal_family
 
 
@@ -245,11 +246,9 @@ def criterion_8_property_suites():
                                        l, richardson=True)
             worst = max(worst, float(np.abs(ga - gf).max() / np.abs(ga).max()))
             ga = curvature.grad_conformal(dt, l, which)
-            ev = dt.edge_vertices
 
             def conf_obj(f, _l=l, _w=which):
-                return curvature.FUNCTIONALS[_w](
-                    dt, np.exp(0.5 * (f[ev[:, 0]] + f[ev[:, 1]])) * _l)
+                return curvature.FUNCTIONALS[_w](dt, induced_lengths(dt, _l, f))
 
             gf = curvature.gradient_fd(conf_obj, np.zeros(4), richardson=True)
             worst = max(worst, float(np.abs(ga - gf).max() / np.abs(ga).max()))
@@ -399,23 +398,22 @@ _CRITERIA_BY_NUMBER = {key: fn for key, fn in
 
 
 def run_all(only: str | None = None) -> list[CriterionRow]:
-    """Evaluate the criteria; ``only`` selects by key prefix or tag substring.
+    """Evaluate the criteria; ``only`` selects by key or tag substring.
 
+    A key-shaped filter (digits plus an optional letter, such as "6" or
+    "4b") matches row keys only: "6" selects rows 6a-6c, never the 600-cell
+    tag.  Any other string selects the criteria whose tag contains it.
     Filtering happens before evaluation, so ``only="tstar"`` runs just
     that criterion.
     """
-    selected = []
-    for number, fn in _CRITERIA_BY_NUMBER.items():
-        if only and not (only.rstrip("abcdefg") == number
-                         or only.startswith(number) and only[len(number):].isalpha()
-                         or only in _TAGS[number]):
-            continue
-        selected.append((number, fn))
+    key = re.fullmatch(r"(\d+)[a-z]?", only or "")
     rows: list[CriterionRow] = []
-    for number, fn in sorted(selected, key=lambda kv: int(kv[0])):
-        rows.extend(fn())
-    if only:
-        rows = [r for r in rows if r.key.startswith(only) or only in r.tag]
+    for number, fn in _CRITERIA_BY_NUMBER.items():
+        if key:
+            if key[1] == number:
+                rows.extend(r for r in fn() if r.key.startswith(only))
+        elif not only or only in _TAGS[number]:
+            rows.extend(fn())
     return rows
 
 

@@ -14,11 +14,11 @@ import numpy as np
 
 from .complexes import Complex, double_tetrahedron
 from . import curvature, geometry
-from .conformal import ConformalClass
+from .conformal import ConformalClass, induced_lengths
 
 
 # ---------------------------------------------------------------------------
-# symmetric eigensolver (cyclic Jacobi)
+# symmetric eigensolver
 
 
 @dataclass(frozen=True)
@@ -29,8 +29,8 @@ class Spectrum:
     eigenvectors: np.ndarray   # (n, n), column i pairs with eigenvalues[i]
 
 
-def eig_sym(A, max_sweeps: int = 60) -> Spectrum:
-    """Full spectral decomposition of a symmetric matrix by cyclic Jacobi.
+def eig_sym(A) -> Spectrum:
+    """Full spectral decomposition of a symmetric matrix (LAPACK ``eigh``).
 
     Deterministic: eigenvalues ascending, each eigenvector's largest
     component made positive.  Raises on non-symmetric input.
@@ -41,51 +41,9 @@ def eig_sym(A, max_sweeps: int = 60) -> Spectrum:
     scale = max(1.0, float(np.abs(A).max()))
     if np.abs(A - A.T).max() > 1e-12 * scale:
         raise ValueError("matrix is not symmetric to 1e-12 relative")
-
-    n = A.shape[0]
-    B = 0.5 * (A + A.T)
-    V = np.eye(n)
-    fro = max(np.linalg.norm(B), np.finfo(float).tiny)
-    offdiag = ~np.eye(n, dtype=bool)
-    for _ in range(max_sweeps):
-        # norm of the off-diagonal part itself: computing it as
-        # ||B||^2 - ||diag||^2 cancels catastrophically near convergence
-        off = np.linalg.norm(B[offdiag])
-        if off <= 1e-14 * fro:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = B[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                tau = (B[q, q] - B[p, p]) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0 else 1.0
-                cph = 1.0 / np.hypot(1.0, t)
-                sph = t * cph
-                rp = B[p, :].copy()
-                rq = B[q, :].copy()
-                B[p, :] = cph * rp - sph * rq
-                B[q, :] = sph * rp + cph * rq
-                cp = B[:, p].copy()
-                cq = B[:, q].copy()
-                B[:, p] = cph * cp - sph * cq
-                B[:, q] = sph * cp + cph * cq
-                # do not force B[p,q] to zero: the computed residue keeps
-                # the off-diagonal measure honest, otherwise the sweep
-                # test can stop one sweep early with a stale eigenbasis
-                vp = V[:, p].copy()
-                vq = V[:, q].copy()
-                V[:, p] = cph * vp - sph * vq
-                V[:, q] = sph * vp + cph * vq
-
-    vals = np.diag(B).copy()
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    V = V[:, order]
-    for i in range(n):
-        j = int(np.argmax(np.abs(V[:, i])))
-        if V[j, i] < 0:
-            V[:, i] = -V[:, i]
+    vals, V = np.linalg.eigh(0.5 * (A + A.T))
+    j = np.argmax(np.abs(V), axis=0)
+    V = V * np.where(V[j, np.arange(V.shape[1])] < 0, -1.0, 1.0)
     return Spectrum(eigenvalues=vals, eigenvectors=V)
 
 
@@ -340,8 +298,7 @@ def descend_conformal(cls: ConformalClass, which: str, f0, **kw):
     _, near_metric = metric_guard(c)
 
     def induced(f):
-        ev = c.edge_vertices
-        return np.exp(0.5 * (f[ev[:, 0]] + f[ev[:, 1]])) * cls.background
+        return induced_lengths(c, cls.background, f)
 
     def guard(f):
         return geometry.is_admissible(c, induced(f))

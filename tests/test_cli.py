@@ -177,6 +177,14 @@ class TestReproduce:
         assert code == 0
         assert "600-cell counts" in out
 
+    def test_filter_key_matches_keys_only(self, capsys):
+        # "6" is a key, not a substring of the tag "cell600"
+        code, out, _ = run_cli(capsys, "reproduce", "--only", "6")
+        assert code == 0
+        assert all(f"] 6{x} " in out for x in "abc")
+        assert "] 10" not in out
+        assert "3/3 criteria passed" in out
+
     def test_unmatched_filter_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "reproduce", "--only", "zzz-nothing")
         assert code == 1

@@ -5,7 +5,7 @@ import pytest
 
 from regge3 import complexes
 from regge3.complexes import (Complex, ComplexError, Face, Tet, double_tetrahedron,
-                              from_simplicial_tets, format_complex, max_edge_degree,
+                              from_simplicial_tets, format_complex,
                               parse_complex, six_hundred_cell, validate)
 
 
@@ -39,7 +39,7 @@ class TestDoubleTetrahedron:
         assert np.all(dt.edge_degrees == 2)
 
     def test_max_edge_degree(self, dt):
-        assert max_edge_degree(dt) == 2
+        assert dt.edge_degrees.max() == 2
 
 
 class TestSixHundredCell:
@@ -52,7 +52,6 @@ class TestSixHundredCell:
     def test_every_edge_has_degree_five(self, cell600):
         assert cell600.edge_degrees.min() == 5
         assert cell600.edge_degrees.max() == 5
-        assert max_edge_degree(cell600) == 5
 
     def test_simplicial(self, cell600):
         pairs = {tuple(sorted(e)) for e in cell600.edges}
@@ -66,7 +65,7 @@ class TestSyntheticComplexes:
         assert c.euler_characteristic() == 0
 
     def test_max_edge_degree_three(self):
-        assert max_edge_degree(boundary_of_4_simplex()) == 3
+        assert boundary_of_4_simplex().edge_degrees.max() == 3
 
 
 class TestIncidenceProperties:

@@ -199,6 +199,17 @@ class TestHessianFD:
         H = hessian_fd(touchy, np.zeros(2), step=3e-6)
         assert np.abs(H - 2 * np.eye(2)).max() < 1e-4
 
+    def test_other_errors_are_not_retried(self):
+        # only an inadmissible stencil point earns the half-step retry; at
+        # half step this function would succeed, so a retry would hide the error
+        def broken(x):
+            if np.abs(x).max() > 0.75:
+                raise RuntimeError("not an admissibility failure")
+            return float(x @ x)
+
+        with pytest.raises(RuntimeError):
+            hessian_fd(broken, np.zeros(2), step=1.0)
+
 
 class TestLaplacianAndConformalHessian:
     def test_laplacian_regular_entries(self, dt):
