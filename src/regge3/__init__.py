@@ -17,7 +17,8 @@ from .geometry import (InadmissibleMetricError, TetGeometry, cayley_menger,
 from .curvature import (CurvatureReport, BoundsReport, edge_curvatures,
                         functionals, grad_lengths, grad_conformal, hessian_fd,
                         gradient_fd, hessian_fd_lengths, conformal_hessian_fd,
-                        laplacian_matrix, normal_matrix, lehr_conformal_hessian_csc,
+                        conformal_hessian, csc_jacobian, laplacian_matrix,
+                        normal_matrix, lehr_conformal_hessian_csc,
                         einstein_residual, csc_residual, bounds_report,
                         ehr_value, lehr_value, vehr_value)
 from .conformal import (ConformalClass, EquihedralPoint, induced_lengths,

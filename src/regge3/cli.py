@@ -107,12 +107,10 @@ def cmd_analyze(args) -> int:
     lengths = resolve_metric(args, c)
     rep = curvature.functionals(c, lengths)
     bounds = curvature.bounds_report(c, lengths)
-    res = {
-        "einstein_residual_l": float(np.abs(curvature.einstein_residual(c, lengths, "L")).max()),
-        "einstein_residual_v": float(np.abs(curvature.einstein_residual(c, lengths, "V")).max()),
-        "csc_residual_l": float(np.abs(curvature.csc_residual(c, lengths, "L")).max()),
-        "csc_residual_v": float(np.abs(curvature.csc_residual(c, lengths, "V")).max()),
-    }
+    res = {f"{kind}_residual_{w.lower()}": float(np.abs(residual(w)).max())
+           for kind, residual in (("einstein", rep.einstein_residual),
+                                  ("csc", rep.csc_residual))
+           for w in "LV"}
     if args.format == "human":
         print(f"complex: {args.complex}  (V,E,F,T) = {c.counts()}")
         print(f"LEHR = {_fmt(rep.lehr)}   VEHR = {_fmt(rep.vehr)}   EHR = {_fmt(rep.ehr)}")
@@ -138,13 +136,8 @@ def cmd_spectrum(args) -> int:
         H = curvature.hessian_fd_lengths(c, lengths, functional, richardson=True)
         label = f"finite-difference length Hessian of {functional.upper()}"
     else:
-        if functional == "lehr" and \
-                float(np.abs(curvature.csc_residual(c, lengths, "L")).max()) <= 1e-8:
-            H = curvature.lehr_conformal_hessian_csc(c, lengths)
-            label = "analytic conformal Hessian of LEHR (csc metric)"
-        else:
-            H = curvature.conformal_hessian_fd(c, lengths, functional, richardson=True)
-            label = f"finite-difference conformal Hessian of {functional.upper()}"
+        H = curvature.conformal_hessian(c, lengths, functional)
+        label = f"analytic conformal Hessian of {functional.upper()}"
     spec = solve.eig_sym(H)
     if args.format == "human":
         print(label)

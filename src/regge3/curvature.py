@@ -10,19 +10,25 @@ The basic objects, for a complex with metric (edge length vector) l:
 
 Length-space gradients are analytic (EHR has gradient K_e / l_e); the
 conformal gradients use the per-vertex quantities L_v and V_v.  Hessians
-in length space are obtained by finite differences.  Within a conformal
-class, an analytic Hessian of LEHR is available at constant scalar
-curvature metrics.
+in length space are obtained by finite differences.  Conformal Hessians
+are exact at every admissible metric (``conformal_hessian``): the
+dihedral Jacobian and volume Hessian of each tetrahedron
+(:attr:`TetGeometry.ddihedrals`, :attr:`TetGeometry.d2volume`) enter the
+chain rule H_u = M^T H_l M + B^T diag(l * grad_l F) B, with B the
+edge-vertex incidence and M = diag(l) B, assembled per tetrahedron in
+vertex space.  The same Hessian gives the exact Newton Jacobian of the
+constant scalar curvature equations (``csc_jacobian``).
 
 Conformal coordinate convention
 -------------------------------
 The factor map scales the edge between v and v' by exp((f_v + f_v')/2).
-First derivatives (``grad_conformal``) are taken with respect to the
-factors f.  Second derivatives (``lehr_conformal_hessian_csc`` and
-``conformal_hessian_fd``) are taken with respect to the per-vertex log
-scale factors u = f / 2, under which the edge scales as exp(u_v + u_v');
-each entry is therefore 4 times the corresponding f-derivative.  All
-reference eigenvalues quoted in the tests use the u convention.
+First derivatives (``grad_conformal``, ``csc_jacobian``) are taken with
+respect to the factors f.  Second derivatives (``conformal_hessian``,
+``lehr_conformal_hessian_csc`` and ``conformal_hessian_fd``) are taken
+with respect to the per-vertex log scale factors u = f / 2, under which
+the edge scales as exp(u_v + u_v'); each entry is therefore 4 times the
+corresponding f-derivative.  All reference eigenvalues quoted in the
+tests use the u convention.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import Complex
+from .complexes import Complex, LOCAL_PAIRS
 from . import geometry
 from .conformal import induced_lengths
 from .geometry import InadmissibleMetricError
@@ -56,6 +62,26 @@ class CurvatureReport:
     v_vertex: np.ndarray    # (V,) V_v = (1/3) sum over incident (tet, face) of h_f A_f
     v_edge: np.ndarray      # (E,) V_e = l_e dV/dl_e
     dual_length: np.ndarray  # (E,) signed dual areas l*_e
+    lengths: np.ndarray     # (E,) the metric itself
+
+    def _normalization(self, which: str):
+        """(lambda, N_e, N_v) of the equations K = lambda N for "L" or "V"."""
+        which = which.upper()
+        if which == "L":
+            return self.lehr, self.lengths, self.l_vertex
+        if which == "V":
+            return self.ehr / (3.0 * self.volume), self.v_edge, self.v_vertex
+        raise ValueError(f"unknown normalization {which!r}")
+
+    def einstein_residual(self, which: str) -> np.ndarray:
+        """Per-edge residual K_e - lambda N_e; see :func:`einstein_residual`."""
+        lam, n_edge, _ = self._normalization(which)
+        return self.k_edge - lam * n_edge
+
+    def csc_residual(self, which: str) -> np.ndarray:
+        """Per-vertex residual K_v - lambda N_v; see :func:`csc_residual`."""
+        lam, _, n_vertex = self._normalization(which)
+        return self.k_vertex - lam * n_vertex
 
     def to_text(self) -> str:
         """Structured key-value serialization with 12 significant digits."""
@@ -108,6 +134,11 @@ FUNCTIONALS = {"ehr": ehr_value, "lehr": lehr_value, "vehr": vehr_value}
 
 def functionals(c: Complex, lengths) -> CurvatureReport:
     """Assemble the full :class:`CurvatureReport` for an admissible metric."""
+    return _evaluate(c, lengths)[1]
+
+
+def _evaluate(c: Complex, lengths):
+    """One kernel call: the per-tet geometry and the full report."""
     lengths = np.asarray(lengths, dtype=float)
     geo, k_edge = _curvatures(c, lengths)
     k_vertex = _vertex_half_sums(c, k_edge)
@@ -118,12 +149,14 @@ def functionals(c: Complex, lengths) -> CurvatureReport:
     ehr = float(k_edge.sum())
 
     # V_v = (1/3) sum over incident (tet, face) pairs of h_{f<t} A_f
+    # (face k of a tet is opposite its local vertex k, so local vertex i
+    # lies on every face but face i)
     hA = geo.h_face * geo.areas                       # (T, 4)
-    fverts = c.face_vertices[c.tet_faces]             # (T, 4, 3)
-    v_vertex = np.bincount(fverts.ravel(), np.repeat(hA.ravel() / 3.0, 3),
+    v_vertex = np.bincount(c.tet_vertices.ravel(),
+                           ((hA.sum(axis=-1, keepdims=True) - hA) / 3.0).ravel(),
                            minlength=c.num_vertices)
 
-    return CurvatureReport(
+    return geo, CurvatureReport(
         k_edge=k_edge,
         k_vertex=k_vertex,
         length=total_len,
@@ -135,6 +168,7 @@ def functionals(c: Complex, lengths) -> CurvatureReport:
         v_vertex=v_vertex,
         v_edge=lengths * c.edge_sum(geo.dvolume),
         dual_length=c.edge_sum(geo.dual),
+        lengths=lengths,
     )
 
 
@@ -295,7 +329,103 @@ def conformal_hessian_fd(c: Complex, lengths, which: str,
 
 
 # ---------------------------------------------------------------------------
-# conformal Hessian of LEHR at constant scalar curvature metrics
+# exact conformal Hessians and the csc Newton Jacobian
+
+#: incidence P (6, 4) of the local edges of a tetrahedron on its vertices
+_P = np.zeros((6, 4))
+for _m, _pair in enumerate(LOCAL_PAIRS):
+    _P[_m, list(_pair)] = 1.0
+
+
+def _conformal_hessian(c: Complex, geo, rep: CurvatureReport, which: str) -> np.ndarray:
+    """H_u of EHR, LEHR or VEHR from one kernel evaluation, (V, V).
+
+    Each length-space Hessian is a sum of per-tet blocks X_t (from the
+    dihedral Jacobian and the volume Hessian) and symmetric rank-one terms
+    in 1, grad_l F and grad_l V.  The chain rule maps X_t to the 4x4 block
+    P^T diag(l_t) X_t diag(l_t) P on the tet's vertices, adds
+    (l * grad_l F)_e on the endpoints of each edge e, and maps each
+    rank-one vector x to M^T x = B^T (l * x).
+    """
+    which = which.lower()
+
+    def to_vertices(per_edge):
+        return 2.0 * _vertex_half_sums(c, per_edge)
+
+    # X, and below diag(l_t) X diag(l_t), are built in place: on the
+    # 600-cell each (T, 6, 6) array is 173 KB
+    X = geo.ddihedrals
+    if which == "ehr":
+        X *= -1.0
+        w = rep.k_edge
+        rank_one = ()
+    elif which == "lehr":
+        L = rep.length
+        X *= -1.0 / L
+        w = rep.einstein_residual("L") / L
+        # -(grad F 1^T + 1 grad F^T) / L
+        rank_one = ((-1.0 / L, to_vertices(w), to_vertices(rep.lengths)),)
+    elif which == "vehr":
+        V, S = rep.volume, rep.ehr
+        N = V ** (1.0 / 3.0)
+        X *= -1.0 / N
+        d2volume = geo.d2volume
+        d2volume *= S / (3.0 * V * N)
+        X -= d2volume
+        del d2volume
+        w = rep.einstein_residual("V") / N
+        gv = to_vertices(rep.v_edge)
+        # -(grad F grad V^T + grad V grad F^T) / (3V) + (2/9) S V^(-7/3) grad V grad V^T
+        rank_one = ((-1.0 / (3.0 * V), to_vertices(w), gv),
+                    (S / (9.0 * V * V * N), gv, gv))
+    else:
+        raise ValueError(f"unknown functional {which!r}")
+
+    n = c.num_vertices
+    tl = geo.lengths
+    X *= tl[:, :, None]
+    X *= tl[:, None, :]
+    blocks = _P.T @ X @ _P
+    del X
+    tv = c.tet_vertices
+    a, b = c.edge_vertices.T
+    H = np.bincount((tv[:, :, None] * n + tv[:, None, :]).ravel(), blocks.ravel(),
+                    minlength=n * n)
+    H += np.bincount(np.concatenate([a * (n + 1), b * (n + 1), a * n + b, b * n + a]),
+                     np.tile(w, 4), minlength=n * n)
+    H = H.reshape(n, n)
+    for coef, p, q in rank_one:
+        H += coef * (np.outer(p, q) + np.outer(q, p))
+    return 0.5 * (H + H.T)
+
+
+def conformal_hessian(c: Complex, lengths, which: str) -> np.ndarray:
+    """Exact conformal Hessian of EHR, LEHR or VEHR at any admissible metric.
+
+    u convention: the Hessian of u -> F(exp(u_v + u_v') * l_e) at u = 0,
+    shape (V, V), from one kernel call.  ``conformal_hessian_fd`` is its
+    finite-difference oracle.
+    """
+    return _conformal_hessian(c, *_evaluate(c, lengths), which)
+
+
+def csc_jacobian(c: Complex, lengths, which: str) -> np.ndarray:
+    """Jacobian of :func:`csc_residual` with respect to the factors f, (V, V).
+
+    Row v holds the derivatives of r_v.  The residual is r = N grad_f F
+    with (F, N) = (LEHR, L) for "L" and (VEHR, V^(1/3)) for "V", so
+    J = (N/4) H_u(F) + r g^T with g = grad_f(N) / N, which is L_v / L,
+    resp. V_v / (3V).  One kernel call.
+    """
+    geo, rep = _evaluate(c, lengths)
+    which = which.upper()
+    r = rep.csc_residual(which)
+    if which == "L":
+        N, g, functional = rep.length, rep.l_vertex / rep.length, "lehr"
+    else:
+        N, g, functional = (rep.volume ** (1.0 / 3.0),
+                            rep.v_vertex / (3.0 * rep.volume), "vehr")
+    return 0.25 * N * _conformal_hessian(c, geo, rep, functional) + np.outer(r, g)
 
 
 def laplacian_matrix(c: Complex, lengths) -> np.ndarray:
@@ -341,22 +471,21 @@ def normal_matrix(c: Complex, lengths) -> np.ndarray:
 
 
 def lehr_conformal_hessian_csc(c: Complex, lengths, csc_tol: float = 1e-8) -> np.ndarray:
-    """Analytic conformal Hessian of LEHR at a csc metric, u convention.
+    """Conformal Hessian of LEHR at a csc metric, u convention.
 
     Valid only at constant L-scalar curvature metrics (max residual
-    checked against ``csc_tol``).  In factor coordinates f the Hessian is
-    (-2 Delta + N) / L; the returned matrix carries the factor 4 from
-    d f = 2 du so that it matches :func:`conformal_hessian_fd`.
+    checked against ``csc_tol``); the check and the Hessian come from one
+    kernel call.  There it equals the formula 4 (-2 Delta + N) / L of
+    :func:`laplacian_matrix` and :func:`normal_matrix` (the factor 4 from
+    d f = 2 du), which the tests check.
     """
-    lengths = np.asarray(lengths, dtype=float)
-    res = float(np.abs(csc_residual(c, lengths, "L")).max())
+    geo, rep = _evaluate(c, lengths)
+    res = float(np.abs(rep.csc_residual("L")).max())
     if res > csc_tol:
         raise ValueError(
             f"metric is not constant L-scalar curvature: max residual {res:.3e} "
             f"> {csc_tol:.1e}")
-    L = float(lengths.sum())
-    return 4.0 * (-2.0 * laplacian_matrix(c, lengths)
-                  + normal_matrix(c, lengths)) / L
+    return _conformal_hessian(c, geo, rep, "lehr")
 
 
 # ---------------------------------------------------------------------------
@@ -368,15 +497,7 @@ def einstein_residual(c: Complex, lengths, which: str) -> np.ndarray:
 
     which="L": K_e - LEHR * l_e.  which="V": K_e - EHR/(3V) * V_e.
     """
-    lengths = np.asarray(lengths, dtype=float)
-    which = which.upper()
-    if which == "L":
-        k_edge = edge_curvatures(c, lengths)
-        return k_edge - (k_edge.sum() / lengths.sum()) * lengths
-    if which == "V":
-        rep = functionals(c, lengths)
-        return rep.k_edge - rep.ehr / (3.0 * rep.volume) * rep.v_edge
-    raise ValueError(f"unknown normalization {which!r}")
+    return functionals(c, lengths).einstein_residual(which)
 
 
 def csc_residual(c: Complex, lengths, which: str) -> np.ndarray:
@@ -384,17 +505,7 @@ def csc_residual(c: Complex, lengths, which: str) -> np.ndarray:
 
     which="L": K_v - LEHR * L_v.  which="V": K_v - EHR/(3V) * V_v.
     """
-    which = which.upper()
-    if which == "L":
-        lengths = np.asarray(lengths, dtype=float)
-        k_edge = edge_curvatures(c, lengths)
-        k_vertex = _vertex_half_sums(c, k_edge)
-        l_vertex = _vertex_half_sums(c, lengths)
-        return k_vertex - (k_edge.sum() / lengths.sum()) * l_vertex
-    if which == "V":
-        rep = functionals(c, lengths)
-        return rep.k_vertex - rep.ehr / (3.0 * rep.volume) * rep.v_vertex
-    raise ValueError(f"unknown normalization {which!r}")
+    return functionals(c, lengths).csc_residual(which)
 
 
 @dataclass(frozen=True)

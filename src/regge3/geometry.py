@@ -17,7 +17,8 @@ determinant CM3 = 288 V^2 and its inverse ``G``.  With rows and columns of
 ``G`` numbered 1..4 for the vertices and 0 for the border, ``G[0, k]`` are
 the barycentric coordinates of the circumcenter and the vertex block is
 -1/(18 V^2) times the Gram matrix of the area-weighted outward face
-normals.
+normals.  Second derivatives come from the same inverse: for edge m = (i, j),
+dG_ab/dl_m = -2 l_m (G_ai G_jb + G_aj G_ib).
 """
 
 from __future__ import annotations
@@ -136,6 +137,7 @@ class TetGeometry:
     h_face: np.ndarray         # (..., 4)
     h_edge: np.ndarray         # (..., 4, 3)
     dvolume: np.ndarray        # (..., 6) d(volume)/d(lengths)
+    cm_inverse: np.ndarray     # (..., 5, 5) G = A^-1, border row and column 0
 
     @property
     def dual(self) -> np.ndarray:
@@ -146,6 +148,43 @@ class TetGeometry:
         """
         return 0.5 * np.sum(self.h_edge[..., _EF_FACE, _EF_SLOT]
                             * self.h_face[..., _EF_FACE], axis=-1)
+
+    def _dG(self, n, a, b) -> np.ndarray:
+        """d(G_ab)/d(l_n) for index arrays a, b of equal length, (..., len(a))."""
+        G, i, j = self.cm_inverse, _I[n], _J[n]
+        return -2.0 * self.lengths[..., n, None] * (G[..., a, i] * G[..., j, b]
+                                                    + G[..., a, j] * G[..., i, b])
+
+    @property
+    def ddihedrals(self) -> np.ndarray:
+        """Jacobian d(beta_m)/d(l_n) of the dihedral angles, (..., 6, 6), row m.
+
+        Differentiates cos beta_m = G_kl / sqrt(G_kk G_ll) one edge n at a
+        time, so that only (..., 6) temporaries are built besides the result.
+        """
+        G = self.cm_inverse
+        gkl, gkk, gll = G[..., _K, _L], G[..., _K, _K], G[..., _L, _L]
+        scale = -1.0 / (np.sqrt(gkk * gll) * np.sin(self.dihedrals))
+        out = np.empty(self.lengths.shape + (6,))
+        for n in range(6):
+            out[..., n] = scale * (self._dG(n, _K, _L) - 0.5 * gkl * (
+                self._dG(n, _K, _K) / gkk + self._dG(n, _L, _L) / gll))
+        return out
+
+    @property
+    def d2volume(self) -> np.ndarray:
+        """Hessian d^2(volume)/d(l_m)d(l_n), (..., 6, 6).
+
+        From dV/dl_m = 2 l_m V G_ij:  delta_mn dV_m/l_m + dV_m dV_n / V
+        + 2 l_m V dG_ij/dl_n, assembled one edge n at a time.
+        """
+        V = self.volume[..., None]
+        out = np.empty(self.lengths.shape + (6,))
+        for n in range(6):
+            out[..., n] = self.dvolume * self.dvolume[..., n, None] / V \
+                + 2.0 * self.lengths * V * self._dG(n, _I, _J)
+        out[..., range(6), range(6)] += self.dvolume / self.lengths
+        return out
 
 
 def tet_geometry(lengths) -> TetGeometry:
@@ -179,6 +218,7 @@ def tet_geometry(lengths) -> TetGeometry:
         h_face=G[..., 0, 1:] * (3.0 * volume[..., None] / areas),
         h_edge=h_edge,
         dvolume=2.0 * l * volume[..., None] * G[..., _I, _J],
+        cm_inverse=G,
     )
 
 

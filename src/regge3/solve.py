@@ -80,10 +80,11 @@ def solve_csc(cls: ConformalClass, which: str = "L", f0=None,
     """Newton iteration for K_v = lambda * L_v (or lambda * V_v) in a class.
 
     The multiplier is recomputed from the metric at every iterate, the
-    Jacobian is obtained by central finite differences, and the scale
-    gauge is fixed by constraining sum(f) to its starting value through a
-    bordered system.  Steps leaving the admissible set are halved (up to
-    ``max_halvings``); exhaustion terminates with reason "boundary-hit".
+    Jacobian is exact (:func:`curvature.csc_jacobian`, evaluated at the
+    lengths of the accepted iterate), and the scale gauge is fixed by
+    constraining sum(f) to its starting value through a bordered system.
+    Steps leaving the admissible set are halved (up to ``max_halvings``);
+    exhaustion terminates with reason "boundary-hit".
 
     Returns (factors, SolveTrace).
     """
@@ -92,17 +93,11 @@ def solve_csc(cls: ConformalClass, which: str = "L", f0=None,
     f = np.zeros(n) if f0 is None else np.asarray(f0, dtype=float).copy()
     trace = SolveTrace()
 
-    def residual(fv):
-        lengths, ok = cls.apply(fv)
-        if not ok:
-            return None
-        return curvature.csc_residual(c, lengths, which)
-
-    r = residual(f)
-    if r is None:
+    lengths, ok = cls.apply(f)
+    if not ok:
         raise geometry.InadmissibleMetricError("starting point is not admissible")
+    r = curvature.csc_residual(c, lengths, which)
 
-    eps3 = np.finfo(float).eps ** (1.0 / 3.0)
     for _ in range(max_iter):
         rn = float(np.abs(r).max())
         trace.record(f, rn)
@@ -110,23 +105,8 @@ def solve_csc(cls: ConformalClass, which: str = "L", f0=None,
             trace.reason = "converged"
             return f, trace
 
-        J = np.empty((n, n))
-        for j in range(n):
-            h = eps3 * max(abs(f[j]), 1.0)
-            e = np.zeros(n)
-            e[j] = h
-            rp, rm = residual(f + e), residual(f - e)
-            if rp is None or rm is None:
-                h /= 8.0
-                e[j] = h
-                rp, rm = residual(f + e), residual(f - e)
-                if rp is None or rm is None:
-                    trace.reason = "boundary-hit"
-                    return f, trace
-            J[:, j] = (rp - rm) / (2.0 * h)
-
         K = np.zeros((n + 1, n + 1))
-        K[:n, :n] = J
+        K[:n, :n] = curvature.csc_jacobian(c, lengths, which)
         K[:n, n] = 1.0
         K[n, :n] = 1.0
         rhs = np.zeros(n + 1)
@@ -139,15 +119,15 @@ def solve_csc(cls: ConformalClass, which: str = "L", f0=None,
 
         step = 1.0
         for _ in range(max_halvings):
-            r_new = residual(f + step * delta)
-            if r_new is not None:
+            lengths, ok = cls.apply(f + step * delta)
+            if ok:
                 break
             step *= 0.5
         else:
             trace.reason = "boundary-hit"
             return f, trace
         f = f + step * delta
-        r = r_new
+        r = curvature.csc_residual(c, lengths, which)
         trace.step_sizes.append(step)
 
     trace.record(f, float(np.abs(r).max()))
@@ -506,11 +486,10 @@ def sweep_family(c: Complex, family, t_values, quantities) -> SweepTable:
             "length": rep.length, "volume": rep.volume,
             "fatness": rep.volume / rep.length ** 3,
             "min_cm3": float(np.min(geometry.cayley_menger(c.tet_lengths(lengths)))),
-            "einstein_res_l": float(np.abs(curvature.einstein_residual(c, lengths, "L")).max()),
-            "einstein_res_v": float(np.abs(curvature.einstein_residual(c, lengths, "V")).max()),
-            "csc_res_l": float(np.abs(curvature.csc_residual(c, lengths, "L")).max()),
-            "csc_res_v": float(np.abs(curvature.csc_residual(c, lengths, "V")).max()),
         }
+        for w in "LV":
+            cache[f"einstein_res_{w.lower()}"] = float(np.abs(rep.einstein_residual(w)).max())
+            cache[f"csc_res_{w.lower()}"] = float(np.abs(rep.csc_residual(w)).max())
         for w in ("lehr", "vehr"):
             if not need_hess[w]:
                 continue

@@ -57,6 +57,13 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", "--lengths", "1,2,3")
         assert code == 1
 
+    def test_one_report_for_residuals(self, capsys, kernel_calls):
+        # the report and the bounds; the four residuals reuse the report
+        code, _, _ = run_cli(capsys, "analyze", "--complex", "cell600",
+                             "--lengths", "uniform:1")
+        assert code == 0
+        assert len(kernel_calls) == 2
+
     def test_complex_from_file(self, capsys, tmp_path):
         path = tmp_path / "dt.tri"
         save_complex(double_tetrahedron(), path)
@@ -89,6 +96,20 @@ class TestSpectrum:
         assert "analytic conformal Hessian" in out
         assert "0.628539361" in out
 
+
+    def test_conformal_vehr_away_from_csc(self, capsys):
+        # VEHR is scale invariant, so the gauge eigenvalue is 0, and the
+        # metric's symmetry makes 75.7588 a double eigenvalue; the Richardson
+        # Hessian read 0.028 and split the pair by 2e-6 here
+        code, out, _ = run_cli(capsys, "spectrum", "--functional", "vehr",
+                               "--space", "conformal",
+                               "--lengths", "1.4135,1,1,1,1,1.4135")
+        assert code == 0
+        assert "analytic conformal Hessian of VEHR" in out
+        vals = [float(x) for x in out.split("eigenvalues: [")[1].split("]")[0].split(",")]
+        assert abs(vals[0]) < 1e-6
+        assert vals[1] == pytest.approx(75.7588, abs=1e-4)
+        assert abs(vals[2] - vals[1]) < 1e-9 * vals[1]
 
 class TestSweep:
     def test_delimited_output(self, capsys):

@@ -4,7 +4,9 @@ import pytest
 from regge3 import curvature, solve
 from regge3.complexes import double_tetrahedron, six_hundred_cell
 from regge3.conformal import ConformalClass, random_equihedral_lengths
-from regge3.curvature import (bounds_report, conformal_hessian_fd, csc_residual,
+from regge3.conformal import induced_lengths
+from regge3.curvature import (bounds_report, conformal_hessian, conformal_hessian_fd,
+                              csc_jacobian, csc_residual,
                               edge_curvatures, einstein_residual, functionals,
                               grad_conformal, grad_lengths, gradient_fd, hessian_fd,
                               hessian_fd_lengths, laplacian_matrix,
@@ -281,6 +283,85 @@ class TestLaplacianAndConformalHessian:
         l = np.array([1.2, 1, 1, 1, 1, 1])
         with pytest.raises(ValueError, match="residual"):
             lehr_conformal_hessian_csc(dt, l)
+
+
+def paper_formula(c, lengths):
+    """The conformal LEHR Hessian at a csc metric, 4 (-2 Delta + N) / L."""
+    return 4.0 * (-2.0 * laplacian_matrix(c, lengths)
+                  + normal_matrix(c, lengths)) / float(np.sum(lengths))
+
+
+class TestExactConformalHessian:
+    @pytest.mark.parametrize("which", ["ehr", "lehr", "vehr"])
+    def test_matches_fd_on_random_metrics(self, dt, which):
+        # lengths in [0.8, 1.2]: next to the admissibility boundary the
+        # Richardson oracle's truncation error exceeds its gap to the exact value
+        rng = np.random.default_rng(35)
+        for _ in range(12):
+            l = random_admissible_lengths(dt, rng, 0.8, 1.2)
+            Ha = conformal_hessian(dt, l, which)
+            Hf = conformal_hessian_fd(dt, l, which, richardson=True)
+            assert np.abs(Ha - Hf).max() < 1e-7 * np.abs(Ha).max()
+            assert np.abs(Ha - Ha.T).max() == 0.0
+
+    @pytest.mark.parametrize("case", ["unit", "fb", "t1.15", "t1.35", "cell600"])
+    def test_matches_paper_formula_at_csc_metrics(self, dt, cell600, fb_lengths, case):
+        c, l = {"unit": (dt, ONES), "fb": (dt, fb_lengths),
+                "t1.15": (dt, diagonal_family(1.15)), "t1.35": (dt, diagonal_family(1.35)),
+                "cell600": (cell600, np.ones(720))}[case]
+        H = conformal_hessian(c, l, "lehr")
+        assert np.abs(H - paper_formula(c, l)).max() < 1e-14 * max(1.0, np.abs(H).max())
+        assert np.abs(lehr_conformal_hessian_csc(c, l) - H).max() == 0.0
+
+    @pytest.mark.parametrize("which", ["lehr", "vehr"])
+    def test_scaling_direction_annihilated(self, dt, which):
+        # a uniform shift of u rescales the metric; LEHR and VEHR are scale
+        # invariant at every metric, csc or not
+        rng = np.random.default_rng(36)
+        for _ in range(10):
+            H = conformal_hessian(dt, random_admissible_lengths(dt, rng), which)
+            assert np.abs(H @ np.ones(4)).max() < 1e-12 * np.abs(H).max()
+
+    def test_unknown_functional_rejected(self, dt):
+        with pytest.raises(ValueError, match="unknown functional"):
+            conformal_hessian(dt, ONES, "nope")
+
+    def test_one_kernel_call_on_cell600(self, cell600, kernel_calls):
+        lehr_conformal_hessian_csc(cell600, np.ones(720))
+        assert kernel_calls == [(600, 6)]
+        conformal_hessian(cell600, np.ones(720), "vehr")
+        assert len(kernel_calls) == 2
+
+
+class TestCscJacobian:
+    @pytest.mark.parametrize("which", ["L", "V"])
+    def test_matches_central_differences(self, dt, which):
+        rng = np.random.default_rng(37)
+        h = 1e-6
+        for _ in range(10):
+            l = random_admissible_lengths(dt, rng, 0.8, 1.2)
+            J = csc_jacobian(dt, l, which)
+            Jf = np.empty((4, 4))
+            for j in range(4):
+                e = np.zeros(4)
+                e[j] = h
+                Jf[:, j] = (csc_residual(dt, induced_lengths(dt, l, e), which)
+                            - csc_residual(dt, induced_lengths(dt, l, -e), which)) / (2 * h)
+            assert np.abs(J - Jf).max() < 1e-7 * np.abs(J).max()
+
+    @pytest.mark.parametrize("which", ["L", "V"])
+    def test_gauge_column_is_scaling(self, dt, which):
+        # a uniform shift s of f scales the metric by exp(s), and r is
+        # 1-homogeneous in the lengths: J 1 = r
+        l = random_admissible_lengths(dt, np.random.default_rng(38))
+        J = csc_jacobian(dt, l, which)
+        assert J @ np.ones(4) == pytest.approx(csc_residual(dt, l, which), abs=1e-12)
+
+    def test_one_kernel_call_on_cell600(self, cell600, kernel_calls):
+        l = induced_lengths(cell600, np.ones(720),
+                            np.random.default_rng(39).normal(0, 0.02, 120))
+        csc_jacobian(cell600, l, "L")
+        assert kernel_calls == [(600, 6)]
 
 
 class TestResiduals:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from regge3 import curvature, solve
-from regge3.complexes import double_tetrahedron
+from regge3.complexes import double_tetrahedron, six_hundred_cell
 from regge3.conformal import ConformalClass, equihedral_point
 from regge3.curvature import hessian_fd_lengths
 from regge3.solve import (bisect_zero, descend, descend_conformal, descend_lengths,
@@ -115,6 +115,25 @@ class TestSolveCsc:
         with pytest.raises(InadmissibleMetricError):
             solve_csc(cls, "L", np.array([0.5, 0.5, 0.0, 0.0]))
 
+
+    def test_exact_jacobian_kernel_calls_on_cell600(self, kernel_calls, monkeypatch):
+        cls = ConformalClass(six_hundred_cell(), np.ones(720))
+        applied = []
+        apply = ConformalClass.apply
+
+        def counted_apply(self, factors):
+            applied.append(factors)
+            return apply(self, factors)
+
+        monkeypatch.setattr(ConformalClass, "apply", counted_apply)
+        f, trace = solve_csc(cls, "L", np.random.default_rng(44).normal(0.0, 0.02, 120))
+        assert trace.reason == "converged"
+        steps = len(trace.step_sizes)
+        assert steps >= 2 and all(s == 1.0 for s in trace.step_sizes)
+        # one residual at the start and after each step, one Jacobian per step
+        assert len(kernel_calls) == 2 * steps + 1
+        # the factor map runs on the iterates only: no finite-difference points
+        assert len(applied) == steps + 1
 
 class TestDescend:
     def test_quadratic_bowl(self):
@@ -264,6 +283,12 @@ class TestSweep:
         assert abs(table.rows[-1][2] - 8 * np.pi) < 0.02
         vehr = [row[3] for row in table.rows]
         assert all(b > a for a, b in zip(vehr[-10:], vehr[-9:]))
+
+    def test_scalar_row_costs_one_kernel_call(self, dt, kernel_calls):
+        table = sweep_family(dt, diagonal_family, [1.0, 1.2, 1.5],
+                             ["vehr", "ehr", "csc_res_v"])
+        assert [row[1] for row in table.rows] == [1, 1, 0]
+        assert len(kernel_calls) == 2
 
     def test_inadmissible_rows_flagged(self, dt):
         table = sweep_family(dt, diagonal_family, [1.0, 1.5],
