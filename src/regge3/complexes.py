@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import ast
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -120,9 +121,7 @@ class Complex:
     @cached_property
     def edge_degrees(self) -> np.ndarray:
         """(E,) number of tets incident to each edge, with multiplicity."""
-        deg = np.zeros(self.num_edges, dtype=np.intp)
-        np.add.at(deg, self.tet_edges.ravel(), 1)
-        return deg
+        return np.bincount(self.tet_edges.ravel(), minlength=self.num_edges)
 
     @cached_property
     def edges_at_vertex(self) -> tuple[np.ndarray, ...]:
@@ -135,16 +134,31 @@ class Complex:
     # -- convenience ------------------------------------------------------
 
     def tet_lengths(self, lengths) -> np.ndarray:
-        """Gather per-tet length six-vectors, shape (T, 6)."""
+        """Gather per-tet length six-vectors: (..., E) -> (..., T, 6).
+
+        Leading axes index a batch of metrics.
+        """
         lengths = np.asarray(lengths, dtype=float)
-        if lengths.shape != (self.num_edges,):
+        if lengths.shape[-1:] != (self.num_edges,):
             raise ValueError(f"expected {self.num_edges} edge lengths, got shape {lengths.shape}")
-        return lengths[self.tet_edges]
+        # a plain gather is cheaper than the Ellipsis form for one metric
+        return lengths[self.tet_edges] if lengths.ndim == 1 else lengths[..., self.tet_edges]
 
     def edge_sum(self, per_tet) -> np.ndarray:
-        """Sum a per-tet edge quantity (T, 6) over the tets at each edge, (E,)."""
-        return np.bincount(self.tet_edges.ravel(), np.ravel(per_tet),
-                           minlength=self.num_edges)
+        """Sum a per-tet edge quantity over the tets at each edge: (..., T, 6) -> (..., E).
+
+        One ``np.bincount`` for the whole batch: the edge ids of batch entry
+        k are offset by k * E.  Each edge sums its tets in the same order
+        whatever the batch, so every entry equals its unbatched sum bitwise.
+        """
+        per_tet = np.asarray(per_tet)
+        batch = per_tet.shape[:-2]
+        size = math.prod(batch)
+        E = self.num_edges
+        idx = self.tet_edges.ravel()
+        if size > 1:
+            idx = (idx + E * np.arange(size)[:, None]).ravel()
+        return np.bincount(idx, per_tet.ravel(), minlength=size * E).reshape(batch + (E,))
 
 
 def validate(c: Complex) -> None:
@@ -204,8 +218,7 @@ def validate(c: Complex) -> None:
                         f"the tet edge for local pair {pair}")
 
     # closed manifold: every face in exactly two tet face-slots
-    face_count = np.zeros(F, dtype=np.intp)
-    np.add.at(face_count, c.tet_faces.ravel(), 1)
+    face_count = np.bincount(c.tet_faces.ravel(), minlength=F)
     bad = np.nonzero(face_count != 2)[0]
     if bad.size:
         raise ComplexError(

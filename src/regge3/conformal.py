@@ -22,10 +22,13 @@ from . import geometry
 
 
 def induced_lengths(c: Complex, background, factors) -> np.ndarray:
-    """The factor map l_e = exp((f_v + f_v') / 2) * L_e, without any check."""
+    """The factor map l_e = exp((f_v + f_v') / 2) * L_e, without any check.
+
+    Factors (..., V) give lengths (..., E): leading axes index a batch.
+    """
     ev = c.edge_vertices
     f = np.asarray(factors, dtype=float)
-    return np.exp(0.5 * (f[ev[:, 0]] + f[ev[:, 1]])) * background
+    return np.exp(0.5 * (f[..., ev[:, 0]] + f[..., ev[:, 1]])) * background
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,12 @@ The basic objects, for a complex with metric (edge length vector) l:
 
 Length-space gradients are analytic (EHR has gradient K_e / l_e); the
 conformal gradients use the per-vertex quantities L_v and V_v.  Hessians
-in length space are obtained by finite differences.  Conformal Hessians
+in length space are obtained by finite differences.  The path from
+lengths to functional values carries a leading batch axis: the edge
+curvatures and ``ehr_value``, ``lehr_value`` and ``vehr_value`` map
+lengths (..., E) to (...), one kernel call for the whole stack, so each
+finite-difference stencil (``hessian_fd``, ``gradient_fd``) is evaluated
+as one stacked call.  Conformal Hessians
 are exact at every admissible metric (``conformal_hessian``): the
 dihedral Jacobian and volume Hessian of each tetrahedron
 (:attr:`TetGeometry.ddihedrals`, :attr:`TetGeometry.d2volume`) enter the
@@ -99,14 +104,17 @@ class CurvatureReport:
 
 
 def _curvatures(c: Complex, lengths):
-    """One kernel call: the per-tet geometry and the edge curvatures K_e."""
+    """One kernel call: the per-tet geometry and the edge curvatures K_e.
+
+    Lengths (..., E) give K_e (..., E).
+    """
     lengths = np.asarray(lengths, dtype=float)
     geo = geometry.tet_geometry(c.tet_lengths(lengths))
     return geo, (2.0 * np.pi - c.edge_sum(geo.dihedrals)) * lengths
 
 
 def edge_curvatures(c: Complex, lengths) -> np.ndarray:
-    """K_e = (2 pi - sum of dihedral angles at e) * l_e, shape (E,)."""
+    """K_e = (2 pi - sum of dihedral angles at e) * l_e: (..., E) -> (..., E)."""
     return _curvatures(c, lengths)[1]
 
 
@@ -116,17 +124,33 @@ def _vertex_half_sums(c: Complex, per_edge) -> np.ndarray:
                        minlength=c.num_vertices)
 
 
-def ehr_value(c: Complex, lengths) -> float:
-    return float(edge_curvatures(c, lengths).sum())
+def _edge_matrix(c: Complex, off, diag=None) -> np.ndarray:
+    """(V, V) sum over edges (a, b) of ``off`` at (a, b) and (b, a) and of
+    ``diag`` at (a, a) and (b, b); one ``np.bincount``."""
+    n = c.num_vertices
+    a, b = c.edge_vertices.T
+    idx, w = [a * n + b, b * n + a], [off, off]
+    if diag is not None:
+        idx += [a * (n + 1), b * (n + 1)]
+        w += [diag, diag]
+    return np.bincount(np.concatenate(idx), np.concatenate(w),
+                       minlength=n * n).reshape(n, n)
 
 
-def lehr_value(c: Complex, lengths) -> float:
-    return ehr_value(c, lengths) / float(np.sum(lengths))
+def ehr_value(c: Complex, lengths):
+    """EHR = sum of K_e: lengths (..., E) -> (...); one metric gives a scalar."""
+    return edge_curvatures(c, lengths).sum(axis=-1)
 
 
-def vehr_value(c: Complex, lengths) -> float:
+def lehr_value(c: Complex, lengths):
+    """LEHR = EHR / L: lengths (..., E) -> (...)."""
+    return ehr_value(c, lengths) / np.sum(lengths, axis=-1)
+
+
+def vehr_value(c: Complex, lengths):
+    """VEHR = EHR / V^(1/3): lengths (..., E) -> (...)."""
     geo, k_edge = _curvatures(c, lengths)
-    return float(k_edge.sum()) / float(geo.volume.sum()) ** (1.0 / 3.0)
+    return k_edge.sum(axis=-1) / geo.volume.sum(axis=-1) ** (1.0 / 3.0)
 
 
 FUNCTIONALS = {"ehr": ehr_value, "lehr": lehr_value, "vehr": vehr_value}
@@ -223,46 +247,86 @@ def grad_conformal(c: Complex, lengths, which: str) -> np.ndarray:
 # finite-difference Hessians
 
 
+#: stencil coordinates (points times dimension) handed to ``fun`` per call
+_CHUNK_COORDS = 4096
+
+
+def _steps(x, step, base) -> np.ndarray:
+    """Per-coordinate steps: ``step`` broadcast to x, else base * max(|x_i|, 1)."""
+    if step is None:
+        return base * np.maximum(np.abs(x), 1.0)
+    return np.broadcast_to(np.asarray(step, dtype=float), (x.size,)).copy()
+
+
+def _stencil_values(fun, x, hs, i, si, j, sj) -> np.ndarray:
+    """Values of a vectorized ``fun`` on a stencil around x, shape (S, m).
+
+    Point q at step scale s is x with si[q] * hs[s, i[q]] added to
+    coordinate i[q], then sj[q] * hs[s, j[q]] added to coordinate j[q]
+    (a zero sign leaves a coordinate unchanged): the same arithmetic as
+    forming (x + e_i) + e_j.  The S * m points are formed and evaluated in
+    chunks of at most _CHUNK_COORDS // n points (at least one).
+    """
+    S, n = hs.shape
+    total = S * len(i)
+    chunk = max(1, _CHUNK_COORDS // n)
+    out = np.empty(total)
+    for start in range(0, total, chunk):
+        s, q = np.divmod(np.arange(start, min(start + chunk, total)), len(i))
+        rows = np.arange(q.size)
+        points = np.repeat(x[None, :], q.size, axis=0)
+        points[rows, i[q]] += si[q] * hs[s, i[q]]
+        points[rows, j[q]] += sj[q] * hs[s, j[q]]
+        values = fun(points)
+        if np.shape(values) != (q.size,):
+            raise ValueError(f"fun must map points ({q.size}, {n}) to values "
+                             f"({q.size},), got shape {np.shape(values)}")
+        out[start:start + q.size] = values
+    return out.reshape(S, len(i))
+
+
 def hessian_fd(fun, x, step=None, richardson: bool = False) -> np.ndarray:
     """Central-difference Hessian of a scalar function, symmetrized.
+
+    ``fun`` is vectorized: it maps points (P, n) to values (P,).  The
+    2 n^2 + 1 points of the stencil (of both step scales with
+    ``richardson=True``) are stacked and handed to ``fun`` in chunks of
+    at most 4096 // n points (at least one), formed chunk by chunk, so a
+    small stencil is a single call and a large one never holds more than
+    about 4096 coordinates at once.
 
     Per-coordinate steps default to cbrt(machine eps) * max(|x_i|, 1).
     With ``richardson=True`` a two-scale extrapolation removes the
     leading O(h^2) truncation term (used by the golden-value tests, where
     the larger base step eps^(1/6) keeps roundoff small as well).
 
-    If a neighbor point is inadmissible (``InadmissibleMetricError``) the
+    If any stencil point is inadmissible (``InadmissibleMetricError``) the
     steps are halved once and the whole stencil is retried; any other
     error propagates.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
     eps = np.finfo(float).eps
-    if step is None:
-        base = eps ** (1.0 / 6.0) if richardson else eps ** (1.0 / 3.0)
-        h = base * np.maximum(np.abs(x), 1.0)
-    else:
-        h = np.broadcast_to(np.asarray(step, dtype=float), (n,)).copy()
+    h = _steps(x, step, eps ** (1.0 / 6.0) if richardson else eps ** (1.0 / 3.0))
 
-    def stencil(hvec):
-        H = np.empty((n, n))
-        f0 = fun(x)
-        for i in range(n):
-            ei = np.zeros(n)
-            ei[i] = hvec[i]
-            H[i, i] = (fun(x + ei) - 2.0 * f0 + fun(x - ei)) / hvec[i] ** 2
-            for j in range(i + 1, n):
-                ej = np.zeros(n)
-                ej[j] = hvec[j]
-                H[i, j] = H[j, i] = (fun(x + ei + ej) - fun(x + ei - ej)
-                                     - fun(x - ei + ej) + fun(x - ei - ej)) \
-                    / (4.0 * hvec[i] * hvec[j])
-        return H
+    # the center, x +- h_i e_i, then (x +- h_i e_i) +- h_j e_j for i < j
+    iu, ju = np.triu_indices(n, 1)
+    diag = np.repeat(np.arange(n), 2)
+    i = np.concatenate([[0], diag, np.repeat(iu, 4)])
+    j = np.concatenate([[0], diag, np.repeat(ju, 4)])
+    si = np.concatenate([[0], np.tile([1, -1], n), np.tile([1, 1, -1, -1], iu.size)])
+    sj = np.concatenate([[0], np.zeros(2 * n, int), np.tile([1, -1, 1, -1], iu.size)])
 
     def build(hvec):
-        if not richardson:
-            return stencil(hvec)
-        return (4.0 * stencil(hvec) - stencil(2.0 * hvec)) / 3.0
+        hs = np.stack([hvec, 2.0 * hvec]) if richardson else hvec[None, :]
+        f = _stencil_values(fun, x, hs, i, si, j, sj)
+        f0, fd, fo = f[:, :1], f[:, 1:2 * n + 1], f[:, 2 * n + 1:]
+        H = np.empty((len(hs), n, n))
+        H[:, range(n), range(n)] = (fd[:, 0::2] - 2.0 * f0 + fd[:, 1::2]) / hs ** 2
+        H[:, iu, ju] = (fo[:, 0::4] - fo[:, 1::4] - fo[:, 2::4] + fo[:, 3::4]) \
+            / (4.0 * hs[:, iu] * hs[:, ju])
+        H[:, ju, iu] = H[:, iu, ju]
+        return (4.0 * H[0] - H[1]) / 3.0 if richardson else H[0]
 
     try:
         H = build(h)
@@ -274,29 +338,22 @@ def hessian_fd(fun, x, step=None, richardson: bool = False) -> np.ndarray:
 def gradient_fd(fun, x, step=None, richardson: bool = False) -> np.ndarray:
     """Central-difference gradient with steps cbrt(eps) * max(|x_i|, 1).
 
-    ``richardson=True`` combines two step sizes to cancel the O(h^2)
-    truncation term, for use as a high-accuracy oracle against analytic
-    gradients; the base step stays at cbrt(eps) so that high derivatives
-    near the admissibility boundary cannot dominate.
+    ``fun`` is vectorized as in :func:`hessian_fd`, which also describes
+    how the 2n points (4n with ``richardson=True``) are stacked and
+    chunked.  ``richardson=True`` combines two step sizes to cancel the
+    O(h^2) truncation term, for use as a high-accuracy oracle against
+    analytic gradients; the base step stays at cbrt(eps) so that high
+    derivatives near the admissibility boundary cannot dominate.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
-    if step is None:
-        h = np.finfo(float).eps ** (1.0 / 3.0) * np.maximum(np.abs(x), 1.0)
-    else:
-        h = np.broadcast_to(np.asarray(step, dtype=float), (n,)).copy()
-
-    def central(hvec):
-        g = np.empty(n)
-        for i in range(n):
-            ei = np.zeros(n)
-            ei[i] = hvec[i]
-            g[i] = (fun(x + ei) - fun(x - ei)) / (2.0 * hvec[i])
-        return g
-
-    if not richardson:
-        return central(h)
-    return (4.0 * central(h) - central(2.0 * h)) / 3.0
+    h = _steps(x, step, np.finfo(float).eps ** (1.0 / 3.0))
+    hs = np.stack([h, 2.0 * h]) if richardson else h[None, :]
+    # x + h_i e_i, x - h_i e_i for each i
+    diag = np.repeat(np.arange(n), 2)
+    f = _stencil_values(fun, x, hs, diag, np.tile([1, -1], n), diag, np.zeros(2 * n, int))
+    g = (f[:, 0::2] - f[:, 1::2]) / (2.0 * hs)
+    return (4.0 * g[0] - g[1]) / 3.0 if richardson else g[0]
 
 
 def hessian_fd_lengths(c: Complex, lengths, which: str,
@@ -388,12 +445,9 @@ def _conformal_hessian(c: Complex, geo, rep: CurvatureReport, which: str) -> np.
     blocks = _P.T @ X @ _P
     del X
     tv = c.tet_vertices
-    a, b = c.edge_vertices.T
     H = np.bincount((tv[:, :, None] * n + tv[:, None, :]).ravel(), blocks.ravel(),
-                    minlength=n * n)
-    H += np.bincount(np.concatenate([a * (n + 1), b * (n + 1), a * n + b, b * n + a]),
-                     np.tile(w, 4), minlength=n * n)
-    H = H.reshape(n, n)
+                    minlength=n * n).reshape(n, n)
+    H += _edge_matrix(c, w, w)
     for coef, p, q in rank_one:
         H += coef * (np.outer(p, q) + np.outer(q, p))
     return 0.5 * (H + H.T)
@@ -436,15 +490,7 @@ def laplacian_matrix(c: Complex, lengths) -> np.ndarray:
     """
     lengths = np.asarray(lengths, dtype=float)
     w = geometry.dual_lengths(c, lengths) / lengths
-    n = c.num_vertices
-    D = np.zeros((n, n))
-    a = c.edge_vertices[:, 0]
-    b = c.edge_vertices[:, 1]
-    np.add.at(D, (a, b), w)
-    np.add.at(D, (b, a), w)
-    np.add.at(D, (a, a), -w)
-    np.add.at(D, (b, b), -w)
-    return D
+    return _edge_matrix(c, w, -w)
 
 
 def normal_matrix(c: Complex, lengths) -> np.ndarray:
@@ -459,14 +505,8 @@ def normal_matrix(c: Complex, lengths) -> np.ndarray:
     lam = k_edge.sum() / lengths.sum()
     k_vertex = _vertex_half_sums(c, k_edge)
     l_vertex = _vertex_half_sums(c, lengths)
-    n = c.num_vertices
-    N = np.zeros((n, n))
-    dev = 0.25 * (k_edge - lam * lengths)
-    a = c.edge_vertices[:, 0]
-    b = c.edge_vertices[:, 1]
-    np.add.at(N, (a, b), dev)
-    np.add.at(N, (b, a), dev)
-    N[np.arange(n), np.arange(n)] = 0.5 * (k_vertex - lam * l_vertex)
+    N = _edge_matrix(c, 0.25 * (k_edge - lam * lengths))
+    N[range(c.num_vertices), range(c.num_vertices)] = 0.5 * (k_vertex - lam * l_vertex)
     return N
 
 

@@ -85,25 +85,33 @@ def _face_margins(l) -> np.ndarray:
     return np.sum(sides, axis=-1) - 2.0 * np.max(sides, axis=-1)
 
 
+def _worst_tet(values) -> str:
+    """Where ``values``, over the leading axes of a (..., 6) batch, is least:
+    the index for one axis (one metric's tets: the tet id), else the index
+    tuple (metric index first, tet id last)."""
+    flat = int(np.argmin(values))
+    index = np.unravel_index(flat, np.shape(values))
+    return str(flat) if len(index) <= 1 else str(tuple(int(k) for k in index))
+
+
 def _admissible_cm(l, A=None) -> np.ndarray:
     """CM3 of each tet of ``l`` (..., 6); raise naming the worst tet if any
     has a nonpositive or non-finite length, a degenerate face or CM3 <= 0.
 
-    Tets are numbered by their flat index in the leading axes, which for
-    ``Complex.tet_lengths`` output is the tet id.
+    For one axis of tets, as in ``Complex.tet_lengths`` output of one
+    metric, the worst tet is named by its tet id; in a batch of metrics,
+    by its index tuple.
     """
     if np.any(l <= 0.0) or not np.all(np.isfinite(l)):
         raise InadmissibleMetricError("edge lengths must be positive and finite")
     margins = np.min(_face_margins(l), axis=-1)
     if np.any(margins <= 0.0):
-        tid = int(np.argmin(margins))
         raise InadmissibleMetricError(
-            f"metric not admissible: tet {tid} has a degenerate face triangle")
+            f"metric not admissible: tet {_worst_tet(margins)} has a degenerate face triangle")
     cm = np.linalg.det(_cm_matrix(l) if A is None else A)
     if np.any(cm <= 0.0):
-        tid = int(np.argmin(cm))
         raise InadmissibleMetricError(
-            f"metric not admissible: tet {tid} has CM3 = {float(cm.flat[tid]):.6g} <= 0")
+            f"metric not admissible: tet {_worst_tet(cm)} has CM3 = {float(cm.min()):.6g} <= 0")
     return cm
 
 

@@ -152,7 +152,9 @@ def descend(objective, guard, x0, grad=None, project=None,
     (sup-norm of the gradient below ``gtol``), "boundary-hit" (line
     search blocked by the guard, or stalled next to the boundary per
     ``near_boundary``), "stall" (no decrease found away from the
-    boundary), or "max-iters".
+    boundary), or "max-iters".  Without ``grad`` the gradient comes from
+    :func:`curvature.gradient_fd`, so ``objective`` must then also map a
+    stack of points (P, n) to values (P,).
 
     Returns (x, SolveTrace).
     """

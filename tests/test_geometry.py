@@ -177,6 +177,28 @@ class TestVolume:
             tet_volume(np.array([1, 1, 1, 1, 1, 3.0]))
 
 
+class TestInadmissibleTetNames:
+    FLAT = np.array([1.4143, 1, 1, 1, 1, 1.4143])      # CM3 < 0, faces fine
+    BAD_FACE = np.array([1, 1, 1, 1, 1, 3.0])
+
+    def test_one_axis_of_tets_names_the_index(self):
+        with pytest.raises(InadmissibleMetricError, match=r"tet 2 has CM3 = -"):
+            tet_geometry(np.array([REGULAR, REGULAR, self.FLAT]))
+        with pytest.raises(InadmissibleMetricError, match=r"tet 1 has a degenerate face"):
+            tet_geometry(np.array([REGULAR, self.BAD_FACE]))
+
+    def test_batch_of_metrics_names_the_index_tuple(self):
+        dt = double_tetrahedron()
+        for bad, text in ((self.FLAT, r"tet \(3, 0\) has CM3 = -"),
+                          (self.BAD_FACE, r"tet \(3, 0\) has a degenerate face")):
+            stack = np.ones((5, 6))
+            stack[3] = bad
+            tl = dt.tet_lengths(stack)
+            assert tl.shape == (5, 2, 6)
+            with pytest.raises(InadmissibleMetricError, match=text):
+                tet_geometry(tl)
+
+
 class TestFaceAngle:
     """Face angles as the kernel sees them, through h_edge = (s/2) cot."""
 
