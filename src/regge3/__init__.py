@@ -12,7 +12,7 @@ from .complexes import (Complex, Face, Tet, ComplexError, double_tetrahedron,
                         load_complex, save_complex, parse_complex, format_complex,
                         validate)
 from .geometry import (InadmissibleMetricError, TetGeometry, cayley_menger,
-                       tet_volume, dihedral_angles, tet_geometry, dual_lengths,
+                       tet_volume, dihedral_angles, tet_geometry,
                        is_admissible, assert_admissible)
 from .curvature import (CurvatureReport, BoundsReport, edge_curvatures,
                         functionals, grad_lengths, grad_conformal, hessian_fd,

@@ -2,7 +2,8 @@
 
 Subcommands: analyze, spectrum, sweep, find-csc, find-einstein, yamabe,
 reproduce.  Exit codes: 0 success, 1 usage error, 2 inadmissible metric,
-3 solver hit the admissibility boundary, 4 iteration limit reached.
+3 solver hit the admissibility boundary, 4 iteration limit reached (or,
+for find-csc, the Newton line search stalled).
 """
 
 from __future__ import annotations
@@ -185,6 +186,8 @@ def cmd_sweep(args) -> int:
     quantities = [q.strip() for q in args.quantities.split(",") if q.strip()]
     try:
         table = solve.sweep_family(c, solve.diagonal_family, ts, quantities)
+    except InadmissibleMetricError:
+        raise
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     sep = {"delimited": ",", "structured": "\t", "human": "\t"}[args.format]
@@ -222,7 +225,8 @@ def cmd_find_csc(args) -> int:
     print(f"residual: {_fmt(trace.residual_norms[-1])}")
     if args.trace:
         _print_trace(trace)
-    return _REASON_EXIT[trace.reason]
+    # a stalled Newton iteration has not solved the equations
+    return EXIT_MAXITERS if trace.reason == "stall" else _REASON_EXIT[trace.reason]
 
 
 def cmd_find_einstein(args) -> int:

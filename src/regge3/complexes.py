@@ -115,10 +115,6 @@ class Complex:
         return np.asarray([t.faces for t in self.tets], dtype=np.intp)
 
     @cached_property
-    def face_vertices(self) -> np.ndarray:
-        return np.asarray([f.vertices for f in self.faces], dtype=np.intp)
-
-    @cached_property
     def edge_degrees(self) -> np.ndarray:
         """(E,) number of tets incident to each edge, with multiplicity."""
         return np.bincount(self.tet_edges.ravel(), minlength=self.num_edges)

@@ -8,20 +8,21 @@ The basic objects, for a complex with metric (edge length vector) l:
   and the scale-invariant normalizations LEHR = EHR / L and
   VEHR = EHR / V^(1/3).
 
-Length-space gradients are analytic (EHR has gradient K_e / l_e); the
-conformal gradients use the per-vertex quantities L_v and V_v.  Hessians
-in length space are obtained by finite differences.  The path from
-lengths to functional values carries a leading batch axis: the edge
-curvatures and ``ehr_value``, ``lehr_value`` and ``vehr_value`` map
-lengths (..., E) to (...), one kernel call for the whole stack, so each
-finite-difference stencil (``hessian_fd``, ``gradient_fd``) is evaluated
-as one stacked call.  Conformal Hessians
-are exact at every admissible metric (``conformal_hessian``): the
-dihedral Jacobian and volume Hessian of each tetrahedron
-(:attr:`TetGeometry.ddihedrals`, :attr:`TetGeometry.d2volume`) enter the
-chain rule H_u = M^T H_l M + B^T diag(l * grad_l F) B, with B the
-edge-vertex incidence and M = diag(l) B, assembled per tetrahedron in
-vertex space.  The same Hessian gives the exact Newton Jacobian of the
+:func:`functionals` is the one evaluation of a metric: a
+:class:`CurvatureReport` from one kernel call, whose first derivatives of
+EHR, LEHR and VEHR all come from one normalization table (EHR has length
+gradient K_e / l_e); residuals, gradients and conformal Hessians are read
+from it.  Hessians in length space are obtained by finite differences.
+The path from lengths to functional values carries a leading batch axis:
+the edge curvatures and ``ehr_value``, ``lehr_value`` and ``vehr_value``
+map lengths (..., E) to (...), one kernel call for the whole stack, so
+each finite-difference stencil (``hessian_fd``, ``gradient_fd``) is one
+stacked call.  Conformal Hessians are exact at every admissible metric
+(``conformal_hessian``): the dihedral Jacobian and volume Hessian of
+each tetrahedron (:attr:`TetGeometry.ddihedrals`,
+:attr:`TetGeometry.d2volume`) enter the chain rule
+H_u = M^T H_l M + B^T diag(l * grad_l F) B, with B the edge-vertex
+incidence and M = diag(l) B, assembled per tetrahedron in vertex space.  The same Hessian gives the exact Newton Jacobian of the
 constant scalar curvature equations (``csc_jacobian``).
 
 Conformal coordinate convention
@@ -39,6 +40,7 @@ tests use the u convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,42 +52,90 @@ from .geometry import InadmissibleMetricError
 
 @dataclass(frozen=True)
 class CurvatureReport:
-    """Every derived scalar of a (complex, metric) pair.
+    """Every derived quantity of a (complex, metric) pair, from one kernel call.
+
+    ``geometry`` is the :class:`TetGeometry` of that call.  The edge
+    curvatures and the totals are computed with the report; ``k_vertex``,
+    ``l_vertex``, ``v_vertex``, ``v_edge`` and ``dual_length`` are
+    computed when first read and then kept, so a caller pays only for
+    the fields it reads.
 
     Identities (tested): sum(k_vertex) = ehr, sum(l_vertex) = length,
     sum(v_vertex) = 3 * volume, sum(v_edge) = 3 * volume.
     """
 
+    complex: Complex
+    geometry: geometry.TetGeometry
+    lengths: np.ndarray     # (E,) the metric itself
     k_edge: np.ndarray      # (E,) edge curvatures K_e
-    k_vertex: np.ndarray    # (V,) vertex curvatures K_v
     length: float           # total edge length L
     volume: float           # total volume V
     ehr: float              # sum of edge curvatures
     lehr: float             # ehr / length
     vehr: float             # ehr / volume**(1/3)
-    l_vertex: np.ndarray    # (V,) L_v = (1/2) sum of incident lengths
-    v_vertex: np.ndarray    # (V,) V_v = (1/3) sum over incident (tet, face) of h_f A_f
-    v_edge: np.ndarray      # (E,) V_e = l_e dV/dl_e
-    dual_length: np.ndarray  # (E,) signed dual areas l*_e
-    lengths: np.ndarray     # (E,) the metric itself
+
+    @cached_property
+    def k_vertex(self) -> np.ndarray:
+        """(V,) vertex curvatures K_v = (1/2) sum of incident K_e."""
+        return _vertex_half_sums(self.complex, self.k_edge)
+
+    @cached_property
+    def l_vertex(self) -> np.ndarray:
+        """(V,) L_v = (1/2) sum of incident lengths."""
+        return _vertex_half_sums(self.complex, self.lengths)
+
+    @cached_property
+    def v_vertex(self) -> np.ndarray:
+        """(V,) V_v = (1/3) sum over incident (tet, face) pairs of h_{f<t} A_f
+        (local vertex i of a tet lies on every face but face i)."""
+        geo = self.geometry
+        hA = geo.h_face * geo.areas                       # (T, 4)
+        return np.bincount(self.complex.tet_vertices.ravel(),
+                           ((hA.sum(axis=-1, keepdims=True) - hA) / 3.0).ravel(),
+                           minlength=self.complex.num_vertices)
+
+    @cached_property
+    def v_edge(self) -> np.ndarray:
+        """(E,) V_e = l_e dV/dl_e."""
+        return self.lengths * self.complex.edge_sum(self.geometry.dvolume)
+
+    @cached_property
+    def dual_length(self) -> np.ndarray:
+        """(E,) signed dual areas l*_e, summed from :attr:`TetGeometry.dual`."""
+        return self.complex.edge_sum(self.geometry.dual)
 
     def _normalization(self, which: str):
-        """(lambda, N_e, N_v) of the equations K = lambda N for "L" or "V"."""
-        which = which.upper()
-        if which == "L":
-            return self.lehr, self.lengths, self.l_vertex
-        if which == "V":
-            return self.ehr / (3.0 * self.volume), self.v_edge, self.v_vertex
-        raise ValueError(f"unknown normalization {which!r}")
+        """(N, lambda, N_e, N_v) of F = EHR / N for EHR, LEHR ("L") or VEHR
+        ("V"): dF/dl_e = (K_e - lambda N_e) / (l_e N), dF/df_v = (K_v - lambda
+        N_v) / N, and the equations K_e = lambda N_e and K_v = lambda N_v."""
+        key = which.upper()
+        if key == "EHR":
+            return 1.0, 0.0, 0.0, 0.0
+        if key in ("L", "LEHR"):
+            return self.length, self.lehr, self.lengths, self.l_vertex
+        if key in ("V", "VEHR"):
+            return (self.volume ** (1.0 / 3.0), self.ehr / (3.0 * self.volume),
+                    self.v_edge, self.v_vertex)
+        raise ValueError(f"unknown functional {which!r}")
+
+    def grad_lengths(self, which: str) -> np.ndarray:
+        """Length-space gradient, (E,); see :func:`grad_lengths`."""
+        N, lam, n_edge, _ = self._normalization(which)
+        return (self.k_edge - lam * n_edge) / (self.lengths * N)
+
+    def grad_conformal(self, which: str) -> np.ndarray:
+        """Gradient in the conformal factors, (V,); see :func:`grad_conformal`."""
+        N, lam, _, n_vertex = self._normalization(which)
+        return (self.k_vertex - lam * n_vertex) / N
 
     def einstein_residual(self, which: str) -> np.ndarray:
         """Per-edge residual K_e - lambda N_e; see :func:`einstein_residual`."""
-        lam, n_edge, _ = self._normalization(which)
+        _, lam, n_edge, _ = self._normalization(which)
         return self.k_edge - lam * n_edge
 
     def csc_residual(self, which: str) -> np.ndarray:
         """Per-vertex residual K_v - lambda N_v; see :func:`csc_residual`."""
-        lam, _, n_vertex = self._normalization(which)
+        _, lam, _, n_vertex = self._normalization(which)
         return self.k_vertex - lam * n_vertex
 
     def to_text(self) -> str:
@@ -157,42 +207,22 @@ FUNCTIONALS = {"ehr": ehr_value, "lehr": lehr_value, "vehr": vehr_value}
 
 
 def functionals(c: Complex, lengths) -> CurvatureReport:
-    """Assemble the full :class:`CurvatureReport` for an admissible metric."""
-    return _evaluate(c, lengths)[1]
-
-
-def _evaluate(c: Complex, lengths):
-    """One kernel call: the per-tet geometry and the full report."""
+    """The :class:`CurvatureReport` of an admissible metric: one kernel call."""
     lengths = np.asarray(lengths, dtype=float)
     geo, k_edge = _curvatures(c, lengths)
-    k_vertex = _vertex_half_sums(c, k_edge)
-    l_vertex = _vertex_half_sums(c, lengths)
-
     total_len = float(lengths.sum())
     volume = float(geo.volume.sum())
     ehr = float(k_edge.sum())
-
-    # V_v = (1/3) sum over incident (tet, face) pairs of h_{f<t} A_f
-    # (face k of a tet is opposite its local vertex k, so local vertex i
-    # lies on every face but face i)
-    hA = geo.h_face * geo.areas                       # (T, 4)
-    v_vertex = np.bincount(c.tet_vertices.ravel(),
-                           ((hA.sum(axis=-1, keepdims=True) - hA) / 3.0).ravel(),
-                           minlength=c.num_vertices)
-
-    return geo, CurvatureReport(
+    return CurvatureReport(
+        complex=c,
+        geometry=geo,
+        lengths=lengths,
         k_edge=k_edge,
-        k_vertex=k_vertex,
         length=total_len,
         volume=volume,
         ehr=ehr,
         lehr=ehr / total_len,
         vehr=ehr / volume ** (1.0 / 3.0),
-        l_vertex=l_vertex,
-        v_vertex=v_vertex,
-        v_edge=lengths * c.edge_sum(geo.dvolume),
-        dual_length=c.edge_sum(geo.dual),
-        lengths=lengths,
     )
 
 
@@ -206,21 +236,7 @@ def grad_lengths(c: Complex, lengths, which: str) -> np.ndarray:
     By the Schlaefli identity the angle terms drop out and
     d(EHR)/dl_e = K_e / l_e.
     """
-    lengths = np.asarray(lengths, dtype=float)
-    which = which.lower()
-    geo, k_edge = _curvatures(c, lengths)
-    base = k_edge / lengths
-    if which == "ehr":
-        return base
-    if which == "lehr":
-        L = float(lengths.sum())
-        return (base - k_edge.sum() / L) / L
-    if which == "vehr":
-        vol = float(geo.volume.sum())
-        ehr = float(k_edge.sum())
-        return (base - ehr / (3.0 * vol) * c.edge_sum(geo.dvolume)) \
-            / vol ** (1.0 / 3.0)
-    raise ValueError(f"unknown functional {which!r}")
+    return functionals(c, lengths).grad_lengths(which)
 
 
 def grad_conformal(c: Complex, lengths, which: str) -> np.ndarray:
@@ -231,16 +247,7 @@ def grad_conformal(c: Complex, lengths, which: str) -> np.ndarray:
     d(LEHR)/df_v = (K_v - LEHR * L_v) / L, and
     d(VEHR)/df_v = (K_v - EHR/(3V) * V_v) / V^(1/3).
     """
-    which = which.lower()
-    rep = functionals(c, lengths)
-    if which == "ehr":
-        return rep.k_vertex.copy()
-    if which == "lehr":
-        return (rep.k_vertex - rep.lehr * rep.l_vertex) / rep.length
-    if which == "vehr":
-        lam = rep.ehr / (3.0 * rep.volume)
-        return (rep.k_vertex - lam * rep.v_vertex) / rep.volume ** (1.0 / 3.0)
-    raise ValueError(f"unknown functional {which!r}")
+    return functionals(c, lengths).grad_conformal(which)
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +401,8 @@ for _m, _pair in enumerate(LOCAL_PAIRS):
     _P[_m, list(_pair)] = 1.0
 
 
-def _conformal_hessian(c: Complex, geo, rep: CurvatureReport, which: str) -> np.ndarray:
-    """H_u of EHR, LEHR or VEHR from one kernel evaluation, (V, V).
+def _conformal_hessian(rep: CurvatureReport, which: str) -> np.ndarray:
+    """H_u of EHR, LEHR or VEHR from one report, (V, V).
 
     Each length-space Hessian is a sum of per-tet blocks X_t (from the
     dihedral Jacobian and the volume Hessian) and symmetric rank-one terms
@@ -405,6 +412,7 @@ def _conformal_hessian(c: Complex, geo, rep: CurvatureReport, which: str) -> np.
     rank-one vector x to M^T x = B^T (l * x).
     """
     which = which.lower()
+    c, geo = rep.complex, rep.geometry
 
     def to_vertices(per_edge):
         return 2.0 * _vertex_half_sums(c, per_edge)
@@ -460,7 +468,7 @@ def conformal_hessian(c: Complex, lengths, which: str) -> np.ndarray:
     shape (V, V), from one kernel call.  ``conformal_hessian_fd`` is its
     finite-difference oracle.
     """
-    return _conformal_hessian(c, *_evaluate(c, lengths), which)
+    return _conformal_hessian(functionals(c, lengths), which)
 
 
 def csc_jacobian(c: Complex, lengths, which: str) -> np.ndarray:
@@ -471,7 +479,7 @@ def csc_jacobian(c: Complex, lengths, which: str) -> np.ndarray:
     J = (N/4) H_u(F) + r g^T with g = grad_f(N) / N, which is L_v / L,
     resp. V_v / (3V).  One kernel call.
     """
-    geo, rep = _evaluate(c, lengths)
+    rep = functionals(c, lengths)
     which = which.upper()
     r = rep.csc_residual(which)
     if which == "L":
@@ -479,7 +487,7 @@ def csc_jacobian(c: Complex, lengths, which: str) -> np.ndarray:
     else:
         N, g, functional = (rep.volume ** (1.0 / 3.0),
                             rep.v_vertex / (3.0 * rep.volume), "vehr")
-    return 0.25 * N * _conformal_hessian(c, geo, rep, functional) + np.outer(r, g)
+    return 0.25 * N * _conformal_hessian(rep, functional) + np.outer(r, g)
 
 
 def laplacian_matrix(c: Complex, lengths) -> np.ndarray:
@@ -488,8 +496,8 @@ def laplacian_matrix(c: Complex, lengths) -> np.ndarray:
     Parallel edges between the same vertex pair contribute additively,
     matching the quadratic form sum_e (l*_e/l_e)(x_v - x_v')^2.
     """
-    lengths = np.asarray(lengths, dtype=float)
-    w = geometry.dual_lengths(c, lengths) / lengths
+    rep = functionals(c, lengths)
+    w = rep.dual_length / rep.lengths
     return _edge_matrix(c, w, -w)
 
 
@@ -500,32 +508,31 @@ def normal_matrix(c: Complex, lengths) -> np.ndarray:
     (K_v - LEHR * L_v)/2; the diagonal vanishes exactly at constant
     L-scalar curvature metrics.
     """
-    lengths = np.asarray(lengths, dtype=float)
-    k_edge = edge_curvatures(c, lengths)
-    lam = k_edge.sum() / lengths.sum()
-    k_vertex = _vertex_half_sums(c, k_edge)
-    l_vertex = _vertex_half_sums(c, lengths)
-    N = _edge_matrix(c, 0.25 * (k_edge - lam * lengths))
-    N[range(c.num_vertices), range(c.num_vertices)] = 0.5 * (k_vertex - lam * l_vertex)
+    rep = functionals(c, lengths)
+    N = _edge_matrix(c, 0.25 * rep.einstein_residual("L"))
+    N[range(c.num_vertices), range(c.num_vertices)] = 0.5 * rep.csc_residual("L")
     return N
 
 
-def lehr_conformal_hessian_csc(c: Complex, lengths, csc_tol: float = 1e-8) -> np.ndarray:
+_CSC_TOL = 1e-8    # largest csc residual lehr_conformal_hessian_csc accepts
+
+
+def lehr_conformal_hessian_csc(c: Complex, lengths) -> np.ndarray:
     """Conformal Hessian of LEHR at a csc metric, u convention.
 
     Valid only at constant L-scalar curvature metrics (max residual
-    checked against ``csc_tol``); the check and the Hessian come from one
+    checked against 1e-8); the check and the Hessian come from one
     kernel call.  There it equals the formula 4 (-2 Delta + N) / L of
     :func:`laplacian_matrix` and :func:`normal_matrix` (the factor 4 from
     d f = 2 du), which the tests check.
     """
-    geo, rep = _evaluate(c, lengths)
+    rep = functionals(c, lengths)
     res = float(np.abs(rep.csc_residual("L")).max())
-    if res > csc_tol:
+    if res > _CSC_TOL:
         raise ValueError(
             f"metric is not constant L-scalar curvature: max residual {res:.3e} "
-            f"> {csc_tol:.1e}")
-    return _conformal_hessian(c, geo, rep, "lehr")
+            f"> {_CSC_TOL:.1e}")
+    return _conformal_hessian(rep, "lehr")
 
 
 # ---------------------------------------------------------------------------

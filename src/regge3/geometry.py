@@ -251,12 +251,3 @@ def assert_admissible(c: Complex, lengths) -> np.ndarray:
     """Return per-tet CM3 values; raise with the worst tet on failure."""
     return _admissible_cm(c.tet_lengths(lengths))
 
-
-def dual_lengths(c: Complex, lengths) -> np.ndarray:
-    """Signed dual areas l*_e associated to the edges.
-
-    Each incident tetrahedron contributes :attr:`TetGeometry.dual`; the
-    result is the signed area of the circumcentric dual cell orthogonal
-    to the edge.
-    """
-    return c.edge_sum(tet_geometry(c.tet_lengths(lengths)).dual)

@@ -74,17 +74,22 @@ class SolveTrace:
 # Newton solver for constant scalar curvature in a conformal class
 
 
+_CSC_MAX_HALVINGS = 30    # step halvings of one Newton line search
+
+
 def solve_csc(cls: ConformalClass, which: str = "L", f0=None,
-              tol: float = 1e-10, max_iter: int = 100,
-              max_halvings: int = 30):
+              tol: float = 1e-10, max_iter: int = 100):
     """Newton iteration for K_v = lambda * L_v (or lambda * V_v) in a class.
 
     The multiplier is recomputed from the metric at every iterate, the
     Jacobian is exact (:func:`curvature.csc_jacobian`, evaluated at the
     lengths of the accepted iterate), and the scale gauge is fixed by
     constraining sum(f) to its starting value through a bordered system.
-    Steps leaving the admissible set are halved (up to ``max_halvings``);
-    exhaustion terminates with reason "boundary-hit".
+    The step is halved (up to 30 times) while the trial point is
+    inadmissible or does not reduce the residual:
+    ||r_t||^2 <= (1 - 1e-4 * step) ||r||^2 accepts it.  Exhaustion
+    terminates with reason "boundary-hit" if a trial was inadmissible,
+    else "stall".
 
     Returns (factors, SolveTrace).
     """
@@ -117,17 +122,23 @@ def solve_csc(cls: ConformalClass, which: str = "L", f0=None,
             trace.reason = "singular-jacobian"
             return f, trace
 
+        rr = float(r @ r)
         step = 1.0
-        for _ in range(max_halvings):
-            lengths, ok = cls.apply(f + step * delta)
+        blocked = False
+        for _ in range(_CSC_MAX_HALVINGS):
+            trial, ok = cls.apply(f + step * delta)
             if ok:
-                break
+                r_trial = curvature.csc_residual(c, trial, which)
+                if float(r_trial @ r_trial) <= (1.0 - 1e-4 * step) * rr:
+                    break
+            else:
+                blocked = True
             step *= 0.5
         else:
-            trace.reason = "boundary-hit"
+            trace.reason = "boundary-hit" if blocked else "stall"
             return f, trace
         f = f + step * delta
-        r = curvature.csc_residual(c, lengths, which)
+        lengths, r = trial, r_trial
         trace.step_sizes.append(step)
 
     trace.record(f, float(np.abs(r).max()))
@@ -139,22 +150,29 @@ def solve_csc(cls: ConformalClass, which: str = "L", f0=None,
 # projected gradient descent with backtracking
 
 
-def descend(objective, guard, x0, grad=None, project=None,
-            near_boundary=None, gtol: float = 1e-9, max_iter: int = 1000,
-            armijo: float = 1e-4, shrink: float = 0.5,
-            max_halvings: int = 40, step0: float = 1.0):
-    """Minimize ``objective`` by gradient descent with Armijo backtracking.
+_GTOL = 1e-9          # sup-norm of the gradient at convergence
+_ARMIJO = 1e-4        # sufficient-decrease constant of the line search
+_MAX_HALVINGS = 40    # step halvings of one line search
 
+
+def descend(evaluate, guard, x0, project=None, max_iter: int = 1000):
+    """Minimize a function by gradient descent with Armijo backtracking.
+
+    ``evaluate(x)`` returns ``(value, gradient, at_boundary)`` at x, all
+    from one evaluation; ``at_boundary`` flags a point that sits against
+    the admissible boundary to within numerical resolution, where
+    derivatives are meaningless.  It runs on the start and on every
+    line-search candidate that passes ``guard``, and the accepted
+    candidate's evaluation supplies the next gradient and boundary flag.
     ``guard`` must return True on admissible points; candidates failing
     it are never evaluated.  ``project`` (optional) renormalizes each
-    candidate, e.g. to fix a scale gauge; it must preserve both the
-    objective value and admissibility.  Termination reasons: "converged"
-    (sup-norm of the gradient below ``gtol``), "boundary-hit" (line
-    search blocked by the guard, or stalled next to the boundary per
-    ``near_boundary``), "stall" (no decrease found away from the
-    boundary), or "max-iters".  Without ``grad`` the gradient comes from
-    :func:`curvature.gradient_fd`, so ``objective`` must then also map a
-    stack of points (P, n) to values (P,).
+    candidate before the guard sees it, e.g. to fix a scale gauge; it
+    must preserve both the value and admissibility.  Termination
+    reasons: "converged" (sup-norm of the gradient below 1e-9),
+    "boundary-hit" (line search blocked by the guard, or an iterate at
+    the boundary), "stall" (no decrease found away from the boundary,
+    or five decreases in a row at the roundoff level of the values), or
+    "max-iters".
 
     Returns (x, SolveTrace).
     """
@@ -163,21 +181,18 @@ def descend(objective, guard, x0, grad=None, project=None,
         x = project(x)
     if not guard(x):
         raise geometry.InadmissibleMetricError("starting point fails the guard")
-    fx = objective(x)
-    g = grad(x) if grad is not None else curvature.gradient_fd(objective, x)
-    alpha = step0
+    fx, g, at_boundary = evaluate(x)
+    alpha = 1.0
     trace = SolveTrace()
     tiny_streak = 0
 
     for _ in range(max_iter):
         gnorm = float(np.abs(g).max())
         trace.record(x, gnorm, value=fx)
-        if gnorm < gtol:
+        if gnorm < _GTOL:
             trace.reason = "converged"
             return x, trace
-        if near_boundary is not None and near_boundary(x):
-            # the iterate sits against the admissible boundary to within
-            # numerical resolution; derivatives there are meaningless
+        if at_boundary:
             trace.reason = "boundary-hit"
             return x, trace
 
@@ -185,24 +200,21 @@ def descend(objective, guard, x0, grad=None, project=None,
         alpha = min(2.0 * alpha, 1e6)
         accepted = False
         guard_blocked = False
-        for _ in range(max_halvings):
+        for _ in range(_MAX_HALVINGS):
             cand = x - alpha * g
             if project is not None:
                 cand = project(cand)
             if not guard(cand):
                 guard_blocked = True
-                alpha *= shrink
+                alpha *= 0.5
                 continue
-            fc = objective(cand)
-            if fc <= fx - armijo * alpha * gg:
+            fc, gc, bc = evaluate(cand)
+            if fc <= fx - _ARMIJO * alpha * gg:
                 accepted = True
                 break
-            alpha *= shrink
+            alpha *= 0.5
         if not accepted:
-            if guard_blocked or (near_boundary is not None and near_boundary(x)):
-                trace.reason = "boundary-hit"
-            else:
-                trace.reason = "stall"
+            trace.reason = "boundary-hit" if guard_blocked else "stall"
             return x, trace
 
         # decreases at the roundoff level of the objective values mean the
@@ -216,44 +228,37 @@ def descend(objective, guard, x0, grad=None, project=None,
                 return x, trace
         else:
             tiny_streak = 0
-        x, fx = cand, fc
+        x, fx, g, at_boundary = cand, fc, gc, bc
         trace.step_sizes.append(alpha)
-        g = grad(x) if grad is not None else curvature.gradient_fd(objective, x)
 
     trace.record(x, float(np.abs(g).max()), value=fx)
     trace.reason = "max-iters"
     return x, trace
 
 
-def metric_guard(c: Complex):
-    """(guard, near_boundary) pair for length vectors on a complex.
+def _evaluator(c: Complex, which: str, metric, gradient):
+    """``evaluate`` of :func:`descend` from one report at the metric ``metric(x)``;
+    at the boundary, the worst tet's CM3 is below 1e-8 (mean length)^6."""
+    which = which.lower()
+    if which not in curvature.FUNCTIONALS:
+        raise ValueError(f"unknown functional {which!r}")
 
-    ``near_boundary(l)`` flags points whose worst tetrahedron has CM3
-    below 1e-8 relative to the scale-invariant mean length power.
-    """
-    def guard(lengths):
-        return geometry.is_admissible(c, lengths)
+    def evaluate(x):
+        rep = curvature.functionals(c, metric(x))
+        at_boundary = np.min(rep.geometry.cm3) < 1e-8 * float(np.mean(rep.lengths)) ** 6
+        return getattr(rep, which), gradient(rep, which), bool(at_boundary)
 
-    def near_boundary(lengths):
-        lengths = np.asarray(lengths, dtype=float)
-        if np.any(lengths <= 0):
-            return True
-        cm = geometry.cayley_menger(c.tet_lengths(lengths))
-        return bool(np.min(cm) < 1e-8 * float(np.mean(lengths)) ** 6)
-
-    return guard, near_boundary
+    return evaluate
 
 
-def descend_lengths(c: Complex, which: str, l0, normalize: str = "L", **kw):
+def descend_lengths(c: Complex, which: str, l0, normalize: str = "L",
+                    max_iter: int = 1000):
     """Descend a normalized functional over length space with a scale gauge.
 
     ``normalize="L"`` rescales each iterate to total length = its initial
     value; ``normalize="V"`` rescales to unit total volume.  Both leave
     the scale-invariant objectives unchanged.
     """
-    which = which.lower()
-    fun = curvature.FUNCTIONALS[which]
-    guard, near = metric_guard(c)
     l0 = np.asarray(l0, dtype=float)
     target_len = float(l0.sum())
 
@@ -267,36 +272,24 @@ def descend_lengths(c: Complex, which: str, l0, normalize: str = "L", **kw):
     else:
         raise ValueError(f"unknown normalization {normalize!r}")
 
-    return descend(lambda l: fun(c, l), guard, l0,
-                   grad=lambda l: curvature.grad_lengths(c, l, which),
-                   project=project, near_boundary=near, **kw)
+    evaluate = _evaluator(c, which, lambda l: l, curvature.CurvatureReport.grad_lengths)
+    return descend(evaluate, lambda l: geometry.is_admissible(c, l), l0,
+                   project=project, max_iter=max_iter)
 
 
-def descend_conformal(cls: ConformalClass, which: str, f0, **kw):
+def descend_conformal(cls: ConformalClass, which: str, f0, max_iter: int = 1000):
     """Descend a normalized functional over a conformal class, mean-zero gauge."""
-    which = which.lower()
     c = cls.complex
-    fun = curvature.FUNCTIONALS[which]
-    _, near_metric = metric_guard(c)
 
     def induced(f):
         return induced_lengths(c, cls.background, f)
 
-    def guard(f):
-        return geometry.is_admissible(c, induced(f))
-
-    def objective(f):
-        return fun(c, induced(f))
-
-    def gradf(f):
-        return curvature.grad_conformal(c, induced(f), which)
-
     def project(f):
         return f - f.mean()
 
-    return descend(objective, guard, np.asarray(f0, dtype=float),
-                   grad=gradf, project=project,
-                   near_boundary=lambda f: near_metric(induced(f)), **kw)
+    evaluate = _evaluator(c, which, induced, curvature.CurvatureReport.grad_conformal)
+    return descend(evaluate, lambda f: geometry.is_admissible(c, induced(f)),
+                   np.asarray(f0, dtype=float), project=project, max_iter=max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -416,9 +409,10 @@ CONFORMAL_DIRECTIONS = {
 
 
 def family_direction_eigenvalue(c: Complex, lengths, which: str,
-                                direction, richardson: bool = True) -> float:
-    """Rayleigh quotient of the FD length Hessian along an exact eigen direction."""
-    H = curvature.hessian_fd_lengths(c, lengths, which, richardson=richardson)
+                                direction) -> float:
+    """Rayleigh quotient of the Richardson FD length Hessian along an exact
+    eigen direction."""
+    H = curvature.hessian_fd_lengths(c, lengths, which, richardson=True)
     v = np.asarray(direction, dtype=float)
     return float(v @ H @ v / (v @ v))
 
@@ -487,7 +481,7 @@ def sweep_family(c: Complex, family, t_values, quantities) -> SweepTable:
             "ehr": rep.ehr, "lehr": rep.lehr, "vehr": rep.vehr,
             "length": rep.length, "volume": rep.volume,
             "fatness": rep.volume / rep.length ** 3,
-            "min_cm3": float(np.min(geometry.cayley_menger(c.tet_lengths(lengths)))),
+            "min_cm3": float(np.min(rep.geometry.cm3)),
         }
         for w in "LV":
             cache[f"einstein_res_{w.lower()}"] = float(np.abs(rep.einstein_residual(w)).max())

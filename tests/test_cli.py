@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from regge3 import cli
+from regge3 import cli, solve
 from regge3.complexes import double_tetrahedron, save_complex
 
 
@@ -145,6 +145,15 @@ class TestSweep:
                                "--t", "1:1.2:3", "--quantities", "bogus")
         assert code == 1
 
+    @pytest.mark.parametrize("quantities, code", [("vehr,lehr_spec_1", 2), ("bogus", 1)])
+    def test_stencil_past_the_boundary_is_not_a_usage_error(self, capsys, quantities, code):
+        # every row is admissible, but the Hessian stencil at t = 1.4142
+        # leaves the admissible set
+        got, _, err = run_cli(capsys, "sweep", "--family", "diag",
+                              "--t", "1.41:1.4142:2", "--quantities", quantities)
+        assert got == code
+        assert err.startswith("inadmissible metric" if code == 2 else "usage error")
+
 
 class TestSolverCommands:
     def test_find_csc_second_point(self, capsys):
@@ -177,6 +186,29 @@ class TestSolverCommands:
                                "--lengths", "1.3,0.9,1.1,0.8,1.2,0.7")
         assert code == 3
         assert "reason: boundary-hit" in out
+
+    def test_find_csc_converges_where_full_newton_steps_diverged(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "find-csc", "--which", "L",
+            "--class", "1.072461827158977,1.1492733544463127,0.9346799220373565,"
+                       "0.9759565091333174,0.9788181226006222,0.9012814834407132",
+            "--start", "-0.15615578932386398,0.4044383082279229,"
+                       "0.3206851917778312,-0.5689677106818902")
+        assert code == 0
+        assert "reason: converged" in out
+
+    def test_find_csc_stall_is_not_success(self, capsys, monkeypatch):
+        solve_csc = solve.solve_csc
+
+        def stalled(*args, **kwargs):
+            f, trace = solve_csc(*args, **kwargs)
+            trace.reason = "stall"
+            return f, trace
+
+        monkeypatch.setattr(solve, "solve_csc", stalled)
+        code, out, _ = run_cli(capsys, "find-csc", "--class", "uniform:1", "--which", "L")
+        assert "reason: stall" in out
+        assert code == 4
 
     def test_max_iters_exit_code(self, capsys):
         code, out, _ = run_cli(capsys, "find-csc", "--class", "uniform:1",

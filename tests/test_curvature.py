@@ -11,7 +11,7 @@ from regge3.curvature import (bounds_report, conformal_hessian, conformal_hessia
                               grad_conformal, grad_lengths, gradient_fd, hessian_fd,
                               hessian_fd_lengths, laplacian_matrix,
                               lehr_conformal_hessian_csc, normal_matrix)
-from regge3.geometry import InadmissibleMetricError
+from regge3.geometry import InadmissibleMetricError, tet_geometry
 from regge3.solve import diagonal_family, random_admissible_lengths
 
 ACOS13 = np.arccos(1.0 / 3.0)
@@ -148,6 +148,42 @@ class TestGradients:
             gf = gradient_fd(obj, np.zeros(4), richardson=True)
             assert np.abs(ga - gf).max() / np.abs(ga).max() < 1e-6
 
+    @pytest.mark.parametrize("which", ["ehr", "lehr", "vehr"])
+    def test_one_table_matches_the_per_functional_formulas(self, dt, which):
+        rng = np.random.default_rng(26)
+        for _ in range(20):
+            l = random_admissible_lengths(dt, rng)
+            assert np.array_equal(grad_conformal(dt, l, which),
+                                  grad_conformal_oracle(dt, l, which))
+            ga, go = grad_lengths(dt, l, which), grad_lengths_oracle(dt, l, which)
+            assert np.abs(ga - go).max() <= 1e-14 * np.abs(go).max()
+
+
+def grad_lengths_oracle(c, lengths, which):
+    """Length gradients written out per functional: K_e / l_e for EHR, then
+    the quotient rule with L and with V^(1/3)."""
+    k_edge = edge_curvatures(c, lengths)
+    base = k_edge / lengths
+    if which == "ehr":
+        return base
+    if which == "lehr":
+        L = float(lengths.sum())
+        return (base - k_edge.sum() / L) / L
+    geo = tet_geometry(c.tet_lengths(lengths))
+    vol, ehr = float(geo.volume.sum()), float(k_edge.sum())
+    return (base - ehr / (3.0 * vol) * c.edge_sum(geo.dvolume)) / vol ** (1.0 / 3.0)
+
+
+def grad_conformal_oracle(c, lengths, which):
+    """Conformal gradients written out per functional from the report fields."""
+    rep = functionals(c, lengths)
+    if which == "ehr":
+        return rep.k_vertex.copy()
+    if which == "lehr":
+        return (rep.k_vertex - rep.lehr * rep.l_vertex) / rep.length
+    lam = rep.ehr / (3.0 * rep.volume)
+    return (rep.k_vertex - lam * rep.v_vertex) / rep.volume ** (1.0 / 3.0)
+
 
 class TestHessianFD:
     def test_quadratic_exact(self):
@@ -241,11 +277,10 @@ class TestLaplacianAndConformalHessian:
 
     def test_diagonal_dominance_when_duals_nonnegative(self, dt):
         rng = np.random.default_rng(30)
-        from regge3.geometry import dual_lengths
         found = 0
         for _ in range(50):
             l = random_admissible_lengths(dt, rng)
-            if np.all(dual_lengths(dt, l) >= 0):
+            if np.all(functionals(dt, l).dual_length >= 0):
                 found += 1
                 D = laplacian_matrix(dt, l)
                 for i in range(4):

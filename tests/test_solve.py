@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from regge3 import curvature, solve
+from regge3 import curvature, geometry, solve
 from regge3.complexes import double_tetrahedron, six_hundred_cell
 from regge3.conformal import ConformalClass, equihedral_point
 from regge3.curvature import hessian_fd_lengths
@@ -135,14 +135,28 @@ class TestSolveCsc:
         # the factor map runs on the iterates only: no finite-difference points
         assert len(applied) == steps + 1
 
+    def test_residual_decrease_keeps_newton_from_diverging(self, dt):
+        # from this start the full-step iteration wandered off to factors
+        # of size 30 and stopped at the iteration limit
+        cls = ConformalClass(dt, np.array([
+            1.072461827158977, 1.1492733544463127, 0.9346799220373565,
+            0.9759565091333174, 0.9788181226006222, 0.9012814834407132]))
+        f0 = np.array([-0.15615578932386398, 0.4044383082279229,
+                       0.3206851917778312, -0.5689677106818902])
+        f, trace = solve_csc(cls, "L", f0)
+        assert trace.reason == "converged"
+        assert len(trace.step_sizes) <= 20
+        lengths, _ = cls.apply(f)
+        assert np.abs(curvature.csc_residual(dt, lengths, "L")).max() < 1e-10
+
 class TestDescend:
     def test_quadratic_bowl(self):
         Q = np.diag([1.0, 4.0, 9.0])
         target = np.array([1.0, -2.0, 0.5])
 
-        x, trace = descend(lambda x: 0.5 * (x - target) @ Q @ (x - target),
-                           lambda x: True, np.zeros(3),
-                           grad=lambda x: Q @ (x - target), max_iter=4000)
+        x, trace = descend(lambda x: (0.5 * (x - target) @ Q @ (x - target),
+                                      Q @ (x - target), False),
+                           lambda x: True, np.zeros(3), max_iter=4000)
         assert trace.reason in ("converged", "stall")
         assert np.abs(x - target).max() < 1e-8
 
@@ -170,6 +184,52 @@ class TestDescend:
                 assert np.abs(lend / lend.mean() - 1.0).max() < 1e-6
             else:
                 assert trace.reason == "boundary-hit"
+
+    @pytest.mark.parametrize("kind", ["lengths", "conformal"])
+    def test_one_kernel_call_per_evaluated_candidate(self, dt, kind, kernel_calls,
+                                                     monkeypatch):
+        rng = np.random.default_rng(57)
+        l0 = solve.random_admissible_lengths(dt, rng)
+        passed, dets = [], []
+        is_admissible, cayley_menger = geometry.is_admissible, geometry.cayley_menger
+
+        def counted_guard(c, lengths):
+            ok = is_admissible(c, lengths)
+            passed.append(ok)
+            return ok
+
+        def counted_det(lengths):
+            dets.append(np.shape(lengths))
+            return cayley_menger(lengths)
+
+        monkeypatch.setattr(geometry, "is_admissible", counted_guard)
+        monkeypatch.setattr(geometry, "cayley_menger", counted_det)
+        if kind == "lengths":
+            _, trace = descend_lengths(dt, "lehr", l0, normalize="L", max_iter=50)
+        else:
+            _, trace = descend_conformal(ConformalClass(dt, l0), "vehr",
+                                         0.1 * rng.normal(size=4), max_iter=50)
+        assert len(trace.step_sizes) > 5
+        # the guard passes the start and every candidate that is evaluated
+        assert len(kernel_calls) == sum(passed)
+        assert dets == []
+
+    @pytest.mark.parametrize("kind, seed, which, expected", [
+        ("lengths", 61, "lehr", ("boundary-hit", 21)),
+        ("lengths", 62, "vehr", ("stall", 36)),
+        ("conformal", 62, "lehr", ("converged", 16)),
+        ("conformal", 64, "lehr", ("boundary-hit", 18)),
+    ])
+    def test_seeded_descents_keep_their_paths(self, dt, kind, seed, which, expected):
+        rng = np.random.default_rng(seed)
+        l0 = solve.random_admissible_lengths(dt, rng)
+        if kind == "lengths":
+            _, trace = descend_lengths(dt, which, l0, normalize="L", max_iter=300)
+        else:
+            f0 = rng.normal(0.0, 0.2, 4)
+            _, trace = descend_conformal(ConformalClass(dt, l0), which,
+                                         f0 - f0.mean(), max_iter=300)
+        assert (trace.reason, len(trace.step_sizes)) == expected
 
     def test_guard_never_violated(self, dt):
         rng = np.random.default_rng(56)
