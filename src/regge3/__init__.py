@@ -7,7 +7,7 @@ normalizations, discrete conformal classes, and the solvers needed to
 locate Einstein and constant scalar curvature metrics.
 """
 
-from .complexes import (Complex, Face, Tet, ComplexError, double_tetrahedron,
+from .complexes import (Complex, ComplexError, double_tetrahedron,
                         six_hundred_cell, from_simplicial_tets,
                         load_complex, save_complex, parse_complex, format_complex,
                         validate)

@@ -24,9 +24,13 @@ EXIT_INADMISSIBLE = 2
 EXIT_BOUNDARY = 3
 EXIT_MAXITERS = 4
 
-_REASON_EXIT = {"converged": EXIT_OK, "stall": EXIT_OK,
-                "boundary-hit": EXIT_BOUNDARY, "max-iters": EXIT_MAXITERS,
-                "singular-jacobian": EXIT_MAXITERS}
+# exit code of each stop reason, per solver kind: a stalled Newton iteration
+# has not solved its equations, a stalled descent has reached the roundoff
+# floor of its objective
+_NEWTON_EXIT = {"converged": EXIT_OK, "stall": EXIT_MAXITERS, "boundary-hit": EXIT_BOUNDARY,
+                "max-iters": EXIT_MAXITERS, "singular-jacobian": EXIT_MAXITERS}
+_DESCENT_EXIT = {"converged": EXIT_OK, "stall": EXIT_OK, "boundary-hit": EXIT_BOUNDARY,
+                 "max-iters": EXIT_MAXITERS}
 
 
 class UsageError(Exception):
@@ -225,8 +229,7 @@ def cmd_find_csc(args) -> int:
     print(f"residual: {_fmt(trace.residual_norms[-1])}")
     if args.trace:
         _print_trace(trace)
-    # a stalled Newton iteration has not solved the equations
-    return EXIT_MAXITERS if trace.reason == "stall" else _REASON_EXIT[trace.reason]
+    return _NEWTON_EXIT[trace.reason]
 
 
 def cmd_find_einstein(args) -> int:
@@ -244,7 +247,7 @@ def cmd_find_einstein(args) -> int:
     print(f"einstein_residual: {_fmt(np.abs(res).max())}")
     if args.trace:
         _print_trace(trace)
-    return _REASON_EXIT[trace.reason]
+    return _DESCENT_EXIT[trace.reason]
 
 
 def cmd_yamabe(args) -> int:

@@ -20,7 +20,6 @@ import ast
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -45,45 +44,65 @@ class ComplexError(ValueError):
     """Malformed or non-manifold incidence data."""
 
 
-@dataclass(frozen=True)
-class Face:
-    edges: tuple[int, int, int]
-    vertices: tuple[int, int, int]
+#: each incidence array with the number of ids in one of its rows
+_FIELDS = (("edge_vertices", 2), ("face_edges", 3), ("face_vertices", 3),
+           ("tet_vertices", 4), ("tet_edges", 6), ("tet_faces", 4))
+
+_PAIRS = np.array(LOCAL_PAIRS)
+_FACE_EDGES = np.array(FACE_EDGES)
+#: the face vertices that slot k's edge joins: the two other than vertex k
+_SLOT_PAIRS = np.array([(1, 2), (2, 0), (0, 1)])
 
 
-@dataclass(frozen=True)
-class Tet:
-    vertices: tuple[int, int, int, int]
-    edges: tuple[int, int, int, int, int, int]
-    faces: tuple[int, int, int, int]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Complex:
     """Triangulated closed 3-manifold with explicit incidences.
 
-    Immutable after construction; derived incidence arrays are cached and
-    the object is safe to share across threads for read-only use.
+    The fields are the integer arrays of the file format.  They are stored
+    as read-only copies, so a Complex is immutable and safe to share across
+    threads.
     """
 
     num_vertices: int
-    edges: tuple[tuple[int, int], ...]
-    faces: tuple[Face, ...]
-    tets: tuple[Tet, ...]
+    edge_vertices: np.ndarray   # (E, 2) endpoint vertex ids
+    face_edges: np.ndarray      # (F, 3) edge ids, slot k opposite face vertex k
+    face_vertices: np.ndarray   # (F, 3) vertex ids
+    tet_vertices: np.ndarray    # (T, 4) vertex ids
+    tet_edges: np.ndarray       # (T, 6) edge ids in local pair order
+    tet_faces: np.ndarray       # (T, 4) face ids, slot k opposite local vertex k
+
+    def __post_init__(self):
+        if isinstance(self.num_vertices, bool) or not isinstance(self.num_vertices,
+                                                                 (int, np.integer)):
+            raise ComplexError(f"vertices section: {self.num_vertices!r} is not an integer")
+        object.__setattr__(self, "num_vertices", int(self.num_vertices))
+        for name, width in _FIELDS:
+            try:
+                a = np.asarray(getattr(self, name))   # raises on rows of unequal length
+                if a.size == 0:
+                    a = np.zeros((0, width), dtype=np.intp)
+                if a.shape[1:] != (width,) or a.dtype.kind not in "iu":
+                    raise ValueError
+            except ValueError:
+                raise ComplexError(f"{name.split('_')[0]}s section: {name} needs rows of "
+                                   f"{width} integer ids") from None
+            a = a.astype(np.intp)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     # -- counts ---------------------------------------------------------
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.edge_vertices)
 
     @property
     def num_faces(self) -> int:
-        return len(self.faces)
+        return len(self.face_vertices)
 
     @property
     def num_tets(self) -> int:
-        return len(self.tets)
+        return len(self.tet_vertices)
 
     def counts(self) -> tuple[int, int, int, int]:
         return (self.num_vertices, self.num_edges, self.num_faces, self.num_tets)
@@ -92,40 +111,10 @@ class Complex:
         v, e, f, t = self.counts()
         return v - e + f - t
 
-    # -- derived incidence arrays ----------------------------------------
-
-    @cached_property
-    def edge_vertices(self) -> np.ndarray:
-        """(E, 2) endpoint vertex ids per edge."""
-        return np.asarray(self.edges, dtype=np.intp).reshape(-1, 2)
-
-    @cached_property
-    def tet_vertices(self) -> np.ndarray:
-        """(T, 4) vertex ids per tet."""
-        return np.asarray([t.vertices for t in self.tets], dtype=np.intp)
-
-    @cached_property
-    def tet_edges(self) -> np.ndarray:
-        """(T, 6) edge ids per tet in local pair order."""
-        return np.asarray([t.edges for t in self.tets], dtype=np.intp)
-
-    @cached_property
-    def tet_faces(self) -> np.ndarray:
-        """(T, 4) face ids per tet, slot k opposite local vertex k."""
-        return np.asarray([t.faces for t in self.tets], dtype=np.intp)
-
-    @cached_property
+    @property
     def edge_degrees(self) -> np.ndarray:
         """(E,) number of tets incident to each edge, with multiplicity."""
         return np.bincount(self.tet_edges.ravel(), minlength=self.num_edges)
-
-    @cached_property
-    def edges_at_vertex(self) -> tuple[np.ndarray, ...]:
-        lists: list[list[int]] = [[] for _ in range(self.num_vertices)]
-        for eid, (a, b) in enumerate(self.edges):
-            lists[a].append(eid)
-            lists[b].append(eid)
-        return tuple(np.asarray(l, dtype=np.intp) for l in lists)
 
     # -- convenience ------------------------------------------------------
 
@@ -157,75 +146,93 @@ class Complex:
         return np.bincount(idx, per_tet.ravel(), minlength=size * E).reshape(batch + (E,))
 
 
+def _first(bad: np.ndarray):
+    """Index of the first True entry of ``bad`` in row-major order, or None."""
+    hit = np.argwhere(bad)
+    return tuple(hit[0].tolist()) if hit.size else None
+
+
+def _repeats(rows: np.ndarray) -> np.ndarray:
+    """Rows holding some id twice."""
+    s = np.sort(rows, axis=-1)
+    return np.any(s[:, 1:] == s[:, :-1], axis=-1)
+
+
 def validate(c: Complex) -> None:
-    """Check all structural invariants; raise ComplexError on violation."""
+    """Check all structural invariants; raise ComplexError on violation.
+
+    Each invariant is checked by one gather over all simplices and the
+    first violation in id order is reported.  Checked: one row per simplex
+    in each array; ids in range; no loops or repeated vertices; face slot
+    k holds the edge opposite face vertex k; tet edges follow the local
+    pair order and tet face slot k holds the face opposite local vertex k,
+    with the same edge ids as the tet; every face in exactly two tet face
+    slots; every edge in a face and a tet; Euler characteristic 0.
+    """
     V, E, F, T = c.counts()
     if V <= 0 or E <= 0 or F <= 0 or T <= 0:
         raise ComplexError("complex must have at least one simplex of each dimension")
+    ev, fe, fv = c.edge_vertices, c.face_edges, c.face_vertices
+    tv, te, tf = c.tet_vertices, c.tet_edges, c.tet_faces
+    if len(fe) != F or len(te) != T or len(tf) != T:
+        raise ComplexError("the arrays of the faces, and those of the tets, need equal row counts")
 
-    for eid, (a, b) in enumerate(c.edges):
-        if not (0 <= a < V and 0 <= b < V):
-            raise ComplexError(f"edge {eid} references missing vertex ({a},{b})")
-        if a == b:
-            raise ComplexError(f"edge {eid} is a loop at vertex {a}")
+    if hit := _first((ev < 0) | (ev >= V)):
+        a, b = ev[hit[0]]
+        raise ComplexError(f"edge {hit[0]} references missing vertex ({a},{b})")
+    if hit := _first(ev[:, 0] == ev[:, 1]):
+        raise ComplexError(f"edge {hit[0]} is a loop at vertex {ev[hit[0], 0]}")
 
-    for fid, face in enumerate(c.faces):
-        if len(set(face.vertices)) != 3:
-            raise ComplexError(f"face {fid} has repeated vertices {face.vertices}")
-        for k in range(3):
-            eid = face.edges[k]
-            if not (0 <= eid < E):
-                raise ComplexError(f"face {fid} references missing edge {eid}")
-            expect = {face.vertices[(k + 1) % 3], face.vertices[(k + 2) % 3]}
-            if set(c.edges[eid]) != expect:
-                raise ComplexError(
-                    f"face {fid} slot {k}: edge {eid} joins {c.edges[eid]}, "
-                    f"expected the pair {sorted(expect)} opposite vertex {face.vertices[k]}")
+    if hit := _first(_repeats(fv)):
+        raise ComplexError(f"face {hit[0]} has repeated vertices {tuple(fv[hit[0]].tolist())}")
+    if hit := _first((fe < 0) | (fe >= E)):
+        raise ComplexError(f"face {hit[0]} references missing edge {fe[hit]}")
+    expect = np.sort(fv[:, _SLOT_PAIRS], axis=-1)
+    if hit := _first(np.any(np.sort(ev[fe], axis=-1) != expect, axis=-1)):
+        fid, k = hit
+        raise ComplexError(
+            f"face {fid} slot {k}: edge {fe[hit]} joins {tuple(ev[fe[hit]].tolist())}, "
+            f"expected the pair {expect[hit].tolist()} opposite vertex {fv[hit]}")
 
-    for tid, tet in enumerate(c.tets):
-        if len(set(tet.vertices)) != 4:
-            raise ComplexError(f"tet {tid} has repeated vertices {tet.vertices}")
-        local = {v: i for i, v in enumerate(tet.vertices)}
-        for m, (i, j) in enumerate(LOCAL_PAIRS):
-            eid = tet.edges[m]
-            if not (0 <= eid < E):
-                raise ComplexError(f"tet {tid} references missing edge {eid}")
-            if set(c.edges[eid]) != {tet.vertices[i], tet.vertices[j]}:
-                raise ComplexError(
-                    f"tet {tid} local pair ({i},{j}): edge {eid} joins {c.edges[eid]}, "
-                    f"expected ({tet.vertices[i]},{tet.vertices[j]})")
-        for k in range(4):
-            fid = tet.faces[k]
-            if not (0 <= fid < F):
-                raise ComplexError(f"tet {tid} references missing face {fid}")
-            face = c.faces[fid]
-            expect_vs = set(tet.vertices) - {tet.vertices[k]}
-            if set(face.vertices) != expect_vs:
-                raise ComplexError(
-                    f"tet {tid} face slot {k}: face {fid} has vertices {face.vertices}, "
-                    f"expected {sorted(expect_vs)} (opposite vertex {tet.vertices[k]})")
-            # edge ids must agree, not just vertex sets (parallel edges exist
-            # in non-simplicial gluings)
-            for m, fv in enumerate(face.vertices):
-                pair = tuple(sorted(local[w] for w in face.vertices if w != fv))
-                if face.edges[m] != tet.edges[LOCAL_PAIRS.index(pair)]:
-                    raise ComplexError(
-                        f"tet {tid} face slot {k}: face edge {face.edges[m]} does not match "
-                        f"the tet edge for local pair {pair}")
+    if hit := _first(_repeats(tv)):
+        raise ComplexError(f"tet {hit[0]} has repeated vertices {tuple(tv[hit[0]].tolist())}")
+    if hit := _first((te < 0) | (te >= E)):
+        raise ComplexError(f"tet {hit[0]} references missing edge {te[hit]}")
+    expect = tv[:, _PAIRS]
+    if hit := _first(np.any(np.sort(ev[te], axis=-1) != np.sort(expect, axis=-1), axis=-1)):
+        tid, m = hit
+        i, j = LOCAL_PAIRS[m]
+        raise ComplexError(
+            f"tet {tid} local pair ({i},{j}): edge {te[hit]} joins {tuple(ev[te[hit]].tolist())}, "
+            f"expected ({expect[hit][0]},{expect[hit][1]})")
+    if hit := _first((tf < 0) | (tf >= F)):
+        raise ComplexError(f"tet {hit[0]} references missing face {tf[hit]}")
+    # face slot k holds the face opposite local vertex k, with the tet's edge
+    # opposite each of its vertices: edge ids, not just vertex sets, must
+    # agree, since parallel edges exist in non-simplicial gluings.  The tet's
+    # and the face's view of each slot are both sorted by vertex id.
+    order = np.argsort(tv[:, FACE_VERTICES], axis=-1)
+    slot_v = np.take_along_axis(tv[:, FACE_VERTICES], order, axis=-1)
+    slot_m = np.take_along_axis(np.broadcast_to(_FACE_EDGES, order.shape), order, axis=-1)
+    order = np.argsort(fv[tf], axis=-1)
+    face_v, face_e = (np.take_along_axis(a[tf], order, axis=-1) for a in (fv, fe))
+    if hit := _first(np.any(face_v != slot_v, axis=-1)):
+        tid, k = hit
+        raise ComplexError(
+            f"tet {tid} face slot {k}: face {tf[hit]} has vertices {tuple(fv[tf[hit]].tolist())}, "
+            f"expected {slot_v[hit].tolist()} (opposite vertex {tv[hit]})")
+    if hit := _first(face_e != te[np.arange(T)[:, None, None], slot_m]):
+        raise ComplexError(
+            f"tet {hit[0]} face slot {hit[1]}: face edge {face_e[hit]} does not match "
+            f"the tet edge for local pair {LOCAL_PAIRS[slot_m[hit]]}")
 
     # closed manifold: every face in exactly two tet face-slots
-    face_count = np.bincount(c.tet_faces.ravel(), minlength=F)
-    bad = np.nonzero(face_count != 2)[0]
-    if bad.size:
+    face_count = np.bincount(tf.ravel(), minlength=F)
+    if hit := _first(face_count != 2):
         raise ComplexError(
-            f"face {bad[0]} belongs to {face_count[bad[0]]} tets (closed manifold needs exactly 2)")
-
-    edge_in_face = np.zeros(E, dtype=np.intp)
-    for face in c.faces:
-        for eid in face.edges:
-            edge_in_face[eid] += 1
-    if np.any(edge_in_face == 0):
-        raise ComplexError(f"edge {int(np.nonzero(edge_in_face == 0)[0][0])} belongs to no face")
+            f"face {hit[0]} belongs to {face_count[hit]} tets (closed manifold needs exactly 2)")
+    if hit := _first(np.bincount(fe.ravel(), minlength=E) == 0):
+        raise ComplexError(f"edge {hit[0]} belongs to no face")
     if np.any(c.edge_degrees < 1):
         raise ComplexError("some edge belongs to no tetrahedron")
 
@@ -243,48 +250,50 @@ def double_tetrahedron() -> Complex:
 
     Both tets live on vertices 0..3 and reference the same six edges and
     four faces, so every edge has degree 2.  This is the smallest closed
-    triangulation of the 3-sphere and is not a simplicial complex.
+    triangulation of the 3-sphere and is not a simplicial complex.  The
+    incidences are constants, checked by the tests rather than on each call.
     """
-    edges = tuple(LOCAL_PAIRS)
-    faces = tuple(
-        Face(edges=tuple(FACE_EDGES[k]), vertices=tuple(FACE_VERTICES[k]))
-        for k in range(4))
-    tet = Tet(vertices=(0, 1, 2, 3), edges=(0, 1, 2, 3, 4, 5), faces=(0, 1, 2, 3))
-    c = Complex(num_vertices=4, edges=edges, faces=faces, tets=(tet, tet))
-    validate(c)
-    return c
+    return Complex(num_vertices=4, edge_vertices=LOCAL_PAIRS, face_edges=FACE_EDGES,
+                   face_vertices=FACE_VERTICES, tet_vertices=[range(4)] * 2,
+                   tet_edges=[range(6)] * 2, tet_faces=[range(4)] * 2)
+
+
+def _number_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct rows (..., k) in order of first appearance.
+
+    Returns the distinct rows (n, k) in that order and the number of each
+    input row (...).
+    """
+    flat = rows.reshape(-1, rows.shape[-1])
+    # one integer key per row: its ids as digits in base (largest id + 1)
+    span = flat - flat.min(initial=0)
+    keys = np.ravel_multi_index(span.T, (span.max(initial=0) + 1,) * flat.shape[1])
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return flat[first[order]], rank[inverse].reshape(rows.shape[:-1])
 
 
 def from_simplicial_tets(num_vertices: int, tets) -> Complex:
     """Build a simplicial Complex from tetrahedra given as vertex 4-tuples.
 
-    Edges and faces are derived uniquely from sorted vertex pairs/triples;
-    this is only correct for simplicial complexes.
+    Edges and faces are the distinct sorted vertex pairs/triples, numbered
+    in order of first appearance, tet by tet in ``itertools.combinations``
+    order; this is only correct for simplicial complexes.
     """
-    tets = [tuple(sorted(t)) for t in tets]
-    edge_id: dict[tuple[int, int], int] = {}
-    face_id: dict[tuple[int, int, int], int] = {}
-    for t in tets:
-        for i, j in itertools.combinations(t, 2):
-            edge_id.setdefault((i, j), len(edge_id))
-        for tri in itertools.combinations(t, 3):
-            face_id.setdefault(tri, len(face_id))
-
-    edges = tuple(sorted(edge_id, key=edge_id.get))
-    faces = []
-    for tri in sorted(face_id, key=face_id.get):
-        fe = tuple(edge_id[tuple(sorted((tri[(k + 1) % 3], tri[(k + 2) % 3])))]
-                   for k in range(3))
-        faces.append(Face(edges=fe, vertices=tri))
-
-    tet_objs = []
-    for t in tets:
-        te = tuple(edge_id[(t[i], t[j])] for (i, j) in LOCAL_PAIRS)
-        tf = tuple(face_id[tuple(v for v in t if v != t[k])] for k in range(4))
-        tet_objs.append(Tet(vertices=t, edges=te, faces=tf))
-
-    c = Complex(num_vertices=num_vertices, edges=edges, faces=tuple(faces),
-                tets=tuple(tet_objs))
+    tv = np.array(list(tets))
+    if tv.size and tv.dtype.kind not in "iu":
+        raise ComplexError(f"tet vertex ids must be integers, got {tv.dtype} entries")
+    tv = np.sort(tv.astype(np.intp).reshape(-1, 4), axis=1)
+    edge_vertices, tet_edges = _number_rows(tv[:, _PAIRS])
+    # combinations order lists the face opposite local vertex 3 first
+    face_vertices, tet_faces = _number_rows(tv[:, FACE_VERTICES[::-1]])
+    tet_faces = tet_faces[:, ::-1]
+    face_edges = np.empty_like(face_vertices)
+    face_edges[tet_faces] = tet_edges[:, FACE_EDGES]
+    c = Complex(num_vertices, edge_vertices, face_edges, face_vertices,
+                tv, tet_edges, tet_faces)
     validate(c)
     return c
 
@@ -365,10 +374,10 @@ _SECTIONS = ("vertices", "edges", "faces", "tets")
 
 def format_complex(c: Complex) -> str:
     lines = [f"vertices: {c.num_vertices}"]
-    lines.append("edges: " + repr([list(e) for e in c.edges]))
-    lines.append("faces: " + repr([[list(f.edges), list(f.vertices)] for f in c.faces]))
-    lines.append("tets: " + repr([[list(t.vertices), list(t.edges), list(t.faces)]
-                                  for t in c.tets]))
+    lines.append("edges: " + repr(c.edge_vertices.tolist()))
+    lines.append("faces: " + repr(np.stack([c.face_edges, c.face_vertices], axis=1).tolist()))
+    lines.append("tets: " + repr([list(t) for t in zip(
+        c.tet_vertices.tolist(), c.tet_edges.tolist(), c.tet_faces.tolist())]))
     return "\n".join(lines) + "\n"
 
 
@@ -395,26 +404,15 @@ def parse_complex(text: str) -> Complex:
     if missing:
         raise ComplexError(f"missing sections: {', '.join(missing)}")
 
+    # split faces into their edge and vertex lists, tets into their three
     try:
-        num_vertices = int(data["vertices"])
-        edges = tuple((int(a), int(b)) for a, b in data["edges"])
-        faces = tuple(Face(edges=tuple(int(e) for e in fe),
-                           vertices=tuple(int(v) for v in fv))
-                      for fe, fv in data["faces"])
-        tets = tuple(Tet(vertices=tuple(int(v) for v in tv),
-                         edges=tuple(int(e) for e in te),
-                         faces=tuple(int(f) for f in tf))
-                     for tv, te, tf in data["tets"])
+        faces = tuple(zip(*data["faces"], strict=True)) or ((), ())
+        tets = tuple(zip(*data["tets"], strict=True)) or ((), (), ())
+        (face_edges, face_vertices), (tet_vertices, tet_edges, tet_faces) = faces, tets
     except (TypeError, ValueError) as exc:
         raise ComplexError(f"malformed section contents: {exc}") from exc
-    for face in faces:
-        if len(face.edges) != 3 or len(face.vertices) != 3:
-            raise ComplexError("each face needs 3 edge ids and 3 vertex ids")
-    for tet in tets:
-        if len(tet.vertices) != 4 or len(tet.edges) != 6 or len(tet.faces) != 4:
-            raise ComplexError("each tet needs 4 vertices, 6 edges, 4 faces")
-
-    c = Complex(num_vertices=num_vertices, edges=edges, faces=faces, tets=tets)
+    c = Complex(data["vertices"], data["edges"], face_edges, face_vertices,
+                tet_vertices, tet_edges, tet_faces)
     validate(c)
     return c
 

@@ -93,17 +93,13 @@ def equihedral_point(cls: ConformalClass) -> EquihedralPoint:
     c = cls.complex
     if c.num_vertices != 4:
         raise ValueError("equihedral points are defined for 4-vertex complexes")
-    tet = c.tets[0]
-    vi, vj, vk, vl = tet.vertices
-
-    def bg(a, b):
-        return cls.background[tet.edges[geometry.PAIR_INDEX[
-            (tet.vertices.index(a), tet.vertices.index(b))]]]
-
+    vi, vj, vk, vl = c.tet_vertices[0]
+    # background lengths of the generating tet, in local pair order
+    l01, l02, l03, l12, l13, l23 = cls.background[c.tet_edges[0]]
     f = np.zeros(4)
-    f[vi] = np.log(bg(vj, vl) * bg(vk, vl) / (bg(vi, vj) * bg(vi, vk)))
-    f[vj] = np.log(bg(vi, vl) * bg(vk, vl) / (bg(vj, vk) * bg(vi, vj)))
-    f[vk] = np.log(bg(vi, vl) * bg(vj, vl) / (bg(vi, vk) * bg(vj, vk)))
+    f[vi] = np.log(l13 * l23 / (l01 * l02))
+    f[vj] = np.log(l03 * l23 / (l12 * l01))
+    f[vk] = np.log(l03 * l13 / (l02 * l12))
     f[vl] = 0.0
     lengths = induced_lengths(c, cls.background, f)
     return EquihedralPoint(factors=f, lengths=lengths,

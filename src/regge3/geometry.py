@@ -29,12 +29,6 @@ import numpy as np
 
 from .complexes import Complex, EDGE_FACES, FACE_EDGES, LOCAL_PAIRS
 
-#: lookup (i, j) -> local edge index
-PAIR_INDEX = {}
-for _m, (_i, _j) in enumerate(LOCAL_PAIRS):
-    PAIR_INDEX[(_i, _j)] = _m
-    PAIR_INDEX[(_j, _i)] = _m
-
 # rows of the bordered matrix for the two ends (I, J) of each local edge and
 # for the two vertices (K, L) off it
 _I, _J = np.array(LOCAL_PAIRS).T + 1

@@ -8,6 +8,8 @@ command and the acceptance test module both run these rows.
 
 from __future__ import annotations
 
+import csv
+import io
 import re
 from dataclasses import dataclass
 
@@ -419,12 +421,13 @@ def run_all(only: str | None = None) -> list[CriterionRow]:
 
 def format_rows(rows, delimited: bool = False) -> str:
     if delimited:
-        out = ["key,tag,description,expected,actual,tolerance,status"]
-        for r in rows:
-            desc = r.description.replace(",", ";")
-            out.append(f"{r.key},{r.tag},{desc},{r.expected},{r.actual},{r.tolerance},"
-                       f"{'pass' if r.passed else 'FAIL'}")
-        return "\n".join(out) + "\n"
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(("key", "tag", "description", "expected", "actual", "tolerance",
+                         "status"))
+        writer.writerows((r.key, r.tag, r.description, r.expected, r.actual, r.tolerance,
+                          "pass" if r.passed else "FAIL") for r in rows)
+        return buf.getvalue()
     out = []
     for r in rows:
         status = "pass" if r.passed else "FAIL"

@@ -1,8 +1,11 @@
+import csv
+import itertools
+
 import numpy as np
 import pytest
 
-from regge3 import cli, solve
-from regge3.complexes import double_tetrahedron, save_complex
+from regge3 import cli, curvature, solve
+from regge3.complexes import double_tetrahedron, from_simplicial_tets, save_complex
 
 
 def run_cli(capsys, *argv):
@@ -210,6 +213,21 @@ class TestSolverCommands:
         assert "reason: stall" in out
         assert code == 4
 
+    def test_find_einstein_stall_is_success(self, capsys, monkeypatch):
+        # a descent stalls at the roundoff floor of its objective
+        descend_lengths = solve.descend_lengths
+
+        def stalled(*args, **kwargs):
+            lengths, trace = descend_lengths(*args, **kwargs)
+            trace.reason = "stall"
+            return lengths, trace
+
+        monkeypatch.setattr(solve, "descend_lengths", stalled)
+        code, out, _ = run_cli(capsys, "find-einstein", "--which", "V",
+                               "--lengths", "1.005,0.995,1,1.002,0.998,1")
+        assert "reason: stall" in out
+        assert code == 0
+
     def test_max_iters_exit_code(self, capsys):
         code, out, _ = run_cli(capsys, "find-csc", "--class", "uniform:1",
                                "--which", "L", "--start", "0.3,-0.2,0.1,0",
@@ -247,6 +265,68 @@ class TestReproduce:
                                "--format", "delimited")
         assert code == 0
         assert out.startswith("key,tag,description,expected,actual,tolerance,status")
+
+    @pytest.mark.parametrize("only, keys", [("8", "abcdefg"), ("10", "abcd")])
+    def test_delimited_rows_parse_to_the_header(self, capsys, only, keys):
+        # rows 8g, 10a and 10b hold commas in their values or descriptions
+        code, out, _ = run_cli(capsys, "reproduce", "--only", only, "--format", "delimited")
+        assert code == 0
+        rows = list(csv.reader(out.splitlines()))
+        assert [len(r) for r in rows] == [7] * (len(keys) + 1)
+        assert [r[0] for r in rows[1:]] == [only + k for k in keys]
+        cells = {r[0]: r for r in rows}
+        if only == "8":
+            assert cells["8g"][4].startswith("[") and cells["8g"][4].endswith("]")
+        else:
+            assert cells["10a"][2] == "600-cell counts (V,E,F,T)"
+            assert cells["10a"][4] == "(120, 720, 1200, 600)"
+
+
+def boundary_of_4_simplex():
+    return from_simplicial_tets(5, itertools.combinations(range(5), 4))
+
+
+class TestSimplexBoundary:
+    """The CLI on a complex read from a file: the boundary of the 4-simplex."""
+
+    CLASS = "1,1.1,0.9,1,1.05,0.95,1,1,1.02,0.98"
+
+    @pytest.fixture(scope="class")
+    def complex_file(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("complexes") / "simplex_boundary.tri"
+        save_complex(boundary_of_4_simplex(), path)
+        return str(path)
+
+    def test_analyze(self, capsys, complex_file):
+        code, out, _ = run_cli(capsys, "analyze", "--complex", complex_file,
+                               "--lengths", "uniform:1")
+        assert code == 0
+        assert "(V,E,F,T) = (5, 10, 10, 5)" in out
+        # every edge lies in three regular tets
+        k = 2 * np.pi - 3 * np.arccos(1 / 3)
+        assert f"LEHR = {format(k, '.12g')}" in out
+        assert "csc_residual_l = 0" in out
+
+    def test_uniform_conformal_lehr_spectrum(self, capsys, complex_file):
+        code, out, _ = run_cli(capsys, "spectrum", "--complex", complex_file,
+                               "--space", "conformal", "--class", "uniform:1")
+        assert code == 0
+        vals = [float(x) for x in out.split("eigenvalues: [")[1].split("]")[0].split(",")]
+        c = boundary_of_4_simplex()
+        lengths = np.ones(c.num_edges)
+        formula = 4 * (-2 * curvature.laplacian_matrix(c, lengths)
+                       + curvature.normal_matrix(c, lengths)) / lengths.sum()
+        np.testing.assert_allclose(vals, np.linalg.eigvalsh(formula), rtol=0, atol=1e-10)
+        assert vals[1] == pytest.approx(1 / np.sqrt(2), abs=1e-10)
+
+    @pytest.mark.parametrize("which", ["L", "V"])
+    def test_find_csc(self, capsys, complex_file, which):
+        code, out, _ = run_cli(capsys, "find-csc", "--complex", complex_file,
+                               "--which", which, "--class", self.CLASS)
+        assert code == 0
+        assert "reason: converged" in out
+        assert int(out.split("iterations: ")[1].split("\n")[0]) <= 8
+        assert float(out.split("residual: ")[1].split("\n")[0]) < 1e-12
 
 
 class TestUsage:

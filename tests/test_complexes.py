@@ -1,12 +1,16 @@
+import dataclasses
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
 from regge3 import complexes
-from regge3.complexes import (Complex, ComplexError, Face, Tet, double_tetrahedron,
-                              from_simplicial_tets, format_complex,
-                              parse_complex, six_hundred_cell, validate)
+from regge3.complexes import (ComplexError, double_tetrahedron, from_simplicial_tets,
+                              format_complex, parse_complex, six_hundred_cell, validate)
+
+INCIDENCE_FIELDS = ("edge_vertices", "face_edges", "face_vertices",
+                    "tet_vertices", "tet_edges", "tet_faces")
 
 
 @pytest.fixture(scope="module")
@@ -24,6 +28,17 @@ def boundary_of_4_simplex():
     return from_simplicial_tets(5, itertools.combinations(range(5), 4))
 
 
+def assert_same_complex(a, b):
+    assert a.num_vertices == b.num_vertices
+    for name in INCIDENCE_FIELDS:
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+def edited(c, name, rows):
+    """``c`` with one incidence array replaced, not validated."""
+    return dataclasses.replace(c, **{name: rows})
+
+
 class TestDoubleTetrahedron:
     def test_counts(self, dt):
         assert dt.counts() == (4, 6, 4, 2)
@@ -32,8 +47,8 @@ class TestDoubleTetrahedron:
         assert dt.euler_characteristic() == 0
 
     def test_both_tets_share_all_edges_and_faces(self, dt):
-        assert dt.tets[0].edges == dt.tets[1].edges
-        assert dt.tets[0].faces == dt.tets[1].faces
+        np.testing.assert_array_equal(dt.tet_edges[0], dt.tet_edges[1])
+        np.testing.assert_array_equal(dt.tet_faces[0], dt.tet_faces[1])
 
     def test_every_edge_has_degree_two(self, dt):
         assert np.all(dt.edge_degrees == 2)
@@ -54,7 +69,7 @@ class TestSixHundredCell:
         assert cell600.edge_degrees.max() == 5
 
     def test_simplicial(self, cell600):
-        pairs = {tuple(sorted(e)) for e in cell600.edges}
+        pairs = {tuple(sorted(e)) for e in cell600.edge_vertices.tolist()}
         assert len(pairs) == 720
 
 
@@ -66,6 +81,11 @@ class TestSyntheticComplexes:
 
     def test_max_edge_degree_three(self):
         assert boundary_of_4_simplex().edge_degrees.max() == 3
+
+    def test_non_integer_vertex_ids_rejected(self):
+        tets = [[0.0, 1, 2, 3.5]] + list(itertools.combinations(range(5), 4))[1:]
+        with pytest.raises(ComplexError, match="integers"):
+            from_simplicial_tets(5, tets)
 
 
 class TestIncidenceProperties:
@@ -79,19 +99,89 @@ class TestIncidenceProperties:
         assert np.all(count == 2)
 
     @pytest.mark.parametrize("builder", [double_tetrahedron, boundary_of_4_simplex])
-    def test_edges_at_vertex_symmetry(self, builder):
+    def test_vertex_edge_symmetry(self, builder):
         c = builder()
         for v in range(c.num_vertices):
-            for e in c.edges_at_vertex[v]:
-                assert v in c.edges[e]
-        for eid, (a, b) in enumerate(c.edges):
-            assert eid in c.edges_at_vertex[a]
-            assert eid in c.edges_at_vertex[b]
+            star = np.nonzero(np.any(c.edge_vertices == v, axis=1))[0]
+            assert all(v in c.edge_vertices[e] for e in star)
+            assert star.size == np.count_nonzero(c.edge_vertices == v)
+        assert np.bincount(c.edge_vertices.ravel()).sum() == 2 * c.num_edges
 
     def test_local_labels_consistent(self, dt):
-        tet = dt.tets[0]
+        tv, te = dt.tet_vertices[0], dt.tet_edges[0]
         for m, (i, j) in enumerate(complexes.LOCAL_PAIRS):
-            assert set(dt.edges[tet.edges[m]]) == {tet.vertices[i], tet.vertices[j]}
+            assert set(dt.edge_vertices[te[m]]) == {tv[i], tv[j]}
+
+    @pytest.mark.parametrize("name", INCIDENCE_FIELDS)
+    def test_arrays_are_read_only(self, dt, name):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(dt, name)[0, 0] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(dt, name, getattr(dt, name).copy())
+
+    def test_construction_copies_its_input(self):
+        tets = np.array(list(itertools.combinations(range(5), 4)))
+        c = from_simplicial_tets(5, tets)
+        tets[:] = 0
+        assert c.tet_vertices[4].tolist() == [1, 2, 3, 4]
+
+
+def simplicial_reference(num_vertices, tets):
+    """Loop form of from_simplicial_tets: ids by first appearance via dicts."""
+    tets = [tuple(sorted(t)) for t in tets]
+    edge_id, face_id = {}, {}
+    for t in tets:
+        for pair in itertools.combinations(t, 2):
+            edge_id.setdefault(pair, len(edge_id))
+        for tri in itertools.combinations(t, 3):
+            face_id.setdefault(tri, len(face_id))
+    faces = list(face_id)
+    return {
+        "edge_vertices": list(edge_id),
+        "face_edges": [[edge_id[tuple(sorted((tri[(k + 1) % 3], tri[(k + 2) % 3])))]
+                        for k in range(3)] for tri in faces],
+        "face_vertices": faces,
+        "tet_vertices": tets,
+        "tet_edges": [[edge_id[(t[i], t[j])] for i, j in complexes.LOCAL_PAIRS]
+                      for t in tets],
+        "tet_faces": [[face_id[tuple(v for v in t if v != t[k])] for k in range(4)]
+                      for t in tets],
+    }
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_simplicial_numbering_matches_loop_reference(cell600, seed):
+    # the 600-cell's tets relabelled, reordered and listed in random vertex order
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(cell600.num_vertices)
+    tets = rng.permuted(labels[cell600.tet_vertices[rng.permutation(600)]], axis=1)
+    c = from_simplicial_tets(cell600.num_vertices, tets.tolist())
+    ref = simplicial_reference(cell600.num_vertices, tets.tolist())
+    for name in INCIDENCE_FIELDS:
+        np.testing.assert_array_equal(getattr(c, name), ref[name], err_msg=name)
+
+
+# sha256 of the six incidence arrays as int64 bytes, in field order.  The
+# numbering fixes the summation order of every per-edge and per-vertex
+# bincount, so a renumbering changes results bitwise and must fail here.
+INCIDENCE_SHA256 = {
+    "double_tetrahedron":
+        "2bbebee12bfc1538cad11f70c3d1774ed6e949d5db2d7f2535ab8a10ccacc41f",
+    "six_hundred_cell":
+        "ca63b866057b298b0c9c6d7aa0fc037fa82d10be0414aff535c1600a61202bb6",
+    "boundary_of_4_simplex":
+        "6bbee5e6152f20c9f9580e353c51312d3cf551f2dcc860206f5fd1d21c4b14dd",
+}
+
+
+@pytest.mark.parametrize("builder", [double_tetrahedron, six_hundred_cell,
+                                     boundary_of_4_simplex])
+def test_incidence_numbering_is_pinned(builder):
+    c = builder()
+    h = hashlib.sha256()
+    for name in INCIDENCE_FIELDS:
+        h.update(getattr(c, name).astype(np.int64).tobytes())
+    assert h.hexdigest() == INCIDENCE_SHA256[builder.__name__]
 
 
 class TestFileFormat:
@@ -99,16 +189,20 @@ class TestFileFormat:
                                          six_hundred_cell])
     def test_round_trip_identical(self, builder):
         c = builder()
-        assert parse_complex(format_complex(c)) == c
+        text = format_complex(c)
+        again = parse_complex(text)
+        assert_same_complex(again, c)
+        assert format_complex(again) == text
 
     def test_load_from_path(self, dt, tmp_path):
         path = tmp_path / "dt.tri"
         complexes.save_complex(dt, path)
-        assert complexes.load_complex(path) == dt
+        assert_same_complex(complexes.load_complex(path), dt)
 
     def test_face_with_three_tets_rejected(self, dt):
-        tets = dt.tets + (dt.tets[0],)
-        broken = Complex(num_vertices=4, edges=dt.edges, faces=dt.faces, tets=tets)
+        broken = dataclasses.replace(dt, tet_vertices=dt.tet_vertices[[0, 1, 0]],
+                                     tet_edges=dt.tet_edges[[0, 1, 0]],
+                                     tet_faces=dt.tet_faces[[0, 1, 0]])
         with pytest.raises(ComplexError, match="belongs to 3 tets"):
             validate(broken)
 
@@ -126,19 +220,97 @@ class TestFileFormat:
             parse_complex("vertices: 4\n")
 
     def test_inconsistent_local_labels_rejected(self, dt):
-        tet = dt.tets[0]
-        bad_tet = Tet(vertices=tet.vertices,
-                      edges=(1, 0) + tet.edges[2:], faces=tet.faces)
-        broken = Complex(num_vertices=4, edges=dt.edges, faces=dt.faces,
-                         tets=(bad_tet, dt.tets[1]))
+        broken = edited(dt, "tet_edges", [[1, 0, 2, 3, 4, 5], dt.tet_edges[1]])
         with pytest.raises(ComplexError, match="local pair"):
             validate(broken)
 
     def test_face_edge_opposite_vertex_convention_enforced(self, dt):
-        f = dt.faces[0]
-        bad_face = Face(edges=(f.edges[1], f.edges[0], f.edges[2]),
-                        vertices=f.vertices)
-        broken = Complex(num_vertices=4, edges=dt.edges,
-                         faces=(bad_face,) + dt.faces[1:], tets=dt.tets)
+        face_edges = dt.face_edges.copy()
+        face_edges[0] = face_edges[0, [1, 0, 2]]
+        broken = edited(dt, "face_edges", face_edges)
         with pytest.raises(ComplexError):
             validate(broken)
+
+    @pytest.mark.parametrize("section, old, new", [
+        ("vertices", "vertices: 4", "vertices: 4.9"),
+        ("edges", "edges: [[0, 1],", "edges: [[0.2, 1.7],"),
+        ("faces", "[[5, 4, 3], [1, 2, 3]]", "[[5, 4, 3], [1.0, 2, 3]]"),
+        ("tets", "[[0, 1, 2, 3], [0, 1, 2, 3, 4, 5], [0, 1, 2, 3]]",
+                 "[[0, 1, 2, 3], [0, 1, 2, 3, 4, 5], [0, 1, 2, 3.0]]"),
+    ], ids=("vertices", "edges", "faces", "tets"))
+    def test_non_integer_ids_rejected(self, dt, section, old, new):
+        text = format_complex(dt)
+        assert old in text
+        with pytest.raises(ComplexError, match=f"{section} section"):
+            parse_complex(text.replace(old, new, 1))
+
+    @pytest.mark.parametrize("text", [
+        "vertices: 4\nedges: [[0, 1, 2]]\nfaces: []\ntets: []",
+        "vertices: 4\nedges: [[0, 1]]\nfaces: [[[0, 0, 0]]]\ntets: []",
+        "vertices: 4\nedges: [[0, 1]]\nfaces: [[[0, 0], [1, 2, 3]]]\ntets: []",
+        "vertices: 4\nedges: [[0, 1]]\nfaces: []\ntets: [[[0, 1, 2, 3], [0]]]",
+        "vertices: 4\nedges: [[0, 1]]\nfaces: 3\ntets: []",
+        "vertices: 4\nedges: [[0, 1]]\nfaces: [[[0, 0, 0], [1, 2, 3]], [[0, 0], [1, 2, 3]]]\n"
+        "tets: []",
+    ])
+    def test_misshapen_sections_rejected(self, text):
+        with pytest.raises(ComplexError):
+            parse_complex(text)
+
+
+def _corrupt(name, row, value):
+    def edit(c):
+        rows = getattr(c, name).copy()
+        rows[row] = value
+        return edited(c, name, rows)
+    return edit
+
+
+def _extra_edge(pair, face_slot=None):
+    """Append an edge; optionally make it face 0's edge at ``face_slot``."""
+    def edit(c):
+        c = edited(c, "edge_vertices", np.vstack([c.edge_vertices, pair]))
+        if face_slot is not None:
+            c = _corrupt("face_edges", (0, face_slot), c.num_edges - 1)(c)
+        return c
+    return edit
+
+
+class TestValidate:
+    """Each invariant fires on a double tetrahedron broken in one place."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (_corrupt("edge_vertices", 5, [2, 9]), r"edge 5 references missing vertex \(2,9\)"),
+        (_corrupt("edge_vertices", 5, [3, 3]), "edge 5 is a loop at vertex 3"),
+        (_corrupt("face_vertices", 1, [0, 2, 2]), r"face 1 has repeated vertices \(0, 2, 2\)"),
+        (_corrupt("face_edges", (2, 1), 6), "face 2 references missing edge 6"),
+        (_corrupt("face_edges", 0, [4, 5, 3]),
+         r"face 0 slot 0: edge 4 joins \(1, 3\), expected the pair \[2, 3\] opposite vertex 1"),
+        (_corrupt("tet_vertices", 1, [0, 1, 2, 2]), r"tet 1 has repeated vertices"),
+        (_corrupt("tet_edges", (1, 3), -1), "tet 1 references missing edge -1"),
+        (_corrupt("tet_edges", 0, [1, 0, 2, 3, 4, 5]),
+         r"tet 0 local pair \(0,1\): edge 1 joins \(0, 2\), expected \(0,1\)"),
+        (_corrupt("tet_faces", (1, 2), 4), "tet 1 references missing face 4"),
+        (_corrupt("tet_faces", 0, [1, 0, 2, 3]),
+         r"tet 0 face slot 0: face 1 has vertices \(0, 2, 3\), expected \[1, 2, 3\] "
+         r"\(opposite vertex 0\)"),
+        (_extra_edge([2, 3], face_slot=0),
+         r"tet 0 face slot 0: face edge 6 does not match the tet edge for local pair \(2, 3\)"),
+        (_extra_edge([0, 1]), "edge 6 belongs to no face"),
+        (lambda c: dataclasses.replace(c, num_vertices=5), "Euler characteristic 1 != 0"),
+        (lambda c: dataclasses.replace(c, tet_vertices=[], tet_edges=[], tet_faces=[]),
+         "at least one simplex"),
+    ])
+    def test_violation_reported(self, dt, edit, message):
+        with pytest.raises(ComplexError, match=message):
+            validate(edit(dt))
+
+    @pytest.mark.parametrize("name", ["face_edges", "tet_faces"])
+    def test_row_counts_must_agree(self, dt, name):
+        with pytest.raises(ComplexError, match="row counts"):
+            validate(edited(dt, name, getattr(dt, name)[:1]))
+
+    @pytest.mark.parametrize("builder", [double_tetrahedron, boundary_of_4_simplex,
+                                         six_hundred_cell])
+    def test_builders_validate(self, builder):
+        validate(builder())
