@@ -17,7 +17,7 @@ from .geometry import (InadmissibleMetricError, TetGeometry, cayley_menger,
 from .curvature import (CurvatureReport, BoundsReport, edge_curvatures,
                         functionals, grad_lengths, grad_conformal, hessian_fd,
                         gradient_fd, hessian_fd_lengths, conformal_hessian_fd,
-                        conformal_hessian, csc_jacobian, laplacian_matrix,
+                        conformal_hessian, laplacian_matrix,
                         normal_matrix, lehr_conformal_hessian_csc,
                         einstein_residual, csc_residual, bounds_report,
                         ehr_value, lehr_value, vehr_value)

@@ -111,7 +111,7 @@ def cmd_analyze(args) -> int:
     c = get_complex(args.complex)
     lengths = resolve_metric(args, c)
     rep = curvature.functionals(c, lengths)
-    bounds = curvature.bounds_report(c, lengths)
+    bounds = rep.bounds()
     res = {f"{kind}_residual_{w.lower()}": float(np.abs(residual(w)).max())
            for kind, residual in (("einstein", rep.einstein_residual),
                                   ("csc", rep.csc_residual))
@@ -239,12 +239,12 @@ def cmd_find_einstein(args) -> int:
     lend, trace = solve.descend_lengths(c, functional, lengths,
                                         normalize=args.which.upper(),
                                         max_iter=args.max_iters)
-    res = curvature.einstein_residual(c, lend, args.which.upper())
+    rep = curvature.functionals(c, lend)
     print(f"reason: {trace.reason}")
     print(f"iterations: {len(trace.residual_norms)}")
     print(f"lengths: {_vector(lend)}")
-    print(f"{functional}: {_fmt(curvature.FUNCTIONALS[functional](c, lend))}")
-    print(f"einstein_residual: {_fmt(np.abs(res).max())}")
+    print(f"{functional}: {_fmt(getattr(rep, functional))}")
+    print(f"einstein_residual: {_fmt(np.abs(rep.einstein_residual(args.which)).max())}")
     if args.trace:
         _print_trace(trace)
     return _DESCENT_EXIT[trace.reason]
@@ -335,7 +335,8 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("reproduce", help="run the reference-value suite")
     sp.add_argument("--all", action="store_true", help="run every criterion (default)")
-    sp.add_argument("--only", help="filter criteria by substring")
+    sp.add_argument("--only", help="a key such as 6 or 4b selects by row key only; "
+                    "any other string selects the criteria whose tag contains it")
     sp.add_argument("--format", choices=("human", "delimited"), default="human")
     sp.set_defaults(fn=cmd_reproduce)
 

@@ -78,10 +78,12 @@ class Complex:
         object.__setattr__(self, "num_vertices", int(self.num_vertices))
         for name, width in _FIELDS:
             try:
-                a = np.asarray(getattr(self, name))   # raises on rows of unequal length
+                value = getattr(self, name)
+                a = np.asarray(value)   # raises on rows of unequal length
                 if a.size == 0:
                     a = np.zeros((0, width), dtype=np.intp)
-                if a.shape[1:] != (width,) or a.dtype.kind not in "iu":
+                if a.shape[1:] != (width,) or a.dtype.kind not in "iu" \
+                        or (not isinstance(value, np.ndarray) and _has_bool(value)):
                     raise ValueError
             except ValueError:
                 raise ComplexError(f"{name.split('_')[0]}s section: {name} needs rows of "
@@ -144,6 +146,12 @@ class Complex:
         if size > 1:
             idx = (idx + E * np.arange(size)[:, None]).ravel()
         return np.bincount(idx, per_tet.ravel(), minlength=size * E).reshape(batch + (E,))
+
+
+def _has_bool(rows) -> bool:
+    """True when nested rows hold a bool, which numpy would turn into 0 or 1
+    beside integers."""
+    return any(isinstance(v, (bool, np.bool_)) for v in np.asarray(rows, dtype=object).flat)
 
 
 def _first(bad: np.ndarray):
@@ -337,21 +345,14 @@ def six_hundred_cell() -> Complex:
     d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
     np.fill_diagonal(d2, np.inf)
     cutoff = d2.min() * (1.0 + 1e-9)
-    adj = d2 < cutoff
-    nbrs = [set(np.nonzero(adj[i])[0].tolist()) for i in range(n)]
-    tets = []
-    for i in range(n):
-        for j in sorted(nbrs[i]):
-            if j <= i:
-                continue
-            common_ij = nbrs[i] & nbrs[j]
-            for k in sorted(common_ij):
-                if k <= j:
-                    continue
-                for m in sorted(common_ij & nbrs[k]):
-                    if m > k:
-                        tets.append((i, j, k, m))
-    return from_simplicial_tets(n, tets)
+    # up[i, j]: i < j are neighbours.  Each clique is listed once, with
+    # increasing vertices, and the cliques come in lexicographic order.
+    up = np.triu(d2 < cutoff)
+    i, j = np.nonzero(up)
+    e, k = np.nonzero(up[i] & up[j])
+    a, b, c = i[e], j[e], k
+    t, m = np.nonzero(up[a] & up[b] & up[c])
+    return from_simplicial_tets(n, np.stack([a[t], b[t], c[t], m], axis=1))
 
 
 # ---------------------------------------------------------------------------

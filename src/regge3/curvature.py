@@ -9,32 +9,31 @@ The basic objects, for a complex with metric (edge length vector) l:
   VEHR = EHR / V^(1/3).
 
 :func:`functionals` is the one evaluation of a metric: a
-:class:`CurvatureReport` from one kernel call, whose first derivatives of
-EHR, LEHR and VEHR all come from one normalization table (EHR has length
-gradient K_e / l_e); residuals, gradients and conformal Hessians are read
-from it.  Hessians in length space are obtained by finite differences.
-The path from lengths to functional values carries a leading batch axis:
-the edge curvatures and ``ehr_value``, ``lehr_value`` and ``vehr_value``
-map lengths (..., E) to (...), one kernel call for the whole stack, so
-each finite-difference stencil (``hessian_fd``, ``gradient_fd``) is one
-stacked call.  Conformal Hessians are exact at every admissible metric
-(``conformal_hessian``): the dihedral Jacobian and volume Hessian of
-each tetrahedron (:attr:`TetGeometry.ddihedrals`,
-:attr:`TetGeometry.d2volume`) enter the chain rule
-H_u = M^T H_l M + B^T diag(l * grad_l F) B, with B the edge-vertex
-incidence and M = diag(l) B, assembled per tetrahedron in vertex space.  The same Hessian gives the exact Newton Jacobian of the
-constant scalar curvature equations (``csc_jacobian``).
+:class:`CurvatureReport` from one kernel call.  Everything at that metric
+is read from the report: gradients (from one normalization table; EHR has
+length gradient K_e / l_e), residuals, the bounds, the exact conformal
+Hessian and the exact Newton Jacobian of the constant scalar curvature
+equations.  The module-level functions of the same quantities are
+one-call entry points.  The conformal Hessian takes the dihedral
+Jacobian and volume Hessian of each tetrahedron
+(:attr:`TetGeometry.ddihedrals`, :attr:`TetGeometry.d2volume`) through the
+chain rule H_u = M^T H_l M + B^T diag(l * grad_l F) B, with B the
+edge-vertex incidence and M = diag(l) B, assembled per tetrahedron in
+vertex space.  Hessians in length space are obtained by finite
+differences: lengths (..., E) map to functional values (...) in one
+kernel call, so each stencil (``hessian_fd``, ``gradient_fd``) is one
+stacked call.
 
 Conformal coordinate convention
 -------------------------------
 The factor map scales the edge between v and v' by exp((f_v + f_v')/2).
-First derivatives (``grad_conformal``, ``csc_jacobian``) are taken with
-respect to the factors f.  Second derivatives (``conformal_hessian``,
-``lehr_conformal_hessian_csc`` and ``conformal_hessian_fd``) are taken
-with respect to the per-vertex log scale factors u = f / 2, under which
-the edge scales as exp(u_v + u_v'); each entry is therefore 4 times the
-corresponding f-derivative.  All reference eigenvalues quoted in the
-tests use the u convention.
+First derivatives (``grad_conformal``, ``CurvatureReport.csc_jacobian``)
+are taken with respect to the factors f.  Second derivatives
+(``conformal_hessian``, ``lehr_conformal_hessian_csc`` and
+``conformal_hessian_fd``) are taken with respect to the per-vertex log
+scale factors u = f / 2, under which the edge scales as exp(u_v + u_v');
+each entry is therefore 4 times the corresponding f-derivative.  All
+reference eigenvalues quoted in the tests use the u convention.
 """
 
 from __future__ import annotations
@@ -48,6 +47,11 @@ from .complexes import Complex, LOCAL_PAIRS
 from . import geometry
 from .conformal import induced_lengths
 from .geometry import InadmissibleMetricError
+
+#: incidence P (6, 4) of the local edges of a tetrahedron on its vertices
+_P = np.zeros((6, 4))
+for _m, _pair in enumerate(LOCAL_PAIRS):
+    _P[_m, list(_pair)] = 1.0
 
 
 @dataclass(frozen=True)
@@ -137,6 +141,100 @@ class CurvatureReport:
         """Per-vertex residual K_v - lambda N_v; see :func:`csc_residual`."""
         _, lam, _, n_vertex = self._normalization(which)
         return self.k_vertex - lam * n_vertex
+
+    def conformal_hessian(self, which: str) -> np.ndarray:
+        """H_u of EHR, LEHR or VEHR, (V, V); see :func:`conformal_hessian`.
+
+        Each length-space Hessian is a sum of per-tet blocks X_t (from the
+        dihedral Jacobian and the volume Hessian) and symmetric rank-one terms
+        in 1, grad_l F and grad_l V.  The chain rule maps X_t to the 4x4 block
+        P^T diag(l_t) X_t diag(l_t) P on the tet's vertices, adds
+        (l * grad_l F)_e on the endpoints of each edge e, and maps each
+        rank-one vector x to M^T x = B^T (l * x).
+        """
+        which = which.lower()
+        c, geo = self.complex, self.geometry
+
+        def to_vertices(per_edge):
+            return 2.0 * _vertex_half_sums(c, per_edge)
+
+        # X, and below diag(l_t) X diag(l_t), are built in place: on the
+        # 600-cell each (T, 6, 6) array is 173 KB
+        X = geo.ddihedrals
+        if which == "ehr":
+            X *= -1.0
+            w = self.k_edge
+            rank_one = ()
+        elif which == "lehr":
+            L = self.length
+            X *= -1.0 / L
+            w = self.einstein_residual("L") / L
+            # -(grad F 1^T + 1 grad F^T) / L
+            rank_one = ((-1.0 / L, to_vertices(w), to_vertices(self.lengths)),)
+        elif which == "vehr":
+            V, S = self.volume, self.ehr
+            N = V ** (1.0 / 3.0)
+            X *= -1.0 / N
+            d2volume = geo.d2volume
+            d2volume *= S / (3.0 * V * N)
+            X -= d2volume
+            del d2volume
+            w = self.einstein_residual("V") / N
+            gv = to_vertices(self.v_edge)
+            # -(grad F grad V^T + grad V grad F^T) / (3V) + (2/9) S V^(-7/3) grad V grad V^T
+            rank_one = ((-1.0 / (3.0 * V), to_vertices(w), gv),
+                        (S / (9.0 * V * V * N), gv, gv))
+        else:
+            raise ValueError(f"unknown functional {which!r}")
+
+        n = c.num_vertices
+        tl = geo.lengths
+        X *= tl[:, :, None]
+        X *= tl[:, None, :]
+        blocks = _P.T @ X @ _P
+        del X
+        tv = c.tet_vertices
+        H = np.bincount((tv[:, :, None] * n + tv[:, None, :]).ravel(), blocks.ravel(),
+                        minlength=n * n).reshape(n, n)
+        H += _edge_matrix(c, w, w)
+        for coef, p, q in rank_one:
+            H += coef * (np.outer(p, q) + np.outer(q, p))
+        return 0.5 * (H + H.T)
+
+    def csc_jacobian(self, which: str) -> np.ndarray:
+        """Jacobian of :meth:`csc_residual` with respect to the factors f, (V, V).
+
+        Row v holds the derivatives of r_v.  The residual is r = N grad_f F
+        with (F, N) = (LEHR, L) for "L" and (VEHR, V^(1/3)) for "V", so
+        J = (N/4) H_u(F) + r g^T with g = grad_f(N) / N, which is L_v / L,
+        resp. V_v / (3V).
+        """
+        which = which.upper()
+        r = self.csc_residual(which)
+        if which in ("L", "LEHR"):
+            N, g, functional = self.length, self.l_vertex / self.length, "lehr"
+        else:
+            N, g, functional = (self.volume ** (1.0 / 3.0),
+                                self.v_vertex / (3.0 * self.volume), "vehr")
+        return 0.25 * N * self.conformal_hessian(functional) + np.outer(r, g)
+
+    def bounds(self) -> BoundsReport:
+        """The edge-degree bounds on LEHR and the fatness bound on VEHR."""
+        deg = int(self.complex.edge_degrees.max())
+        lower = 2.0 * np.pi - np.pi * deg
+        fat = self.volume / self.length ** 3
+        vehr_lower = min(0.0, lower) * fat ** (-1.0 / 3.0)
+        return BoundsReport(
+            max_edge_degree=deg,
+            lehr=self.lehr,
+            lehr_lower=lower,
+            lehr_upper=2.0 * np.pi,
+            fatness=fat,
+            vehr=self.vehr,
+            vehr_lower=vehr_lower,
+            lehr_within_bounds=bool(lower - 1e-12 <= self.lehr <= 2.0 * np.pi + 1e-12),
+            vehr_within_bounds=bool(self.vehr >= vehr_lower - 1e-12),
+        )
 
     def to_text(self) -> str:
         """Structured key-value serialization with 12 significant digits."""
@@ -393,101 +491,17 @@ def conformal_hessian_fd(c: Complex, lengths, which: str,
 
 
 # ---------------------------------------------------------------------------
-# exact conformal Hessians and the csc Newton Jacobian
-
-#: incidence P (6, 4) of the local edges of a tetrahedron on its vertices
-_P = np.zeros((6, 4))
-for _m, _pair in enumerate(LOCAL_PAIRS):
-    _P[_m, list(_pair)] = 1.0
-
-
-def _conformal_hessian(rep: CurvatureReport, which: str) -> np.ndarray:
-    """H_u of EHR, LEHR or VEHR from one report, (V, V).
-
-    Each length-space Hessian is a sum of per-tet blocks X_t (from the
-    dihedral Jacobian and the volume Hessian) and symmetric rank-one terms
-    in 1, grad_l F and grad_l V.  The chain rule maps X_t to the 4x4 block
-    P^T diag(l_t) X_t diag(l_t) P on the tet's vertices, adds
-    (l * grad_l F)_e on the endpoints of each edge e, and maps each
-    rank-one vector x to M^T x = B^T (l * x).
-    """
-    which = which.lower()
-    c, geo = rep.complex, rep.geometry
-
-    def to_vertices(per_edge):
-        return 2.0 * _vertex_half_sums(c, per_edge)
-
-    # X, and below diag(l_t) X diag(l_t), are built in place: on the
-    # 600-cell each (T, 6, 6) array is 173 KB
-    X = geo.ddihedrals
-    if which == "ehr":
-        X *= -1.0
-        w = rep.k_edge
-        rank_one = ()
-    elif which == "lehr":
-        L = rep.length
-        X *= -1.0 / L
-        w = rep.einstein_residual("L") / L
-        # -(grad F 1^T + 1 grad F^T) / L
-        rank_one = ((-1.0 / L, to_vertices(w), to_vertices(rep.lengths)),)
-    elif which == "vehr":
-        V, S = rep.volume, rep.ehr
-        N = V ** (1.0 / 3.0)
-        X *= -1.0 / N
-        d2volume = geo.d2volume
-        d2volume *= S / (3.0 * V * N)
-        X -= d2volume
-        del d2volume
-        w = rep.einstein_residual("V") / N
-        gv = to_vertices(rep.v_edge)
-        # -(grad F grad V^T + grad V grad F^T) / (3V) + (2/9) S V^(-7/3) grad V grad V^T
-        rank_one = ((-1.0 / (3.0 * V), to_vertices(w), gv),
-                    (S / (9.0 * V * V * N), gv, gv))
-    else:
-        raise ValueError(f"unknown functional {which!r}")
-
-    n = c.num_vertices
-    tl = geo.lengths
-    X *= tl[:, :, None]
-    X *= tl[:, None, :]
-    blocks = _P.T @ X @ _P
-    del X
-    tv = c.tet_vertices
-    H = np.bincount((tv[:, :, None] * n + tv[:, None, :]).ravel(), blocks.ravel(),
-                    minlength=n * n).reshape(n, n)
-    H += _edge_matrix(c, w, w)
-    for coef, p, q in rank_one:
-        H += coef * (np.outer(p, q) + np.outer(q, p))
-    return 0.5 * (H + H.T)
+# exact conformal Hessians and the Laplacian
 
 
 def conformal_hessian(c: Complex, lengths, which: str) -> np.ndarray:
     """Exact conformal Hessian of EHR, LEHR or VEHR at any admissible metric.
 
     u convention: the Hessian of u -> F(exp(u_v + u_v') * l_e) at u = 0,
-    shape (V, V), from one kernel call.  ``conformal_hessian_fd`` is its
-    finite-difference oracle.
+    shape (V, V), from one kernel call (:meth:`CurvatureReport.conformal_hessian`).
+    ``conformal_hessian_fd`` is its finite-difference oracle.
     """
-    return _conformal_hessian(functionals(c, lengths), which)
-
-
-def csc_jacobian(c: Complex, lengths, which: str) -> np.ndarray:
-    """Jacobian of :func:`csc_residual` with respect to the factors f, (V, V).
-
-    Row v holds the derivatives of r_v.  The residual is r = N grad_f F
-    with (F, N) = (LEHR, L) for "L" and (VEHR, V^(1/3)) for "V", so
-    J = (N/4) H_u(F) + r g^T with g = grad_f(N) / N, which is L_v / L,
-    resp. V_v / (3V).  One kernel call.
-    """
-    rep = functionals(c, lengths)
-    which = which.upper()
-    r = rep.csc_residual(which)
-    if which == "L":
-        N, g, functional = rep.length, rep.l_vertex / rep.length, "lehr"
-    else:
-        N, g, functional = (rep.volume ** (1.0 / 3.0),
-                            rep.v_vertex / (3.0 * rep.volume), "vehr")
-    return 0.25 * N * _conformal_hessian(rep, functional) + np.outer(r, g)
+    return functionals(c, lengths).conformal_hessian(which)
 
 
 def laplacian_matrix(c: Complex, lengths) -> np.ndarray:
@@ -532,7 +546,7 @@ def lehr_conformal_hessian_csc(c: Complex, lengths) -> np.ndarray:
         raise ValueError(
             f"metric is not constant L-scalar curvature: max residual {res:.3e} "
             f"> {_CSC_TOL:.1e}")
-    return _conformal_hessian(rep, "lehr")
+    return rep.conformal_hessian("lehr")
 
 
 # ---------------------------------------------------------------------------
@@ -588,19 +602,4 @@ class BoundsReport:
 
 def bounds_report(c: Complex, lengths) -> BoundsReport:
     """Evaluate the edge-degree bounds on LEHR and the fatness bound on VEHR."""
-    rep = functionals(c, lengths)
-    deg = int(c.edge_degrees.max())
-    lower = 2.0 * np.pi - np.pi * deg
-    fat = rep.volume / rep.length ** 3
-    vehr_lower = min(0.0, lower) * fat ** (-1.0 / 3.0)
-    return BoundsReport(
-        max_edge_degree=deg,
-        lehr=rep.lehr,
-        lehr_lower=lower,
-        lehr_upper=2.0 * np.pi,
-        fatness=fat,
-        vehr=rep.vehr,
-        vehr_lower=vehr_lower,
-        lehr_within_bounds=bool(lower - 1e-12 <= rep.lehr <= 2.0 * np.pi + 1e-12),
-        vehr_within_bounds=bool(rep.vehr >= vehr_lower - 1e-12),
-    )
+    return functionals(c, lengths).bounds()

@@ -187,32 +187,28 @@ def criterion_6_unboundedness():
 def criterion_7_einstein_csc_structure():
     dt = double_tetrahedron()
     ones = np.ones(6)
-    e_l = float(np.abs(curvature.einstein_residual(dt, ones, "L")).max())
-    e_v = float(np.abs(curvature.einstein_residual(dt, ones, "V")).max())
+
+    def worst(residual):
+        return max(float(np.abs(residual(w)).max()) for w in "LV")
+
+    e_lv = worst(curvature.functionals(dt, ones).einstein_residual)
     rng = np.random.default_rng(2024)
-    worst_csc = 0.0
-    for _ in range(20):
-        l = random_equihedral_lengths(rng)
-        worst_csc = max(worst_csc,
-                        float(np.abs(curvature.csc_residual(dt, l, "L")).max()),
-                        float(np.abs(curvature.csc_residual(dt, l, "V")).max()))
-    for t in (1.05, 1.15, 1.25, 1.35):
-        l = diagonal_family(t)
-        worst_csc = max(worst_csc,
-                        float(np.abs(curvature.csc_residual(dt, l, "L")).max()),
-                        float(np.abs(curvature.csc_residual(dt, l, "V")).max()))
+    metrics = [random_equihedral_lengths(rng) for _ in range(20)] \
+        + [diagonal_family(t) for t in (1.05, 1.15, 1.25, 1.35)]
+    worst_csc = max(worst(curvature.functionals(dt, l).csc_residual) for l in metrics)
     # Einstein => csc on every test metric
     implication_ok = True
     test_metrics = [ones] + [random_equihedral_lengths(rng) for _ in range(5)] \
         + [solve.random_admissible_lengths(dt, rng) for _ in range(10)]
     for l in test_metrics:
+        rep = curvature.functionals(dt, l)
         for which in ("L", "V"):
-            if float(np.abs(curvature.einstein_residual(dt, l, which)).max()) <= 1e-10:
-                if float(np.abs(curvature.csc_residual(dt, l, which)).max()) > 1e-9:
+            if float(np.abs(rep.einstein_residual(which)).max()) <= 1e-10:
+                if float(np.abs(rep.csc_residual(which)).max()) > 1e-9:
                     implication_ok = False
     return [
         _row("7a", "equal lengths pass both Einstein residuals",
-             0.0, max(e_l, e_v), "< 1e-10", max(e_l, e_v) < 1e-10),
+             0.0, e_lv, "< 1e-10", e_lv < 1e-10),
         _row("7b", "sampled equihedral metrics pass both csc residuals",
              0.0, worst_csc, "< 1e-10", worst_csc < 1e-10),
         _row("7c", "Einstein implies csc on all test metrics",
@@ -275,11 +271,9 @@ def criterion_8_property_suites():
     for _ in range(20):
         l = solve.random_admissible_lengths(dt, rng)
         s = rng.uniform(0.5, 3.0)
-        worst = max(worst,
-                    abs(curvature.lehr_value(dt, s * l) - curvature.lehr_value(dt, l))
-                    / curvature.lehr_value(dt, l),
-                    abs(curvature.vehr_value(dt, s * l) - curvature.vehr_value(dt, l))
-                    / curvature.vehr_value(dt, l))
+        rep, scaled = curvature.functionals(dt, l), curvature.functionals(dt, s * l)
+        worst = max(worst, abs(scaled.lehr - rep.lehr) / rep.lehr,
+                    abs(scaled.vehr - rep.vehr) / rep.vehr)
     rows.append(_row("8d", "scale invariance of the normalized functionals",
                      0.0, worst, "rel 1e-12", worst < 1e-12))
 
@@ -345,12 +339,11 @@ def criterion_10_six_hundred_cell():
     c = six_hundred_cell()
     counts_ok = c.counts() == (120, 720, 1200, 600)
     deg = c.edge_degrees
-    ones = np.ones(720)
-    k = curvature.edge_curvatures(c, ones)
+    rep = curvature.functionals(c, np.ones(720))
+    k = rep.k_edge
     expect = 2 * np.pi - 5 * ACOS13
     kdev = float(np.abs(k - expect).max())
-    csc = max(float(np.abs(curvature.csc_residual(c, ones, "L")).max()),
-              float(np.abs(curvature.csc_residual(c, ones, "V")).max()))
+    csc = max(float(np.abs(rep.csc_residual(w)).max()) for w in "LV")
     return [
         _row("10a", "600-cell counts (V,E,F,T)", "(120, 720, 1200, 600)",
              str(c.counts()), "exact", counts_ok),

@@ -81,15 +81,17 @@ def solve_csc(cls: ConformalClass, which: str = "L", f0=None,
               tol: float = 1e-10, max_iter: int = 100):
     """Newton iteration for K_v = lambda * L_v (or lambda * V_v) in a class.
 
-    The multiplier is recomputed from the metric at every iterate, the
-    Jacobian is exact (:func:`curvature.csc_jacobian`, evaluated at the
-    lengths of the accepted iterate), and the scale gauge is fixed by
-    constraining sum(f) to its starting value through a bordered system.
-    The step is halved (up to 30 times) while the trial point is
-    inadmissible or does not reduce the residual:
-    ||r_t||^2 <= (1 - 1e-4 * step) ||r||^2 accepts it.  Exhaustion
-    terminates with reason "boundary-hit" if a trial was inadmissible,
-    else "stall".
+    The multiplier is recomputed from the metric at every iterate, and the
+    scale gauge is fixed by constraining sum(f) to its starting value
+    through a bordered system.  Each point costs one kernel call: its
+    report (:func:`curvature.functionals`) gives the residual and, once
+    the point is accepted, the exact Jacobian
+    (:meth:`curvature.CurvatureReport.csc_jacobian`).  The step is halved
+    (up to 30 times) while the trial point is inadmissible (the kernel
+    raises :class:`geometry.InadmissibleMetricError`) or does not reduce
+    the residual: ||r_t||^2 <= (1 - 1e-4 * step) ||r||^2 accepts it.
+    Exhaustion terminates with reason "boundary-hit" if a trial was
+    inadmissible, else "stall".
 
     Returns (factors, SolveTrace).
     """
@@ -101,7 +103,8 @@ def solve_csc(cls: ConformalClass, which: str = "L", f0=None,
     lengths, ok = cls.apply(f)
     if not ok:
         raise geometry.InadmissibleMetricError("starting point is not admissible")
-    r = curvature.csc_residual(c, lengths, which)
+    rep = curvature.functionals(c, lengths)
+    r = rep.csc_residual(which)
 
     for _ in range(max_iter):
         rn = float(np.abs(r).max())
@@ -110,14 +113,10 @@ def solve_csc(cls: ConformalClass, which: str = "L", f0=None,
             trace.reason = "converged"
             return f, trace
 
-        K = np.zeros((n + 1, n + 1))
-        K[:n, :n] = curvature.csc_jacobian(c, lengths, which)
-        K[:n, n] = 1.0
-        K[n, :n] = 1.0
-        rhs = np.zeros(n + 1)
-        rhs[:n] = -r
+        K = np.block([[rep.csc_jacobian(which), np.ones((n, 1))],
+                      [np.ones((1, n)), np.zeros((1, 1))]])
         try:
-            delta = np.linalg.solve(K, rhs)[:n]
+            delta = np.linalg.solve(K, np.append(-r, 0.0))[:n]
         except np.linalg.LinAlgError:
             trace.reason = "singular-jacobian"
             return f, trace
@@ -126,19 +125,21 @@ def solve_csc(cls: ConformalClass, which: str = "L", f0=None,
         step = 1.0
         blocked = False
         for _ in range(_CSC_MAX_HALVINGS):
-            trial, ok = cls.apply(f + step * delta)
-            if ok:
-                r_trial = curvature.csc_residual(c, trial, which)
+            try:
+                trial = curvature.functionals(
+                    c, induced_lengths(c, cls.background, f + step * delta))
+            except geometry.InadmissibleMetricError:
+                blocked = True
+            else:
+                r_trial = trial.csc_residual(which)
                 if float(r_trial @ r_trial) <= (1.0 - 1e-4 * step) * rr:
                     break
-            else:
-                blocked = True
             step *= 0.5
         else:
             trace.reason = "boundary-hit" if blocked else "stall"
             return f, trace
         f = f + step * delta
-        lengths, r = trial, r_trial
+        rep, r = trial, r_trial
         trace.step_sizes.append(step)
 
     trace.record(f, float(np.abs(r).max()))
@@ -473,10 +474,11 @@ def sweep_family(c: Complex, family, t_values, quantities) -> SweepTable:
 
     for t in np.asarray(t_values, dtype=float):
         lengths = np.asarray(family(float(t)), dtype=float)
-        if not geometry.is_admissible(c, lengths):
+        try:
+            rep = curvature.functionals(c, lengths)
+        except geometry.InadmissibleMetricError:
             rows.append([float(t), 0] + [float("nan")] * len(quantities))
             continue
-        rep = curvature.functionals(c, lengths)
         cache = {
             "ehr": rep.ehr, "lehr": rep.lehr, "vehr": rep.vehr,
             "length": rep.length, "volume": rep.volume,

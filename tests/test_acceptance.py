@@ -55,3 +55,9 @@ def test_every_criterion_group_present():
     keys = {key.rstrip("abcdefg") for _, key in ROWS}
     assert keys == {str(i) for i in range(1, 12)}
     assert len(ROW_KEYS) == len(reproduce.ALL_CRITERIA)
+
+
+def test_criterion_10_reads_one_report(kernel_calls):
+    # the edge curvatures and both csc residuals of the 600-cell
+    assert all(r.passed for r in reproduce.criterion_10_six_hundred_cell())
+    assert kernel_calls == [(600, 6)]

@@ -244,6 +244,19 @@ class TestFileFormat:
         with pytest.raises(ComplexError, match=f"{section} section"):
             parse_complex(text.replace(old, new, 1))
 
+    @pytest.mark.parametrize("section, old, new", [
+        ("edges", "edges: [[0, 1],", "edges: [[0, True],"),
+        ("faces", "[[5, 4, 3], [1, 2, 3]]", "[[5, 4, 3], [True, 2, 3]]"),
+        ("tets", "[[0, 1, 2, 3], [0, 1, 2, 3, 4, 5], [0, 1, 2, 3]]",
+                 "[[0, 1, 2, 3], [0, 1, 2, 3, 4, 5], [0, True, 2, 3]]"),
+    ], ids=("edges", "faces", "tets"))
+    def test_bool_ids_rejected(self, dt, section, old, new):
+        # True == 1, so each document would otherwise load as the double tetrahedron
+        text = format_complex(dt)
+        assert old in text
+        with pytest.raises(ComplexError, match=f"{section} section"):
+            parse_complex(text.replace(old, new, 1))
+
     @pytest.mark.parametrize("text", [
         "vertices: 4\nedges: [[0, 1, 2]]\nfaces: []\ntets: []",
         "vertices: 4\nedges: [[0, 1]]\nfaces: [[[0, 0, 0]]]\ntets: []",

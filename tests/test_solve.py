@@ -118,22 +118,52 @@ class TestSolveCsc:
 
     def test_exact_jacobian_kernel_calls_on_cell600(self, kernel_calls, monkeypatch):
         cls = ConformalClass(six_hundred_cell(), np.ones(720))
-        applied = []
-        apply = ConformalClass.apply
+        applied, checked = [], []
+        apply, is_admissible = ConformalClass.apply, geometry.is_admissible
 
         def counted_apply(self, factors):
             applied.append(factors)
             return apply(self, factors)
 
+        def counted_check(c, lengths):
+            checked.append(1)
+            return is_admissible(c, lengths)
+
         monkeypatch.setattr(ConformalClass, "apply", counted_apply)
+        monkeypatch.setattr(geometry, "is_admissible", counted_check)
         f, trace = solve_csc(cls, "L", np.random.default_rng(44).normal(0.0, 0.02, 120))
         assert trace.reason == "converged"
         steps = len(trace.step_sizes)
         assert steps >= 2 and all(s == 1.0 for s in trace.step_sizes)
-        # one residual at the start and after each step, one Jacobian per step
-        assert len(kernel_calls) == 2 * steps + 1
-        # the factor map runs on the iterates only: no finite-difference points
-        assert len(applied) == steps + 1
+        # one report at the start and one per trial: each accepted trial's
+        # report gives the next residual and Jacobian
+        assert len(kernel_calls) == steps + 1
+        # the factor map and its admissibility check run on the start only
+        assert len(applied) == 1 and len(checked) == 1
+
+    def test_blocked_trials_are_the_kernels_raises(self, dt, monkeypatch):
+        # backgrounds U(0.7, 1.3) and factors N(0, 0.5): nine trials of this
+        # run leave the admissible set (measured with the factor map's flag
+        # before the kernel's raise replaced it)
+        rng = np.random.default_rng(3)
+        bg = rng.uniform(0.7, 1.3, 6)
+        while not geometry.is_admissible(dt, bg):
+            bg = rng.uniform(0.7, 1.3, 6)
+        f0 = rng.normal(0.0, 0.5, 4)
+        blocked = []
+        functionals = curvature.functionals
+
+        def counted(c, lengths):
+            try:
+                return functionals(c, lengths)
+            except geometry.InadmissibleMetricError:
+                blocked.append(1)
+                raise
+
+        monkeypatch.setattr(curvature, "functionals", counted)
+        f, trace = solve_csc(ConformalClass(dt, bg), "L", f0)
+        assert (trace.reason, len(trace.step_sizes), len(blocked)) == ("converged", 8, 9)
+        assert trace.step_sizes == [0.25, 0.0078125, 0.25, 1.0, 1.0, 1.0, 1.0, 1.0]
 
     def test_residual_decrease_keeps_newton_from_diverging(self, dt):
         # from this start the full-step iteration wandered off to factors
@@ -344,11 +374,21 @@ class TestSweep:
         vehr = [row[3] for row in table.rows]
         assert all(b > a for a, b in zip(vehr[-10:], vehr[-9:]))
 
-    def test_scalar_row_costs_one_kernel_call(self, dt, kernel_calls):
+    def test_scalar_row_costs_one_kernel_call(self, dt, kernel_calls, monkeypatch):
+        checked = []
+        is_admissible = geometry.is_admissible
+
+        def counted_check(c, lengths):
+            checked.append(1)
+            return is_admissible(c, lengths)
+
+        monkeypatch.setattr(geometry, "is_admissible", counted_check)
         table = sweep_family(dt, diagonal_family, [1.0, 1.2, 1.5],
                              ["vehr", "ehr", "csc_res_v"])
         assert [row[1] for row in table.rows] == [1, 1, 0]
-        assert len(kernel_calls) == 2
+        # one report per row, whose kernel call also decides admissibility:
+        # the t = 1.5 call raises
+        assert len(kernel_calls) == 3 and checked == []
 
     def test_inadmissible_rows_flagged(self, dt):
         table = sweep_family(dt, diagonal_family, [1.0, 1.5],
