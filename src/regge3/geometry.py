@@ -11,14 +11,16 @@ tetrahedron.  Operations that require admissibility raise
 :class:`InadmissibleMetricError` instead of clamping, so optimization
 paths can detect the boundary of the metric space exactly.
 
-Every per-tet quantity comes from one kernel, :func:`tet_geometry`: the
-5x5 bordered Cayley-Menger matrix ``A`` of squared lengths, its
-determinant CM3 = 288 V^2 and its inverse ``G``.  With rows and columns of
-``G`` numbered 1..4 for the vertices and 0 for the border, ``G[0, k]`` are
-the barycentric coordinates of the circumcenter and the vertex block is
--1/(18 V^2) times the Gram matrix of the area-weighted outward face
-normals.  Second derivatives come from the same inverse: for edge m = (i, j),
-dG_ab/dl_m = -2 l_m (G_ai G_jb + G_aj G_ib).
+Every per-tet quantity comes from one kernel, :func:`tet_geometry`: the inverse
+G of the 5x5 bordered Cayley-Menger matrix A of squared lengths, rows and
+columns 1..4 for the vertices and 0 for the border, built from the Gram matrix
+at local vertex 0, g_ij = (l_0i^2 + l_0j^2 - l_ij^2) / 2 (Blumenthal, *Theory
+and Applications of Distance Geometry*): det A = CM3 = 8 det g = 288 V^2; the
+vertex block of G is -1/2 T g^-1 T^T, T = [-1^T; I_3], i.e. -1/(18 V^2) times
+the Gram matrix of the area-weighted outward face normals; G[0, 1:] =
+(1 - sum(y), y), y = g^-1 diag(g) / 2, are the circumcenter's barycentric
+coordinates; G[0, 0] = -2 R^2 = -y . diag(g).  Second derivatives come from
+the same G: for edge m = (i, j), dG_ab/dl_m = -2 l_m (G_ai G_jb + G_aj G_ib).
 """
 
 from __future__ import annotations
@@ -35,6 +37,16 @@ _I, _J = np.array(LOCAL_PAIRS).T + 1
 _K, _L = np.array([[v for v in range(4) if v not in p] for p in LOCAL_PAIRS]).T + 1
 # the two (face, slot) incidences of each local edge, as index arrays (6, 2)
 _EF_FACE, _EF_SLOT = np.moveaxis(np.array(EDGE_FACES), -1, 0)
+_FACE_EDGES = np.array(FACE_EDGES)
+# 2g as (11, 22, 33, 12, 13, 23) is q[_GRAM] summed, less q_ij off the diagonal;
+# its cofactors (11, 12, 13, 22, 23, 33) are x[a] x[b] - x[c] x[d] for the rows
+# a..d of _COF, whose row 4 is the first row of 2g, to expand det 2g along
+_GRAM = np.array([[0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]])
+_COF = np.array([[1, 4, 3, 0, 3, 0], [2, 5, 5, 2, 4, 1], [5, 3, 4, 4, 0, 3],
+                 [5, 2, 1, 4, 5, 3], [0, 3, 4, 0, 0, 0]])
+_SYM5 = np.zeros((5, 5), dtype=int)    # G from its upper triangle, row by row
+_SYM5[np.triu_indices(5)] = _SYM5.T[np.triu_indices(5)] = np.arange(15)
+_SYM3 = _SYM5[2:, 2:] - 9              # 3x3 from (11, 12, 13, 22, 23, 33)
 
 
 class InadmissibleMetricError(ValueError):
@@ -48,35 +60,24 @@ def _as_lengths(lengths) -> np.ndarray:
     return l
 
 
-def _cm_matrix(l) -> np.ndarray:
-    """The bordered matrix (..., 5, 5) of squared lengths."""
+def _gram_cofactors(l, n):
+    """2g (..., 6), the first ``n`` of its cofactors, and det 2g = 8 det g = CM3."""
     q = l * l
-    A = np.ones(l.shape[:-1] + (5, 5))
-    A[..., range(5), range(5)] = 0.0
-    A[..., _I, _J] = q
-    A[..., _J, _I] = q
-    return A
+    g2 = q[..., _GRAM].sum(-2)
+    g2[..., 3:] -= q[..., 3:]
+    t = g2[..., _COF[:, :n]]
+    adj = t[..., 0, :] * t[..., 1, :] - t[..., 2, :] * t[..., 3, :]
+    return g2, adj, (t[..., 4, :3] * adj[..., :3]).sum(-1)
 
 
 def cayley_menger(lengths) -> np.ndarray:
-    """Determinant of the 5x5 bordered matrix of squared lengths.
+    """Determinant of the 5x5 bordered matrix of squared lengths, as 8 det g.
 
     A degree-six polynomial in the lengths; positive exactly when the
     lengths are realized by a nondegenerate tetrahedron, and equal to
     288 * volume^2 in that case.
     """
-    return np.linalg.det(_cm_matrix(_as_lengths(lengths)))
-
-
-def _face_margins(l) -> np.ndarray:
-    """Strict triangle margins per face, (..., 4): positive iff realizable.
-
-    Positivity of CM3 alone does not guarantee a Euclidean tetrahedron;
-    there are length vectors with CM3 > 0 whose faces violate the
-    triangle inequality, so faces are checked separately.
-    """
-    sides = l[..., np.asarray(FACE_EDGES)]
-    return np.sum(sides, axis=-1) - 2.0 * np.max(sides, axis=-1)
+    return _gram_cofactors(_as_lengths(lengths), 3)[2]
 
 
 def _worst_tet(values) -> str:
@@ -88,30 +89,32 @@ def _worst_tet(values) -> str:
     return str(flat) if len(index) <= 1 else str(tuple(int(k) for k in index))
 
 
-def _admissible_cm(l, A=None) -> np.ndarray:
-    """CM3 of each tet of ``l`` (..., 6); raise naming the worst tet if any
-    has a nonpositive or non-finite length, a degenerate face or CM3 <= 0.
+def _admissible_cm(l, n=3):
+    """CM3, 2g and the first ``n`` cofactors of 2g for the tets ``l`` (..., 6); raise
+    naming the worst tet on a nonpositive or non-finite length, a degenerate face or CM3 <= 0.
 
     For one axis of tets, as in ``Complex.tet_lengths`` output of one
     metric, the worst tet is named by its tet id; in a batch of metrics,
     by its index tuple.
     """
-    if np.any(l <= 0.0) or not np.all(np.isfinite(l)):
+    if not (l.min(initial=np.inf) > 0.0 and l.max(initial=0.0) < np.inf):  # NaN fails both
         raise InadmissibleMetricError("edge lengths must be positive and finite")
-    margins = np.min(_face_margins(l), axis=-1)
-    if np.any(margins <= 0.0):
+    # CM3 > 0 alone does not rule out faces that violate the triangle inequality
+    sides = l[..., _FACE_EDGES]
+    margins = (sides.sum(-1) - 2.0 * sides.max(-1)).min(-1)
+    if margins.min(initial=np.inf) <= 0.0:
         raise InadmissibleMetricError(
             f"metric not admissible: tet {_worst_tet(margins)} has a degenerate face triangle")
-    cm = np.linalg.det(_cm_matrix(l) if A is None else A)
-    if np.any(cm <= 0.0):
+    g2, adj, cm = _gram_cofactors(l, n)
+    if cm.min(initial=np.inf) <= 0.0:
         raise InadmissibleMetricError(
             f"metric not admissible: tet {_worst_tet(cm)} has CM3 = {float(cm.min()):.6g} <= 0")
-    return cm
+    return cm, g2, adj
 
 
 def tet_volume(lengths) -> np.ndarray:
     """Volume sqrt(CM3 / 288) of each tetrahedron."""
-    return np.sqrt(_admissible_cm(_as_lengths(lengths)) / 288.0)
+    return np.sqrt(_admissible_cm(_as_lengths(lengths))[0] / 288.0)
 
 
 def dihedral_angles(lengths) -> np.ndarray:
@@ -192,18 +195,22 @@ class TetGeometry:
 def tet_geometry(lengths) -> TetGeometry:
     """Compute the full :class:`TetGeometry` bundle for admissible lengths.
 
-    With (k, l) the vertices off edge ij: cos beta_ij = G_kl / sqrt(G_kk G_ll),
-    h_face_k = G_0k * 3V / A_k (the circumcenter's barycentric coordinate
-    times the height of vertex k) and dV/dl_ij = 2 l_ij V G_ij.
+    G follows the module docstring's Gram identities from 2g: det 2g = CM3, and
+    -adj(2g) / CM3 = -g^-1 / 2.  With (k, l) the vertices off edge ij: cos beta_ij
+    = G_kl / sqrt(G_kk G_ll), h_face_k = G_0k * 3V / A_k (the circumcenter's
+    barycentric coordinate times the height of vertex k), dV/dl_ij = 2 l_ij V G_ij.
     """
     l = _as_lengths(lengths)
-    A = _cm_matrix(l)
-    cm = _admissible_cm(l, A)
+    cm, g2, adj = _admissible_cm(l, 6)
     volume = np.sqrt(cm / 288.0)
-    G = np.linalg.inv(A)
+    h = -adj / cm[..., None]
+    H, d = h[..., _SYM3], 0.5 * g2[..., :3]
+    y, r = -(H * d[..., None, :]).sum(-1), H.sum(-1)
+    G = np.concatenate([-(y * d).sum(-1, keepdims=True), 1.0 - y.sum(-1, keepdims=True), y,
+                        r.sum(-1, keepdims=True), -r, h], axis=-1)[..., _SYM5]
     cos = G[..., _K, _L] / np.sqrt(G[..., _K, _K] * G[..., _L, _L])
 
-    sides = l[..., np.asarray(FACE_EDGES)]
+    sides = l[..., _FACE_EDGES]
     a, b, c = sides[..., 0], sides[..., 1], sides[..., 2]
     s = 0.5 * (a + b + c)
     areas = np.sqrt(s * (s - a) * (s - b) * (s - c))
@@ -212,16 +219,9 @@ def tet_geometry(lengths) -> TetGeometry:
     h_edge = sides * (sq[..., [1, 2, 0]] + sq[..., [2, 0, 1]] - sq) / (8.0 * areas[..., None])
 
     return TetGeometry(
-        lengths=l,
-        cm3=cm,
-        volume=volume,
-        dihedrals=np.arccos(np.clip(cos, -1.0, 1.0)),
-        areas=areas,
-        h_face=G[..., 0, 1:] * (3.0 * volume[..., None] / areas),
-        h_edge=h_edge,
-        dvolume=2.0 * l * volume[..., None] * G[..., _I, _J],
-        cm_inverse=G,
-    )
+        lengths=l, cm3=cm, volume=volume, dihedrals=np.arccos(np.clip(cos, -1.0, 1.0)),
+        areas=areas, h_face=G[..., 0, 1:] * (3.0 * volume[..., None] / areas), h_edge=h_edge,
+        dvolume=2.0 * l * volume[..., None] * G[..., _I, _J], cm_inverse=G)
 
 
 # ---------------------------------------------------------------------------
@@ -243,5 +243,5 @@ def is_admissible(c: Complex, lengths) -> bool:
 
 def assert_admissible(c: Complex, lengths) -> np.ndarray:
     """Return per-tet CM3 values; raise with the worst tet on failure."""
-    return _admissible_cm(c.tet_lengths(lengths))
+    return _admissible_cm(c.tet_lengths(lengths))[0]
 

@@ -1,13 +1,17 @@
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
+from regge3 import geometry
 from regge3.complexes import (FACE_EDGES, FACE_VERTICES, LOCAL_PAIRS,
-                              double_tetrahedron)
+                              double_tetrahedron, six_hundred_cell)
 from regge3.conformal import random_equihedral_lengths
 from regge3.curvature import functionals
 from regge3.geometry import (InadmissibleMetricError, cayley_menger, dihedral_angles,
-                             tet_geometry, tet_volume)
-from regge3.solve import random_admissible_lengths
+                             is_admissible, tet_geometry, tet_volume)
+from regge3.solve import diagonal_family, random_admissible_lengths
 
 REGULAR = np.ones(6)
 ACOS13 = np.arccos(1.0 / 3.0)
@@ -467,3 +471,172 @@ class TestDualLengths:
         dt = double_tetrahedron()
         with pytest.raises(InadmissibleMetricError):
             dual_lengths(dt, np.array([1.4143, 1, 1, 1, 1, 1.4143]))
+
+
+# ---------------------------------------------------------------------------
+# LAPACK oracle: the kernel builds CM3 and G = A^-1 in closed form from the
+# Gram matrix at vertex 0; this builds the 5x5 bordered matrix A and hands it
+# to np.linalg.det and np.linalg.inv
+
+_I, _J = np.array(LOCAL_PAIRS).T + 1
+_K, _L = np.array([[v for v in range(4) if v not in p] for p in LOCAL_PAIRS]).T + 1
+FIELDS = ("cm3", "cm_inverse", "volume", "dihedrals", "h_face", "dvolume",
+          "ddihedrals", "d2volume")
+
+
+def cm_matrix(l):
+    """The bordered matrix (..., 5, 5) of squared lengths."""
+    q = l * l
+    A = np.ones(l.shape[:-1] + (5, 5))
+    A[..., range(5), range(5)] = 0.0
+    A[..., _I, _J] = q
+    A[..., _J, _I] = q
+    return A
+
+
+def lapack_geometry(l):
+    """The kernel's bundle with CM3, G and the fields read from G replaced
+    by their values from LAPACK; ddihedrals and d2volume then follow from
+    the LAPACK G.  Areas and h_edge come from Heron's formula either way."""
+    geo = tet_geometry(l)
+    A = cm_matrix(l)
+    cm, G = np.linalg.det(A), np.linalg.inv(A)
+    V = np.sqrt(cm / 288.0)
+    cos = G[..., _K, _L] / np.sqrt(G[..., _K, _K] * G[..., _L, _L])
+    return dataclasses.replace(
+        geo, cm3=cm, volume=V, dihedrals=np.arccos(np.clip(cos, -1.0, 1.0)),
+        h_face=G[..., 0, 1:] * (3.0 * V[..., None] / geo.areas),
+        dvolume=2.0 * l * V[..., None] * G[..., _I, _J], cm_inverse=G)
+
+
+def lapack_admissible(l):
+    """The verdict of the LAPACK route: positive lengths, strict triangle
+    inequalities on every face and det A > 0."""
+    sides = l[..., np.asarray(FACE_EDGES)]
+    faces = np.all(np.sum(sides, axis=-1) > 2.0 * np.max(sides, axis=-1), axis=-1)
+    return np.all(l > 0, axis=-1) & faces & (np.linalg.det(cm_matrix(l)) > 0)
+
+
+def worst_rel(a, b, tet_axes):
+    """Largest per-tet error |a - b| relative to max |b| over that tet's entries."""
+    trailing = tuple(range(tet_axes, np.ndim(b)))
+    return float(np.max(np.max(np.abs(a - b), axis=trailing, initial=0.0)
+                        / np.max(np.abs(b), axis=trailing, initial=0.0)))
+
+
+def assert_matches_lapack(l, rel):
+    geo, ref = tet_geometry(l), lapack_geometry(l)
+    for name in FIELDS:
+        err = worst_rel(getattr(geo, name), getattr(ref, name), l.ndim - 1)
+        assert err <= rel, (name, err)
+
+
+class TestClosedFormAgainstLapack:
+    def test_random_tets(self):
+        rng = np.random.default_rng(70)
+        dt = double_tetrahedron()
+        metrics = np.stack([random_admissible_lengths(dt, rng) for _ in range(100)])
+        l = dt.tet_lengths(metrics).reshape(200, 6)
+        assert_matches_lapack(l, 1e-12)
+
+    def test_six_hundred_cell(self):
+        c = six_hundred_cell()
+        rng = np.random.default_rng(71)
+        for metric in (np.ones(c.num_edges), 1.0 + 0.02 * rng.standard_normal(c.num_edges)):
+            assert_matches_lapack(c.tet_lengths(metric), 1e-12)
+
+    @pytest.mark.parametrize("t", [0.5, 0.8, 1.0, 1.2, 1.3, 1.4, 1.41, 1.414, 1.4142, 1.41421])
+    def test_diagonal_family(self, t):
+        # either route loses accuracy like the conditioning (mean l)^6 / CM3,
+        # about 3.5e3 at t = 1.4142 and 1.3e4 at 1.41421, so past a
+        # conditioning of 10 the bound grows with it
+        l = diagonal_family(t)
+        kappa = float(np.mean(l)) ** 6 / float(cayley_menger(l))
+        assert_matches_lapack(l, max(1e-12, 1e-13 * kappa))
+
+    def test_metric_stack_equals_its_metrics_bitwise(self):
+        c = six_hundred_cell()
+        rng = np.random.default_rng(72)
+        stack = c.tet_lengths(1.0 + 0.02 * rng.standard_normal((5, c.num_edges)))
+        assert stack.shape == (5, 600, 6)
+        batch = tet_geometry(stack)
+        for i in range(5):
+            one = tet_geometry(stack[i])
+            for name in FIELDS + ("areas", "h_edge"):
+                assert np.array_equal(getattr(batch, name)[i], getattr(one, name)), name
+
+    def test_empty_batch(self):
+        geo = tet_geometry(np.empty((0, 6)))
+        assert geo.cm_inverse.shape == (0, 5, 5) and geo.dihedrals.shape == (0, 6)
+        assert tet_volume(np.empty((0, 6))).shape == cayley_menger(np.empty((0, 6))).shape == (0,)
+
+
+class TestAccuracyNearDegeneracy:
+    @pytest.mark.parametrize("t", [1.3, 1.41, 1.4142, 1.41421])
+    def test_cm3_and_inverse_against_40_digits(self, t):
+        mpmath = pytest.importorskip("mpmath")
+        l = diagonal_family(t)
+        with mpmath.workdps(40):
+            A = mpmath.matrix(5, 5)
+            for k in range(1, 5):
+                A[0, k] = A[k, 0] = 1
+            for m, (i, j) in enumerate(LOCAL_PAIRS):
+                A[i + 1, j + 1] = A[j + 1, i + 1] = mpmath.mpf(float(l[m])) ** 2
+            cm, G = mpmath.det(A), A ** -1
+            geo = tet_geometry(l)
+            cm_err = abs(mpmath.mpf(float(geo.cm3)) - cm) / abs(cm)
+            G_err = max(abs(mpmath.mpf(float(geo.cm_inverse[a, b])) - G[a, b])
+                        for a in range(5) for b in range(5))
+            G_scale = max(abs(G[a, b]) for a in range(5) for b in range(5))
+            assert float(cm_err) < 1e-10
+            assert float(G_err / G_scale) < 1e-10
+
+
+class TestAdmissibilityVerdicts:
+    def test_family_crossing_sqrt2(self):
+        dt = double_tetrahedron()
+        checked = 0
+        for t in np.linspace(1.40, 1.43, 301):
+            l = diagonal_family(t)
+            if abs(np.linalg.det(cm_matrix(l))) < 1e-12:
+                continue
+            assert is_admissible(dt, l) == bool(lapack_admissible(l)), t
+            checked += 1
+        assert checked > 290
+
+    def test_random_samples(self):
+        rng = np.random.default_rng(73)
+        l = rng.uniform(0.4, 1.6, (4000, 6))
+        keep = np.abs(np.linalg.det(cm_matrix(l))) >= 1e-12
+        expected = lapack_admissible(l[keep])
+        assert 0 < np.count_nonzero(expected) < keep.sum()
+        dt = double_tetrahedron()
+        got = [is_admissible(dt, x) for x in l[keep]]
+        assert np.array_equal(got, expected)
+
+    def test_negative_cm3_keeps_its_sign(self):
+        l = diagonal_family(1.5)
+        ref = np.linalg.det(cm_matrix(l))
+        assert ref < 0
+        assert cayley_menger(l) == pytest.approx(ref, rel=1e-12)
+        assert not is_admissible(double_tetrahedron(), l)
+        with pytest.raises(InadmissibleMetricError, match=r"CM3 = -"):
+            tet_volume(l)
+
+
+def test_no_lapack_in_the_kernel(monkeypatch):
+    dt, cell = double_tetrahedron(), six_hundred_cell()
+    l6 = 1.0 + 0.02 * np.random.default_rng(74).standard_normal(cell.num_edges)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called")
+
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    monkeypatch.setattr(np.linalg, "det", refuse)
+    functionals(dt, diagonal_family(1.2))
+    functionals(cell, l6)
+    assert is_admissible(dt, diagonal_family(1.2))
+    assert not is_admissible(dt, diagonal_family(1.5))
+    assert tet_volume(REGULAR) == pytest.approx(1 / (6 * np.sqrt(2)), abs=1e-15)
+    assert cayley_menger(REGULAR) == pytest.approx(4.0, abs=1e-12)
+    assert "np.linalg" not in inspect.getsource(geometry)

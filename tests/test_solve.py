@@ -247,7 +247,7 @@ class TestDescend:
     @pytest.mark.parametrize("kind, seed, which, expected", [
         ("lengths", 61, "lehr", ("boundary-hit", 21)),
         ("lengths", 62, "vehr", ("stall", 36)),
-        ("conformal", 62, "lehr", ("converged", 16)),
+        ("conformal", 62, "lehr", ("converged", 17)),
         ("conformal", 64, "lehr", ("boundary-hit", 18)),
     ])
     def test_seeded_descents_keep_their_paths(self, dt, kind, seed, which, expected):
