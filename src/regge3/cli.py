@@ -261,6 +261,7 @@ def cmd_yamabe(args) -> int:
     print(f"bound_kind: {est.bound_kind}  # upper bound on the conformal infimum")
     print(f"attained_interior: {est.attained_interior}")
     print(f"factors: {_vector(est.factors)}")
+    print(f"iterations: {est.iterations}  newton_steps: {est.newton_steps}")
     print("runs:")
     for val, reason in est.runs:
         print(f"  {_fmt(val) if np.isfinite(val) else 'nan'}  {reason}")

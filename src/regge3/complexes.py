@@ -44,6 +44,25 @@ class ComplexError(ValueError):
     """Malformed or non-manifold incidence data."""
 
 
+def set_fields(args: dict) -> None:
+    """Store the arguments of an ``__init__`` as the fields of its ``self``.
+
+    ``args`` is that ``__init__``'s ``locals()``, taken before any other
+    local is bound; writing the instance dict directly works on frozen
+    classes too.  The record classes of seven or more fields are
+    ``dataclass(init=False)`` with an ``__init__`` that calls this, since
+    on CPython 3.11 a generated ``__init__``
+    interns one throwaway name (``_type_<field>``) per field each time its
+    module is imported; in a process that imports the package again and
+    again (three times per pass of ``perfbench/run.py``) those names
+    doubled the interpreter's table of interned strings after about a
+    hundred imports, and the peak RSS rose by 1 MB at a pass that depended
+    on the run's speed.
+    """
+    self = args.pop("self")
+    vars(self).update(args)
+
+
 #: each incidence array with the number of ids in one of its rows
 _FIELDS = (("edge_vertices", 2), ("face_edges", 3), ("face_vertices", 3),
            ("tet_vertices", 4), ("tet_edges", 6), ("tet_faces", 4))
@@ -54,7 +73,7 @@ _FACE_EDGES = np.array(FACE_EDGES)
 _SLOT_PAIRS = np.array([(1, 2), (2, 0), (0, 1)])
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Complex:
     """Triangulated closed 3-manifold with explicit incidences.
 
@@ -70,6 +89,11 @@ class Complex:
     tet_vertices: np.ndarray    # (T, 4) vertex ids
     tet_edges: np.ndarray       # (T, 6) edge ids in local pair order
     tet_faces: np.ndarray       # (T, 4) face ids, slot k opposite local vertex k
+
+    def __init__(self, num_vertices, edge_vertices, face_edges, face_vertices,
+                 tet_vertices, tet_edges, tet_faces):
+        set_fields(locals())
+        self.__post_init__()
 
     def __post_init__(self):
         if isinstance(self.num_vertices, bool) or not isinstance(self.num_vertices,

@@ -43,7 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .complexes import Complex, LOCAL_PAIRS
+from .complexes import Complex, LOCAL_PAIRS, set_fields
 from . import geometry
 from .conformal import induced_lengths
 from .geometry import InadmissibleMetricError
@@ -54,7 +54,7 @@ for _m, _pair in enumerate(LOCAL_PAIRS):
     _P[_m, list(_pair)] = 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CurvatureReport:
     """Every derived quantity of a (complex, metric) pair, from one kernel call.
 
@@ -77,6 +77,9 @@ class CurvatureReport:
     ehr: float              # sum of edge curvatures
     lehr: float             # ehr / length
     vehr: float             # ehr / volume**(1/3)
+
+    def __init__(self, complex, geometry, lengths, k_edge, length, volume, ehr, lehr, vehr):
+        set_fields(locals())
 
     @cached_property
     def k_vertex(self) -> np.ndarray:
@@ -569,7 +572,7 @@ def csc_residual(c: Complex, lengths, which: str) -> np.ndarray:
     return functionals(c, lengths).csc_residual(which)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BoundsReport:
     """Degree and fatness bounds together with the actual values."""
 
@@ -582,6 +585,10 @@ class BoundsReport:
     vehr_lower: float      # min(0, 2 pi - pi D_M) * fatness^(-1/3)
     lehr_within_bounds: bool
     vehr_within_bounds: bool
+
+    def __init__(self, max_edge_degree, lehr, lehr_lower, lehr_upper, fatness, vehr,
+                 vehr_lower, lehr_within_bounds, vehr_within_bounds):
+        set_fields(locals())
 
     def to_text(self) -> str:
         def fmt(x):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import Complex, EDGE_FACES, FACE_EDGES, LOCAL_PAIRS
+from .complexes import Complex, EDGE_FACES, FACE_EDGES, LOCAL_PAIRS, set_fields
 
 # rows of the bordered matrix for the two ends (I, J) of each local edge and
 # for the two vertices (K, L) off it
@@ -122,7 +122,7 @@ def dihedral_angles(lengths) -> np.ndarray:
     return tet_geometry(lengths).dihedrals
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TetGeometry:
     """All per-tetrahedron derived geometry for a batch of length vectors.
 
@@ -144,6 +144,10 @@ class TetGeometry:
     dvolume: np.ndarray        # (..., 6) d(volume)/d(lengths)
     cm_inverse: np.ndarray     # (..., 5, 5) G = A^-1, border row and column 0
 
+    def __init__(self, lengths, cm3, volume, dihedrals, areas, h_face, h_edge, dvolume,
+                 cm_inverse):
+        set_fields(locals())
+
     @property
     def dual(self) -> np.ndarray:
         """Signed dual-area piece of each edge, (..., 6).
@@ -154,26 +158,32 @@ class TetGeometry:
         return 0.5 * np.sum(self.h_edge[..., _EF_FACE, _EF_SLOT]
                             * self.h_face[..., _EF_FACE], axis=-1)
 
-    def _dG(self, n, a, b) -> np.ndarray:
-        """d(G_ab)/d(l_n) for index arrays a, b of equal length, (..., len(a))."""
-        G, i, j = self.cm_inverse, _I[n], _J[n]
-        return -2.0 * self.lengths[..., n, None] * (G[..., a, i] * G[..., j, b]
-                                                    + G[..., a, j] * G[..., i, b])
+    def _edge_rows(self, n):
+        """Rows i and j of G for the ends (i, j) of edge n, (..., 5) each:
+        d(G_ab)/d(l_n) = -2 l_n (G_ia G_jb + G_ja G_ib) reads only these."""
+        G = self.cm_inverse
+        return G[..., _I[n], :], G[..., _J[n], :]
 
     @property
     def ddihedrals(self) -> np.ndarray:
         """Jacobian d(beta_m)/d(l_n) of the dihedral angles, (..., 6, 6), row m.
 
-        Differentiates cos beta_m = G_kl / sqrt(G_kk G_ll) one edge n at a
-        time, so that only (..., 6) temporaries are built besides the result.
+        Differentiates cos beta_m = G_kl / sqrt(G_kk G_ll) one edge n = (i, j)
+        at a time, from rows i and j of G, so that only (..., 6) temporaries
+        are built besides the result: d beta_m / d l_n = 2 l_n / (sqrt(G_kk G_ll)
+        sin beta_m) (G_ik (G_jl - a_k G_jk) + G_il (G_jk - a_l G_jl)), with
+        a_k = G_kl / G_kk and a_l = G_kl / G_ll.
         """
         G = self.cm_inverse
         gkl, gkk, gll = G[..., _K, _L], G[..., _K, _K], G[..., _L, _L]
-        scale = -1.0 / (np.sqrt(gkk * gll) * np.sin(self.dihedrals))
+        ak, al = gkl / gkk, gkl / gll
+        scale = 2.0 / (np.sqrt(gkk * gll) * np.sin(self.dihedrals))
         out = np.empty(self.lengths.shape + (6,))
         for n in range(6):
-            out[..., n] = scale * (self._dG(n, _K, _L) - 0.5 * gkl * (
-                self._dG(n, _K, _K) / gkk + self._dG(n, _L, _L) / gll))
+            gi, gj = self._edge_rows(n)
+            ik, il, jk, jl = gi[..., _K], gi[..., _L], gj[..., _K], gj[..., _L]
+            out[..., n] = (scale * self.lengths[..., n, None]) * (
+                ik * (jl - ak * jk) + il * (jk - al * jl))
         return out
 
     @property
@@ -184,10 +194,13 @@ class TetGeometry:
         + 2 l_m V dG_ij/dl_n, assembled one edge n at a time.
         """
         V = self.volume[..., None]
+        lv = -4.0 * self.lengths * V
         out = np.empty(self.lengths.shape + (6,))
         for n in range(6):
-            out[..., n] = self.dvolume * self.dvolume[..., n, None] / V \
-                + 2.0 * self.lengths * V * self._dG(n, _I, _J)
+            gi, gj = self._edge_rows(n)
+            out[..., n] = self.dvolume * self.dvolume[..., n, None] / V + (
+                lv * self.lengths[..., n, None]) * (gi[..., _I] * gj[..., _J]
+                                                    + gj[..., _I] * gi[..., _J])
         out[..., range(6), range(6)] += self.dvolume / self.lengths
         return out
 

@@ -16,12 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import curvature, geometry, solve
-from .complexes import double_tetrahedron, six_hundred_cell
+from .complexes import double_tetrahedron, set_fields, six_hundred_cell
 from .conformal import ConformalClass, induced_lengths, random_equihedral_lengths
 from .solve import diagonal_family
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CriterionRow:
     key: str
     tag: str
@@ -30,6 +30,9 @@ class CriterionRow:
     actual: str
     tolerance: str
     passed: bool
+
+    def __init__(self, key, tag, description, expected, actual, tolerance, passed):
+        set_fields(locals())
 
 
 _TAGS = {

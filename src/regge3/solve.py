@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complexes import Complex, double_tetrahedron
+from .complexes import Complex, double_tetrahedron, set_fields
 from . import curvature, geometry
 from .conformal import ConformalClass, induced_lengths
 
@@ -60,6 +60,7 @@ class SolveTrace:
     step_sizes: list = field(default_factory=list)
     values: list = field(default_factory=list)
     reason: str = "max-iters"
+    newton_steps: int = 0      # accepted Newton steps of a descent
 
     def record(self, x, residual_norm, step_size=None, value=None):
         self.iterates.append(np.array(x, dtype=float))
@@ -148,32 +149,45 @@ def solve_csc(cls: ConformalClass, which: str = "L", f0=None,
 
 
 # ---------------------------------------------------------------------------
-# projected gradient descent with backtracking
+# projected descent: modified Newton steps, gradient steps as the fallback
 
 
 _GTOL = 1e-9          # sup-norm of the gradient at convergence
 _ARMIJO = 1e-4        # sufficient-decrease constant of the line search
 _MAX_HALVINGS = 40    # step halvings of one line search
+_NEWTON_RADIUS = 0.5  # longest conformal Newton step taken, in sup-norm
 
 
 def descend(evaluate, guard, x0, project=None, max_iter: int = 1000):
-    """Minimize a function by gradient descent with Armijo backtracking.
+    """Minimize a function by Newton or gradient steps with Armijo backtracking.
 
-    ``evaluate(x)`` returns ``(value, gradient, at_boundary)`` at x, all
-    from one evaluation; ``at_boundary`` flags a point that sits against
+    ``evaluate(x)`` returns ``(value, gradient, at_boundary, newton)`` at x,
+    all from one evaluation; ``at_boundary`` flags a point that sits against
     the admissible boundary to within numerical resolution, where
-    derivatives are meaningless.  It runs on the start and on every
+    derivatives are meaningless.  ``newton`` is None or a zero-argument
+    callable that returns a descent direction d (or None); it is called
+    only at accepted iterates, so a line-search candidate costs exactly
+    one evaluation.  ``evaluate`` runs on the start and on every
     line-search candidate that passes ``guard``, and the accepted
-    candidate's evaluation supplies the next gradient and boundary flag.
-    ``guard`` must return True on admissible points; candidates failing
-    it are never evaluated.  ``project`` (optional) renormalizes each
-    candidate before the guard sees it, e.g. to fix a scale gauge; it
-    must preserve both the value and admissibility.  Termination
-    reasons: "converged" (sup-norm of the gradient below 1e-9),
-    "boundary-hit" (line search blocked by the guard, or an iterate at
-    the boundary), "stall" (no decrease found away from the boundary,
-    or five decreases in a row at the roundoff level of the values), or
-    "max-iters".
+    candidate's evaluation supplies the next gradient, boundary flag and
+    Newton callable.  ``guard`` must return True on admissible points;
+    candidates failing it are never evaluated.  ``project`` (optional)
+    renormalizes each candidate before the guard sees it, e.g. to fix a
+    scale gauge; it must preserve both the value and admissibility.
+
+    Each iteration first tries the Newton direction d when there is one
+    and it descends (g . d < 0): the step starts at 1 and is halved until
+    Armijo's test on the slope g . d holds; a candidate that fails the
+    guard or sits at the boundary halves the step too.  Otherwise, or when
+    that search fails, a gradient step is searched from the previous
+    gradient step size, doubled (Armijo backtracking along -g).
+
+    Termination reasons: "converged" (sup-norm of the gradient below
+    1e-9), "boundary-hit" (gradient line search blocked by the guard, or
+    an iterate at the boundary), "stall" (no decrease found away from the
+    boundary, or five decreases in a row at the roundoff level of the
+    values), or "max-iters".  ``trace.newton_steps`` counts the accepted
+    Newton steps.
 
     Returns (x, SolveTrace).
     """
@@ -182,10 +196,14 @@ def descend(evaluate, guard, x0, project=None, max_iter: int = 1000):
         x = project(x)
     if not guard(x):
         raise geometry.InadmissibleMetricError("starting point fails the guard")
-    fx, g, at_boundary = evaluate(x)
+    fx, g, at_boundary, newton = evaluate(x)
     alpha = 1.0
     trace = SolveTrace()
     tiny_streak = 0
+
+    def candidate(direction, step):
+        cand = x + step * direction
+        return cand if project is None else project(cand)
 
     for _ in range(max_iter):
         gnorm = float(np.abs(g).max())
@@ -197,26 +215,40 @@ def descend(evaluate, guard, x0, project=None, max_iter: int = 1000):
             trace.reason = "boundary-hit"
             return x, trace
 
-        gg = float(g @ g)
-        alpha = min(2.0 * alpha, 1e6)
         accepted = False
-        guard_blocked = False
-        for _ in range(_MAX_HALVINGS):
-            cand = x - alpha * g
-            if project is not None:
-                cand = project(cand)
-            if not guard(cand):
-                guard_blocked = True
-                alpha *= 0.5
-                continue
-            fc, gc, bc = evaluate(cand)
-            if fc <= fx - _ARMIJO * alpha * gg:
-                accepted = True
-                break
-            alpha *= 0.5
+        d = newton() if newton is not None else None
+        slope = float(g @ d) if d is not None else 0.0
+        if slope < 0.0:
+            step = 1.0
+            for _ in range(_MAX_HALVINGS):
+                cand = candidate(d, step)
+                if guard(cand):
+                    fc, gc, bc, nc = evaluate(cand)
+                    if not bc and fc <= fx + _ARMIJO * step * slope:
+                        accepted = True
+                        break
+                step *= 0.5
+
+        newton_step = accepted
         if not accepted:
-            trace.reason = "boundary-hit" if guard_blocked else "stall"
-            return x, trace
+            gg = float(g @ g)
+            alpha = min(2.0 * alpha, 1e6)
+            guard_blocked = False
+            for _ in range(_MAX_HALVINGS):
+                cand = candidate(-g, alpha)
+                if not guard(cand):
+                    guard_blocked = True
+                    alpha *= 0.5
+                    continue
+                fc, gc, bc, nc = evaluate(cand)
+                if fc <= fx - _ARMIJO * alpha * gg:
+                    accepted = True
+                    break
+                alpha *= 0.5
+            if not accepted:
+                trace.reason = "boundary-hit" if guard_blocked else "stall"
+                return x, trace
+            step = alpha
 
         # decreases at the roundoff level of the objective values mean the
         # numerical optimum is reached (relative scale, so objectives that
@@ -229,17 +261,20 @@ def descend(evaluate, guard, x0, project=None, max_iter: int = 1000):
                 return x, trace
         else:
             tiny_streak = 0
-        x, fx, g, at_boundary = cand, fc, gc, bc
-        trace.step_sizes.append(alpha)
+        x, fx, g, at_boundary, newton = cand, fc, gc, bc, nc
+        trace.step_sizes.append(step)
+        trace.newton_steps += newton_step
 
     trace.record(x, float(np.abs(g).max()), value=fx)
     trace.reason = "max-iters"
     return x, trace
 
 
-def _evaluator(c: Complex, which: str, metric, gradient):
+def _evaluator(c: Complex, which: str, metric, gradient, newton=None):
     """``evaluate`` of :func:`descend` from one report at the metric ``metric(x)``;
-    at the boundary, the worst tet's CM3 is below 1e-8 (mean length)^6."""
+    at the boundary, the worst tet's CM3 is below 1e-8 (mean length)^6.
+    ``newton(rep, g)``, if given, returns the Newton direction from the
+    report and gradient at an accepted point."""
     which = which.lower()
     if which not in curvature.FUNCTIONALS:
         raise ValueError(f"unknown functional {which!r}")
@@ -247,7 +282,9 @@ def _evaluator(c: Complex, which: str, metric, gradient):
     def evaluate(x):
         rep = curvature.functionals(c, metric(x))
         at_boundary = np.min(rep.geometry.cm3) < 1e-8 * float(np.mean(rep.lengths)) ** 6
-        return getattr(rep, which), gradient(rep, which), bool(at_boundary)
+        g = gradient(rep, which)
+        return (getattr(rep, which), g, bool(at_boundary),
+                None if newton is None else lambda: newton(rep, g))
 
     return evaluate
 
@@ -279,8 +316,25 @@ def descend_lengths(c: Complex, which: str, l0, normalize: str = "L",
 
 
 def descend_conformal(cls: ConformalClass, which: str, f0, max_iter: int = 1000):
-    """Descend a normalized functional over a conformal class, mean-zero gauge."""
+    """Descend a normalized functional over a conformal class, mean-zero gauge.
+
+    Steps are projected (modified) Newton steps in the gauge complement
+    (Nocedal & Wright, *Numerical Optimization*, 3.4): with H_f = H_u / 4
+    the exact factor Hessian from the accepted point's report
+    (:meth:`curvature.CurvatureReport.conformal_hessian`, no further kernel
+    call) and P the projection onto mean-zero factors, the direction is
+    d = -Hp^-1 P g with Hp = P H_f P + 1 1^T / n, when Hp has a Cholesky
+    factor and d moves no factor by more than ``_NEWTON_RADIUS`` = 0.5.
+    Otherwise :func:`descend` takes a gradient step: where H_f is not
+    positive definite on the complement, and where the quadratic model's
+    minimum lies farther away than the radius, since scaled-down Newton
+    steps from there can lead a start into another basin than its gradient
+    descent (and, on the double tetrahedron, to a higher final value).
+    """
     c = cls.complex
+    n = c.num_vertices
+    mean = np.full((n, n), 1.0 / n)    # 1 1^T / n
+    P = np.eye(n) - mean
 
     def induced(f):
         return induced_lengths(c, cls.background, f)
@@ -288,16 +342,32 @@ def descend_conformal(cls: ConformalClass, which: str, f0, max_iter: int = 1000)
     def project(f):
         return f - f.mean()
 
-    evaluate = _evaluator(c, which, induced, curvature.CurvatureReport.grad_conformal)
-    return descend(evaluate, lambda f: geometry.is_admissible(c, induced(f)),
-                   np.asarray(f0, dtype=float), project=project, max_iter=max_iter)
+    def newton(rep, g):
+        Hp = P @ (0.25 * rep.conformal_hessian(which)) @ P + mean
+        try:
+            np.linalg.cholesky(Hp)
+        except np.linalg.LinAlgError:
+            return None
+        d = -np.linalg.solve(Hp, P @ g)
+        return d if np.abs(d).max() <= _NEWTON_RADIUS else None
+
+    def guard(f):
+        # a long gradient candidate may overflow to infinite lengths, which
+        # the admissibility test rejects
+        with np.errstate(over="ignore"):
+            return geometry.is_admissible(c, induced(f))
+
+    evaluate = _evaluator(c, which, induced, curvature.CurvatureReport.grad_conformal,
+                          newton)
+    return descend(evaluate, guard, np.asarray(f0, dtype=float), project=project,
+                   max_iter=max_iter)
 
 
 # ---------------------------------------------------------------------------
 # Yamabe constant estimation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class YamabeEstimate:
     """Best value found by multi-start descent within a conformal class.
 
@@ -305,7 +375,9 @@ class YamabeEstimate:
     Yamabe constant.  ``attained_interior`` reports whether the best run
     converged at an interior critical point; a False value with
     decreasing objectives suggests the infimum is approached at the
-    boundary of the admissible set.
+    boundary of the admissible set.  ``iterations`` and ``newton_steps``
+    total the accepted descent steps, and the Newton steps among them,
+    over all starts.
     """
 
     value: float
@@ -315,6 +387,12 @@ class YamabeEstimate:
     bound_kind: str                  # always "upper"
     runs: tuple                      # (value, reason) per start
     seed: int
+    iterations: int
+    newton_steps: int
+
+    def __init__(self, value, factors, which, attained_interior, bound_kind, runs, seed,
+                 iterations, newton_steps):
+        set_fields(locals())
 
 
 def yamabe_constant_estimate(cls: ConformalClass, which: str = "L",
@@ -334,6 +412,7 @@ def yamabe_constant_estimate(cls: ConformalClass, which: str = "L",
     best_f = np.zeros(n)
     best_reason = "none"
     runs = []
+    iterations = newton_steps = 0
     for s in range(max(1, starts)):
         if s == 0:
             f0 = np.zeros(n)
@@ -347,6 +426,9 @@ def yamabe_constant_estimate(cls: ConformalClass, which: str = "L",
         f, trace = descend_conformal(cls, functional, f0, max_iter=max_iter)
         val = trace.values[-1] if trace.values else np.inf
         runs.append((val, trace.reason))
+        # a stand-in trace without step counts (as tests substitute) adds none
+        iterations += len(getattr(trace, "step_sizes", ()))
+        newton_steps += getattr(trace, "newton_steps", 0)
         if val < best_val:
             best_val, best_f, best_reason = val, f, trace.reason
     return YamabeEstimate(
@@ -357,6 +439,8 @@ def yamabe_constant_estimate(cls: ConformalClass, which: str = "L",
         bound_kind="upper",
         runs=tuple(runs),
         seed=seed,
+        iterations=iterations,
+        newton_steps=newton_steps,
     )
 
 

@@ -182,6 +182,9 @@ class TestSolverCommands:
         value = float(out.split("value: ")[1].split("\n")[0])
         assert 0.0 <= value <= 2 * np.pi
         assert "upper bound" in out
+        totals = dict(item.split(": ") for item in
+                      out.split("\n")[4].split("  "))
+        assert 0 < int(totals["newton_steps"]) <= int(totals["iterations"])
 
     def test_boundary_hit_exit_code(self, capsys):
         # descent on the length-normalized functional runs to the boundary

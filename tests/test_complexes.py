@@ -1,11 +1,12 @@
 import dataclasses
 import hashlib
+import inspect
 import itertools
 
 import numpy as np
 import pytest
 
-from regge3 import complexes
+from regge3 import complexes, curvature, geometry, reproduce, solve
 from regge3.complexes import (ComplexError, double_tetrahedron, from_simplicial_tets,
                               format_complex, parse_complex, six_hundred_cell, validate)
 
@@ -327,3 +328,22 @@ class TestValidate:
                                          six_hundred_cell])
     def test_builders_validate(self, builder):
         validate(builder())
+
+
+# record classes whose __init__ is written out and stores its fields by set_fields
+RECORDS = [complexes.Complex, geometry.TetGeometry, curvature.CurvatureReport,
+           curvature.BoundsReport, solve.YamabeEstimate, reproduce.CriterionRow]
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_written_out_init_takes_the_fields_in_order(cls):
+    names = [f.name for f in dataclasses.fields(cls)]
+    assert list(inspect.signature(cls).parameters) == names
+    if cls is complexes.Complex:
+        return  # validates its arrays; built positionally by from_simplicial_tets
+    values = [object() for _ in names]
+    rec = cls(*values)
+    assert [getattr(rec, name) for name in names] == values
+    assert dataclasses.replace(rec) == rec
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(rec, names[0], None)

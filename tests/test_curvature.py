@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -397,6 +399,19 @@ class TestCscJacobian:
                             np.random.default_rng(39).normal(0, 0.02, 120))
         functionals(cell600, l).csc_jacobian("L")
         assert kernel_calls == [(600, 6)]
+
+    def test_peak_memory_on_cell600(self, cell600):
+        # the per-tet derivative arrays are built one edge at a time: a
+        # (600, 6, 6, 6) broadcast would take the peak past 1.3 MB
+        rep = functionals(cell600, induced_lengths(
+            cell600, np.ones(720), np.random.default_rng(40).normal(0, 0.02, 120)))
+        tracemalloc.start()
+        try:
+            rep.csc_jacobian("L")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 700 * 1024
 
 
 class TestResiduals:

@@ -185,10 +185,30 @@ class TestDescend:
         target = np.array([1.0, -2.0, 0.5])
 
         x, trace = descend(lambda x: (0.5 * (x - target) @ Q @ (x - target),
-                                      Q @ (x - target), False),
+                                      Q @ (x - target), False, None),
                            lambda x: True, np.zeros(3), max_iter=4000)
         assert trace.reason in ("converged", "stall")
         assert np.abs(x - target).max() < 1e-8
+
+    def test_exact_newton_direction_converges_in_one_step(self):
+        Q = np.diag([1.0, 4.0, 9.0])
+        target = np.array([1.0, -2.0, 0.5])
+        newton_calls = []
+
+        def evaluate(x):
+            g = Q @ (x - target)
+
+            def newton():
+                newton_calls.append(x)
+                return -np.linalg.solve(Q, g)
+
+            return 0.5 * (x - target) @ g, g, False, newton
+
+        x, trace = descend(evaluate, lambda x: True, np.zeros(3))
+        assert (trace.reason, trace.step_sizes, trace.newton_steps) == ("converged", [1.0], 1)
+        assert np.abs(x - target).max() < 1e-15
+        # called at the start only: the accepted point is converged
+        assert len(newton_calls) == 1
 
     def test_vehr_descent_returns_equal_lengths(self, dt):
         rng = np.random.default_rng(53)
@@ -239,7 +259,8 @@ class TestDescend:
         else:
             _, trace = descend_conformal(ConformalClass(dt, l0), "vehr",
                                          0.1 * rng.normal(size=4), max_iter=50)
-        assert len(trace.step_sizes) > 5
+        # the start and at least five line-search candidates were checked
+        assert len(passed) > 5
         # the guard passes the start and every candidate that is evaluated
         assert len(kernel_calls) == sum(passed)
         assert dets == []
@@ -247,7 +268,7 @@ class TestDescend:
     @pytest.mark.parametrize("kind, seed, which, expected", [
         ("lengths", 61, "lehr", ("boundary-hit", 21)),
         ("lengths", 62, "vehr", ("stall", 36)),
-        ("conformal", 62, "lehr", ("converged", 17)),
+        ("conformal", 62, "lehr", ("converged", 5)),
         ("conformal", 64, "lehr", ("boundary-hit", 18)),
     ])
     def test_seeded_descents_keep_their_paths(self, dt, kind, seed, which, expected):
@@ -260,6 +281,77 @@ class TestDescend:
             _, trace = descend_conformal(ConformalClass(dt, l0), which,
                                          f0 - f0.mean(), max_iter=300)
         assert (trace.reason, len(trace.step_sizes)) == expected
+
+    @pytest.mark.parametrize("seed, which, value, steps_total, end", [
+        (61, "lehr", 3.595310340212935, 6.54385339608416,
+         [1.2930390340881837, 0.6471008939820962, 1.4326877342965045,
+          1.4617740650908821, 0.6236306275211768, 1.3078710068266661]),
+        (62, "vehr", 37.11681125433325, 2.25,
+         [1.1393273739066505, 1.139327379801796, 1.1393273887777837,
+          1.1393273887777837, 1.139327379801796, 1.1393273739066505]),
+    ])
+    def test_length_descents_take_gradient_steps_only(self, dt, seed, which, value,
+                                                       steps_total, end):
+        # bit for bit the gradient descent's path: no Newton direction in
+        # length space
+        rng = np.random.default_rng(seed)
+        l0 = solve.random_admissible_lengths(dt, rng)
+        lend, trace = descend_lengths(dt, which, l0, normalize="L", max_iter=300)
+        assert trace.newton_steps == 0
+        assert trace.values[-1] == value
+        assert sum(trace.step_sizes) == steps_total
+        assert lend.tolist() == end
+
+    def test_conformal_hessian_adds_no_kernel_call(self, dt, kernel_calls, monkeypatch):
+        rng = np.random.default_rng(63)
+        cls = ConformalClass(dt, solve.random_admissible_lengths(dt, rng))
+        hessians, passed = [], []
+        conformal_hessian = curvature.CurvatureReport.conformal_hessian
+        is_admissible = geometry.is_admissible
+
+        def counted_hessian(rep, which):
+            before = len(kernel_calls)
+            H = conformal_hessian(rep, which)
+            hessians.append(len(kernel_calls) - before)
+            return H
+
+        def counted_guard(c, lengths):
+            ok = is_admissible(c, lengths)
+            passed.append(ok)
+            return ok
+
+        monkeypatch.setattr(curvature.CurvatureReport, "conformal_hessian", counted_hessian)
+        monkeypatch.setattr(geometry, "is_admissible", counted_guard)
+        f0 = rng.normal(0.0, 0.2, 4)
+        _, trace = descend_conformal(cls, "lehr", f0 - f0.mean(), max_iter=50)
+        assert trace.reason == "converged" and trace.newton_steps > 0
+        # one Hessian per iterate short of convergence, each read from the
+        # iterate's report: the kernel runs on the points the guard passes alone
+        assert len(hessians) == len(trace.step_sizes)
+        assert hessians == [0] * len(hessians)
+        assert len(kernel_calls) == sum(passed)
+
+    # starts of the multi-start estimate whose parent-gradient descents end at
+    # these values; Newton steps without the radius end on the boundary above them
+    @pytest.mark.parametrize("background, f0, bound", [
+        ([1.0865286110285213, 0.9409584487874935, 0.9860493668441954,
+          0.8902125091741494, 0.9709338959341387, 0.9110365722028448],
+         [-0.02767805441188309, 0.06134449625480015, 0.7188123296970154,
+          -0.7524787715399324], 3.819432245826877),
+        ([0.914565450148892, 1.0417994140199762, 1.0915164499435028,
+          1.1391012618534913, 0.8951574491263532, 0.9946637164598009],
+         [0.16334563014143988, 0.11844145063895975, 0.23321524464725066,
+          -0.5150023254276502], 3.803908030185945),
+        ([1.1184144523301656, 0.8679271802289534, 0.92164167836632,
+          1.0825460845629769, 0.9810550263487948, 0.8515939475882887],
+         [0.3345243602986398, -0.099878266068477, 0.3228878267526756,
+          -0.5575339209828385], 3.8182909132327847),
+    ])
+    def test_newton_radius_keeps_starts_in_their_basin(self, dt, background, f0, bound):
+        cls = ConformalClass(dt, np.array(background))
+        _, trace = descend_conformal(cls, "lehr", np.array(f0), max_iter=400)
+        assert trace.reason == "converged"
+        assert trace.values[-1] <= bound + 1e-12
 
     def test_guard_never_violated(self, dt):
         rng = np.random.default_rng(56)
@@ -284,6 +376,44 @@ class TestYamabe:
     def test_volume_normalization_nonnegative(self, unit_class):
         est = yamabe_constant_estimate(unit_class, "V", starts=4, seed=11)
         assert est.value >= 0.0
+
+    # estimates of gradient-only descents (16 starts, seed = class seed);
+    # Newton steps may only lower them
+    @pytest.mark.parametrize("class_seed, which, value", [
+        (None, "L", 3.8212664724980354), (None, "V", 37.11681125433323),
+        (1, "L", 3.815102623441141), (1, "V", 37.35876608953765),
+        (2, "L", 3.8193669062171276), (2, "V", 37.18570038393628),
+        (3, "L", 3.80133763001707), (3, "V", 37.91195665727268),
+        (9, "L", 3.7771982292027784), (9, "V", 38.944482681543356),
+        (16, "L", 3.7606036516173873), (16, "V", 40.60522059819491),
+    ])
+    def test_estimates_no_higher_than_gradient_descents(self, dt, class_seed, which,
+                                                        value):
+        if class_seed is None:
+            background, seed = ONES, 0
+        else:
+            background = solve.random_admissible_lengths(
+                dt, np.random.default_rng(class_seed))
+            seed = class_seed
+        est = yamabe_constant_estimate(ConformalClass(dt, background), which,
+                                       starts=16, seed=seed)
+        assert est.value <= value + 1e-12 * value
+
+    def test_totals_add_up_over_starts(self, unit_class, monkeypatch):
+        traces = []
+        descend = solve.descend_conformal
+
+        def recorded(*args, **kwargs):
+            out = descend(*args, **kwargs)
+            traces.append(out[1])
+            return out
+
+        monkeypatch.setattr(solve, "descend_conformal", recorded)
+        est = yamabe_constant_estimate(unit_class, "L", starts=6, seed=7)
+        assert len(traces) == sum(reason != "inadmissible-start" for _, reason in est.runs)
+        assert est.iterations == sum(len(t.step_sizes) for t in traces)
+        assert est.newton_steps == sum(t.newton_steps for t in traces)
+        assert 0 < est.newton_steps <= est.iterations
 
     def test_deterministic_for_fixed_seed(self, unit_class):
         e1 = yamabe_constant_estimate(unit_class, "L", starts=4, seed=3)
