@@ -93,12 +93,11 @@ class CurvatureReport:
 
     @cached_property
     def v_vertex(self) -> np.ndarray:
-        """(V,) V_v = (1/3) sum over incident (tet, face) pairs of h_{f<t} A_f
-        (local vertex i of a tet lies on every face but face i)."""
+        """(V,) V_v = (1/3) sum of h_{f<t} A_f = 3 V_t alpha_f over the faces f at v of its
+        tets t, i.e. sum_t V_t (1 - alpha_v), alpha = G[0, 1:] (sum 1, see geometry)."""
         geo = self.geometry
-        hA = geo.h_face * geo.areas                       # (T, 4)
         return np.bincount(self.complex.tet_vertices.ravel(),
-                           ((hA.sum(axis=-1, keepdims=True) - hA) / 3.0).ravel(),
+                           (geo.volume[:, None] * (1.0 - geo.cm_inverse[:, 0, 1:])).ravel(),
                            minlength=self.complex.num_vertices)
 
     @cached_property
@@ -208,18 +207,18 @@ class CurvatureReport:
         """Jacobian of :meth:`csc_residual` with respect to the factors f, (V, V).
 
         Row v holds the derivatives of r_v.  The residual is r = N grad_f F
-        with (F, N) = (LEHR, L) for "L" and (VEHR, V^(1/3)) for "V", so
-        J = (N/4) H_u(F) + r g^T with g = grad_f(N) / N, which is L_v / L,
+        with (F, N) = (EHR, 1), (LEHR, L) for "L" and (VEHR, V^(1/3)) for "V",
+        so J = (N/4) H_u(F) + r g^T with g = grad_f(N) / N, which is 0, L_v / L,
         resp. V_v / (3V).
         """
-        which = which.upper()
-        r = self.csc_residual(which)
-        if which in ("L", "LEHR"):
-            N, g, functional = self.length, self.l_vertex / self.length, "lehr"
-        else:
-            N, g, functional = (self.volume ** (1.0 / 3.0),
-                                self.v_vertex / (3.0 * self.volume), "vehr")
-        return 0.25 * N * self.conformal_hessian(functional) + np.outer(r, g)
+        key = which.upper()
+        N, lam, _, n_vertex = self._normalization(key)
+        functional = {"EHR": "ehr", "L": "lehr", "V": "vehr"}.get(key, key.lower())
+        J = 0.25 * N * self.conformal_hessian(functional)
+        if functional == "ehr":
+            return J
+        g = n_vertex / (self.length if functional == "lehr" else 3.0 * self.volume)
+        return J + np.outer(self.k_vertex - lam * n_vertex, g)
 
     def bounds(self) -> BoundsReport:
         """The edge-degree bounds on LEHR and the fatness bound on VEHR."""
@@ -308,8 +307,11 @@ FUNCTIONALS = {"ehr": ehr_value, "lehr": lehr_value, "vehr": vehr_value}
 
 
 def functionals(c: Complex, lengths) -> CurvatureReport:
-    """The :class:`CurvatureReport` of an admissible metric: one kernel call."""
+    """The :class:`CurvatureReport` of one admissible metric (E,): one kernel call."""
     lengths = np.asarray(lengths, dtype=float)
+    if lengths.shape != (c.num_edges,):
+        raise ValueError(f"functionals takes one metric of shape ({c.num_edges},), got shape "
+                         f"{lengths.shape}; for a batch use ehr_value, lehr_value or vehr_value")
     geo, k_edge = _curvatures(c, lengths)
     total_len = float(lengths.sum())
     volume = float(geo.volume.sum())

@@ -21,6 +21,8 @@ the Gram matrix of the area-weighted outward face normals; G[0, 1:] =
 (1 - sum(y), y), y = g^-1 diag(g) / 2, are the circumcenter's barycentric
 coordinates; G[0, 0] = -2 R^2 = -y . diag(g).  Second derivatives come from
 the same G: for edge m = (i, j), dG_ab/dl_m = -2 l_m (G_ai G_jb + G_aj G_ib).
+Face areas and circumcentric heights are read only by :attr:`TetGeometry.dual`,
+which computes them; the circumcenter's height over face k times its area is 3 V G_0k.
 """
 
 from __future__ import annotations
@@ -124,28 +126,18 @@ def dihedral_angles(lengths) -> np.ndarray:
 
 @dataclass(frozen=True, init=False)
 class TetGeometry:
-    """All per-tetrahedron derived geometry for a batch of length vectors.
-
-    ``h_face`` is the signed distance from the tet circumcenter to each
-    face plane, positive when the circumcenter lies on the same side as
-    the opposite vertex.  ``h_edge`` (slot k opposite face vertex k) is
-    the signed distance from each face circumcenter to the face's edges,
-    positive on the side of the opposite vertex; it equals
-    (l/2) cot(opposite angle).
-    """
+    """The per-tetrahedron geometry every curvature report reads, for a batch
+    of length vectors; :attr:`dual`, :attr:`ddihedrals` and :attr:`d2volume`
+    are computed from it when read."""
 
     lengths: np.ndarray        # (..., 6)
     cm3: np.ndarray            # (...)
     volume: np.ndarray         # (...)
     dihedrals: np.ndarray      # (..., 6)
-    areas: np.ndarray          # (..., 4) face areas, by Heron's formula
-    h_face: np.ndarray         # (..., 4)
-    h_edge: np.ndarray         # (..., 4, 3)
     dvolume: np.ndarray        # (..., 6) d(volume)/d(lengths)
     cm_inverse: np.ndarray     # (..., 5, 5) G = A^-1, border row and column 0
 
-    def __init__(self, lengths, cm3, volume, dihedrals, areas, h_face, h_edge, dvolume,
-                 cm_inverse):
+    def __init__(self, lengths, cm3, volume, dihedrals, dvolume, cm_inverse):
         set_fields(locals())
 
     @property
@@ -153,10 +145,24 @@ class TetGeometry:
         """Signed dual-area piece of each edge, (..., 6).
 
         The edge receives (h_{e<f} h_{f<t} + h_{e<f'} h_{f'<t}) / 2 from
-        its two faces f, f' in the tetrahedron.
+        its two faces f, f' in the tetrahedron.  h_{f<t} (face slot k) is the
+        signed distance from the tet circumcenter to the face plane, positive
+        when the circumcenter lies on the same side as the opposite vertex k:
+        G_0k * 3V / A_k, the circumcenter's barycentric coordinate times the
+        height of vertex k, with the face area A_k by Heron's formula.
+        h_{e<f} (slot j of face k, opposite face vertex j) is the signed
+        distance from the face circumcenter to the edge, positive on the side
+        of the opposite vertex; it equals (l/2) cot(opposite angle).
         """
-        return 0.5 * np.sum(self.h_edge[..., _EF_FACE, _EF_SLOT]
-                            * self.h_face[..., _EF_FACE], axis=-1)
+        sides = self.lengths[..., _FACE_EDGES]
+        a, b, c = sides[..., 0], sides[..., 1], sides[..., 2]
+        s = 0.5 * (a + b + c)
+        areas = np.sqrt(s * (s - a) * (s - b) * (s - c))
+        # (l_e/2) cot(opposite angle) without trig: cot = (b^2+c^2-a^2)/(4A)
+        sq = sides * sides
+        h_edge = sides * (sq[..., [1, 2, 0]] + sq[..., [2, 0, 1]] - sq) / (8.0 * areas[..., None])
+        h_face = self.cm_inverse[..., 0, 1:] * (3.0 * self.volume[..., None] / areas)
+        return 0.5 * np.sum(h_edge[..., _EF_FACE, _EF_SLOT] * h_face[..., _EF_FACE], axis=-1)
 
     def _edge_rows(self, n):
         """Rows i and j of G for the ends (i, j) of edge n, (..., 5) each:
@@ -206,12 +212,11 @@ class TetGeometry:
 
 
 def tet_geometry(lengths) -> TetGeometry:
-    """Compute the full :class:`TetGeometry` bundle for admissible lengths.
+    """Compute the :class:`TetGeometry` bundle for admissible lengths.
 
     G follows the module docstring's Gram identities from 2g: det 2g = CM3, and
     -adj(2g) / CM3 = -g^-1 / 2.  With (k, l) the vertices off edge ij: cos beta_ij
-    = G_kl / sqrt(G_kk G_ll), h_face_k = G_0k * 3V / A_k (the circumcenter's
-    barycentric coordinate times the height of vertex k), dV/dl_ij = 2 l_ij V G_ij.
+    = G_kl / sqrt(G_kk G_ll) and dV/dl_ij = 2 l_ij V G_ij.
     """
     l = _as_lengths(lengths)
     cm, g2, adj = _admissible_cm(l, 6)
@@ -222,18 +227,8 @@ def tet_geometry(lengths) -> TetGeometry:
     G = np.concatenate([-(y * d).sum(-1, keepdims=True), 1.0 - y.sum(-1, keepdims=True), y,
                         r.sum(-1, keepdims=True), -r, h], axis=-1)[..., _SYM5]
     cos = G[..., _K, _L] / np.sqrt(G[..., _K, _K] * G[..., _L, _L])
-
-    sides = l[..., _FACE_EDGES]
-    a, b, c = sides[..., 0], sides[..., 1], sides[..., 2]
-    s = 0.5 * (a + b + c)
-    areas = np.sqrt(s * (s - a) * (s - b) * (s - c))
-    # (l_e/2) cot(opposite angle) without trig: cot = (b^2+c^2-a^2)/(4A)
-    sq = sides * sides
-    h_edge = sides * (sq[..., [1, 2, 0]] + sq[..., [2, 0, 1]] - sq) / (8.0 * areas[..., None])
-
     return TetGeometry(
         lengths=l, cm3=cm, volume=volume, dihedrals=np.arccos(np.clip(cos, -1.0, 1.0)),
-        areas=areas, h_face=G[..., 0, 1:] * (3.0 * volume[..., None] / areas), h_edge=h_edge,
         dvolume=2.0 * l * volume[..., None] * G[..., _I, _J], cm_inverse=G)
 
 

@@ -95,6 +95,27 @@ class TestFunctionals:
         assert rep.v_vertex.sum() == pytest.approx(3 * rep.volume, rel=1e-12)
         assert rep.v_edge.sum() == pytest.approx(3 * rep.volume, rel=1e-12)
 
+    def test_batch_rejected(self, dt):
+        # a report is of one metric; the value functions take a batch
+        batch = [[1.0] * 6, [1.2, 1, 1, 1, 1, 1.2]]
+        with pytest.raises(ValueError, match="lehr_value"):
+            functionals(dt, batch)
+        with pytest.raises(ValueError, match=r"shape \(6,\)"):
+            functionals(dt, np.ones(5))
+
+    def test_peak_memory_on_cell600(self, cell600):
+        # the report keeps only what every caller reads: face areas and
+        # circumcentric heights, eager per-tet arrays, took the peak to 722 KB
+        l = 1.0 + 0.02 * np.random.default_rng(75).standard_normal(cell600.num_edges)
+        functionals(cell600, l)
+        tracemalloc.start()
+        try:
+            functionals(cell600, l)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 600 * 1024
+
     def test_serialization_deterministic(self, dt):
         rep = functionals(dt, ONES)
         text = rep.to_text()
@@ -386,7 +407,24 @@ class TestCscJacobian:
                             - csc_residual(dt, induced_lengths(dt, l, -e), which)) / (2 * h)
             assert np.abs(J - Jf).max() < 1e-7 * np.abs(J).max()
 
-    @pytest.mark.parametrize("which", ["L", "V", "LEHR", "VEHR"])
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_every_normalization_matches_central_differences(self, dt, seed):
+        l = random_admissible_lengths(dt, np.random.default_rng(seed))
+        rep, h = functionals(dt, l), 1e-6
+        for which in ("EHR", "L", "V"):
+            Jf = np.empty((4, 4))
+            for j in range(4):
+                e = np.zeros(4)
+                e[j] = h
+                Jf[:, j] = (csc_residual(dt, induced_lengths(dt, l, e), which)
+                            - csc_residual(dt, induced_lengths(dt, l, -e), which)) / (2 * h)
+            assert np.abs(rep.csc_jacobian(which) - Jf).max() < 1e-6 * np.abs(Jf).max(), which
+
+    def test_unknown_functional_rejected(self, dt):
+        with pytest.raises(ValueError, match="unknown functional"):
+            functionals(dt, ONES).csc_jacobian("nope")
+
+    @pytest.mark.parametrize("which", ["L", "V", "LEHR", "VEHR", "EHR"])
     def test_gauge_column_is_scaling(self, dt, which):
         # a uniform shift s of f scales the metric by exp(s), and r is
         # 1-homogeneous in the lengths: J 1 = r

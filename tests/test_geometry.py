@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from regge3 import geometry
-from regge3.complexes import (FACE_EDGES, FACE_VERTICES, LOCAL_PAIRS,
+from regge3.complexes import (EDGE_FACES, FACE_EDGES, FACE_VERTICES, LOCAL_PAIRS,
                               double_tetrahedron, six_hundred_cell)
 from regge3.conformal import random_equihedral_lengths
 from regge3.curvature import functionals
@@ -83,10 +83,43 @@ def signed_distance(x, a, n, toward):
     return np.sign((toward - a) @ n) * ((x - a) @ n)
 
 
-def kernel_face_angles(l):
-    """Face angles (4, 3) recovered from the kernel's h_edge = (s/2) cot."""
-    sides = l[np.asarray(FACE_EDGES)]
-    return np.arctan2(sides, 2.0 * tet_geometry(l).h_edge)
+def heron_areas(l):
+    """Face areas (4,) by Heron's formula, in face slot order."""
+    a, b, c = np.moveaxis(l[np.asarray(FACE_EDGES)], -1, 0)
+    s = 0.5 * (a + b + c)
+    return np.sqrt(s * (s - a) * (s - b) * (s - c))
+
+
+def embedded_heights(l):
+    """Signed circumcentric heights of the explicit embedding: h_face (4,),
+    from the tet circumcenter to each face plane, positive toward the
+    opposite vertex, and h_edge (4, 3), from each face circumcenter to the
+    face's edges (slot s opposite face vertex s), positive toward the
+    opposite vertex."""
+    p = embed_tet(l)
+    ct, cf = tet_circumcenter(p), face_circumcenters(p)
+    h_face, h_edge = np.empty(4), np.empty((4, 3))
+    for k, fv in enumerate(FACE_VERTICES):
+        tri = p[list(fv)]
+        normal = np.cross(tri[1] - tri[0], tri[2] - tri[0])
+        h_face[k] = signed_distance(ct, tri[0], normal, p[k])
+        for s in range(3):
+            a, b = np.delete(tri, s, axis=0)
+            h_edge[k, s] = signed_distance(cf[k], a, np.cross(normal, b - a), tri[s])
+    return h_face, h_edge
+
+
+def embedded_face_angles(l):
+    """Face angles (4, 3) recovered from the embedding's h_edge = (s/2) cot."""
+    return np.arctan2(l[np.asarray(FACE_EDGES)], 2.0 * embedded_heights(l)[1])
+
+
+def oracle_dual(l):
+    """Dual-area pieces (6,): (1/2) sum over the edge's two faces f of h_{e<f} h_f,
+    from the embedding's heights."""
+    h_face, h_edge = embedded_heights(l)
+    return np.array([0.5 * sum(h_edge[f, s] * h_face[f] for f, s in pairs)
+                     for pairs in EDGE_FACES])
 
 
 def oracle_det5(lengths):
@@ -205,22 +238,26 @@ class TestInadmissibleTetNames:
 
 
 class TestFaceAngle:
-    """Face angles as the kernel sees them, through h_edge = (s/2) cot."""
+    """The two face-angle oracles: the law of cosines, and the embedding's
+    h_edge = (s/2) cot."""
 
     def test_equilateral(self):
-        assert kernel_face_angles(REGULAR) == pytest.approx(np.full((4, 3), np.pi / 3),
-                                                            abs=1e-15)
+        assert face_angle(1.0, 1.0, 1.0) == pytest.approx(np.pi / 3, abs=1e-15)
+        assert embedded_face_angles(REGULAR) == pytest.approx(np.full((4, 3), np.pi / 3),
+                                                              abs=1e-14)
 
     def test_right_isoceles(self):
         # face 3 = (0,1,2) of the corner tet has sides (sqrt2, 1, 1)
         l = np.array([1, 1, 1, np.sqrt(2), np.sqrt(2), np.sqrt(2)])
-        assert kernel_face_angles(l)[3, 0] == pytest.approx(np.pi / 2, abs=1e-15)
+        assert face_angle(np.sqrt(2), 1.0, 1.0) == pytest.approx(np.pi / 2, abs=1e-15)
+        assert embedded_face_angles(l)[3, 0] == pytest.approx(np.pi / 2, abs=1e-14)
 
     def test_obtuse(self):
-        # face 3 has sides (1.9, 1, 1); oracle: direct evaluation of the cosine law
+        # face 3 has sides (1.9, 1, 1); direct evaluation of the cosine law
         l = np.array([1, 1, 1, 1.9, 1.2, 1.2])
-        assert kernel_face_angles(l)[3, 0] == pytest.approx(np.arccos((2 - 3.61) / 2.0),
-                                                            abs=1e-15)
+        angle = np.arccos((2 - 3.61) / 2.0)
+        assert face_angle(1.9, 1.0, 1.0) == pytest.approx(angle, abs=1e-15)
+        assert embedded_face_angles(l)[3, 0] == pytest.approx(angle, abs=1e-14)
 
     def test_degenerate_raises(self):
         with pytest.raises(InadmissibleMetricError):
@@ -346,7 +383,8 @@ class TestEmbedding:
         p = embed_tet(REGULAR)
         geo = tet_geometry(REGULAR)
         assert abs(p[3, 2]) == pytest.approx(np.sqrt(2.0 / 3.0), abs=1e-14)
-        assert 3 * geo.volume / geo.areas[3] == pytest.approx(np.sqrt(2.0 / 3.0), abs=1e-14)
+        assert 3 * geo.volume / heron_areas(REGULAR)[3] == pytest.approx(np.sqrt(2.0 / 3.0),
+                                                                         abs=1e-14)
 
     def test_distances_reconstruct(self):
         rng = np.random.default_rng(8)
@@ -364,8 +402,7 @@ class TestEmbedding:
         c = 1.7
         assert embed_tet(c * l) == pytest.approx(c * embed_tet(l), rel=1e-12)
         a, b = tet_geometry(l), tet_geometry(c * l)
-        for name, power in (("volume", 3), ("areas", 2), ("h_face", 1), ("h_edge", 1),
-                            ("dvolume", 2), ("dihedrals", 0)):
+        for name, power in (("volume", 3), ("dual", 2), ("dvolume", 2), ("dihedrals", 0)):
             assert getattr(b, name) == pytest.approx(c ** power * getattr(a, name),
                                                      rel=1e-12)
 
@@ -375,65 +412,84 @@ class TestEmbedding:
 
 
 class TestHeightsAndAreas:
+    """The test-side heights and areas (Heron, the embedding's circumcenters),
+    and the kernel's dual areas and vertex volumes against them."""
+
     def test_regular_values(self):
-        geo = tet_geometry(REGULAR)
-        assert geo.areas == pytest.approx(np.full(4, np.sqrt(3) / 4), abs=1e-14)
-        assert geo.h_face == pytest.approx(np.full(4, 1 / (2 * np.sqrt(6))), abs=1e-14)
-        assert geo.h_edge == pytest.approx(np.full((4, 3), 1 / (2 * np.sqrt(3))), abs=1e-14)
+        h_face, h_edge = embedded_heights(REGULAR)
+        assert heron_areas(REGULAR) == pytest.approx(np.full(4, np.sqrt(3) / 4), abs=1e-14)
+        assert h_face == pytest.approx(np.full(4, 1 / (2 * np.sqrt(6))), abs=1e-14)
+        assert h_edge == pytest.approx(np.full((4, 3), 1 / (2 * np.sqrt(3))), abs=1e-14)
+        assert tet_geometry(REGULAR).dual == pytest.approx(np.full(6, 1 / (12 * np.sqrt(2))),
+                                                           abs=1e-15)
 
     def test_right_triangle_hypotenuse_height_zero(self):
         # face {0,1,2} of the corner tet has sides (sqrt2, 1, 1); the
         # circumcenter sits on the hypotenuse midpoint
         l = np.array([1, 1, 1, np.sqrt(2), np.sqrt(2), np.sqrt(2)])
         # face 3 = (0,1,2); its slot 0 is the edge opposite vertex 0 = (1,2)
-        assert tet_geometry(l).h_edge[3, 0] == pytest.approx(0.0, abs=1e-13)
+        assert embedded_heights(l)[1][3, 0] == pytest.approx(0.0, abs=1e-13)
+        assert tet_geometry(l).dual == pytest.approx(oracle_dual(l), abs=1e-13)
 
     def test_triangle_decomposition_identity(self):
         rng = np.random.default_rng(10)
         dt = double_tetrahedron()
         for _ in range(10):
             l = random_admissible_lengths(dt, rng)
-            geo = tet_geometry(l)
             sides = l[np.asarray(FACE_EDGES)]
-            recon = np.sum(geo.h_edge * sides / 2.0, axis=-1)
-            assert recon == pytest.approx(geo.areas, rel=1e-10)
+            recon = np.sum(embedded_heights(l)[1] * sides / 2.0, axis=-1)
+            assert recon == pytest.approx(heron_areas(l), rel=1e-10)
 
     def test_tet_decomposition_identity(self):
         rng = np.random.default_rng(11)
         dt = double_tetrahedron()
         for _ in range(10):
             l = random_admissible_lengths(dt, rng)
-            geo = tet_geometry(l)
-            assert np.sum(geo.h_face * geo.areas) == pytest.approx(3 * tet_volume(l),
-                                                                   rel=1e-10)
+            assert np.sum(embedded_heights(l)[0] * heron_areas(l)) == pytest.approx(
+                3 * tet_volume(l), rel=1e-10)
 
     def test_circumcenters_equidistant(self):
-        # the kernel's heights against the explicit embedding's circumcenters
         rng = np.random.default_rng(12)
         dt = double_tetrahedron()
         for _ in range(5):
-            l = random_admissible_lengths(dt, rng)
-            geo = tet_geometry(l)
-            p = embed_tet(l)
-            ct, cf = tet_circumcenter(p), face_circumcenters(p)
-            d = np.linalg.norm(p - ct, axis=-1)
+            p = embed_tet(random_admissible_lengths(dt, rng))
+            d = np.linalg.norm(p - tet_circumcenter(p), axis=-1)
             assert np.max(d) - np.min(d) < 1e-10
             for k, fv in enumerate(FACE_VERTICES):
-                tri = p[list(fv)]
-                dc = np.linalg.norm(tri - cf[k], axis=-1)
+                dc = np.linalg.norm(p[list(fv)] - face_circumcenters(p)[k], axis=-1)
                 assert np.max(dc) - np.min(dc) < 1e-10
-                normal = np.cross(tri[1] - tri[0], tri[2] - tri[0])
-                assert abs(geo.h_face[k] - signed_distance(ct, tri[0], normal, p[k])) < 1e-10
-                for s in range(3):
-                    a, b = np.delete(tri, s, axis=0)
-                    assert abs(geo.h_edge[k, s] - signed_distance(
-                        cf[k], a, np.cross(normal, b - a), tri[s])) < 1e-10
+
+    def test_dual_matches_embedded_heights(self):
+        # random metrics include obtuse faces and circumcenters outside the tet
+        rng = np.random.default_rng(17)
+        dt = double_tetrahedron()
+        signs = set()
+        for _ in range(40):
+            l = random_admissible_lengths(dt, rng)
+            ref = oracle_dual(l)
+            signs.update(np.sign(embedded_heights(l)[0]))
+            assert np.abs(tet_geometry(l).dual - ref).max() < 1e-10 * np.abs(ref).max()
+        assert signs == {-1.0, 1.0}
+
+    def test_v_vertex_matches_embedded_heights(self):
+        # V_v = (1/3) sum over incident (tet, face) pairs of h_f A_f, the faces
+        # of a tet at its local vertex i being all but face i
+        rng = np.random.default_rng(18)
+        dt = double_tetrahedron()
+        for _ in range(10):
+            l = random_admissible_lengths(dt, rng)
+            ref = np.zeros(dt.num_vertices)
+            for tv, tl in zip(dt.tet_vertices, dt.tet_lengths(l)):
+                hA = embedded_heights(tl)[0] * heron_areas(tl)
+                ref[tv] += (hA.sum() - hA) / 3.0
+            assert functionals(dt, l).v_vertex == pytest.approx(ref, rel=1e-10)
 
     def test_equihedral_faces_acute_and_heights_nonnegative(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
             l = random_equihedral_lengths(rng)
-            assert np.all(tet_geometry(l).h_edge >= -1e-12)
+            assert np.all(embedded_heights(l)[1] >= -1e-12)
+            assert np.all(tet_geometry(l).dual >= -1e-12)
             # all face angles acute
             sides = l[np.asarray(FACE_EDGES)]
             for k in range(3):
@@ -480,7 +536,7 @@ class TestDualLengths:
 
 _I, _J = np.array(LOCAL_PAIRS).T + 1
 _K, _L = np.array([[v for v in range(4) if v not in p] for p in LOCAL_PAIRS]).T + 1
-FIELDS = ("cm3", "cm_inverse", "volume", "dihedrals", "h_face", "dvolume",
+FIELDS = ("cm3", "cm_inverse", "volume", "dihedrals", "dual", "dvolume",
           "ddihedrals", "d2volume")
 
 
@@ -496,8 +552,8 @@ def cm_matrix(l):
 
 def lapack_geometry(l):
     """The kernel's bundle with CM3, G and the fields read from G replaced
-    by their values from LAPACK; ddihedrals and d2volume then follow from
-    the LAPACK G.  Areas and h_edge come from Heron's formula either way."""
+    by their values from LAPACK; dual, ddihedrals and d2volume then follow
+    from the LAPACK G (the face areas in dual by Heron's formula either way)."""
     geo = tet_geometry(l)
     A = cm_matrix(l)
     cm, G = np.linalg.det(A), np.linalg.inv(A)
@@ -505,7 +561,6 @@ def lapack_geometry(l):
     cos = G[..., _K, _L] / np.sqrt(G[..., _K, _K] * G[..., _L, _L])
     return dataclasses.replace(
         geo, cm3=cm, volume=V, dihedrals=np.arccos(np.clip(cos, -1.0, 1.0)),
-        h_face=G[..., 0, 1:] * (3.0 * V[..., None] / geo.areas),
         dvolume=2.0 * l * V[..., None] * G[..., _I, _J], cm_inverse=G)
 
 
@@ -562,7 +617,7 @@ class TestClosedFormAgainstLapack:
         batch = tet_geometry(stack)
         for i in range(5):
             one = tet_geometry(stack[i])
-            for name in FIELDS + ("areas", "h_edge"):
+            for name in FIELDS:
                 assert np.array_equal(getattr(batch, name)[i], getattr(one, name)), name
 
     def test_empty_batch(self):
@@ -571,18 +626,23 @@ class TestClosedFormAgainstLapack:
         assert tet_volume(np.empty((0, 6))).shape == cayley_menger(np.empty((0, 6))).shape == (0,)
 
 
+def mp_cayley_menger(mpmath, l):
+    """CM3 and G = A^-1 of the lengths ``l``, in mpmath at its working precision."""
+    A = mpmath.matrix(5, 5)
+    for k in range(1, 5):
+        A[0, k] = A[k, 0] = 1
+    for m, (i, j) in enumerate(LOCAL_PAIRS):
+        A[i + 1, j + 1] = A[j + 1, i + 1] = mpmath.mpf(float(l[m])) ** 2
+    return mpmath.det(A), A ** -1
+
+
 class TestAccuracyNearDegeneracy:
     @pytest.mark.parametrize("t", [1.3, 1.41, 1.4142, 1.41421])
     def test_cm3_and_inverse_against_40_digits(self, t):
         mpmath = pytest.importorskip("mpmath")
         l = diagonal_family(t)
         with mpmath.workdps(40):
-            A = mpmath.matrix(5, 5)
-            for k in range(1, 5):
-                A[0, k] = A[k, 0] = 1
-            for m, (i, j) in enumerate(LOCAL_PAIRS):
-                A[i + 1, j + 1] = A[j + 1, i + 1] = mpmath.mpf(float(l[m])) ** 2
-            cm, G = mpmath.det(A), A ** -1
+            cm, G = mp_cayley_menger(mpmath, l)
             geo = tet_geometry(l)
             cm_err = abs(mpmath.mpf(float(geo.cm3)) - cm) / abs(cm)
             G_err = max(abs(mpmath.mpf(float(geo.cm_inverse[a, b])) - G[a, b])
@@ -590,6 +650,28 @@ class TestAccuracyNearDegeneracy:
             G_scale = max(abs(G[a, b]) for a in range(5) for b in range(5))
             assert float(cm_err) < 1e-10
             assert float(G_err / G_scale) < 1e-10
+
+    @pytest.mark.parametrize("t", [1.3, 1.41, 1.4142, 1.41421, 1.414213])
+    def test_dual_against_40_digits(self, t):
+        # the kernel's formulas in 40 digits: Heron's areas, h_edge = (l/2) cot
+        # of the opposite angle, h_face = G_0k 3V / A_k
+        mpmath = pytest.importorskip("mpmath")
+        l = diagonal_family(t)
+        with mpmath.workdps(40):
+            cm, G = mp_cayley_menger(mpmath, l)
+            V = mpmath.sqrt(cm / 288)
+            h_face, h_edge = [], []
+            for k, edges in enumerate(FACE_EDGES):
+                sides = [mpmath.mpf(float(l[e])) for e in edges]
+                s = sum(sides) / 2
+                area = mpmath.sqrt(s * (s - sides[0]) * (s - sides[1]) * (s - sides[2]))
+                h_face.append(G[0, k + 1] * 3 * V / area)
+                h_edge.append([sides[j] * (sides[j - 2] ** 2 + sides[j - 1] ** 2 - sides[j] ** 2)
+                               / (8 * area) for j in range(3)])
+            dual = [sum(h_edge[f][s] * h_face[f] for f, s in pairs) / 2 for pairs in EDGE_FACES]
+            got = tet_geometry(l).dual
+            err = max(abs(mpmath.mpf(float(got[m])) - dual[m]) for m in range(6))
+            assert float(err / max(abs(d) for d in dual)) < 1e-10
 
 
 class TestAdmissibilityVerdicts:
