@@ -14,13 +14,15 @@ is read from the report: gradients (from one normalization table; EHR has
 length gradient K_e / l_e), residuals, the bounds, the exact conformal
 Hessian and the exact Newton Jacobian of the constant scalar curvature
 equations.  The module-level functions of the same quantities are
-one-call entry points.  The conformal Hessian takes the dihedral
-Jacobian and volume Hessian of each tetrahedron
-(:attr:`TetGeometry.ddihedrals`, :attr:`TetGeometry.d2volume`) through the
-chain rule H_u = M^T H_l M + B^T diag(l * grad_l F) B, with B the
-edge-vertex incidence and M = diag(l) B, assembled per tetrahedron in
-vertex space.  Hessians in length space are obtained by finite
-differences: lengths (..., E) map to functional values (...) in one
+one-call entry points.  The conformal Hessian is the paper's Laplacian
+formula at every metric: H_u(EHR) = -8 Delta + E(K), with Delta the
+Laplacian of the dual-length weights l*_e / l_e and E(K) the edge matrix
+of the curvatures (Glickenstein, *Discrete conformal variations and
+scalar curvature on piecewise flat two and three dimensional manifolds*,
+JDG 2011); LEHR and VEHR add their normalization's Hessian and rank-one
+terms in the gradients, which vanish at csc metrics, where the LEHR
+Hessian is 4 (-2 Delta + N) / L.  Hessians in length space are obtained
+by finite differences: lengths (..., E) map to functional values (...) in one
 kernel call, so each stencil (``hessian_fd``, ``gradient_fd``) is one
 stacked call.
 
@@ -43,15 +45,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .complexes import Complex, LOCAL_PAIRS, set_fields
+from .complexes import Complex, set_fields
 from . import geometry
 from .conformal import induced_lengths
 from .geometry import InadmissibleMetricError
-
-#: incidence P (6, 4) of the local edges of a tetrahedron on its vertices
-_P = np.zeros((6, 4))
-for _m, _pair in enumerate(LOCAL_PAIRS):
-    _P[_m, list(_pair)] = 1.0
 
 
 @dataclass(frozen=True, init=False)
@@ -147,60 +144,40 @@ class CurvatureReport:
     def conformal_hessian(self, which: str) -> np.ndarray:
         """H_u of EHR, LEHR or VEHR, (V, V); see :func:`conformal_hessian`.
 
-        Each length-space Hessian is a sum of per-tet blocks X_t (from the
-        dihedral Jacobian and the volume Hessian) and symmetric rank-one terms
-        in 1, grad_l F and grad_l V.  The chain rule maps X_t to the 4x4 block
-        P^T diag(l_t) X_t diag(l_t) P on the tet's vertices, adds
-        (l * grad_l F)_e on the endpoints of each edge e, and maps each
-        rank-one vector x to M^T x = B^T (l * x).
+        H_u(EHR) = -8 Delta + E(K) at every metric, with Delta the Laplacian
+        of the weights l*_e / l_e and E(x) the edge matrix of x (off-diagonal
+        x_e, diagonal the sum over incident edges).  For F = EHR / N and the
+        total M = L (LEHR) or V (VEHR), with g = grad_u M / M = 2 L_v / L
+        resp. 2 V_v / (3V):  H_u(F) = (H_u(EHR) - lambda H_u(M)) / N
+        - (grad F g^T + g grad F^T), plus (2 lambda / (3 V N)) grad V grad V^T
+        for VEHR.  H_u(L) = E(l); H_u(V) sums the 4x4 blocks
+        4 V_t [1 1^T - 1 a^T - a 1^T + diag a - G_00 G_vv], a = G[0, 1:]
+        (Blumenthal's Gram identities, see geometry).  At a csc metric
+        grad F = 0 and the LEHR Hessian is the paper's 4 (-2 Delta + N) / L.
         """
         which = which.lower()
-        c, geo = self.complex, self.geometry
-
-        def to_vertices(per_edge):
-            return 2.0 * _vertex_half_sums(c, per_edge)
-
-        # X, and below diag(l_t) X diag(l_t), are built in place: on the
-        # 600-cell each (T, 6, 6) array is 173 KB
-        X = geo.ddihedrals
-        if which == "ehr":
-            X *= -1.0
-            w = self.k_edge
-            rank_one = ()
-        elif which == "lehr":
-            L = self.length
-            X *= -1.0 / L
-            w = self.einstein_residual("L") / L
-            # -(grad F 1^T + 1 grad F^T) / L
-            rank_one = ((-1.0 / L, to_vertices(w), to_vertices(self.lengths)),)
-        elif which == "vehr":
-            V, S = self.volume, self.ehr
-            N = V ** (1.0 / 3.0)
-            X *= -1.0 / N
-            d2volume = geo.d2volume
-            d2volume *= S / (3.0 * V * N)
-            X -= d2volume
-            del d2volume
-            w = self.einstein_residual("V") / N
-            gv = to_vertices(self.v_edge)
-            # -(grad F grad V^T + grad V grad F^T) / (3V) + (2/9) S V^(-7/3) grad V grad V^T
-            rank_one = ((-1.0 / (3.0 * V), to_vertices(w), gv),
-                        (S / (9.0 * V * V * N), gv, gv))
-        else:
+        if which not in ("ehr", "lehr", "vehr"):
             raise ValueError(f"unknown functional {which!r}")
-
-        n = c.num_vertices
-        tl = geo.lengths
-        X *= tl[:, :, None]
-        X *= tl[:, None, :]
-        blocks = _P.T @ X @ _P
-        del X
-        tv = c.tet_vertices
-        H = np.bincount((tv[:, :, None] * n + tv[:, None, :]).ravel(), blocks.ravel(),
-                        minlength=n * n).reshape(n, n)
-        H += _edge_matrix(c, w, w)
-        for coef, p, q in rank_one:
-            H += coef * (np.outer(p, q) + np.outer(q, p))
+        c = self.complex
+        N, lam, _, n_vertex = self._normalization(which)
+        w = 8.0 * self.dual_length / self.lengths
+        x = self.k_edge - lam * self.lengths if which == "lehr" else self.k_edge
+        H = _edge_matrix(c, x - w, x + w)
+        if which != "ehr":
+            s = self.length if which == "lehr" else 3.0 * self.volume
+            grad, g = 2.0 * self.grad_conformal(which), 2.0 * n_vertex / s
+            if which == "vehr":
+                G, n, tv = self.geometry.cm_inverse, c.num_vertices, c.tet_vertices
+                a = G[:, 0, 1:]
+                blocks = 1.0 - a[:, :, None] - a[:, None, :] - G[:, :1, :1] * G[:, 1:, 1:]
+                blocks[:, range(4), range(4)] += a
+                blocks *= (4.0 * lam) * self.geometry.volume[:, None, None]
+                H -= np.bincount((tv[:, :, None] * n + tv[:, None, :]).ravel(), blocks.ravel(),
+                                 minlength=n * n).reshape(n, n)
+            H /= N
+            H -= np.outer(grad, g) + np.outer(g, grad)
+            if which == "vehr":    # grad V = 3V g = s g
+                H += (2.0 * lam * s / N) * np.outer(g, g)
         return 0.5 * (H + H.T)
 
     def csc_jacobian(self, which: str) -> np.ndarray:
@@ -503,7 +480,8 @@ def conformal_hessian(c: Complex, lengths, which: str) -> np.ndarray:
     """Exact conformal Hessian of EHR, LEHR or VEHR at any admissible metric.
 
     u convention: the Hessian of u -> F(exp(u_v + u_v') * l_e) at u = 0,
-    shape (V, V), from one kernel call (:meth:`CurvatureReport.conformal_hessian`).
+    shape (V, V), from one kernel call (:meth:`CurvatureReport.conformal_hessian`:
+    -8 Delta + E(K) for EHR, and the normalized forms for LEHR and VEHR).
     ``conformal_hessian_fd`` is its finite-difference oracle.
     """
     return functionals(c, lengths).conformal_hessian(which)
@@ -541,9 +519,11 @@ def lehr_conformal_hessian_csc(c: Complex, lengths) -> np.ndarray:
 
     Valid only at constant L-scalar curvature metrics (max residual
     checked against 1e-8); the check and the Hessian come from one
-    kernel call.  There it equals the formula 4 (-2 Delta + N) / L of
-    :func:`laplacian_matrix` and :func:`normal_matrix` (the factor 4 from
-    d f = 2 du), which the tests check.
+    kernel call.  :meth:`CurvatureReport.conformal_hessian` holds at every
+    metric; at a csc metric its rank-one terms vanish and it is the formula
+    4 (-2 Delta + N) / L of :func:`laplacian_matrix` and
+    :func:`normal_matrix` (the factor 4 from d f = 2 du), which the tests
+    check.
     """
     rep = functionals(c, lengths)
     res = float(np.abs(rep.csc_residual("L")).max())

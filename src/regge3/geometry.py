@@ -19,10 +19,11 @@ and Applications of Distance Geometry*): det A = CM3 = 8 det g = 288 V^2; the
 vertex block of G is -1/2 T g^-1 T^T, T = [-1^T; I_3], i.e. -1/(18 V^2) times
 the Gram matrix of the area-weighted outward face normals; G[0, 1:] =
 (1 - sum(y), y), y = g^-1 diag(g) / 2, are the circumcenter's barycentric
-coordinates; G[0, 0] = -2 R^2 = -y . diag(g).  Second derivatives come from
-the same G: for edge m = (i, j), dG_ab/dl_m = -2 l_m (G_ai G_jb + G_aj G_ib).
-Face areas and circumcentric heights are read only by :attr:`TetGeometry.dual`,
-which computes them; the circumcenter's height over face k times its area is 3 V G_0k.
+coordinates; G[0, 0] = -2 R^2 = -y . diag(g).  Face areas and circumcentric
+heights are read only by :attr:`TetGeometry.dual`, which computes them; the
+circumcenter's height over face k times its area is 3 V G_0k.  No second
+derivative is formed here: the conformal Hessians of :mod:`regge3.curvature`
+are assembled from :attr:`TetGeometry.dual` and G.
 """
 
 from __future__ import annotations
@@ -127,8 +128,7 @@ def dihedral_angles(lengths) -> np.ndarray:
 @dataclass(frozen=True, init=False)
 class TetGeometry:
     """The per-tetrahedron geometry every curvature report reads, for a batch
-    of length vectors; :attr:`dual`, :attr:`ddihedrals` and :attr:`d2volume`
-    are computed from it when read."""
+    of length vectors; :attr:`dual` is computed from it when read."""
 
     lengths: np.ndarray        # (..., 6)
     cm3: np.ndarray            # (...)
@@ -163,52 +163,6 @@ class TetGeometry:
         h_edge = sides * (sq[..., [1, 2, 0]] + sq[..., [2, 0, 1]] - sq) / (8.0 * areas[..., None])
         h_face = self.cm_inverse[..., 0, 1:] * (3.0 * self.volume[..., None] / areas)
         return 0.5 * np.sum(h_edge[..., _EF_FACE, _EF_SLOT] * h_face[..., _EF_FACE], axis=-1)
-
-    def _edge_rows(self, n):
-        """Rows i and j of G for the ends (i, j) of edge n, (..., 5) each:
-        d(G_ab)/d(l_n) = -2 l_n (G_ia G_jb + G_ja G_ib) reads only these."""
-        G = self.cm_inverse
-        return G[..., _I[n], :], G[..., _J[n], :]
-
-    @property
-    def ddihedrals(self) -> np.ndarray:
-        """Jacobian d(beta_m)/d(l_n) of the dihedral angles, (..., 6, 6), row m.
-
-        Differentiates cos beta_m = G_kl / sqrt(G_kk G_ll) one edge n = (i, j)
-        at a time, from rows i and j of G, so that only (..., 6) temporaries
-        are built besides the result: d beta_m / d l_n = 2 l_n / (sqrt(G_kk G_ll)
-        sin beta_m) (G_ik (G_jl - a_k G_jk) + G_il (G_jk - a_l G_jl)), with
-        a_k = G_kl / G_kk and a_l = G_kl / G_ll.
-        """
-        G = self.cm_inverse
-        gkl, gkk, gll = G[..., _K, _L], G[..., _K, _K], G[..., _L, _L]
-        ak, al = gkl / gkk, gkl / gll
-        scale = 2.0 / (np.sqrt(gkk * gll) * np.sin(self.dihedrals))
-        out = np.empty(self.lengths.shape + (6,))
-        for n in range(6):
-            gi, gj = self._edge_rows(n)
-            ik, il, jk, jl = gi[..., _K], gi[..., _L], gj[..., _K], gj[..., _L]
-            out[..., n] = (scale * self.lengths[..., n, None]) * (
-                ik * (jl - ak * jk) + il * (jk - al * jl))
-        return out
-
-    @property
-    def d2volume(self) -> np.ndarray:
-        """Hessian d^2(volume)/d(l_m)d(l_n), (..., 6, 6).
-
-        From dV/dl_m = 2 l_m V G_ij:  delta_mn dV_m/l_m + dV_m dV_n / V
-        + 2 l_m V dG_ij/dl_n, assembled one edge n at a time.
-        """
-        V = self.volume[..., None]
-        lv = -4.0 * self.lengths * V
-        out = np.empty(self.lengths.shape + (6,))
-        for n in range(6):
-            gi, gj = self._edge_rows(n)
-            out[..., n] = self.dvolume * self.dvolume[..., n, None] / V + (
-                lv * self.lengths[..., n, None]) * (gi[..., _I] * gj[..., _J]
-                                                    + gj[..., _I] * gi[..., _J])
-        out[..., range(6), range(6)] += self.dvolume / self.lengths
-        return out
 
 
 def tet_geometry(lengths) -> TetGeometry:

@@ -403,9 +403,11 @@ def yamabe_constant_estimate(cls: ConformalClass, which: str = "L",
     The first start is the class representative f = 0; the remaining
     starts are seeded mean-zero normal factors.  The reported value is
     the minimum objective reached and is only an upper bound on the true
-    infimum.
+    infimum.  ``which`` is "L" or "V".
     """
-    functional = {"L": "lehr", "V": "vehr"}[which.upper()]
+    functional = {"L": "lehr", "V": "vehr"}.get(which.upper())
+    if functional is None:
+        raise ValueError(f"unknown functional {which!r}: expected 'L' or 'V'")
     rng = np.random.default_rng(seed)
     n = cls.complex.num_vertices
     best_val = np.inf

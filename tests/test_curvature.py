@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from regge3 import curvature, solve
-from regge3.complexes import double_tetrahedron, six_hundred_cell
+from regge3.complexes import LOCAL_PAIRS, double_tetrahedron, six_hundred_cell
 from regge3.conformal import ConformalClass, random_equihedral_lengths
 from regge3.conformal import induced_lengths
 from regge3.curvature import (bounds_report, conformal_hessian, conformal_hessian_fd,
@@ -349,7 +349,75 @@ def paper_formula(c, lengths):
                   + normal_matrix(c, lengths)) / float(np.sum(lengths))
 
 
+def mp_functionals(mpmath, c, lengths, u):
+    """(EHR, L, V) at the metric exp(u_a + u_b) l_e, in mpmath at its working
+    precision: CM3 and G = A^-1 by mpmath's det and inverse, cos beta_ij =
+    G_kl / sqrt(G_kk G_ll) for the vertices k, l off edge ij."""
+    l = [mpmath.mpf(float(lengths[e])) * mpmath.exp(u[a] + u[b])
+         for e, (a, b) in enumerate(c.edge_vertices)]
+    angle_sum, volume = [mpmath.mpf(0)] * len(l), mpmath.mpf(0)
+    for edges in c.tet_edges:
+        A = mpmath.matrix(5, 5)
+        for k in range(1, 5):
+            A[0, k] = A[k, 0] = 1
+        for m, (i, j) in enumerate(LOCAL_PAIRS):
+            A[i + 1, j + 1] = A[j + 1, i + 1] = l[edges[m]] ** 2
+        G = A ** -1
+        volume += mpmath.sqrt(mpmath.det(A) / 288)
+        for m, pair in enumerate(LOCAL_PAIRS):
+            k, q = [v + 1 for v in range(4) if v not in pair]
+            angle_sum[edges[m]] += mpmath.acos(G[k, q] / mpmath.sqrt(G[k, k] * G[q, q]))
+    ehr = sum((2 * mpmath.pi - b) * le for b, le in zip(angle_sum, l))
+    return ehr, sum(l), volume
+
+
+def mp_conformal_hessians(mpmath, c, lengths, h):
+    """Central-difference u-Hessians of EHR, LEHR and VEHR with step ``h``."""
+    n = c.num_vertices
+    memo = {}
+
+    def F(steps):
+        if steps not in memo:
+            u = [mpmath.mpf(0)] * n
+            for i, s in steps:
+                u[i] += s * h
+            ehr, L, V = mp_functionals(mpmath, c, lengths, u)
+            memo[steps] = (ehr, ehr / L, ehr / mpmath.cbrt(V))
+        return memo[steps]
+
+    out = np.empty((3, n, n))
+    for i in range(n):
+        for j in range(i, n):
+            if i == j:
+                d = [(p - 2 * z + m) / h ** 2
+                     for p, z, m in zip(F(((i, 1),)), F(()), F(((i, -1),)))]
+            else:
+                d = [(pp - pm - mp + mm) / (4 * h ** 2) for pp, pm, mp, mm in zip(
+                    F(((i, 1), (j, 1))), F(((i, 1), (j, -1))),
+                    F(((i, -1), (j, 1))), F(((i, -1), (j, -1))))]
+            out[:, i, j] = out[:, j, i] = [float(x) for x in d]
+    return dict(zip(("ehr", "lehr", "vehr"), out))
+
+
 class TestExactConformalHessian:
+    @pytest.mark.parametrize("case", ["t1.3", "t1.4142", "t1.41421", "seed60", "seed61"])
+    def test_against_40_digit_differences(self, dt, case):
+        # central differences of the u-functional in 40 digits, step 1e-12
+        # (within 5e-15 relative of 60 digits at step 1e-18 on these cases);
+        # the random metrics are not csc, so the rank-one terms are exercised
+        mpmath = pytest.importorskip("mpmath")
+        if case.startswith("t"):
+            l = diagonal_family(float(case[1:]))
+        else:
+            l = random_admissible_lengths(dt, np.random.default_rng(int(case[4:])))
+        with mpmath.workdps(40):
+            ref = mp_conformal_hessians(mpmath, dt, l, mpmath.mpf("1e-12"))
+        rep = functionals(dt, l)
+        for which, bound in (("ehr", 1e-12), ("lehr", 1e-12), ("vehr", 1e-10)):
+            H = rep.conformal_hessian(which)
+            err = np.abs(H - ref[which]).max() / np.abs(ref[which]).max()
+            assert err < bound, (which, err)
+
     @pytest.mark.parametrize("which", ["ehr", "lehr", "vehr"])
     def test_matches_fd_on_random_metrics(self, dt, which):
         # lengths in [0.8, 1.2]: next to the admissibility boundary the
@@ -388,7 +456,8 @@ class TestExactConformalHessian:
         lehr_conformal_hessian_csc(cell600, np.ones(720))
         assert kernel_calls == [(600, 6)]
         conformal_hessian(cell600, np.ones(720), "vehr")
-        assert len(kernel_calls) == 2
+        conformal_hessian(cell600, np.ones(720), "ehr")
+        assert kernel_calls == [(600, 6)] * 3
 
 
 class TestCscJacobian:
@@ -438,18 +507,25 @@ class TestCscJacobian:
         functionals(cell600, l).csc_jacobian("L")
         assert kernel_calls == [(600, 6)]
 
-    def test_peak_memory_on_cell600(self, cell600):
-        # the per-tet derivative arrays are built one edge at a time: a
-        # (600, 6, 6, 6) broadcast would take the peak past 1.3 MB
-        rep = functionals(cell600, induced_lengths(
-            cell600, np.ones(720), np.random.default_rng(40).normal(0, 0.02, 120)))
+    @staticmethod
+    def peak_kb(c, which):
+        rep = functionals(c, induced_lengths(
+            c, np.ones(720), np.random.default_rng(40).normal(0, 0.02, 120)))
         tracemalloc.start()
         try:
-            rep.csc_jacobian("L")
-            peak = tracemalloc.get_traced_memory()[1]
+            rep.csc_jacobian(which)
+            return tracemalloc.get_traced_memory()[1] / 1024
         finally:
             tracemalloc.stop()
-        assert peak <= 700 * 1024
+
+    def test_peak_memory_on_cell600(self, cell600):
+        # vertex-space assembly from the dual lengths peaks at 489 KB; one
+        # (600, 6, 6) per-tet array (173 KB) on top would pass the bound
+        assert self.peak_kb(cell600, "L") <= 520
+
+    def test_peak_memory_on_cell600_volume(self, cell600):
+        # VEHR adds one (600, 4, 4) block from G: 564 KB
+        assert self.peak_kb(cell600, "V") <= 600
 
 
 class TestResiduals:

@@ -320,64 +320,6 @@ class TestDihedralAngles:
                 assert abs(float(l @ db)) < 1e-6
 
 
-class TestSecondDerivatives:
-    """The kernel's dihedral Jacobian and volume Hessian, against central
-    differences of the first-order fields and the Schlaefli structure."""
-
-    H = 1e-6
-
-    def central(self, l, field):
-        cols = []
-        for n in range(6):
-            e = np.zeros(6)
-            e[n] = self.H
-            cols.append((getattr(tet_geometry(l + e), field)
-                         - getattr(tet_geometry(l - e), field)) / (2 * self.H))
-        return np.stack(cols, axis=-1)
-
-    def test_ddihedrals_match_central_differences(self):
-        rng = np.random.default_rng(40)
-        dt = double_tetrahedron()
-        for _ in range(20):
-            l = random_admissible_lengths(dt, rng)
-            J = tet_geometry(l).ddihedrals
-            assert np.abs(J - self.central(l, "dihedrals")).max() < 1e-7 * np.abs(J).max()
-
-    def test_d2volume_matches_central_differences(self):
-        rng = np.random.default_rng(41)
-        dt = double_tetrahedron()
-        for _ in range(20):
-            l = random_admissible_lengths(dt, rng)
-            H = tet_geometry(l).d2volume
-            assert np.abs(H - self.central(l, "dvolume")).max() < 1e-7 * np.abs(H).max()
-            assert np.abs(H - H.T).max() < 1e-12 * np.abs(H).max()
-
-    def test_schlaefli_structure(self):
-        # sum_e l_e dbeta_e/dl_m = 0, and 6V/(l_m l_n) dbeta_m/dl_n is
-        # symmetric with unit entries on opposite edge pairs
-        rng = np.random.default_rng(42)
-        dt = double_tetrahedron()
-        opposite = [5, 4, 3, 2, 1, 0]
-        for _ in range(20):
-            l = random_admissible_lengths(dt, rng)
-            geo = tet_geometry(l)
-            J = geo.ddihedrals
-            assert np.abs(l @ J).max() < 1e-12 * np.abs(J).max()
-            S = 6 * geo.volume / np.outer(l, l) * J
-            assert np.abs(S - S.T).max() < 1e-12 * np.abs(S).max()
-            assert S[range(6), opposite] == pytest.approx(np.ones(6), abs=1e-12)
-
-    def test_batched_over_leading_axes(self):
-        rng = np.random.default_rng(43)
-        dt = double_tetrahedron()
-        batch = np.stack([random_admissible_lengths(dt, rng) for _ in range(6)]).reshape(2, 3, 6)
-        geo = tet_geometry(batch)
-        assert geo.ddihedrals.shape == geo.d2volume.shape == (2, 3, 6, 6)
-        one = tet_geometry(batch[1, 2])
-        assert geo.ddihedrals[1, 2] == pytest.approx(one.ddihedrals, abs=1e-13)
-        assert geo.d2volume[1, 2] == pytest.approx(one.d2volume, abs=1e-13)
-
-
 class TestEmbedding:
     def test_regular_apex_height(self):
         p = embed_tet(REGULAR)
@@ -536,8 +478,7 @@ class TestDualLengths:
 
 _I, _J = np.array(LOCAL_PAIRS).T + 1
 _K, _L = np.array([[v for v in range(4) if v not in p] for p in LOCAL_PAIRS]).T + 1
-FIELDS = ("cm3", "cm_inverse", "volume", "dihedrals", "dual", "dvolume",
-          "ddihedrals", "d2volume")
+FIELDS = ("cm3", "cm_inverse", "volume", "dihedrals", "dual", "dvolume")
 
 
 def cm_matrix(l):
@@ -552,8 +493,8 @@ def cm_matrix(l):
 
 def lapack_geometry(l):
     """The kernel's bundle with CM3, G and the fields read from G replaced
-    by their values from LAPACK; dual, ddihedrals and d2volume then follow
-    from the LAPACK G (the face areas in dual by Heron's formula either way)."""
+    by their values from LAPACK; dual then follows from the LAPACK G (the
+    face areas by Heron's formula either way)."""
     geo = tet_geometry(l)
     A = cm_matrix(l)
     cm, G = np.linalg.det(A), np.linalg.inv(A)

@@ -415,6 +415,16 @@ class TestYamabe:
         assert est.newton_steps == sum(t.newton_steps for t in traces)
         assert 0 < est.newton_steps <= est.iterations
 
+    @pytest.mark.parametrize("which", ["EHR", "lehr", "X"])
+    def test_unknown_functional_rejected_before_any_descent(self, unit_class, which,
+                                                            monkeypatch):
+        def no_descent(*args, **kwargs):
+            raise AssertionError("descent started")
+
+        monkeypatch.setattr(solve, "descend_conformal", no_descent)
+        with pytest.raises(ValueError, match="unknown functional.*'L' or 'V'"):
+            yamabe_constant_estimate(unit_class, which)
+
     def test_deterministic_for_fixed_seed(self, unit_class):
         e1 = yamabe_constant_estimate(unit_class, "L", starts=4, seed=3)
         e2 = yamabe_constant_estimate(unit_class, "L", starts=4, seed=3)
