@@ -14,7 +14,8 @@ is read from the report: gradients (from one normalization table; EHR has
 length gradient K_e / l_e), residuals, the bounds, the exact conformal
 Hessian and the exact Newton Jacobian of the constant scalar curvature
 equations.  The module-level functions of the same quantities are
-one-call entry points.  The conformal Hessian is the paper's Laplacian
+one-call entry points; they reuse a report of their metric that a caller
+still holds.  The conformal Hessian is the paper's Laplacian
 formula at every metric: H_u(EHR) = -8 Delta + E(K), with Delta the
 Laplacian of the dual-length weights l*_e / l_e and E(K) the edge matrix
 of the curvatures (Glickenstein, *Discrete conformal variations and
@@ -40,6 +41,7 @@ reference eigenvalues quoted in the tests use the u convention.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -59,7 +61,8 @@ class CurvatureReport:
     curvatures and the totals are computed with the report; ``k_vertex``,
     ``l_vertex``, ``v_vertex``, ``v_edge`` and ``dual_length`` are
     computed when first read and then kept, so a caller pays only for
-    the fields it reads.
+    the fields it reads.  Every array is read-only: a report may be shared
+    (see :func:`functionals`).
 
     Identities (tested): sum(k_vertex) = ehr, sum(l_vertex) = length,
     sum(v_vertex) = 3 * volume, sum(v_edge) = 3 * volume.
@@ -81,31 +84,32 @@ class CurvatureReport:
     @cached_property
     def k_vertex(self) -> np.ndarray:
         """(V,) vertex curvatures K_v = (1/2) sum of incident K_e."""
-        return _vertex_half_sums(self.complex, self.k_edge)
+        return _read_only(_vertex_half_sums(self.complex, self.k_edge))
 
     @cached_property
     def l_vertex(self) -> np.ndarray:
         """(V,) L_v = (1/2) sum of incident lengths."""
-        return _vertex_half_sums(self.complex, self.lengths)
+        return _read_only(_vertex_half_sums(self.complex, self.lengths))
 
     @cached_property
     def v_vertex(self) -> np.ndarray:
         """(V,) V_v = (1/3) sum of h_{f<t} A_f = 3 V_t alpha_f over the faces f at v of its
         tets t, i.e. sum_t V_t (1 - alpha_v), alpha = G[0, 1:] (sum 1, see geometry)."""
         geo = self.geometry
-        return np.bincount(self.complex.tet_vertices.ravel(),
-                           (geo.volume[:, None] * (1.0 - geo.cm_inverse[:, 0, 1:])).ravel(),
-                           minlength=self.complex.num_vertices)
+        return _read_only(np.bincount(
+            self.complex.tet_vertices.ravel(),
+            (geo.volume[:, None] * (1.0 - geo.cm_inverse[:, 0, 1:])).ravel(),
+            minlength=self.complex.num_vertices))
 
     @cached_property
     def v_edge(self) -> np.ndarray:
         """(E,) V_e = l_e dV/dl_e."""
-        return self.lengths * self.complex.edge_sum(self.geometry.dvolume)
+        return _read_only(self.lengths * self.complex.edge_sum(self.geometry.dvolume))
 
     @cached_property
     def dual_length(self) -> np.ndarray:
         """(E,) signed dual areas l*_e, summed from :attr:`TetGeometry.dual`."""
-        return self.complex.edge_sum(self.geometry.dual)
+        return _read_only(self.complex.edge_sum(self.geometry.dual))
 
     def _normalization(self, which: str):
         """(N, lambda, N_e, N_v) of F = EHR / N for EHR, LEHR ("L") or VEHR
@@ -283,27 +287,50 @@ def vehr_value(c: Complex, lengths):
 FUNCTIONALS = {"ehr": ehr_value, "lehr": lehr_value, "vehr": vehr_value}
 
 
+_live = None    # weak reference to the last report built; it keeps nothing alive
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(False)    # write=False, positional: the keyword costs twice the call
+    return a
+
+
 def functionals(c: Complex, lengths) -> CurvatureReport:
-    """The :class:`CurvatureReport` of one admissible metric (E,): one kernel call."""
+    """The :class:`CurvatureReport` of one admissible metric (E,): one kernel call.
+
+    A call with the same complex object and byte-identical lengths as the last
+    report built returns that report while some caller still holds it (only a
+    weak reference is kept), so the wrappers below cost no kernel call while a
+    report is in use.  The report owns a read-only copy of its lengths.
+    """
+    global _live
     lengths = np.asarray(lengths, dtype=float)
     if lengths.shape != (c.num_edges,):
         raise ValueError(f"functionals takes one metric of shape ({c.num_edges},), got shape "
                          f"{lengths.shape}; for a batch use ehr_value, lehr_value or vehr_value")
+    rep = _live and _live()
+    if rep is not None and rep.complex is c and rep.lengths.tobytes() == lengths.tobytes():
+        return rep
+    lengths = _read_only(lengths.copy())
     geo, k_edge = _curvatures(c, lengths)
+    for a in vars(geo).values():    # the six kernel arrays
+        _read_only(a)
     total_len = float(lengths.sum())
     volume = float(geo.volume.sum())
     ehr = float(k_edge.sum())
-    return CurvatureReport(
+    rep = CurvatureReport(
         complex=c,
         geometry=geo,
         lengths=lengths,
-        k_edge=k_edge,
+        k_edge=_read_only(k_edge),
         length=total_len,
         volume=volume,
         ehr=ehr,
         lehr=ehr / total_len,
         vehr=ehr / volume ** (1.0 / 3.0),
     )
+    _live = weakref.ref(rep)
+    return rep
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,15 @@ _SYM3 = _SYM5[2:, 2:] - 9              # 3x3 from (11, 12, 13, 22, 23, 33)
 
 
 class InadmissibleMetricError(ValueError):
-    """Lengths do not embed as nondegenerate Euclidean simplices."""
+    """Lengths do not embed as nondegenerate Euclidean simplices.  A message given as
+    a zero-argument callable is formatted when read: a discarded rejection formats none."""
+
+    def __str__(self):
+        message = self.args[0] if len(self.args) == 1 else None
+        return message() if callable(message) else super().__str__()
+
+    def __repr__(self):
+        return f"{type(self).__name__}({str(self)!r})"
 
 
 def _as_lengths(lengths) -> np.ndarray:
@@ -106,12 +114,12 @@ def _admissible_cm(l, n=3):
     sides = l[..., _FACE_EDGES]
     margins = (sides.sum(-1) - 2.0 * sides.max(-1)).min(-1)
     if margins.min(initial=np.inf) <= 0.0:
-        raise InadmissibleMetricError(
-            f"metric not admissible: tet {_worst_tet(margins)} has a degenerate face triangle")
+        raise InadmissibleMetricError(lambda: (
+            f"metric not admissible: tet {_worst_tet(margins)} has a degenerate face triangle"))
     g2, adj, cm = _gram_cofactors(l, n)
     if cm.min(initial=np.inf) <= 0.0:
-        raise InadmissibleMetricError(
-            f"metric not admissible: tet {_worst_tet(cm)} has CM3 = {float(cm.min()):.6g} <= 0")
+        raise InadmissibleMetricError(lambda: (
+            f"metric not admissible: tet {_worst_tet(cm)} has CM3 = {float(cm.min()):.6g} <= 0"))
     return cm, g2, adj
 
 

@@ -171,7 +171,9 @@ def descend(evaluate, guard, x0, project=None, max_iter: int = 1000):
     line-search candidate that passes ``guard``, and the accepted
     candidate's evaluation supplies the next gradient, boundary flag and
     Newton callable.  ``guard`` must return True on admissible points;
-    candidates failing it are never evaluated.  ``project`` (optional)
+    candidates failing it are never evaluated, and ``evaluate`` is handed the
+    very object that ``guard`` passed last, so a guard may keep an evaluation
+    for it (:func:`_evaluator`'s does).  ``project`` (optional)
     renormalizes each candidate before the guard sees it, e.g. to fix a
     scale gauge; it must preserve both the value and admissibility.
 
@@ -271,22 +273,34 @@ def descend(evaluate, guard, x0, project=None, max_iter: int = 1000):
 
 
 def _evaluator(c: Complex, which: str, metric, gradient, newton=None):
-    """``evaluate`` of :func:`descend` from one report at the metric ``metric(x)``;
-    at the boundary, the worst tet's CM3 is below 1e-8 (mean length)^6.
-    ``newton(rep, g)``, if given, returns the Newton direction from the
-    report and gradient at an accepted point."""
+    """``guard, evaluate`` of :func:`descend` from one report at the metric ``metric(x)``.
+
+    The guard is the kernel call: it builds the report (rejecting x when the
+    kernel raises :class:`geometry.InadmissibleMetricError`) and keeps it for
+    ``evaluate`` of the same x, so a candidate costs one call, passed or rejected.
+    At the boundary, the worst tet's CM3 is below 1e-8 (mean length)^6.
+    ``newton(rep, g)``, if given, returns the Newton direction from the report
+    and gradient at an accepted point."""
     which = which.lower()
     if which not in curvature.FUNCTIONALS:
         raise ValueError(f"unknown functional {which!r}")
+    kept = [None, None]    # the last candidate the guard passed, and its report
+
+    def guard(x):
+        try:
+            kept[:] = x, curvature.functionals(c, metric(x))
+        except geometry.InadmissibleMetricError:
+            return False
+        return True
 
     def evaluate(x):
-        rep = curvature.functionals(c, metric(x))
+        rep = kept[1] if kept[0] is x else curvature.functionals(c, metric(x))
         at_boundary = np.min(rep.geometry.cm3) < 1e-8 * float(np.mean(rep.lengths)) ** 6
         g = gradient(rep, which)
         return (getattr(rep, which), g, bool(at_boundary),
                 None if newton is None else lambda: newton(rep, g))
 
-    return evaluate
+    return guard, evaluate
 
 
 def descend_lengths(c: Complex, which: str, l0, normalize: str = "L",
@@ -310,9 +324,8 @@ def descend_lengths(c: Complex, which: str, l0, normalize: str = "L",
     else:
         raise ValueError(f"unknown normalization {normalize!r}")
 
-    evaluate = _evaluator(c, which, lambda l: l, curvature.CurvatureReport.grad_lengths)
-    return descend(evaluate, lambda l: geometry.is_admissible(c, l), l0,
-                   project=project, max_iter=max_iter)
+    guard, evaluate = _evaluator(c, which, lambda l: l, curvature.CurvatureReport.grad_lengths)
+    return descend(evaluate, guard, l0, project=project, max_iter=max_iter)
 
 
 def descend_conformal(cls: ConformalClass, which: str, f0, max_iter: int = 1000):
@@ -337,7 +350,10 @@ def descend_conformal(cls: ConformalClass, which: str, f0, max_iter: int = 1000)
     P = np.eye(n) - mean
 
     def induced(f):
-        return induced_lengths(c, cls.background, f)
+        # a long gradient candidate may overflow to infinite lengths, which
+        # the kernel rejects
+        with np.errstate(over="ignore"):
+            return induced_lengths(c, cls.background, f)
 
     def project(f):
         return f - f.mean()
@@ -351,14 +367,8 @@ def descend_conformal(cls: ConformalClass, which: str, f0, max_iter: int = 1000)
         d = -np.linalg.solve(Hp, P @ g)
         return d if np.abs(d).max() <= _NEWTON_RADIUS else None
 
-    def guard(f):
-        # a long gradient candidate may overflow to infinite lengths, which
-        # the admissibility test rejects
-        with np.errstate(over="ignore"):
-            return geometry.is_admissible(c, induced(f))
-
-    evaluate = _evaluator(c, which, induced, curvature.CurvatureReport.grad_conformal,
-                          newton)
+    guard, evaluate = _evaluator(c, which, induced,
+                                 curvature.CurvatureReport.grad_conformal, newton)
     return descend(evaluate, guard, np.asarray(f0, dtype=float), project=project,
                    max_iter=max_iter)
 

@@ -1,4 +1,6 @@
+import dataclasses
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -103,17 +105,20 @@ class TestFunctionals:
         with pytest.raises(ValueError, match=r"shape \(6,\)"):
             functionals(dt, np.ones(5))
 
-    def test_peak_memory_on_cell600(self, cell600):
+    def test_peak_memory_on_cell600(self, cell600, kernel_calls):
         # the report keeps only what every caller reads: face areas and
         # circumcentric heights, eager per-tet arrays, took the peak to 722 KB
         l = 1.0 + 0.02 * np.random.default_rng(75).standard_normal(cell600.num_edges)
         functionals(cell600, l)
+        kernel_calls.clear()
         tracemalloc.start()
         try:
             functionals(cell600, l)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        # the measured call built its report: the first was dropped at once
+        assert kernel_calls == [(600, 6)]
         assert peak <= 600 * 1024
 
     def test_serialization_deterministic(self, dt):
@@ -121,6 +126,72 @@ class TestFunctionals:
         text = rep.to_text()
         assert text == functionals(dt, ONES).to_text()
         assert "lehr: 3.8212664725" in text
+
+
+class TestSharedReport:
+    """``functionals`` returns the report of a repeated metric while it is held."""
+
+    def test_held_report_is_returned(self, dt, kernel_calls):
+        l = random_admissible_lengths(dt, np.random.default_rng(76))
+        rep = functionals(dt, l)
+        assert functionals(dt, l.copy()) is rep
+        assert bounds_report(dt, l).lehr == rep.lehr
+        assert kernel_calls == [(2, 6)]
+
+    def test_dropped_report_is_freed_and_rebuilt(self, dt, kernel_calls):
+        rep = functionals(dt, ONES)
+        ref = weakref.ref(rep)
+        del rep
+        assert ref() is None
+        functionals(dt, ONES)
+        assert kernel_calls == [(2, 6)] * 2
+
+    def test_nothing_retained_on_cell600(self, cell600):
+        rng = np.random.default_rng(77)
+        first, second = 1.0 + 0.02 * rng.standard_normal((2, cell600.num_edges))
+        bounds_report(cell600, first)
+        tracemalloc.start()
+        try:
+            bounds_report(cell600, second)
+            current = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # a kept 600-cell report would hold about 235 KB
+        assert current <= 32 * 1024
+
+    def test_mutated_input_gets_a_new_report(self, dt):
+        l = ONES.copy()
+        rep = functionals(dt, l)
+        l[0] = 1.1
+        new = functionals(dt, l)
+        assert new is not rep and new.lengths[0] == 1.1
+        assert rep.lengths.tolist() == [1.0] * 6
+
+    def test_report_arrays_are_read_only(self, dt):
+        rep = functionals(dt, random_admissible_lengths(dt, np.random.default_rng(78)))
+        arrays = [getattr(rep, name) for name in ("lengths", "k_edge", "k_vertex", "l_vertex",
+                                                  "v_vertex", "v_edge", "dual_length")]
+        arrays += [getattr(rep.geometry, f.name) for f in dataclasses.fields(rep.geometry)]
+        assert len(arrays) == 13
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0.0
+
+    def test_other_complex_gets_its_own_report(self, dt, kernel_calls):
+        rep = functionals(dt, ONES)
+        other = double_tetrahedron()
+        mine = functionals(other, ONES)
+        assert mine is not rep and mine.complex is other
+        assert kernel_calls == [(2, 6)] * 2
+
+    def test_analyze_sequence_one_kernel_call_on_cell600(self, cell600, kernel_calls):
+        l = 1.0 + 0.02 * np.random.default_rng(79).standard_normal(cell600.num_edges)
+        rep, bounds, residuals = (
+            functionals(cell600, l), bounds_report(cell600, l),
+            [einstein_residual(cell600, l, w) for w in "LV"]
+            + [csc_residual(cell600, l, w) for w in "LV"])
+        assert bounds.lehr == rep.lehr and len(residuals) == 4
+        assert kernel_calls == [(600, 6)]
 
 
 class TestGradients:

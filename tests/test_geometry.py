@@ -236,6 +236,20 @@ class TestInadmissibleTetNames:
             with pytest.raises(InadmissibleMetricError, match=text):
                 tet_geometry(tl)
 
+    def test_message_formatted_only_when_read(self, monkeypatch):
+        found = []
+        worst_tet = geometry._worst_tet
+        monkeypatch.setattr(geometry, "_worst_tet", lambda v: found.append(1) or worst_tet(v))
+        dt = double_tetrahedron()
+        assert not geometry.is_admissible(dt, self.FLAT)
+        assert not geometry.is_admissible(dt, self.BAD_FACE)
+        assert found == []
+        with pytest.raises(InadmissibleMetricError) as info:
+            tet_geometry(np.array([REGULAR, self.FLAT]))
+        assert repr(info.value) == f"InadmissibleMetricError({str(info.value)!r})"
+        assert str(info.value).startswith("metric not admissible: tet 1 has CM3 = -")
+        assert found    # formatted on reading
+
 
 class TestFaceAngle:
     """The two face-angle oracles: the law of cosines, and the embedding's

@@ -237,22 +237,21 @@ class TestDescend:
 
     @pytest.mark.parametrize("kind", ["lengths", "conformal"])
     def test_one_kernel_call_per_evaluated_candidate(self, dt, kind, kernel_calls,
-                                                     monkeypatch):
+                                                     guard_calls, monkeypatch):
         rng = np.random.default_rng(57)
         l0 = solve.random_admissible_lengths(dt, rng)
-        passed, dets = [], []
+        checks = []
         is_admissible, cayley_menger = geometry.is_admissible, geometry.cayley_menger
 
-        def counted_guard(c, lengths):
-            ok = is_admissible(c, lengths)
-            passed.append(ok)
-            return ok
+        def counted_check(c, lengths):
+            checks.append(np.shape(lengths))
+            return is_admissible(c, lengths)
 
         def counted_det(lengths):
-            dets.append(np.shape(lengths))
+            checks.append(np.shape(lengths))
             return cayley_menger(lengths)
 
-        monkeypatch.setattr(geometry, "is_admissible", counted_guard)
+        monkeypatch.setattr(geometry, "is_admissible", counted_check)
         monkeypatch.setattr(geometry, "cayley_menger", counted_det)
         if kind == "lengths":
             _, trace = descend_lengths(dt, "lehr", l0, normalize="L", max_iter=50)
@@ -260,10 +259,13 @@ class TestDescend:
             _, trace = descend_conformal(ConformalClass(dt, l0), "vehr",
                                          0.1 * rng.normal(size=4), max_iter=50)
         # the start and at least five line-search candidates were checked
-        assert len(passed) > 5
-        # the guard passes the start and every candidate that is evaluated
-        assert len(kernel_calls) == sum(passed)
-        assert dets == []
+        assert len(guard_calls) > 5
+        if kind == "lengths":    # it ends against the boundary
+            assert guard_calls.count(False) > 0
+        # the guard is the kernel: one call per candidate it sees, passed or
+        # rejected, and no separate admissibility test
+        assert len(kernel_calls) == len(guard_calls)
+        assert checks == []
 
     @pytest.mark.parametrize("kind, seed, which, expected", [
         ("lengths", 61, "lehr", ("boundary-hit", 21)),
@@ -302,12 +304,12 @@ class TestDescend:
         assert sum(trace.step_sizes) == steps_total
         assert lend.tolist() == end
 
-    def test_conformal_hessian_adds_no_kernel_call(self, dt, kernel_calls, monkeypatch):
+    def test_conformal_hessian_adds_no_kernel_call(self, dt, kernel_calls, guard_calls,
+                                                   monkeypatch):
         rng = np.random.default_rng(63)
         cls = ConformalClass(dt, solve.random_admissible_lengths(dt, rng))
-        hessians, passed = [], []
+        hessians = []
         conformal_hessian = curvature.CurvatureReport.conformal_hessian
-        is_admissible = geometry.is_admissible
 
         def counted_hessian(rep, which):
             before = len(kernel_calls)
@@ -315,21 +317,15 @@ class TestDescend:
             hessians.append(len(kernel_calls) - before)
             return H
 
-        def counted_guard(c, lengths):
-            ok = is_admissible(c, lengths)
-            passed.append(ok)
-            return ok
-
         monkeypatch.setattr(curvature.CurvatureReport, "conformal_hessian", counted_hessian)
-        monkeypatch.setattr(geometry, "is_admissible", counted_guard)
         f0 = rng.normal(0.0, 0.2, 4)
         _, trace = descend_conformal(cls, "lehr", f0 - f0.mean(), max_iter=50)
         assert trace.reason == "converged" and trace.newton_steps > 0
         # one Hessian per iterate short of convergence, each read from the
-        # iterate's report: the kernel runs on the points the guard passes alone
+        # iterate's report: the kernel runs once per candidate the guard sees
         assert len(hessians) == len(trace.step_sizes)
         assert hessians == [0] * len(hessians)
-        assert len(kernel_calls) == sum(passed)
+        assert len(kernel_calls) == len(guard_calls)
 
     # starts of the multi-start estimate whose parent-gradient descents end at
     # these values; Newton steps without the radius end on the boundary above them
@@ -529,6 +525,12 @@ class TestSweep:
         # one report per row, whose kernel call also decides admissibility:
         # the t = 1.5 call raises
         assert len(kernel_calls) == 3 and checked == []
+
+    def test_conformal_row_builds_one_report(self, dt, kernel_calls):
+        # the csc check and the conformal Hessian read the row's report
+        sweep_family(dt, diagonal_family, [1.0, 1.2],
+                     ["lehr", "csc_res_l", "conf_lehr_lam1", "conf_lehr_lam2"])
+        assert kernel_calls == [(2, 6)] * 2
 
     def test_inadmissible_rows_flagged(self, dt):
         table = sweep_family(dt, diagonal_family, [1.0, 1.5],
