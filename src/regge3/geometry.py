@@ -54,7 +54,8 @@ _SYM3 = _SYM5[2:, 2:] - 9              # 3x3 from (11, 12, 13, 22, 23, 33)
 
 class InadmissibleMetricError(ValueError):
     """Lengths do not embed as nondegenerate Euclidean simplices.  A message given as
-    a zero-argument callable is formatted when read: a discarded rejection formats none."""
+    a zero-argument callable (``args[0]``) is formatted when read: a discarded rejection
+    formats none.  A pickled error carries the formatted text."""
 
     def __str__(self):
         message = self.args[0] if len(self.args) == 1 else None
@@ -62,6 +63,9 @@ class InadmissibleMetricError(ValueError):
 
     def __repr__(self):
         return f"{type(self).__name__}({str(self)!r})"
+
+    def __reduce__(self):
+        return type(self), tuple(a() if callable(a) else a for a in self.args)
 
 
 def _as_lengths(lengths) -> np.ndarray:

@@ -277,24 +277,28 @@ def _evaluator(c: Complex, which: str, metric, gradient, newton=None):
 
     The guard is the kernel call: it builds the report (rejecting x when the
     kernel raises :class:`geometry.InadmissibleMetricError`) and keeps it for
-    ``evaluate`` of the same x, so a candidate costs one call, passed or rejected.
+    ``evaluate``, which :func:`descend` calls next on that same x, so a
+    candidate costs one call, passed or rejected.
     At the boundary, the worst tet's CM3 is below 1e-8 (mean length)^6.
     ``newton(rep, g)``, if given, returns the Newton direction from the report
     and gradient at an accepted point."""
     which = which.lower()
     if which not in curvature.FUNCTIONALS:
         raise ValueError(f"unknown functional {which!r}")
-    kept = [None, None]    # the last candidate the guard passed, and its report
+    kept = [None]    # the report of the last candidate the guard passed
 
     def guard(x):
+        # a long conformal gradient candidate may overflow to infinite
+        # lengths, which the kernel rejects
         try:
-            kept[:] = x, curvature.functionals(c, metric(x))
+            with np.errstate(over="ignore"):
+                kept[0] = curvature.functionals(c, metric(x))
         except geometry.InadmissibleMetricError:
             return False
         return True
 
     def evaluate(x):
-        rep = kept[1] if kept[0] is x else curvature.functionals(c, metric(x))
+        rep = kept[0]
         at_boundary = np.min(rep.geometry.cm3) < 1e-8 * float(np.mean(rep.lengths)) ** 6
         g = gradient(rep, which)
         return (getattr(rep, which), g, bool(at_boundary),
@@ -350,10 +354,7 @@ def descend_conformal(cls: ConformalClass, which: str, f0, max_iter: int = 1000)
     P = np.eye(n) - mean
 
     def induced(f):
-        # a long gradient candidate may overflow to infinite lengths, which
-        # the kernel rejects
-        with np.errstate(over="ignore"):
-            return induced_lengths(c, cls.background, f)
+        return induced_lengths(c, cls.background, f)
 
     def project(f):
         return f - f.mean()

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import pickle
 
 import numpy as np
 import pytest
@@ -249,6 +250,8 @@ class TestInadmissibleTetNames:
         assert repr(info.value) == f"InadmissibleMetricError({str(info.value)!r})"
         assert str(info.value).startswith("metric not admissible: tet 1 has CM3 = -")
         assert found    # formatted on reading
+        copy = pickle.loads(pickle.dumps(info.value))
+        assert type(copy) is InadmissibleMetricError and copy.args == (str(info.value),)
 
 
 class TestFaceAngle:

@@ -3,7 +3,7 @@ import pytest
 
 from regge3 import curvature, geometry, solve
 from regge3.complexes import double_tetrahedron, six_hundred_cell
-from regge3.conformal import ConformalClass, equihedral_point
+from regge3.conformal import ConformalClass, equihedral_point, induced_lengths
 from regge3.curvature import hessian_fd_lengths
 from regge3.solve import (bisect_zero, descend, descend_conformal, descend_lengths,
                           diagonal_family, eig_sym, solve_csc, sweep_family,
@@ -326,6 +326,15 @@ class TestDescend:
         assert len(hessians) == len(trace.step_sizes)
         assert hessians == [0] * len(hessians)
         assert len(kernel_calls) == len(guard_calls)
+
+    def test_conformal_guard_rejects_overflowing_candidate_silently(self, dt):
+        # a long gradient step can reach factors near 709: the lengths are about
+        # 1e308, and the kernel's products overflow; the guard rejects the
+        # candidate without a RuntimeWarning (an error under this suite)
+        bg = np.array([1.0725, 1.1493, 0.9347, 0.9760, 0.9788, 0.9013])
+        guard, _ = solve._evaluator(dt, "lehr", lambda f: induced_lengths(dt, bg, f),
+                                    curvature.CurvatureReport.grad_conformal)
+        assert not guard(np.array([709.7, 709.7, -709.7, -709.7]))
 
     # starts of the multi-start estimate whose parent-gradient descents end at
     # these values; Newton steps without the radius end on the boundary above them
