@@ -43,6 +43,6 @@ print(f"fatness V/L^3 = {b.fatness:.6e}")
 print("\nedge curvature is positive for every metric here (each dihedral")
 print("angle is below pi and every edge meets exactly two tetrahedra):")
 rng = np.random.default_rng(0)
-worst = min(r.edge_curvatures(dt, r.random_admissible_lengths(dt, rng)).min()
+worst = min(r.functionals(dt, r.random_admissible_lengths(dt, rng)).k_edge.min()
             for _ in range(200))
 print(f"  min K_e over 200 random admissible metrics = {worst:.4f} > 0")

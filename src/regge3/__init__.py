@@ -12,12 +12,11 @@ from .complexes import (Complex, ComplexError, double_tetrahedron,
                         load_complex, save_complex, parse_complex, format_complex,
                         validate)
 from .geometry import (InadmissibleMetricError, TetGeometry, cayley_menger,
-                       tet_volume, dihedral_angles, tet_geometry,
+                       tet_volume, tet_geometry,
                        is_admissible, assert_admissible)
-from .curvature import (CurvatureReport, BoundsReport, edge_curvatures,
-                        functionals, grad_lengths, grad_conformal, hessian_fd,
-                        gradient_fd, hessian_fd_lengths, conformal_hessian_fd,
-                        conformal_hessian, laplacian_matrix,
+from .curvature import (CurvatureReport, BoundsReport, functionals, grad_lengths,
+                        grad_conformal, hessian_fd, gradient_fd, hessian_fd_lengths,
+                        conformal_hessian_fd, laplacian_matrix,
                         normal_matrix, lehr_conformal_hessian_csc,
                         einstein_residual, csc_residual, bounds_report,
                         ehr_value, lehr_value, vehr_value)

@@ -112,10 +112,10 @@ def cmd_analyze(args) -> int:
     lengths = resolve_metric(args, c)
     rep = curvature.functionals(c, lengths)
     bounds = rep.bounds()
-    res = {f"{kind}_residual_{w.lower()}": float(np.abs(residual(w)).max())
+    res = {f"{kind}_residual_{w}": float(np.abs(residual(w)).max())
            for kind, residual in (("einstein", rep.einstein_residual),
                                   ("csc", rep.csc_residual))
-           for w in "LV"}
+           for w in "lv"}
     if args.format == "human":
         print(f"complex: {args.complex}  (V,E,F,T) = {c.counts()}")
         print(f"LEHR = {_fmt(rep.lehr)}   VEHR = {_fmt(rep.vehr)}   EHR = {_fmt(rep.ehr)}")
@@ -141,7 +141,7 @@ def cmd_spectrum(args) -> int:
         H = curvature.hessian_fd_lengths(c, lengths, functional, richardson=True)
         label = f"finite-difference length Hessian of {functional.upper()}"
     else:
-        H = curvature.conformal_hessian(c, lengths, functional)
+        H = curvature.functionals(c, lengths).conformal_hessian(functional)
         label = f"analytic conformal Hessian of {functional.upper()}"
     spec = solve.eig_sym(H)
     if args.format == "human":
@@ -235,16 +235,16 @@ def cmd_find_csc(args) -> int:
 def cmd_find_einstein(args) -> int:
     c = get_complex(args.complex)
     lengths = resolve_metric(args, c)
-    functional = "lehr" if args.which.upper() == "L" else "vehr"
+    functional = curvature._functional(args.which, normalized=True)
     lend, trace = solve.descend_lengths(c, functional, lengths,
-                                        normalize=args.which.upper(),
+                                        normalize="L" if functional == "lehr" else "V",
                                         max_iter=args.max_iters)
     rep = curvature.functionals(c, lend)
     print(f"reason: {trace.reason}")
     print(f"iterations: {len(trace.residual_norms)}")
     print(f"lengths: {_vector(lend)}")
     print(f"{functional}: {_fmt(getattr(rep, functional))}")
-    print(f"einstein_residual: {_fmt(np.abs(rep.einstein_residual(args.which)).max())}")
+    print(f"einstein_residual: {_fmt(np.abs(rep.einstein_residual(functional)).max())}")
     if args.trace:
         _print_trace(trace)
     return _DESCENT_EXIT[trace.reason]

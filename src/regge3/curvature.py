@@ -13,26 +13,29 @@ The basic objects, for a complex with metric (edge length vector) l:
 is read from the report: gradients (from one normalization table; EHR has
 length gradient K_e / l_e), residuals, the bounds, the exact conformal
 Hessian and the exact Newton Jacobian of the constant scalar curvature
-equations.  The module-level functions of the same quantities are
-one-call entry points; they reuse a report of their metric that a caller
-still holds.  The conformal Hessian is the paper's Laplacian
-formula at every metric: H_u(EHR) = -8 Delta + E(K), with Delta the
-Laplacian of the dual-length weights l*_e / l_e and E(K) the edge matrix
-of the curvatures (Glickenstein, *Discrete conformal variations and
-scalar curvature on piecewise flat two and three dimensional manifolds*,
-JDG 2011); LEHR and VEHR add their normalization's Hessian and rank-one
-terms in the gradients, which vanish at csc metrics, where the LEHR
-Hessian is 4 (-2 Delta + N) / L.  Hessians in length space are obtained
-by finite differences: lengths (..., E) map to functional values (...) in one
-kernel call, so each stencil (``hessian_fd``, ``gradient_fd``) is one
-stacked call.
+equations.  The module-level gradients and residuals are one-call entry
+points; they reuse a report of their metric that a caller still holds.
+The conformal Hessian is the paper's Laplacian formula at every metric:
+H_u(EHR) = -8 Delta + E(K), with Delta the Laplacian of the dual-length
+weights l*_e / l_e and E(K) the edge matrix of the curvatures
+(Glickenstein, *Discrete conformal variations and scalar curvature on
+piecewise flat two and three dimensional manifolds*, JDG 2011); LEHR and
+VEHR add their normalization's Hessian and rank-one terms in the
+gradients, which vanish at csc metrics, where the LEHR Hessian is
+4 (-2 Delta + N) / L.  Hessians in length space are obtained by finite
+differences: lengths (..., E) map to functional values (...) in one kernel
+call, so each stencil (``hessian_fd``, ``gradient_fd``) is one stacked call.
 
-Conformal coordinate convention
--------------------------------
+Conventions
+-----------
+Every entry that takes a functional reads its name, "ehr", "lehr" or "L",
+"vehr" or "V" in any case, through one resolver, which raises ``ValueError``
+on anything else.
+
 The factor map scales the edge between v and v' by exp((f_v + f_v')/2).
 First derivatives (``grad_conformal``, ``CurvatureReport.csc_jacobian``)
 are taken with respect to the factors f.  Second derivatives
-(``conformal_hessian``, ``lehr_conformal_hessian_csc`` and
+(``CurvatureReport.conformal_hessian``, ``lehr_conformal_hessian_csc`` and
 ``conformal_hessian_fd``) are taken with respect to the per-vertex log
 scale factors u = f / 2, under which the edge scales as exp(u_v + u_v');
 each entry is therefore 4 times the corresponding f-derivative.  All
@@ -41,6 +44,7 @@ reference eigenvalues quoted in the tests use the u convention.
 
 from __future__ import annotations
 
+import dataclasses
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
@@ -112,18 +116,16 @@ class CurvatureReport:
         return _read_only(self.complex.edge_sum(self.geometry.dual))
 
     def _normalization(self, which: str):
-        """(N, lambda, N_e, N_v) of F = EHR / N for EHR, LEHR ("L") or VEHR
-        ("V"): dF/dl_e = (K_e - lambda N_e) / (l_e N), dF/df_v = (K_v - lambda
-        N_v) / N, and the equations K_e = lambda N_e and K_v = lambda N_v."""
-        key = which.upper()
-        if key == "EHR":
+        """(N, lambda, N_e, N_v) of F = EHR / N for EHR, LEHR or VEHR:
+        dF/dl_e = (K_e - lambda N_e) / (l_e N), dF/df_v = (K_v - lambda N_v) / N,
+        and the equations K_e = lambda N_e and K_v = lambda N_v."""
+        which = _functional(which)
+        if which == "ehr":
             return 1.0, 0.0, 0.0, 0.0
-        if key in ("L", "LEHR"):
+        if which == "lehr":
             return self.length, self.lehr, self.lengths, self.l_vertex
-        if key in ("V", "VEHR"):
-            return (self.volume ** (1.0 / 3.0), self.ehr / (3.0 * self.volume),
-                    self.v_edge, self.v_vertex)
-        raise ValueError(f"unknown functional {which!r}")
+        return (self.volume ** (1.0 / 3.0), self.ehr / (3.0 * self.volume),
+                self.v_edge, self.v_vertex)
 
     def grad_lengths(self, which: str) -> np.ndarray:
         """Length-space gradient, (E,); see :func:`grad_lengths`."""
@@ -146,7 +148,8 @@ class CurvatureReport:
         return self.k_vertex - lam * n_vertex
 
     def conformal_hessian(self, which: str) -> np.ndarray:
-        """H_u of EHR, LEHR or VEHR, (V, V); see :func:`conformal_hessian`.
+        """The Hessian H_u of u -> F(exp(u_v + u_v') * l_e) at u = 0, (V, V), for F =
+        EHR, LEHR or VEHR; ``conformal_hessian_fd`` is its finite-difference oracle.
 
         H_u(EHR) = -8 Delta + E(K) at every metric, with Delta the Laplacian
         of the weights l*_e / l_e and E(x) the edge matrix of x (off-diagonal
@@ -159,9 +162,7 @@ class CurvatureReport:
         (Blumenthal's Gram identities, see geometry).  At a csc metric
         grad F = 0 and the LEHR Hessian is the paper's 4 (-2 Delta + N) / L.
         """
-        which = which.lower()
-        if which not in ("ehr", "lehr", "vehr"):
-            raise ValueError(f"unknown functional {which!r}")
+        which = _functional(which)
         c = self.complex
         N, lam, _, n_vertex = self._normalization(which)
         w = 8.0 * self.dual_length / self.lengths
@@ -188,17 +189,16 @@ class CurvatureReport:
         """Jacobian of :meth:`csc_residual` with respect to the factors f, (V, V).
 
         Row v holds the derivatives of r_v.  The residual is r = N grad_f F
-        with (F, N) = (EHR, 1), (LEHR, L) for "L" and (VEHR, V^(1/3)) for "V",
-        so J = (N/4) H_u(F) + r g^T with g = grad_f(N) / N, which is 0, L_v / L,
+        with (F, N) = (EHR, 1), (LEHR, L) and (VEHR, V^(1/3)), so
+        J = (N/4) H_u(F) + r g^T with g = grad_f(N) / N, which is 0, L_v / L,
         resp. V_v / (3V).
         """
-        key = which.upper()
-        N, lam, _, n_vertex = self._normalization(key)
-        functional = {"EHR": "ehr", "L": "lehr", "V": "vehr"}.get(key, key.lower())
-        J = 0.25 * N * self.conformal_hessian(functional)
-        if functional == "ehr":
+        which = _functional(which)
+        N, lam, _, n_vertex = self._normalization(which)
+        J = 0.25 * N * self.conformal_hessian(which)
+        if which == "ehr":
             return J
-        g = n_vertex / (self.length if functional == "lehr" else 3.0 * self.volume)
+        g = n_vertex / (self.length if which == "lehr" else 3.0 * self.volume)
         return J + np.outer(self.k_vertex - lam * n_vertex, g)
 
     def bounds(self) -> BoundsReport:
@@ -221,17 +221,8 @@ class CurvatureReport:
 
     def to_text(self) -> str:
         """Structured key-value serialization with 12 significant digits."""
-        def fmt(x):
-            return format(float(x), ".12g")
-
-        lines = []
-        for key in ("length", "volume", "ehr", "lehr", "vehr"):
-            lines.append(f"{key}: {fmt(getattr(self, key))}")
-        for key in ("k_edge", "k_vertex", "l_vertex", "v_vertex", "v_edge",
-                    "dual_length"):
-            arr = ", ".join(fmt(x) for x in getattr(self, key))
-            lines.append(f"{key}: [{arr}]")
-        return "\n".join(lines) + "\n"
+        return _key_value_text(self, ("length", "volume", "ehr", "lehr", "vehr", "k_edge",
+                                      "k_vertex", "l_vertex", "v_vertex", "v_edge", "dual_length"))
 
 
 def _curvatures(c: Complex, lengths):
@@ -242,11 +233,6 @@ def _curvatures(c: Complex, lengths):
     lengths = np.asarray(lengths, dtype=float)
     geo = geometry.tet_geometry(c.tet_lengths(lengths))
     return geo, (2.0 * np.pi - c.edge_sum(geo.dihedrals)) * lengths
-
-
-def edge_curvatures(c: Complex, lengths) -> np.ndarray:
-    """K_e = (2 pi - sum of dihedral angles at e) * l_e: (..., E) -> (..., E)."""
-    return _curvatures(c, lengths)[1]
 
 
 def _vertex_half_sums(c: Complex, per_edge) -> np.ndarray:
@@ -270,7 +256,7 @@ def _edge_matrix(c: Complex, off, diag=None) -> np.ndarray:
 
 def ehr_value(c: Complex, lengths):
     """EHR = sum of K_e: lengths (..., E) -> (...); one metric gives a scalar."""
-    return edge_curvatures(c, lengths).sum(axis=-1)
+    return _curvatures(c, lengths)[1].sum(axis=-1)
 
 
 def lehr_value(c: Complex, lengths):
@@ -285,6 +271,19 @@ def vehr_value(c: Complex, lengths):
 
 
 FUNCTIONALS = {"ehr": ehr_value, "lehr": lehr_value, "vehr": vehr_value}
+
+_SPELLINGS = {"ehr": "ehr", "lehr": "lehr", "l": "lehr", "vehr": "vehr", "v": "vehr"}
+
+
+def _functional(which, normalized: bool = False) -> str:
+    """The key in FUNCTIONALS of a functional named by its name or by its normalization's
+    letter ("L", "V"), in any case: ``_SPELLINGS`` maps each lower-cased spelling.
+    Raises ``ValueError`` on any other input, and with ``normalized=True`` also on EHR."""
+    name = _SPELLINGS.get(which.lower())
+    if name is None or (normalized and name == "ehr"):
+        raise ValueError(f"unknown functional {which!r}"
+                         + (": expected 'L' or 'V'" if normalized else ""))
+    return name
 
 
 _live = None    # weak reference to the last report built; it keeps nothing alive
@@ -473,7 +472,7 @@ def gradient_fd(fun, x, step=None, richardson: bool = False) -> np.ndarray:
 def hessian_fd_lengths(c: Complex, lengths, which: str,
                        richardson: bool = True) -> np.ndarray:
     """Finite-difference length-space Hessian of a functional at a metric."""
-    fun = FUNCTIONALS[which.lower()]
+    fun = FUNCTIONALS[_functional(which)]
     return hessian_fd(lambda l: fun(c, l), np.asarray(lengths, dtype=float),
                       richardson=richardson)
 
@@ -489,7 +488,7 @@ def conformal_hessian_fd(c: Complex, lengths, which: str,
     derivatives in the conformal directions.
     """
     lengths = np.asarray(lengths, dtype=float)
-    fun = FUNCTIONALS[which.lower()]
+    fun = FUNCTIONALS[_functional(which)]
 
     def obj(u):
         return fun(c, induced_lengths(c, lengths, 2.0 * u))
@@ -501,17 +500,6 @@ def conformal_hessian_fd(c: Complex, lengths, which: str,
 
 # ---------------------------------------------------------------------------
 # exact conformal Hessians and the Laplacian
-
-
-def conformal_hessian(c: Complex, lengths, which: str) -> np.ndarray:
-    """Exact conformal Hessian of EHR, LEHR or VEHR at any admissible metric.
-
-    u convention: the Hessian of u -> F(exp(u_v + u_v') * l_e) at u = 0,
-    shape (V, V), from one kernel call (:meth:`CurvatureReport.conformal_hessian`:
-    -8 Delta + E(K) for EHR, and the normalized forms for LEHR and VEHR).
-    ``conformal_hessian_fd`` is its finite-difference oracle.
-    """
-    return functionals(c, lengths).conformal_hessian(which)
 
 
 def laplacian_matrix(c: Complex, lengths) -> np.ndarray:
@@ -600,20 +588,21 @@ class BoundsReport:
         set_fields(locals())
 
     def to_text(self) -> str:
-        def fmt(x):
-            return format(float(x), ".12g")
+        return _key_value_text(self, [f.name for f in dataclasses.fields(self)])
 
-        return "\n".join([
-            f"max_edge_degree: {self.max_edge_degree}",
-            f"lehr: {fmt(self.lehr)}",
-            f"lehr_lower: {fmt(self.lehr_lower)}",
-            f"lehr_upper: {fmt(self.lehr_upper)}",
-            f"fatness: {fmt(self.fatness)}",
-            f"vehr: {fmt(self.vehr)}",
-            f"vehr_lower: {fmt(self.vehr_lower)}",
-            f"lehr_within_bounds: {self.lehr_within_bounds}",
-            f"vehr_within_bounds: {self.vehr_within_bounds}",
-        ]) + "\n"
+
+def _key_value_text(record, keys) -> str:
+    """A ``key: value`` line per attribute of ``record``: floats and arrays of
+    floats with 12 significant digits, integers and flags as ``str`` gives them."""
+    def fmt(x):
+        return str(x) if isinstance(x, int) else format(float(x), ".12g")
+
+    lines = []
+    for key in keys:
+        value = getattr(record, key)
+        text = fmt(value) if np.ndim(value) == 0 else f"[{', '.join(map(fmt, value))}]"
+        lines.append(f"{key}: {text}")
+    return "\n".join(lines) + "\n"
 
 
 def bounds_report(c: Complex, lengths) -> BoundsReport:

@@ -117,11 +117,11 @@ def _admissible_cm(l, n=3):
     # CM3 > 0 alone does not rule out faces that violate the triangle inequality
     sides = l[..., _FACE_EDGES]
     margins = (sides.sum(-1) - 2.0 * sides.max(-1)).min(-1)
-    if margins.min(initial=np.inf) <= 0.0:
+    if not margins.min(initial=np.inf) > 0.0:    # NaN fails too, as from inf - inf
         raise InadmissibleMetricError(lambda: (
             f"metric not admissible: tet {_worst_tet(margins)} has a degenerate face triangle"))
     g2, adj, cm = _gram_cofactors(l, n)
-    if cm.min(initial=np.inf) <= 0.0:
+    if not cm.min(initial=np.inf) > 0.0:
         raise InadmissibleMetricError(lambda: (
             f"metric not admissible: tet {_worst_tet(cm)} has CM3 = {float(cm.min()):.6g} <= 0"))
     return cm, g2, adj
@@ -130,11 +130,6 @@ def _admissible_cm(l, n=3):
 def tet_volume(lengths) -> np.ndarray:
     """Volume sqrt(CM3 / 288) of each tetrahedron."""
     return np.sqrt(_admissible_cm(_as_lengths(lengths))[0] / 288.0)
-
-
-def dihedral_angles(lengths) -> np.ndarray:
-    """Dihedral angles at the six edges, each in (0, pi)."""
-    return tet_geometry(lengths).dihedrals
 
 
 @dataclass(frozen=True, init=False)

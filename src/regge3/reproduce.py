@@ -231,7 +231,7 @@ def criterion_8_property_suites():
         l = solve.random_admissible_lengths(dt, rng)
         h = 1e-6
         e = h * np.eye(6)
-        beta = geometry.dihedral_angles(np.concatenate([l + e, l - e]))
+        beta = geometry.tet_geometry(np.concatenate([l + e, l - e])).dihedrals
         db = (beta[:6] - beta[6:]) / (2 * h)
         worst = max(worst, float(np.abs(db @ l).max()))
     rows.append(_row("8a", "Schlaefli identity sum_e l_e dbeta_e/dl_j = 0 (FD)",

@@ -62,11 +62,9 @@ class SolveTrace:
     reason: str = "max-iters"
     newton_steps: int = 0      # accepted Newton steps of a descent
 
-    def record(self, x, residual_norm, step_size=None, value=None):
+    def record(self, x, residual_norm, value=None):
         self.iterates.append(np.array(x, dtype=float))
         self.residual_norms.append(float(residual_norm))
-        if step_size is not None:
-            self.step_sizes.append(float(step_size))
         if value is not None:
             self.values.append(float(value))
 
@@ -282,16 +280,14 @@ def _evaluator(c: Complex, which: str, metric, gradient, newton=None):
     At the boundary, the worst tet's CM3 is below 1e-8 (mean length)^6.
     ``newton(rep, g)``, if given, returns the Newton direction from the report
     and gradient at an accepted point."""
-    which = which.lower()
-    if which not in curvature.FUNCTIONALS:
-        raise ValueError(f"unknown functional {which!r}")
+    which = curvature._functional(which)
     kept = [None]    # the report of the last candidate the guard passed
 
     def guard(x):
-        # a long conformal gradient candidate may overflow to infinite
-        # lengths, which the kernel rejects
+        # a long conformal gradient candidate may overflow to infinite lengths,
+        # or to face sums inf - inf = NaN, which the kernel rejects
         try:
-            with np.errstate(over="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"):
                 kept[0] = curvature.functionals(c, metric(x))
         except geometry.InadmissibleMetricError:
             return False
@@ -414,11 +410,10 @@ def yamabe_constant_estimate(cls: ConformalClass, which: str = "L",
     The first start is the class representative f = 0; the remaining
     starts are seeded mean-zero normal factors.  The reported value is
     the minimum objective reached and is only an upper bound on the true
-    infimum.  ``which`` is "L" or "V".
+    infimum.  ``which`` is LEHR or VEHR, in any spelling; the estimate names
+    it by its letter, "L" or "V".
     """
-    functional = {"L": "lehr", "V": "vehr"}.get(which.upper())
-    if functional is None:
-        raise ValueError(f"unknown functional {which!r}: expected 'L' or 'V'")
+    functional = curvature._functional(which, normalized=True)
     rng = np.random.default_rng(seed)
     n = cls.complex.num_vertices
     best_val = np.inf
@@ -447,7 +442,7 @@ def yamabe_constant_estimate(cls: ConformalClass, which: str = "L",
     return YamabeEstimate(
         value=float(best_val),
         factors=best_f,
-        which=which.upper(),
+        which="L" if functional == "lehr" else "V",
         attained_interior=(best_reason in ("converged", "stall")),
         bound_kind="upper",
         runs=tuple(runs),
@@ -582,9 +577,9 @@ def sweep_family(c: Complex, family, t_values, quantities) -> SweepTable:
             "fatness": rep.volume / rep.length ** 3,
             "min_cm3": float(np.min(rep.geometry.cm3)),
         }
-        for w in "LV":
-            cache[f"einstein_res_{w.lower()}"] = float(np.abs(rep.einstein_residual(w)).max())
-            cache[f"csc_res_{w.lower()}"] = float(np.abs(rep.csc_residual(w)).max())
+        for w in "lv":
+            cache[f"einstein_res_{w}"] = float(np.abs(rep.einstein_residual(w)).max())
+            cache[f"csc_res_{w}"] = float(np.abs(rep.csc_residual(w)).max())
         for w in ("lehr", "vehr"):
             if not need_hess[w]:
                 continue

@@ -28,6 +28,35 @@ class TestAnalyze:
         assert code == 0
         assert "lehr: 3.8212664725" in out
 
+    @pytest.mark.parametrize("complex_name, lengths", [("dt", "1,1.1,0.9,1,1.05,0.95"),
+                                                       ("cell600", "uniform:1")])
+    def test_structured_output_field_by_field(self, capsys, complex_name, lengths):
+        code, out, _ = run_cli(capsys, "analyze", "--complex", complex_name,
+                               "--lengths", lengths, "--format", "structured")
+        c = cli.get_complex(complex_name)
+        rep = curvature.functionals(c, cli.parse_lengths(lengths, c.num_edges))
+        bounds = rep.bounds()
+
+        def num(x):
+            return format(float(x), ".12g")
+
+        expected = [f"{key}: {num(getattr(rep, key))}"
+                    for key in ("length", "volume", "ehr", "lehr", "vehr")]
+        expected += [f"{key}: [{', '.join(num(x) for x in getattr(rep, key))}]"
+                     for key in ("k_edge", "k_vertex", "l_vertex", "v_vertex", "v_edge",
+                                 "dual_length")]
+        expected += [f"max_edge_degree: {bounds.max_edge_degree}"]
+        expected += [f"{key}: {num(getattr(bounds, key))}"
+                     for key in ("lehr", "lehr_lower", "lehr_upper", "fatness", "vehr",
+                                 "vehr_lower")]
+        expected += [f"lehr_within_bounds: {bounds.lehr_within_bounds}",
+                     f"vehr_within_bounds: {bounds.vehr_within_bounds}"]
+        expected += [f"{kind}_residual_{w.lower()}: "
+                     f"{num(np.abs(getattr(rep, kind + '_residual')(w)).max())}"
+                     for kind in ("einstein", "csc") for w in "LV"]
+        assert code == 0
+        assert out == "\n".join(expected) + "\n"
+
     def test_inadmissible_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "--complex", "dt",
                                "--lengths", "1.4143,1,1,1,1,1.4143")

@@ -9,9 +9,8 @@ from regge3 import curvature, solve
 from regge3.complexes import LOCAL_PAIRS, double_tetrahedron, six_hundred_cell
 from regge3.conformal import ConformalClass, random_equihedral_lengths
 from regge3.conformal import induced_lengths
-from regge3.curvature import (bounds_report, conformal_hessian, conformal_hessian_fd,
-                              csc_residual,
-                              edge_curvatures, einstein_residual, functionals,
+from regge3.curvature import (bounds_report, conformal_hessian_fd, csc_residual,
+                              einstein_residual, functionals,
                               grad_conformal, grad_lengths, gradient_fd, hessian_fd,
                               hessian_fd_lengths, laplacian_matrix,
                               lehr_conformal_hessian_csc, normal_matrix)
@@ -46,7 +45,7 @@ def fb_lengths(dt):
 
 class TestEdgeCurvatures:
     def test_double_tet_regular(self, dt):
-        assert edge_curvatures(dt, ONES) == pytest.approx(np.full(6, K_REGULAR),
+        assert functionals(dt, ONES).k_edge == pytest.approx(np.full(6, K_REGULAR),
                                                           abs=1e-13)
         assert K_REGULAR == pytest.approx(3.82127, abs=5e-6)
 
@@ -54,17 +53,17 @@ class TestEdgeCurvatures:
         rng = np.random.default_rng(20)
         for _ in range(50):
             l = random_admissible_lengths(dt, rng)
-            assert np.all(edge_curvatures(dt, l) > 0)
+            assert np.all(functionals(dt, l).k_edge > 0)
 
     def test_cell600_regular(self, cell600):
-        k = edge_curvatures(cell600, np.ones(720))
+        k = functionals(cell600, np.ones(720)).k_edge
         expect = 2 * np.pi - 5 * ACOS13
         assert expect == pytest.approx(0.12839, abs=5e-6)
         assert k == pytest.approx(np.full(720, expect), abs=1e-13)
 
     def test_inadmissible_raises(self, dt):
         with pytest.raises(InadmissibleMetricError):
-            edge_curvatures(dt, np.array([1.4143, 1, 1, 1, 1, 1.4143]))
+            functionals(dt, np.array([1.4143, 1, 1, 1, 1, 1.4143]))
 
 
 class TestFunctionals:
@@ -256,7 +255,7 @@ class TestGradients:
 def grad_lengths_oracle(c, lengths, which):
     """Length gradients written out per functional: K_e / l_e for EHR, then
     the quotient rule with L and with V^(1/3)."""
-    k_edge = edge_curvatures(c, lengths)
+    k_edge = functionals(c, lengths).k_edge
     base = k_edge / lengths
     if which == "ehr":
         return base
@@ -496,7 +495,7 @@ class TestExactConformalHessian:
         rng = np.random.default_rng(35)
         for _ in range(12):
             l = random_admissible_lengths(dt, rng, 0.8, 1.2)
-            Ha = conformal_hessian(dt, l, which)
+            Ha = functionals(dt, l).conformal_hessian(which)
             Hf = conformal_hessian_fd(dt, l, which, richardson=True)
             assert np.abs(Ha - Hf).max() < 1e-7 * np.abs(Ha).max()
             assert np.abs(Ha - Ha.T).max() == 0.0
@@ -506,7 +505,7 @@ class TestExactConformalHessian:
         c, l = {"unit": (dt, ONES), "fb": (dt, fb_lengths),
                 "t1.15": (dt, diagonal_family(1.15)), "t1.35": (dt, diagonal_family(1.35)),
                 "cell600": (cell600, np.ones(720))}[case]
-        H = conformal_hessian(c, l, "lehr")
+        H = functionals(c, l).conformal_hessian("lehr")
         assert np.abs(H - paper_formula(c, l)).max() < 1e-14 * max(1.0, np.abs(H).max())
         assert np.abs(lehr_conformal_hessian_csc(c, l) - H).max() == 0.0
 
@@ -516,18 +515,18 @@ class TestExactConformalHessian:
         # invariant at every metric, csc or not
         rng = np.random.default_rng(36)
         for _ in range(10):
-            H = conformal_hessian(dt, random_admissible_lengths(dt, rng), which)
+            H = functionals(dt, random_admissible_lengths(dt, rng)).conformal_hessian(which)
             assert np.abs(H @ np.ones(4)).max() < 1e-12 * np.abs(H).max()
 
     def test_unknown_functional_rejected(self, dt):
         with pytest.raises(ValueError, match="unknown functional"):
-            conformal_hessian(dt, ONES, "nope")
+            functionals(dt, ONES).conformal_hessian("nope")
 
     def test_one_kernel_call_on_cell600(self, cell600, kernel_calls):
         lehr_conformal_hessian_csc(cell600, np.ones(720))
         assert kernel_calls == [(600, 6)]
-        conformal_hessian(cell600, np.ones(720), "vehr")
-        conformal_hessian(cell600, np.ones(720), "ehr")
+        functionals(cell600, np.ones(720)).conformal_hessian("vehr")
+        functionals(cell600, np.ones(720)).conformal_hessian("ehr")
         assert kernel_calls == [(600, 6)] * 3
 
 

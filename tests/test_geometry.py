@@ -8,9 +8,9 @@ import pytest
 from regge3 import geometry
 from regge3.complexes import (EDGE_FACES, FACE_EDGES, FACE_VERTICES, LOCAL_PAIRS,
                               double_tetrahedron, six_hundred_cell)
-from regge3.conformal import random_equihedral_lengths
+from regge3.conformal import induced_lengths, random_equihedral_lengths
 from regge3.curvature import functionals
-from regge3.geometry import (InadmissibleMetricError, cayley_menger, dihedral_angles,
+from regge3.geometry import (InadmissibleMetricError, cayley_menger,
                              is_admissible, tet_geometry, tet_volume)
 from regge3.solve import diagonal_family, random_admissible_lengths
 
@@ -285,17 +285,17 @@ class TestFaceAngle:
 
 class TestDihedralAngles:
     def test_regular_all_arccos_one_third(self):
-        assert dihedral_angles(REGULAR) == pytest.approx(np.full(6, ACOS13), abs=1e-14)
+        assert tet_geometry(REGULAR).dihedrals == pytest.approx(np.full(6, ACOS13), abs=1e-14)
 
     def test_corner_orthoscheme_right_angles(self):
         # three mutually orthogonal unit edges at vertex 0
         l = np.array([1, 1, 1, np.sqrt(2), np.sqrt(2), np.sqrt(2)])
-        betas = dihedral_angles(l)
+        betas = tet_geometry(l).dihedrals
         assert betas[:3] == pytest.approx(np.full(3, np.pi / 2), abs=1e-12)
 
     def test_equihedral_opposite_angles_equal(self):
         l = np.array([1.3, 1, 1, 1, 1, 1.3])
-        betas = dihedral_angles(l)
+        betas = tet_geometry(l).dihedrals
         assert betas[0] == pytest.approx(betas[5], abs=1e-13)
         assert betas[1] == pytest.approx(betas[4], abs=1e-13)
         assert betas[2] == pytest.approx(betas[3], abs=1e-13)
@@ -304,7 +304,7 @@ class TestDihedralAngles:
         rng = np.random.default_rng(4)
         for _ in range(10):
             l = random_equihedral_lengths(rng)
-            betas = dihedral_angles(l)
+            betas = tet_geometry(l).dihedrals
             assert betas[[0, 1, 2]] == pytest.approx(betas[[5, 4, 3]], abs=1e-12)
 
     def test_both_endpoint_computations_agree(self):
@@ -314,14 +314,14 @@ class TestDihedralAngles:
         for _ in range(10):
             l = random_admissible_lengths(dt, rng)
             for at_second_vertex in (False, True):
-                assert dihedral_angles(l) == pytest.approx(
+                assert tet_geometry(l).dihedrals == pytest.approx(
                     spherical_dihedrals(l, at_second_vertex), abs=1e-12)
 
     def test_angles_in_open_interval(self):
         rng = np.random.default_rng(6)
         dt = double_tetrahedron()
         for _ in range(20):
-            betas = dihedral_angles(random_admissible_lengths(dt, rng))
+            betas = tet_geometry(random_admissible_lengths(dt, rng)).dihedrals
             assert np.all(betas > 0) and np.all(betas < np.pi)
 
     def test_schlaefli_identity(self):
@@ -333,7 +333,7 @@ class TestDihedralAngles:
             for j in range(6):
                 e = np.zeros(6)
                 e[j] = h
-                db = (dihedral_angles(l + e) - dihedral_angles(l - e)) / (2 * h)
+                db = (tet_geometry(l + e).dihedrals - tet_geometry(l - e).dihedrals) / (2 * h)
                 assert abs(float(l @ db)) < 1e-6
 
 
@@ -662,6 +662,22 @@ class TestAdmissibilityVerdicts:
         assert not is_admissible(double_tetrahedron(), l)
         with pytest.raises(InadmissibleMetricError, match=r"CM3 = -"):
             tet_volume(l)
+
+    def test_nan_face_margin_and_nan_cm3_are_rejected(self):
+        # finite lengths whose face sums overflow give inf - inf = NaN margins, and
+        # lengths whose cofactor products overflow a NaN CM3: neither is positive
+        dt = double_tetrahedron()
+        bg = [1.0725, 1.1493, 0.9347, 0.9760, 0.9788, 0.9013]
+        with np.errstate(over="ignore", invalid="ignore"):
+            huge = induced_lengths(dt, bg, [709.0, 709.0, 709.0, -2127.0])
+            assert np.all(np.isfinite(huge))
+            assert not is_admissible(dt, huge)
+            with pytest.raises(InadmissibleMetricError, match="degenerate face"):
+                functionals(dt, huge)
+            assert np.isnan(cayley_menger(np.full(6, 1e60)))
+            assert not is_admissible(dt, np.full(6, 1e60))
+            with pytest.raises(InadmissibleMetricError, match="CM3 = nan"):
+                tet_volume(np.full(6, 1e60))
 
 
 def test_no_lapack_in_the_kernel(monkeypatch):

@@ -336,6 +336,15 @@ class TestDescend:
                                     curvature.CurvatureReport.grad_conformal)
         assert not guard(np.array([709.7, 709.7, -709.7, -709.7]))
 
+    def test_conformal_guard_rejects_nan_face_margins_silently(self, dt):
+        # three lengths near 9e307 are finite, but their face sums overflow and
+        # inf - inf leaves NaN margins: the kernel rejects the candidate, and the
+        # guard passes on no RuntimeWarning
+        bg = np.array([1.0725, 1.1493, 0.9347, 0.9760, 0.9788, 0.9013])
+        guard, _ = solve._evaluator(dt, "lehr", lambda f: induced_lengths(dt, bg, f),
+                                    curvature.CurvatureReport.grad_conformal)
+        assert not guard(np.array([709.0, 709.0, 709.0, -2127.0]))
+
     # starts of the multi-start estimate whose parent-gradient descents end at
     # these values; Newton steps without the radius end on the boundary above them
     @pytest.mark.parametrize("background, f0, bound", [
@@ -420,7 +429,7 @@ class TestYamabe:
         assert est.newton_steps == sum(t.newton_steps for t in traces)
         assert 0 < est.newton_steps <= est.iterations
 
-    @pytest.mark.parametrize("which", ["EHR", "lehr", "X"])
+    @pytest.mark.parametrize("which", ["EHR", "ehr", "X"])
     def test_unknown_functional_rejected_before_any_descent(self, unit_class, which,
                                                             monkeypatch):
         def no_descent(*args, **kwargs):
