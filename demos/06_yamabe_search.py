@@ -36,9 +36,9 @@ print(f"  {trace.reason} after {len(trace.residual_norms)} iterations;"
 print("\nuniqueness evidence for the length-normalized functional: descents")
 print("from random starts never find an interior critical point other than")
 print("the equal-length metric; they run into the degenerate boundary:")
+starts = np.array([r.random_admissible_lengths(dt, rng) for _ in range(20)])
+_, traces = r.descend_lengths(dt, "lehr", starts, normalize="L", max_iter=800)
 outcomes = {}
-for _ in range(20):
-    l0 = r.random_admissible_lengths(dt, rng)
-    _, trace = r.descend_lengths(dt, "lehr", l0, normalize="L", max_iter=800)
+for trace in traces:
     outcomes[trace.reason] = outcomes.get(trace.reason, 0) + 1
 print("  outcomes over 20 starts:", outcomes)

@@ -115,36 +115,36 @@ class CurvatureReport:
         """(E,) signed dual areas l*_e, summed from :attr:`TetGeometry.dual`."""
         return _read_only(self.complex.edge_sum(self.geometry.dual))
 
-    def _normalization(self, which: str):
-        """(N, lambda, N_e, N_v) of F = EHR / N for EHR, LEHR or VEHR:
-        dF/dl_e = (K_e - lambda N_e) / (l_e N), dF/df_v = (K_v - lambda N_v) / N,
+    def _normalization(self, which: str, per_vertex: bool):
+        """(N, lambda, N_x) of F = EHR / N for EHR, LEHR or VEHR, N_x per vertex (N_v) or per
+        edge (N_e): dF/dl_e = (K_e - lambda N_e) / (l_e N), dF/df_v = (K_v - lambda N_v) / N,
         and the equations K_e = lambda N_e and K_v = lambda N_v."""
         which = _functional(which)
         if which == "ehr":
-            return 1.0, 0.0, 0.0, 0.0
+            return 1.0, 0.0, 0.0
         if which == "lehr":
-            return self.length, self.lehr, self.lengths, self.l_vertex
+            return self.length, self.lehr, self.l_vertex if per_vertex else self.lengths
         return (self.volume ** (1.0 / 3.0), self.ehr / (3.0 * self.volume),
-                self.v_edge, self.v_vertex)
+                self.v_vertex if per_vertex else self.v_edge)
 
     def grad_lengths(self, which: str) -> np.ndarray:
         """Length-space gradient, (E,); see :func:`grad_lengths`."""
-        N, lam, n_edge, _ = self._normalization(which)
+        N, lam, n_edge = self._normalization(which, False)
         return (self.k_edge - lam * n_edge) / (self.lengths * N)
 
     def grad_conformal(self, which: str) -> np.ndarray:
         """Gradient in the conformal factors, (V,); see :func:`grad_conformal`."""
-        N, lam, _, n_vertex = self._normalization(which)
+        N, lam, n_vertex = self._normalization(which, True)
         return (self.k_vertex - lam * n_vertex) / N
 
     def einstein_residual(self, which: str) -> np.ndarray:
         """Per-edge residual K_e - lambda N_e; see :func:`einstein_residual`."""
-        _, lam, n_edge, _ = self._normalization(which)
+        _, lam, n_edge = self._normalization(which, False)
         return self.k_edge - lam * n_edge
 
     def csc_residual(self, which: str) -> np.ndarray:
         """Per-vertex residual K_v - lambda N_v; see :func:`csc_residual`."""
-        _, lam, _, n_vertex = self._normalization(which)
+        _, lam, n_vertex = self._normalization(which, True)
         return self.k_vertex - lam * n_vertex
 
     def conformal_hessian(self, which: str) -> np.ndarray:
@@ -164,7 +164,7 @@ class CurvatureReport:
         """
         which = _functional(which)
         c = self.complex
-        N, lam, _, n_vertex = self._normalization(which)
+        N, lam, n_vertex = self._normalization(which, True)
         w = 8.0 * self.dual_length / self.lengths
         x = self.k_edge - lam * self.lengths if which == "lehr" else self.k_edge
         H = _edge_matrix(c, x - w, x + w)
@@ -194,7 +194,7 @@ class CurvatureReport:
         resp. V_v / (3V).
         """
         which = _functional(which)
-        N, lam, _, n_vertex = self._normalization(which)
+        N, lam, n_vertex = self._normalization(which, True)
         J = 0.25 * N * self.conformal_hessian(which)
         if which == "ehr":
             return J
@@ -311,25 +311,32 @@ def functionals(c: Complex, lengths) -> CurvatureReport:
     if rep is not None and rep.complex is c and rep.lengths.tobytes() == lengths.tobytes():
         return rep
     lengths = _read_only(lengths.copy())
-    geo, k_edge = _curvatures(c, lengths)
-    for a in vars(geo).values():    # the six kernel arrays
-        _read_only(a)
-    total_len = float(lengths.sum())
-    volume = float(geo.volume.sum())
-    ehr = float(k_edge.sum())
-    rep = CurvatureReport(
-        complex=c,
-        geometry=geo,
-        lengths=lengths,
-        k_edge=_read_only(k_edge),
-        length=total_len,
-        volume=volume,
-        ehr=ehr,
-        lehr=ehr / total_len,
-        vehr=ehr / volume ** (1.0 / 3.0),
-    )
+    rep = _report(c, lengths, *_curvatures(c, lengths))
     _live = weakref.ref(rep)
     return rep
+
+
+def _report(c: Complex, lengths, geo, k_edge) -> CurvatureReport:
+    """The report of one metric from its read-only lengths (E,) and its kernel output."""
+    for a in (*vars(geo).values(), k_edge):    # the six kernel arrays and K_e
+        _read_only(a)
+    length, volume, ehr = float(lengths.sum()), float(geo.volume.sum()), float(k_edge.sum())
+    return CurvatureReport(c, geo, lengths, k_edge, length, volume, ehr, ehr / length,
+                           ehr / volume ** (1.0 / 3.0))
+
+
+def _reports(c: Complex, lengths) -> list:
+    """The report of each metric of a stack (S, E) of floats, or None where it is
+    inadmissible (nothing raises): one kernel call on the admissible metrics, and each
+    report equals that of :func:`functionals` bitwise."""
+    ok = geometry._admissible(c.tet_lengths(lengths))
+    reports = [None] * len(lengths)
+    if ok.any():
+        kept = _read_only(lengths[ok])
+        geo, k_edge = _curvatures(c, kept)
+        for i, (l, k, *tet) in zip(np.flatnonzero(ok), zip(kept, k_edge, *vars(geo).values())):
+            reports[i] = _report(c, l, geometry.TetGeometry(*tet), k)
+    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,23 @@ def _worst_tet(values) -> str:
     return str(flat) if len(index) <= 1 else str(tuple(int(k) for k in index))
 
 
+def _tet_tests(l, n):
+    """(ok, margins, CM3, 2g, its first ``n`` cofactors) of the tets ``l`` (..., 6): a tet is
+    admissible (ok) when its face margins (sum of two sides less the third) and CM3 are
+    positive, which rules out nonpositive and non-finite lengths (NaN fails), warning-free."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        # CM3 > 0 alone does not rule out faces that violate the triangle inequality
+        sides = l[..., _FACE_EDGES]
+        margins = (sides.sum(-1) - 2.0 * sides.max(-1)).min(-1)
+        g2, adj, cm = _gram_cofactors(l, n)
+        return np.minimum(margins, cm) > 0.0, margins, cm, g2, adj
+
+
+def _admissible(tets) -> np.ndarray:
+    """(...) bool: is each metric of tets (..., T, 6) admissible (:func:`_admissible_cm`'s test)."""
+    return _tet_tests(tets, 3)[0].all(-1)
+
+
 def _admissible_cm(l, n=3):
     """CM3, 2g and the first ``n`` cofactors of 2g for the tets ``l`` (..., 6); raise
     naming the worst tet on a nonpositive or non-finite length, a degenerate face or CM3 <= 0.
@@ -112,16 +129,13 @@ def _admissible_cm(l, n=3):
     metric, the worst tet is named by its tet id; in a batch of metrics,
     by its index tuple.
     """
-    if not (l.min(initial=np.inf) > 0.0 and l.max(initial=0.0) < np.inf):  # NaN fails both
-        raise InadmissibleMetricError("edge lengths must be positive and finite")
-    # CM3 > 0 alone does not rule out faces that violate the triangle inequality
-    sides = l[..., _FACE_EDGES]
-    margins = (sides.sum(-1) - 2.0 * sides.max(-1)).min(-1)
-    if not margins.min(initial=np.inf) > 0.0:    # NaN fails too, as from inf - inf
-        raise InadmissibleMetricError(lambda: (
-            f"metric not admissible: tet {_worst_tet(margins)} has a degenerate face triangle"))
-    g2, adj, cm = _gram_cofactors(l, n)
-    if not cm.min(initial=np.inf) > 0.0:
+    ok, margins, cm, g2, adj = _tet_tests(l, n)
+    if not ok.all():
+        if not (l.min(initial=np.inf) > 0.0 and l.max(initial=0.0) < np.inf):
+            raise InadmissibleMetricError("edge lengths must be positive and finite")
+        if not margins.min() > 0.0:    # NaN fails too, as from inf - inf
+            raise InadmissibleMetricError(lambda: (
+                f"metric not admissible: tet {_worst_tet(margins)} has a degenerate face triangle"))
         raise InadmissibleMetricError(lambda: (
             f"metric not admissible: tet {_worst_tet(cm)} has CM3 = {float(cm.min()):.6g} <= 0"))
     return cm, g2, adj
@@ -201,13 +215,7 @@ def is_admissible(c: Complex, lengths) -> bool:
     """True when every tetrahedron is realizable: positive lengths, faces
     satisfying strict triangle inequalities, and CM3 > 0."""
     lengths = np.asarray(lengths, dtype=float)
-    if lengths.shape != (c.num_edges,):
-        return False
-    try:
-        _admissible_cm(c.tet_lengths(lengths))
-    except InadmissibleMetricError:
-        return False
-    return True
+    return lengths.shape == (c.num_edges,) and bool(_admissible(c.tet_lengths(lengths)))
 
 
 def assert_admissible(c: Complex, lengths) -> np.ndarray:

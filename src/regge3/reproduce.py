@@ -319,11 +319,11 @@ def criterion_8_property_suites():
 def criterion_9_uniqueness_evidence():
     dt = double_tetrahedron()
     rng = np.random.default_rng(424242)
+    starts = np.array([solve.random_admissible_lengths(dt, rng) for _ in range(50)])
+    ends, traces = solve.descend_lengths(dt, "lehr", starts, normalize="L", max_iter=800)
     violations = 0
     counts = {}
-    for _ in range(50):
-        l0 = solve.random_admissible_lengths(dt, rng)
-        lend, tr = solve.descend_lengths(dt, "lehr", l0, normalize="L", max_iter=800)
+    for lend, tr in zip(ends, traces):
         reason = tr.reason
         if reason in ("converged", "stall"):
             at_equal = np.abs(lend / lend.mean() - 1.0).max() < 1e-6

@@ -189,12 +189,24 @@ def descend(evaluate, guard, x0, project=None, max_iter: int = 1000):
     values), or "max-iters".  ``trace.newton_steps`` counts the accepted
     Newton steps.
 
-    Returns (x, SolveTrace).
+    Returns (x, SolveTrace), from :func:`_descent` fed the guard's verdicts.
     """
+    run, verdict = _descent(evaluate, x0, project, max_iter), None
+    try:
+        while True:
+            verdict = guard(run.send(verdict))
+    except StopIteration as stop:
+        return stop.value
+
+
+def _descent(evaluate, x0, project, max_iter):
+    """:func:`descend` from one start as a generator: it yields the start and each line-search
+    candidate, is sent the guard's verdict on it (True: admissible), calls ``evaluate`` on
+    the points that pass and returns (x, SolveTrace)."""
     x = np.asarray(x0, dtype=float).copy()
     if project is not None:
         x = project(x)
-    if not guard(x):
+    if not (yield x):
         raise geometry.InadmissibleMetricError("starting point fails the guard")
     fx, g, at_boundary, newton = evaluate(x)
     alpha = 1.0
@@ -222,7 +234,7 @@ def descend(evaluate, guard, x0, project=None, max_iter: int = 1000):
             step = 1.0
             for _ in range(_MAX_HALVINGS):
                 cand = candidate(d, step)
-                if guard(cand):
+                if (yield cand):
                     fc, gc, bc, nc = evaluate(cand)
                     if not bc and fc <= fx + _ARMIJO * step * slope:
                         accepted = True
@@ -236,7 +248,7 @@ def descend(evaluate, guard, x0, project=None, max_iter: int = 1000):
             guard_blocked = False
             for _ in range(_MAX_HALVINGS):
                 cand = candidate(-g, alpha)
-                if not guard(cand):
+                if not (yield cand):
                     guard_blocked = True
                     alpha *= 0.5
                     continue
@@ -270,16 +282,23 @@ def descend(evaluate, guard, x0, project=None, max_iter: int = 1000):
     return x, trace
 
 
+def _point(rep, which: str, gradient, newton=None):
+    """``evaluate`` of :func:`descend` from the point's report: (value, gradient, at_boundary,
+    newton).  At the boundary, the worst tet's CM3 is below 1e-8 (mean length)^6.
+    ``newton(rep, g)``, if given, returns the Newton direction at an accepted point."""
+    at_boundary = np.min(rep.geometry.cm3) < 1e-8 * float(np.mean(rep.lengths)) ** 6
+    g = gradient(rep, which)
+    return (getattr(rep, which), g, bool(at_boundary),
+            None if newton is None else lambda: newton(rep, g))
+
+
 def _evaluator(c: Complex, which: str, metric, gradient, newton=None):
     """``guard, evaluate`` of :func:`descend` from one report at the metric ``metric(x)``.
 
     The guard is the kernel call: it builds the report (rejecting x when the
     kernel raises :class:`geometry.InadmissibleMetricError`) and keeps it for
-    ``evaluate``, which :func:`descend` calls next on that same x, so a
-    candidate costs one call, passed or rejected.
-    At the boundary, the worst tet's CM3 is below 1e-8 (mean length)^6.
-    ``newton(rep, g)``, if given, returns the Newton direction from the report
-    and gradient at an accepted point."""
+    ``evaluate`` (:func:`_point`), which :func:`descend` calls next on that
+    same x, so a candidate costs one call, passed or rejected."""
     which = curvature._functional(which)
     kept = [None]    # the report of the last candidate the guard passed
 
@@ -294,13 +313,32 @@ def _evaluator(c: Complex, which: str, metric, gradient, newton=None):
         return True
 
     def evaluate(x):
-        rep = kept[0]
-        at_boundary = np.min(rep.geometry.cm3) < 1e-8 * float(np.mean(rep.lengths)) ** 6
-        g = gradient(rep, which)
-        return (getattr(rep, which), g, bool(at_boundary),
-                None if newton is None else lambda: newton(rep, g))
+        return _point(kept[0], which, gradient, newton)
 
     return guard, evaluate
+
+
+def _descend_lockstep(c: Complex, which: str, starts, gauge, max_iter):
+    """The (x, SolveTrace) of a :func:`_descent` in length space from each start (S, E),
+    projected by ``gauge(start)``.  Each round builds the reports of the points that the
+    live starts propose with one kernel call (:func:`curvature._reports`; None rejects)."""
+    which, grad = curvature._functional(which), curvature.CurvatureReport.grad_lengths
+    kept = [None] * len(starts)    # the report of each start's pending point
+    runs = [_descent(lambda x, i=i: _point(kept[i], which, grad), x0, gauge(x0), max_iter)
+            for i, x0 in enumerate(starts)]
+    pending = {i: next(run) for i, run in enumerate(runs)}
+    out = [None] * len(runs)
+    while pending:
+        with np.errstate(over="ignore", invalid="ignore"):
+            reports = curvature._reports(c, np.array(list(pending.values())))
+        for i, rep in zip(list(pending), reports):
+            kept[i] = rep
+            try:
+                pending[i] = runs[i].send(rep is not None)
+            except StopIteration as stop:
+                out[i] = stop.value
+                del pending[i]
+    return out
 
 
 def descend_lengths(c: Complex, which: str, l0, normalize: str = "L",
@@ -310,22 +348,28 @@ def descend_lengths(c: Complex, which: str, l0, normalize: str = "L",
     ``normalize="L"`` rescales each iterate to total length = its initial
     value; ``normalize="V"`` rescales to unit total volume.  Both leave
     the scale-invariant objectives unchanged.
+
+    ``l0`` is one start (E,), which returns (lengths, SolveTrace), or a stack
+    (S, E), which returns the endpoints (S, E) and a tuple of S traces: its
+    descents run in lockstep, with one kernel call per round for the
+    candidates of every live start, and each follows its own call bitwise.
+    An inadmissible start raises :class:`geometry.InadmissibleMetricError`.
     """
     l0 = np.asarray(l0, dtype=float)
-    target_len = float(l0.sum())
 
-    if normalize.upper() == "L":
-        def project(l):
-            return l * (target_len / l.sum())
-    elif normalize.upper() == "V":
-        def project(l):
-            vol = float(geometry.tet_volume(c.tet_lengths(l)).sum())
-            return l / vol ** (1.0 / 3.0)
-    else:
+    def gauge(start):
+        target_len = float(start.sum())
+        if normalize.upper() == "L":
+            return lambda l: l * (target_len / l.sum())
+        if normalize.upper() == "V":
+            return lambda l: l / float(geometry.tet_volume(c.tet_lengths(l)).sum()) ** (1 / 3)
         raise ValueError(f"unknown normalization {normalize!r}")
 
+    if l0.ndim == 2:
+        runs = _descend_lockstep(c, which, l0, gauge, max_iter)
+        return np.array([x for x, _ in runs]).reshape(l0.shape), tuple(t for _, t in runs)
     guard, evaluate = _evaluator(c, which, lambda l: l, curvature.CurvatureReport.grad_lengths)
-    return descend(evaluate, guard, l0, project=project, max_iter=max_iter)
+    return descend(evaluate, guard, l0, project=gauge(l0), max_iter=max_iter)
 
 
 def descend_conformal(cls: ConformalClass, which: str, f0, max_iter: int = 1000):

@@ -7,9 +7,10 @@ that raises fails its own rows only.  Running
 ``regge3 reproduce --all`` shows the same rows.
 """
 
+import numpy as np
 import pytest
 
-from regge3 import reproduce
+from regge3 import geometry, reproduce
 
 #: row keys of each criterion, in ``reproduce.ALL_CRITERIA`` order
 ROW_KEYS = (("1a", "1b"), ("2a", "2b"), ("3a", "3b"), ("4a", "4b", "4c"),
@@ -61,3 +62,21 @@ def test_criterion_10_reads_one_report(kernel_calls):
     # the edge curvatures and both csc residuals of the 600-cell
     assert all(r.passed for r in reproduce.criterion_10_six_hundred_cell())
     assert kernel_calls == [(600, 6)]
+
+
+def test_criterion_9_descends_in_lockstep(kernel_calls, monkeypatch):
+    # 50 starts share one kernel call per round (3052 calls, one per candidate, before),
+    # and a rejected candidate is masked out before the kernel, which raises on none
+    raised = []
+    kernel = geometry.tet_geometry
+
+    def watched(lengths):
+        try:
+            return kernel(lengths)
+        except geometry.InadmissibleMetricError:
+            raised.append(np.shape(lengths))
+            raise
+
+    monkeypatch.setattr(geometry, "tet_geometry", watched)
+    assert all(r.passed for r in reproduce.criterion_9_uniqueness_evidence())
+    assert len(kernel_calls) <= 80 and raised == []

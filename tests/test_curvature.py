@@ -193,6 +193,54 @@ class TestSharedReport:
         assert kernel_calls == [(600, 6)]
 
 
+class TestReportStack:
+    """``curvature._reports`` builds the report of each metric of a stack in one kernel call."""
+
+    def test_rows_equal_functionals_bitwise(self, dt, kernel_calls):
+        rng = np.random.default_rng(82)
+        stack = np.array([random_admissible_lengths(dt, rng) for _ in range(12)])
+        stack[4] = diagonal_family(1.5)
+        reports = curvature._reports(dt, stack)
+        assert kernel_calls == [(11, 2, 6)] and reports[4] is None
+        for l, rep in zip(stack, reports):
+            if rep is None:
+                continue
+            one = functionals(dt, l)
+            for name in ("lengths", "k_edge", "k_vertex", "v_vertex", "v_edge", "dual_length"):
+                assert getattr(rep, name).tobytes() == getattr(one, name).tobytes()
+            for f in dataclasses.fields(one.geometry):
+                assert getattr(rep.geometry, f.name).tobytes() == \
+                    getattr(one.geometry, f.name).tobytes()
+            assert [rep.length, rep.volume, rep.ehr, rep.lehr, rep.vehr] == \
+                [one.length, one.volume, one.ehr, one.lehr, one.vehr]
+            with pytest.raises(ValueError, match="read-only"):
+                rep.lengths[0] = 1.0
+
+    def test_inadmissible_stack_makes_no_kernel_call(self, dt, kernel_calls):
+        # rejected without a RuntimeWarning (an error under this suite)
+        stack = np.array([[np.nan] + [1.0] * 5, diagonal_family(1.5), np.full(6, 1e200)])
+        assert curvature._reports(dt, stack) == [None] * 3
+        assert kernel_calls == []
+
+
+class TestNormalizationTerms:
+    """A reader computes only the per-edge or the per-vertex terms it reads."""
+
+    @pytest.mark.parametrize("which", ["lehr", "vehr"])
+    def test_per_edge_readers(self, dt, which):
+        rep = functionals(dt, random_admissible_lengths(dt, np.random.default_rng(83)))
+        rep.grad_lengths(which)
+        rep.einstein_residual(which)
+        assert not {"k_vertex", "l_vertex", "v_vertex"} & vars(rep).keys()
+
+    def test_per_vertex_readers(self, dt):
+        rep = functionals(dt, random_admissible_lengths(dt, np.random.default_rng(84)))
+        rep.grad_conformal("vehr")
+        rep.csc_residual("vehr")
+        rep.csc_jacobian("vehr")
+        assert "v_edge" not in vars(rep)
+
+
 class TestGradients:
     def test_ehr_gradient_at_regular(self, dt):
         g = grad_lengths(dt, ONES, "ehr")

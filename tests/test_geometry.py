@@ -680,6 +680,49 @@ class TestAdmissibilityVerdicts:
                 tet_volume(np.full(6, 1e60))
 
 
+class TestMetricMask:
+    """``geometry._admissible`` decides each metric of a stack as ``is_admissible`` does."""
+
+    def test_seeded_dt_metrics(self):
+        dt = double_tetrahedron()
+        l = np.random.default_rng(80).uniform(0.3, 1.7, (500, 6))
+        expected = [is_admissible(dt, x) for x in l]
+        assert 0 < sum(expected) < len(l)
+        mask = geometry._admissible(dt.tet_lengths(l.reshape(20, 25, 6)))
+        assert mask.shape == (20, 25) and mask.dtype == bool
+        assert mask.ravel().tolist() == expected
+
+    def test_perturbed_600_cell_metric(self):
+        cell = six_hundred_cell()
+        l = 1.0 + 0.02 * np.random.default_rng(81).standard_normal((2, cell.num_edges))
+        l[1, 17] = 3.0    # longer than two sides of each face at edge 17
+        expected = [is_admissible(cell, x) for x in l]
+        assert expected == [True, False]
+        assert geometry._admissible(cell.tet_lengths(l)).tolist() == expected
+
+    # each case with the test that rejects it; the uniform 1e52 and 1e-60 metrics are
+    # Euclidean, but CM3 overflows to NaN and underflows to 0 there, in both verdicts
+    @pytest.mark.parametrize("lengths, message", [
+        ([np.nan, 1, 1, 1, 1, 1], "positive and finite"),
+        ([np.inf, 1, 1, 1, 1, 1], "positive and finite"),
+        ([-np.inf, 1, 1, 1, 1, 1], "positive and finite"),
+        ([0.0, 1, 1, 1, 1, 1], "positive and finite"),
+        ([-1.0, 1, 1, 1, 1, 1], "positive and finite"),
+        ([2.0, 1, 1, 1, 1, 1], "degenerate face"),
+        (diagonal_family(1.5), "CM3 = -"),
+        (np.full(6, 1e52), "CM3 = nan"),
+        (np.full(6, 1e-60), "CM3 = 0 "),
+    ], ids=["nan", "inf", "-inf", "zero", "negative", "degenerate-face", "cm3-negative",
+            "uniform-1e52", "uniform-1e-60"])
+    def test_edge_cases(self, lengths, message):
+        dt = double_tetrahedron()
+        stack = np.array([REGULAR, lengths, REGULAR])
+        with pytest.raises(InadmissibleMetricError, match=message):
+            geometry.assert_admissible(dt, stack[1])
+        assert geometry._admissible(dt.tet_lengths(stack)).tolist() == \
+            [is_admissible(dt, x) for x in stack] == [True, False, True]
+
+
 def test_no_lapack_in_the_kernel(monkeypatch):
     dt, cell = double_tetrahedron(), six_hundred_cell()
     l6 = 1.0 + 0.02 * np.random.default_rng(74).standard_normal(cell.num_edges)

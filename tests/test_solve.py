@@ -376,6 +376,65 @@ class TestDescend:
             assert is_admissible(dt, it)
 
 
+def seeded_starts(dt, seed, count):
+    rng = np.random.default_rng(seed)
+    return np.array([solve.random_admissible_lengths(dt, rng) for _ in range(count)])
+
+
+class TestLockstepDescents:
+    """A stack of starts descends in lockstep, each start along its own path."""
+
+    def assert_single_paths(self, dt, which, starts, **kwargs):
+        ends, traces = descend_lengths(dt, which, starts, **kwargs)
+        assert ends.shape == starts.shape and len(traces) == len(starts)
+        for start, end, trace in zip(starts, ends, traces):
+            x, single = descend_lengths(dt, which, start, **kwargs)
+            assert (trace.reason, trace.step_sizes, trace.values, trace.newton_steps) == \
+                (single.reason, single.step_sizes, single.values, single.newton_steps)
+            assert end.tobytes() == x.tobytes()
+        return traces
+
+    def test_criterion_9_starts(self, dt):
+        traces = self.assert_single_paths(dt, "lehr", seeded_starts(dt, 424242, 50),
+                                          normalize="L", max_iter=800)
+        assert {t.reason for t in traces} == {"boundary-hit"}
+
+    @pytest.mark.parametrize("which", ["ehr", "lehr", "vehr"])
+    def test_seeded_starts(self, dt, which):
+        self.assert_single_paths(dt, which, seeded_starts(dt, 58, 40), normalize="L",
+                                 max_iter=300)
+
+    def test_one_kernel_call_per_round(self, dt, kernel_calls):
+        starts = seeded_starts(dt, 59, 8)
+        singles = []
+        for start in starts:
+            kernel_calls.clear()
+            descend_lengths(dt, "lehr", start, normalize="L", max_iter=800)
+            singles.append(len(kernel_calls))    # one per point the start proposes
+        kernel_calls.clear()
+        descend_lengths(dt, "lehr", starts, normalize="L", max_iter=800)
+        # a round per point of the longest start, less those that reject every point
+        assert len(kernel_calls) <= max(singles) < sum(singles)
+        assert kernel_calls[0] == (len(starts), 2, 6)
+
+    def test_a_stack_with_an_inadmissible_start_raises(self, dt):
+        starts = seeded_starts(dt, 60, 3)
+        starts[1] = diagonal_family(1.5)
+        with pytest.raises(geometry.InadmissibleMetricError, match="starting point"):
+            descend_lengths(dt, "lehr", starts[1])
+        with pytest.raises(geometry.InadmissibleMetricError, match="starting point"):
+            descend_lengths(dt, "lehr", starts)
+
+    def test_a_stack_of_one_is_the_single_start(self, dt):
+        start = seeded_starts(dt, 61, 1)
+        ends, traces = descend_lengths(dt, "vehr", start, normalize="L", max_iter=200)
+        x, single = descend_lengths(dt, "vehr", start[0], normalize="L", max_iter=200)
+        assert ends.shape == (1, 6) and ends[0].tobytes() == x.tobytes()
+        assert (traces[0].reason, traces[0].step_sizes, traces[0].values) == \
+            (single.reason, single.step_sizes, single.values)
+        assert [i.tobytes() for i in traces[0].iterates] == [i.tobytes() for i in single.iterates]
+
+
 class TestYamabe:
     def test_unit_class_estimate(self, dt, unit_class):
         est = yamabe_constant_estimate(unit_class, "L", starts=6, seed=7)
