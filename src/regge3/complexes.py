@@ -161,13 +161,14 @@ class Complex:
         One ``np.bincount`` for the whole batch: the edge ids of batch entry
         k are offset by k * E.  Each edge sums its tets in the same order
         whatever the batch, so every entry equals its unbatched sum bitwise.
+        An empty batch gives an empty result.
         """
         per_tet = np.asarray(per_tet)
         batch = per_tet.shape[:-2]
         size = math.prod(batch)
         E = self.num_edges
         idx = self.tet_edges.ravel()
-        if size > 1:
+        if size != 1:
             idx = (idx + E * np.arange(size)[:, None]).ravel()
         return np.bincount(idx, per_tet.ravel(), minlength=size * E).reshape(batch + (E,))
 

@@ -45,6 +45,7 @@ reference eigenvalues quoted in the tests use the u convention.
 from __future__ import annotations
 
 import dataclasses
+import math
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
@@ -114,6 +115,11 @@ class CurvatureReport:
     def dual_length(self) -> np.ndarray:
         """(E,) signed dual areas l*_e, summed from :attr:`TetGeometry.dual`."""
         return _read_only(self.complex.edge_sum(self.geometry.dual))
+
+    def laplacian(self) -> np.ndarray:
+        """(V, V) discrete Laplacian; see :func:`laplacian_matrix`."""
+        w = self.dual_length / self.lengths
+        return _edge_matrix(self.complex, w, -w)
 
     def _normalization(self, which: str, per_vertex: bool):
         """(N, lambda, N_x) of F = EHR / N for EHR, LEHR or VEHR, N_x per vertex (N_v) or per
@@ -225,13 +231,14 @@ class CurvatureReport:
                                       "k_vertex", "l_vertex", "v_vertex", "v_edge", "dual_length"))
 
 
-def _curvatures(c: Complex, lengths):
+def _curvatures(c: Complex, lengths, tets=None):
     """One kernel call: the per-tet geometry and the edge curvatures K_e.
 
-    Lengths (..., E) give K_e (..., E).
+    Lengths (..., E) give K_e (..., E); ``tets`` are their per-tet lengths
+    (..., T, 6) when the caller has gathered them already.
     """
     lengths = np.asarray(lengths, dtype=float)
-    geo = geometry.tet_geometry(c.tet_lengths(lengths))
+    geo = geometry.tet_geometry(c.tet_lengths(lengths) if tets is None else tets)
     return geo, (2.0 * np.pi - c.edge_sum(geo.dihedrals)) * lengths
 
 
@@ -327,13 +334,15 @@ def _report(c: Complex, lengths, geo, k_edge) -> CurvatureReport:
 
 def _reports(c: Complex, lengths) -> list:
     """The report of each metric of a stack (S, E) of floats, or None where it is
-    inadmissible (nothing raises): one kernel call on the admissible metrics, and each
-    report equals that of :func:`functionals` bitwise."""
-    ok = geometry._admissible(c.tet_lengths(lengths))
+    inadmissible (nothing raises): one admissibility test of the stack and one kernel call
+    on its admissible metrics, and each report equals that of :func:`functionals` bitwise.
+    An empty stack gives no report."""
+    lengths = np.asarray(lengths, dtype=float)
+    ok, tets = geometry._admissible_rows(c.tet_lengths(lengths))
     reports = [None] * len(lengths)
     if ok.any():
         kept = _read_only(lengths[ok])
-        geo, k_edge = _curvatures(c, kept)
+        geo, k_edge = _curvatures(c, kept, tets)
         for i, (l, k, *tet) in zip(np.flatnonzero(ok), zip(kept, k_edge, *vars(geo).values())):
             reports[i] = _report(c, l, geometry.TetGeometry(*tet), k)
     return reports
@@ -375,34 +384,36 @@ def _steps(x, step, base) -> np.ndarray:
     """Per-coordinate steps: ``step`` broadcast to x, else base * max(|x_i|, 1)."""
     if step is None:
         return base * np.maximum(np.abs(x), 1.0)
-    return np.broadcast_to(np.asarray(step, dtype=float), (x.size,)).copy()
+    return np.broadcast_to(np.asarray(step, dtype=float), x.shape).copy()
 
 
 def _stencil_values(fun, x, hs, i, si, j, sj) -> np.ndarray:
-    """Values of a vectorized ``fun`` on a stencil around x, shape (S, m).
+    """Values of a vectorized ``fun`` on a stencil around each point x (..., n), shape
+    (..., S, m), from its steps hs (..., S, n).
 
     Point q at step scale s is x with si[q] * hs[s, i[q]] added to
     coordinate i[q], then sj[q] * hs[s, j[q]] added to coordinate j[q]
     (a zero sign leaves a coordinate unchanged): the same arithmetic as
-    forming (x + e_i) + e_j.  The S * m points are formed and evaluated in
-    chunks of at most _CHUNK_COORDS // n points (at least one).
+    forming (x + e_i) + e_j.  The S * m points of every x are formed and
+    evaluated in chunks (..., q, n) of at most _CHUNK_COORDS coordinates
+    (at least one point of every x).
     """
-    S, n = hs.shape
+    *batch, S, n = hs.shape
     total = S * len(i)
-    chunk = max(1, _CHUNK_COORDS // n)
-    out = np.empty(total)
+    chunk = max(1, _CHUNK_COORDS // max(1, n * math.prod(batch)))
+    out = np.empty((*batch, total))
     for start in range(0, total, chunk):
         s, q = np.divmod(np.arange(start, min(start + chunk, total)), len(i))
         rows = np.arange(q.size)
-        points = np.repeat(x[None, :], q.size, axis=0)
-        points[rows, i[q]] += si[q] * hs[s, i[q]]
-        points[rows, j[q]] += sj[q] * hs[s, j[q]]
+        points = np.repeat(x[..., None, :], q.size, axis=-2)
+        points[..., rows, i[q]] += si[q] * hs[..., s, i[q]]
+        points[..., rows, j[q]] += sj[q] * hs[..., s, j[q]]
         values = fun(points)
-        if np.shape(values) != (q.size,):
-            raise ValueError(f"fun must map points ({q.size}, {n}) to values "
-                             f"({q.size},), got shape {np.shape(values)}")
-        out[start:start + q.size] = values
-    return out.reshape(S, len(i))
+        if np.shape(values) != points.shape[:-1]:
+            raise ValueError(f"fun must map points {points.shape} to values "
+                             f"{points.shape[:-1]}, got shape {np.shape(values)}")
+        out[..., start:start + q.size] = values
+    return out.reshape(*batch, S, len(i))
 
 
 def hessian_fd(fun, x, step=None, richardson: bool = False) -> np.ndarray:
@@ -458,22 +469,28 @@ def hessian_fd(fun, x, step=None, richardson: bool = False) -> np.ndarray:
 def gradient_fd(fun, x, step=None, richardson: bool = False) -> np.ndarray:
     """Central-difference gradient with steps cbrt(eps) * max(|x_i|, 1).
 
-    ``fun`` is vectorized as in :func:`hessian_fd`, which also describes
-    how the 2n points (4n with ``richardson=True``) are stacked and
-    chunked.  ``richardson=True`` combines two step sizes to cancel the
+    x is one point (n,) or a stack (..., n), and the gradient has x's shape.
+    ``fun`` is vectorized: it maps the stacked stencil points (..., P, n) to
+    values (..., P), where P is 2n (4n with ``richardson=True``).  The points
+    are handed to ``fun`` in chunks of at most 4096 coordinates (at least
+    one point of every x), so a small stack is a single call.  Each point's
+    stencil is the one it has alone, so a stacked gradient equals the
+    per-point gradients bitwise wherever ``fun`` is batch-invariant (the
+    functionals are); an empty stack (0, n) gives a (0, n) gradient.
+    ``richardson=True`` combines two step sizes to cancel the
     O(h^2) truncation term, for use as a high-accuracy oracle against
     analytic gradients; the base step stays at cbrt(eps) so that high
     derivatives near the admissibility boundary cannot dominate.
     """
     x = np.asarray(x, dtype=float)
-    n = x.size
+    n = x.shape[-1]
     h = _steps(x, step, np.finfo(float).eps ** (1.0 / 3.0))
-    hs = np.stack([h, 2.0 * h]) if richardson else h[None, :]
+    hs = np.stack([h, 2.0 * h], axis=-2) if richardson else h[..., None, :]
     # x + h_i e_i, x - h_i e_i for each i
     diag = np.repeat(np.arange(n), 2)
     f = _stencil_values(fun, x, hs, diag, np.tile([1, -1], n), diag, np.zeros(2 * n, int))
-    g = (f[:, 0::2] - f[:, 1::2]) / (2.0 * hs)
-    return (4.0 * g[0] - g[1]) / 3.0 if richardson else g[0]
+    g = (f[..., 0::2] - f[..., 1::2]) / (2.0 * hs)
+    return (4.0 * g[..., 0, :] - g[..., 1, :]) / 3.0 if richardson else g[..., 0, :]
 
 
 def hessian_fd_lengths(c: Complex, lengths, which: str,
@@ -515,9 +532,7 @@ def laplacian_matrix(c: Complex, lengths) -> np.ndarray:
     Parallel edges between the same vertex pair contribute additively,
     matching the quadratic form sum_e (l*_e/l_e)(x_v - x_v')^2.
     """
-    rep = functionals(c, lengths)
-    w = rep.dual_length / rep.lengths
-    return _edge_matrix(c, w, -w)
+    return functionals(c, lengths).laplacian()
 
 
 def normal_matrix(c: Complex, lengths) -> np.ndarray:

@@ -121,6 +121,23 @@ def _admissible(tets) -> np.ndarray:
     return _tet_tests(tets, 3)[0].all(-1)
 
 
+class _Tested(np.ndarray):
+    """Tets (..., 6) that passed the test of :func:`_admissible_rows` and carry its CM3, 2g
+    and cofactors as ``tests``; an array derived from them carries none."""
+
+    tests = None
+
+
+def _admissible_rows(tets):
+    """The mask (S,) of the admissible metrics of tets (S, T, 6), and their tets (k, T, 6)
+    as a :class:`_Tested` array, from one test pass that :func:`tet_geometry` reuses."""
+    ok, _, cm, g2, adj = _tet_tests(tets, 6)
+    mask = ok.all(-1)
+    kept = tets[mask].view(_Tested)
+    kept.tests = cm[mask], g2[mask], adj[mask]
+    return mask, kept
+
+
 def _admissible_cm(l, n=3):
     """CM3, 2g and the first ``n`` cofactors of 2g for the tets ``l`` (..., 6); raise
     naming the worst tet on a nonpositive or non-finite length, a degenerate face or CM3 <= 0.
@@ -191,10 +208,12 @@ def tet_geometry(lengths) -> TetGeometry:
 
     G follows the module docstring's Gram identities from 2g: det 2g = CM3, and
     -adj(2g) / CM3 = -g^-1 / 2.  With (k, l) the vertices off edge ij: cos beta_ij
-    = G_kl / sqrt(G_kk G_ll) and dV/dl_ij = 2 l_ij V G_ij.
+    = G_kl / sqrt(G_kk G_ll) and dV/dl_ij = 2 l_ij V G_ij.  Tets kept by
+    :func:`_admissible_rows` are not tested a second time.
     """
+    tests = getattr(lengths, "tests", None)
     l = _as_lengths(lengths)
-    cm, g2, adj = _admissible_cm(l, 6)
+    cm, g2, adj = _admissible_cm(l, 6) if tests is None else tests
     volume = np.sqrt(cm / 288.0)
     h = -adj / cm[..., None]
     H, d = h[..., _SYM3], 0.5 * g2[..., :3]

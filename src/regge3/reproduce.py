@@ -9,6 +9,7 @@ command and the acceptance test module both run these rows.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import re
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import curvature, geometry, solve
 from .complexes import double_tetrahedron, set_fields, six_hundred_cell
-from .conformal import ConformalClass, induced_lengths, random_equihedral_lengths
+from .conformal import ConformalClass, cross_ratios, induced_lengths, random_equihedral_lengths
 from .solve import diagonal_family
 
 
@@ -53,6 +54,12 @@ def _row(key, description, expected, actual, tolerance, passed) -> CriterionRow:
     return CriterionRow(key=key, tag=tag, description=description,
                         expected=fmt(expected), actual=fmt(actual),
                         tolerance=fmt(tolerance), passed=bool(passed))
+
+
+@functools.cache
+def _cell600():
+    """The 600-cell of criteria 8 and 10, built once, when first read."""
+    return six_hundred_cell()
 
 
 ACOS13 = np.arccos(1.0 / 3.0)
@@ -169,14 +176,15 @@ def criterion_5_csc_multiplicity():
 
 def criterion_6_unboundedness():
     dt = double_tetrahedron()
-    ehr_end = curvature.ehr_value(dt, diagonal_family(1.4142))
-    dev = abs(ehr_end - 8 * np.pi)
+    # the endpoint, a 100-row sweep of the family and t = 1.414: one kernel call
     ts = np.linspace(1.0, 1.4142, 100)
-    table = solve.sweep_family(dt, diagonal_family, ts, ["vehr", "ehr"])
-    vehr_col = [row[2] for row in table.rows]
-    last10 = vehr_col[-10:]
+    end, *swept, at_1414 = curvature._reports(
+        dt, np.array([diagonal_family(t) for t in (1.4142, *ts, 1.414)]))
+    ehr_end = end.ehr
+    dev = abs(ehr_end - 8 * np.pi)
+    last10 = [rep.vehr for rep in swept[-10:]]
     increasing = all(b > a for a, b in zip(last10, last10[1:]))
-    vehr_1414 = curvature.vehr_value(dt, diagonal_family(1.414))
+    vehr_1414 = at_1414.vehr
     return [
         _row("6a", "total curvature at t=1.4142 approaches 8*pi",
              float(8 * np.pi), ehr_end, "abs 0.02", dev < 0.02),
@@ -194,17 +202,18 @@ def criterion_7_einstein_csc_structure():
     def worst(residual):
         return max(float(np.abs(residual(w)).max()) for w in "LV")
 
-    e_lv = worst(curvature.functionals(dt, ones).einstein_residual)
     rng = np.random.default_rng(2024)
     metrics = [random_equihedral_lengths(rng) for _ in range(20)] \
         + [diagonal_family(t) for t in (1.05, 1.15, 1.25, 1.35)]
-    worst_csc = max(worst(curvature.functionals(dt, l).csc_residual) for l in metrics)
+    test_metrics = [ones] + [random_equihedral_lengths(rng) for _ in range(5)] \
+        + list(solve.random_admissible_lengths(dt, rng, size=10))
+    # every metric's report from one kernel call: equal lengths, then both lists
+    reports = curvature._reports(dt, np.array([ones] + metrics + test_metrics))
+    e_lv = worst(reports[0].einstein_residual)
+    worst_csc = max(worst(rep.csc_residual) for rep in reports[1:1 + len(metrics)])
     # Einstein => csc on every test metric
     implication_ok = True
-    test_metrics = [ones] + [random_equihedral_lengths(rng) for _ in range(5)] \
-        + [solve.random_admissible_lengths(dt, rng) for _ in range(10)]
-    for l in test_metrics:
-        rep = curvature.functionals(dt, l)
+    for rep in reports[1 + len(metrics):]:
         for which in ("L", "V"):
             if float(np.abs(rep.einstein_residual(which)).max()) <= 1e-10:
                 if float(np.abs(rep.csc_residual(which)).max()) > 1e-9:
@@ -225,43 +234,40 @@ def criterion_8_property_suites():
     rows = []
 
     # 8a Schlaefli identity per tet, finite-difference dihedral derivatives:
-    # row j of db is d(beta)/d(l_j), from the stack of l + h e_j and l - h e_j
-    worst = 0.0
-    for _ in range(20):
-        l = solve.random_admissible_lengths(dt, rng)
-        h = 1e-6
-        e = h * np.eye(6)
-        beta = geometry.tet_geometry(np.concatenate([l + e, l - e])).dihedrals
-        db = (beta[:6] - beta[6:]) / (2 * h)
-        worst = max(worst, float(np.abs(db @ l).max()))
+    # row j of db is d(beta)/d(l_j), from the stack of l + h e_j and l - h e_j;
+    # the stacks of all 20 metrics go into one kernel call
+    ls = solve.random_admissible_lengths(dt, rng, size=20)
+    h = 1e-6
+    e = h * np.eye(6)
+    beta = geometry.tet_geometry(np.concatenate([ls[:, None] + e, ls[:, None] - e], axis=1))
+    db = (beta.dihedrals[:, :6] - beta.dihedrals[:, 6:]) / (2 * h)
+    worst = max(float(np.abs(d @ l).max()) for d, l in zip(db, ls))
     rows.append(_row("8a", "Schlaefli identity sum_e l_e dbeta_e/dl_j = 0 (FD)",
                      0.0, worst, "abs 1e-6", worst < 1e-6))
 
-    # 8b analytic vs FD gradients, both variable spaces
+    # 8b analytic vs FD gradients, both variable spaces: one report per metric gives
+    # both analytic gradients, and per functional the 20 length-space and the 20
+    # conformal stencils are one stacked call each
+    ls = solve.random_admissible_lengths(dt, rng, size=60).reshape(3, 20, 6)
+    reports = curvature._reports(dt, ls.reshape(60, 6))
     worst = 0.0
-    for which in ("ehr", "lehr", "vehr"):
-        for _ in range(20):
-            l = solve.random_admissible_lengths(dt, rng)
-            ga = curvature.grad_lengths(dt, l, which)
-            gf = curvature.gradient_fd(lambda x: curvature.FUNCTIONALS[which](dt, x),
-                                       l, richardson=True)
-            worst = max(worst, float(np.abs(ga - gf).max() / np.abs(ga).max()))
-            ga = curvature.grad_conformal(dt, l, which)
-
-            def conf_obj(f, _l=l, _w=which):
-                return curvature.FUNCTIONALS[_w](dt, induced_lengths(dt, _l, f))
-
-            gf = curvature.gradient_fd(conf_obj, np.zeros(4), richardson=True)
-            worst = max(worst, float(np.abs(ga - gf).max() / np.abs(ga).max()))
+    for k, which in enumerate(("ehr", "lehr", "vehr")):
+        fun, L = curvature.FUNCTIONALS[which], ls[k]
+        length_fd = curvature.gradient_fd(lambda x: fun(dt, x), L, richardson=True)
+        conformal_fd = curvature.gradient_fd(
+            lambda f: fun(dt, induced_lengths(dt, L[:, None, :], f)), np.zeros((20, 4)),
+            richardson=True)
+        for rep, gl, gc in zip(reports[20 * k:20 * k + 20], length_fd, conformal_fd):
+            for ga, gf in ((rep.grad_lengths(which), gl), (rep.grad_conformal(which), gc)):
+                worst = max(worst, float(np.abs(ga - gf).max() / np.abs(ga).max()))
     rows.append(_row("8b", "analytic vs finite-difference gradients (both spaces)",
                      0.0, worst, "rel 1e-6", worst < 1e-6))
 
     # 8c report identities
     worst = 0.0
-    cases = [(dt, solve.random_admissible_lengths(dt, rng)) for _ in range(20)]
-    cases.append((six_hundred_cell(), np.ones(720)))
-    for c, l in cases:
-        rep = curvature.functionals(c, l)
+    reports = curvature._reports(dt, solve.random_admissible_lengths(dt, rng, size=20))
+    reports.append(curvature.functionals(_cell600(), np.ones(720)))
+    for rep in reports:
         worst = max(worst,
                     abs(rep.k_vertex.sum() - rep.ehr) / abs(rep.ehr),
                     abs(rep.l_vertex.sum() - rep.length) / rep.length,
@@ -269,36 +275,37 @@ def criterion_8_property_suites():
     rows.append(_row("8c", "sum K_v = EHR, sum L_v = L, sum V_v = 3V",
                      0.0, worst, "rel 1e-12", worst < 1e-12))
 
-    # 8d scale invariance
-    worst = 0.0
+    # 8d scale invariance: each metric is drawn before its scale factor, and the 20
+    # metrics and their rescalings are one kernel call
+    ls, scales = [], []
     for _ in range(20):
-        l = solve.random_admissible_lengths(dt, rng)
-        s = rng.uniform(0.5, 3.0)
-        rep, scaled = curvature.functionals(dt, l), curvature.functionals(dt, s * l)
+        ls.append(solve.random_admissible_lengths(dt, rng))
+        scales.append(rng.uniform(0.5, 3.0))
+    ls = np.array(ls)
+    reports = curvature._reports(dt, np.concatenate([ls, np.array(scales)[:, None] * ls]))
+    worst = 0.0
+    for rep, scaled in zip(reports[:20], reports[20:]):
         worst = max(worst, abs(scaled.lehr - rep.lehr) / rep.lehr,
                     abs(scaled.vehr - rep.vehr) / rep.vehr)
     rows.append(_row("8d", "scale invariance of the normalized functionals",
                      0.0, worst, "rel 1e-12", worst < 1e-12))
 
-    # 8e cross-ratio invariance under the factor map
-    from .conformal import cross_ratios
+    # 8e cross-ratio invariance under the factor map; inadmissible images are skipped
     cls = ConformalClass(dt, np.ones(6))
-    worst = 0.0
     base = cross_ratios(dt, cls.background)
-    for _ in range(20):
-        f = rng.normal(0, 0.4, size=4)
-        lengths, ok = cls.apply(f)
-        if not ok:
-            continue
-        worst = max(worst, float(np.abs(cross_ratios(dt, lengths) / base - 1.0).max()))
+    lengths = induced_lengths(dt, cls.background,
+                              np.array([rng.normal(0, 0.4, size=4) for _ in range(20)]))
+    worst = 0.0
+    for l in lengths[geometry._admissible(dt.tet_lengths(lengths))]:
+        worst = max(worst, float(np.abs(cross_ratios(dt, l) / base - 1.0).max()))
     rows.append(_row("8e", "cross ratios invariant under conformal change",
                      0.0, worst, "rel 1e-12", worst < 1e-12))
 
     # 8f Laplacian negative semidefinite at random equihedral metrics
     worst = -np.inf
-    for _ in range(20):
-        l = random_equihedral_lengths(rng)
-        spec = solve.eig_sym(curvature.laplacian_matrix(dt, l))
+    ls = np.array([random_equihedral_lengths(rng) for _ in range(20)])
+    for rep in curvature._reports(dt, ls):
+        spec = solve.eig_sym(rep.laplacian())
         worst = max(worst, float(spec.eigenvalues.max()))
     rows.append(_row("8f", "Laplacian max eigenvalue at 20 equihedral metrics",
                      "<= 0", worst, "< 1e-10", worst < 1e-10))
@@ -306,9 +313,7 @@ def criterion_8_property_suites():
     # 8g degree bounds on the length-normalized functional
     ok = True
     worst = (np.inf, -np.inf)
-    for _ in range(100):
-        l = solve.random_admissible_lengths(dt, rng)
-        v = curvature.lehr_value(dt, l)
+    for v in curvature.lehr_value(dt, solve.random_admissible_lengths(dt, rng, size=100)):
         worst = (min(worst[0], v), max(worst[1], v))
         ok = ok and (0.0 <= v <= 2 * np.pi)
     rows.append(_row("8g", "0 <= LEHR <= 2pi on 100 random admissible metrics",
@@ -319,7 +324,7 @@ def criterion_8_property_suites():
 def criterion_9_uniqueness_evidence():
     dt = double_tetrahedron()
     rng = np.random.default_rng(424242)
-    starts = np.array([solve.random_admissible_lengths(dt, rng) for _ in range(50)])
+    starts = solve.random_admissible_lengths(dt, rng, size=50)
     ends, traces = solve.descend_lengths(dt, "lehr", starts, normalize="L", max_iter=800)
     violations = 0
     counts = {}
@@ -339,7 +344,7 @@ def criterion_9_uniqueness_evidence():
 
 
 def criterion_10_six_hundred_cell():
-    c = six_hundred_cell()
+    c = _cell600()
     counts_ok = c.counts() == (120, 720, 1200, 600)
     deg = c.edge_degrees
     rep = curvature.functionals(c, np.ones(720))

@@ -615,15 +615,7 @@ def sweep_family(c: Complex, family, t_values, quantities) -> SweepTable:
         except geometry.InadmissibleMetricError:
             rows.append([float(t), 0] + [float("nan")] * len(quantities))
             continue
-        cache = {
-            "ehr": rep.ehr, "lehr": rep.lehr, "vehr": rep.vehr,
-            "length": rep.length, "volume": rep.volume,
-            "fatness": rep.volume / rep.length ** 3,
-            "min_cm3": float(np.min(rep.geometry.cm3)),
-        }
-        for w in "lv":
-            cache[f"einstein_res_{w}"] = float(np.abs(rep.einstein_residual(w)).max())
-            cache[f"csc_res_{w}"] = float(np.abs(rep.csc_residual(w)).max())
+        cache = {q: _scalar(rep, q) for q in quantities if q in _SCALAR_QUANTITIES}
         for w in ("lehr", "vehr"):
             if not need_hess[w]:
                 continue
@@ -652,6 +644,18 @@ def sweep_family(c: Complex, family, t_values, quantities) -> SweepTable:
     return SweepTable(columns=columns, rows=rows)
 
 
+def _scalar(rep, name: str) -> float:
+    """The sweep column ``name`` of _SCALAR_QUANTITIES, read from a row's report."""
+    if name in ("ehr", "lehr", "vehr", "length", "volume"):
+        return getattr(rep, name)
+    if name == "fatness":
+        return rep.volume / rep.length ** 3
+    if name == "min_cm3":
+        return float(np.min(rep.geometry.cm3))
+    residual = rep.einstein_residual if name.startswith("einstein") else rep.csc_residual
+    return float(np.abs(residual(name[-1])).max())
+
+
 def _match_by_overlap(prev: np.ndarray, new: np.ndarray) -> np.ndarray:
     """Greedy column assignment maximizing |<prev_i, new_j>|."""
     n = prev.shape[1]
@@ -672,13 +676,41 @@ def _match_by_overlap(prev: np.ndarray, new: np.ndarray) -> np.ndarray:
 
 
 def random_admissible_lengths(c: Complex, rng: np.random.Generator,
-                              low: float = 0.6, high: float = 1.4) -> np.ndarray:
-    """Rejection-sample an admissible length vector with iid uniform entries."""
-    for _ in range(10000):
-        lengths = rng.uniform(low, high, size=c.num_edges)
-        if geometry.is_admissible(c, lengths):
-            return lengths
-    raise RuntimeError("failed to sample an admissible metric")
+                              low: float = 0.6, high: float = 1.4, size=None) -> np.ndarray:
+    """Rejection-sample an admissible length vector (E,) with iid uniform entries, or a
+    stack (size, E) of them.
+
+    Rows are drawn in blocks (k, E), each tested by one mask call, and the
+    admissible rows are kept in order; when a block holds more rows than the
+    samples need, the generator is rewound and draws exactly the rows used
+    again.  So the samples, and the generator's state afterwards, are bitwise
+    those of ``size`` one-row calls, each drawing rows of E uniforms until one
+    is admissible.  Raises ``RuntimeError`` after 10000 rejected rows in a row.
+    """
+    need = 1 if size is None else size
+    kept, misses, k = [], 0, need
+    while len(kept) < need:
+        state, found = rng.bit_generator.state, len(kept)
+        block = rng.uniform(low, high, size=(k, c.num_edges))
+        used = 0
+        for row, ok in zip(block, geometry._admissible(c.tet_lengths(block))):
+            used += 1
+            if ok:
+                kept.append(row)
+                misses = 0
+                if len(kept) == need:
+                    break
+            else:
+                misses += 1
+                if misses == 10000:
+                    raise RuntimeError("failed to sample an admissible metric")
+        if used < k:
+            rng.bit_generator.state = state
+            rng.uniform(low, high, size=(used, c.num_edges))
+        # twice the rows still needed, or twice the block after a block without one
+        k = 2 * (need - len(kept) if len(kept) > found else k)
+    samples = np.array(kept).reshape(need, c.num_edges)
+    return samples[0] if size is None else samples
 
 
 def find_tstar(c: Complex | None = None, bracket=(1.0, 1.3),

@@ -10,7 +10,7 @@ that raises fails its own rows only.  Running
 import numpy as np
 import pytest
 
-from regge3 import geometry, reproduce
+from regge3 import curvature, geometry, reproduce
 
 #: row keys of each criterion, in ``reproduce.ALL_CRITERIA`` order
 ROW_KEYS = (("1a", "1b"), ("2a", "2b"), ("3a", "3b"), ("4a", "4b", "4c"),
@@ -80,3 +80,60 @@ def test_criterion_9_descends_in_lockstep(kernel_calls, monkeypatch):
     monkeypatch.setattr(geometry, "tet_geometry", watched)
     assert all(r.passed for r in reproduce.criterion_9_uniqueness_evidence())
     assert len(kernel_calls) <= 80 and raised == []
+
+
+#: kernel calls of each criterion at most: criteria 6, 7 and 8 stack their independent
+#: metrics (102, 41 and 441 calls when each metric had its own), the others as measured
+KERNEL_CALL_BUDGET = {1: 1, 2: 1, 3: 26, 4: 27, 5: 12, 6: 3, 7: 4, 8: 25, 9: 70, 10: 1,
+                      11: 51}
+
+
+@pytest.mark.parametrize("number", sorted(KERNEL_CALL_BUDGET))
+def test_criterion_kernel_call_budget(kernel_calls, number):
+    assert all(r.passed for r in reproduce.ALL_CRITERIA[number - 1]())
+    assert len(kernel_calls) <= KERNEL_CALL_BUDGET[number]
+
+
+def test_criterion_9_tests_each_metric_once(kernel_calls, monkeypatch):
+    # each round's stack is tested once, and its kernel call reuses that test, so the
+    # only other tests are the start sampler's mask calls
+    tests, masks, rounds = [], [], []
+    tet_tests, admissible, reports = geometry._tet_tests, geometry._admissible, curvature._reports
+
+    def counted_tests(l, n):
+        tests.append(np.shape(l))
+        return tet_tests(l, n)
+
+    def counted_mask(tets):
+        masks.append(np.shape(tets))
+        return admissible(tets)
+
+    def counted_round(c, lengths):
+        rounds.append(np.shape(lengths))
+        return reports(c, lengths)
+
+    monkeypatch.setattr(geometry, "_tet_tests", counted_tests)
+    monkeypatch.setattr(geometry, "_admissible", counted_mask)
+    monkeypatch.setattr(curvature, "_reports", counted_round)
+    assert all(r.passed for r in reproduce.criterion_9_uniqueness_evidence())
+    assert len(kernel_calls) <= len(rounds)
+    assert len(tests) == len(rounds) + len(masks) and len(masks) <= 3
+
+
+def test_one_600_cell_build_per_process(monkeypatch):
+    builds = []
+    build = reproduce.six_hundred_cell
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(reproduce, "six_hundred_cell", counted)
+    reproduce._cell600.cache_clear()
+    try:
+        for criterion in (reproduce.criterion_8_property_suites,
+                          reproduce.criterion_10_six_hundred_cell) * 2:
+            assert all(r.passed for r in criterion())
+    finally:
+        reproduce._cell600.cache_clear()
+    assert builds == [1]

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from regge3 import curvature
 from regge3.complexes import double_tetrahedron, six_hundred_cell
 from regge3.conformal import induced_lengths
-from regge3.curvature import (conformal_hessian_fd, ehr_value, gradient_fd, hessian_fd,
-                              hessian_fd_lengths, lehr_value, vehr_value)
+from regge3.curvature import (FUNCTIONALS, conformal_hessian_fd, ehr_value, gradient_fd,
+                              hessian_fd, hessian_fd_lengths, lehr_value, vehr_value)
 from regge3.geometry import InadmissibleMetricError
 from regge3.solve import diagonal_family, random_admissible_lengths
 
@@ -157,6 +158,44 @@ class TestStackedStencils:
         assert max(sizes) <= 64 and sum(sizes) == 2 * 64 * 64 + 1
         assert np.abs(H - Q).max() < 1e-8
 
+    @pytest.mark.parametrize("which", ["ehr", "lehr", "vehr"])
+    def test_stacked_gradient_equals_the_per_point_calls(self, dt, dt_stack, which):
+        fun = FUNCTIONALS[which]
+        lengths = gradient_fd(lambda x: fun(dt, x), dt_stack, richardson=True)
+        assert lengths.shape == dt_stack.shape
+        for l, g in zip(dt_stack, lengths):
+            assert g.tobytes() == gradient_fd(lambda x: fun(dt, x), l, richardson=True).tobytes()
+        # the conformal objective: every stencil point's factors over its own background
+        factors = gradient_fd(lambda f: fun(dt, induced_lengths(dt, dt_stack[:, None, :], f)),
+                              np.zeros((len(dt_stack), 4)), richardson=True)
+        for l, g in zip(dt_stack, factors):
+            one = gradient_fd(lambda f: fun(dt, induced_lengths(dt, l, f)), np.zeros(4),
+                              richardson=True)
+            assert g.tobytes() == one.tobytes()
+
+    def test_stacked_gradient_is_one_kernel_call(self, dt, dt_stack, kernel_calls):
+        gradient_fd(lambda x: lehr_value(dt, x), dt_stack[:20], richardson=True)
+        assert kernel_calls == [(20, 24, 2, 6)]
+
     def test_scalar_only_fun_is_rejected(self):
         with pytest.raises(ValueError, match="fun must map points"):
             gradient_fd(lambda x: float(np.sum(x * x)), np.zeros(3))
+
+
+class TestEmptyStacks:
+    """A stack of no metrics gives empty results instead of raising."""
+
+    @pytest.mark.parametrize("complex_name", ["dt", "cell600"])
+    def test_value_functions_and_edge_sum(self, request, complex_name):
+        c = request.getfixturevalue(complex_name)
+        empty = np.zeros((0, c.num_edges))
+        for fun in (ehr_value, lehr_value, vehr_value):
+            assert fun(c, empty).shape == (0,)
+        assert c.edge_sum(np.zeros((0, c.num_tets, 6))).shape == (0, c.num_edges)
+        assert ehr_value(c, np.ones((2, 0, c.num_edges))).shape == (2, 0)
+
+    def test_reports_and_gradient(self, dt, kernel_calls):
+        assert curvature._reports(dt, np.zeros((0, 6))) == []
+        assert kernel_calls == []
+        grad = gradient_fd(lambda x: lehr_value(dt, x), np.zeros((0, 6)), richardson=True)
+        assert grad.shape == (0, 6)

@@ -739,3 +739,36 @@ def test_no_lapack_in_the_kernel(monkeypatch):
     assert tet_volume(REGULAR) == pytest.approx(1 / (6 * np.sqrt(2)), abs=1e-15)
     assert cayley_menger(REGULAR) == pytest.approx(4.0, abs=1e-12)
     assert "np.linalg" not in inspect.getsource(geometry)
+
+
+class TestAdmissibleRows:
+    """``geometry._admissible_rows`` masks a stack with one test pass that the kernel reuses."""
+
+    def test_kept_tets_are_tested_once(self, monkeypatch):
+        dt = double_tetrahedron()
+        stack = np.array([REGULAR, diagonal_family(1.5), diagonal_family(1.2)])
+        tests = []
+        tet_tests = geometry._tet_tests
+
+        def counted(l, n):
+            tests.append(np.shape(l))
+            return tet_tests(l, n)
+
+        monkeypatch.setattr(geometry, "_tet_tests", counted)
+        mask, kept = geometry._admissible_rows(dt.tet_lengths(stack))
+        assert mask.tolist() == [True, False, True] and kept.shape == (2, 2, 6)
+        reused = tet_geometry(kept)
+        assert tests == [(3, 2, 6)]
+        # any other array, an equal copy too, is tested by the kernel itself
+        alone = tet_geometry(kept.copy())
+        assert tests == [(3, 2, 6), (2, 2, 6)]
+        for f in dataclasses.fields(alone):
+            assert getattr(reused, f.name).tobytes() == getattr(alone, f.name).tobytes()
+
+    def test_an_edited_copy_is_tested_again(self):
+        dt = double_tetrahedron()
+        _, kept = geometry._admissible_rows(dt.tet_lengths(np.array([REGULAR, REGULAR])))
+        edited = kept[1:].copy()
+        edited[0, 0, 0] = -1.0
+        with pytest.raises(InadmissibleMetricError):
+            tet_geometry(edited)

@@ -649,3 +649,52 @@ class TestSweep:
         lam2_end = table.rows[1][3]
         assert lam2_start == pytest.approx(4 * np.sqrt(2) / 9, abs=1e-10)
         assert lam2_end == pytest.approx(-0.238, abs=2e-3)
+
+
+def _sample_one_row_at_a_time(c, rng, n, low, high):
+    """n admissible metrics drawn as one row of uniforms at a time, each tested alone:
+    the oracle of the block sampler."""
+    rows = []
+    while len(rows) < n:
+        lengths = rng.uniform(low, high, size=c.num_edges)
+        if geometry.is_admissible(c, lengths):
+            rows.append(lengths)
+    return np.array(rows).reshape(n, c.num_edges)
+
+
+class TestBlockSampler:
+    """``random_admissible_lengths`` draws blocks of rows and keeps the generator's stream."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 777, 2024])
+    @pytest.mark.parametrize("bounds", [(0.6, 1.4), (0.8, 1.2), (0.3, 1.7), (0.05, 3.0)])
+    @pytest.mark.parametrize("n", [1, 13, 60])
+    def test_rows_and_state_equal_the_one_row_loop(self, dt, seed, bounds, n):
+        oracle_rng, block_rng, calls_rng = (np.random.default_rng(seed) for _ in range(3))
+        oracle = _sample_one_row_at_a_time(dt, oracle_rng, n, *bounds)
+        block = solve.random_admissible_lengths(dt, block_rng, *bounds, size=n)
+        calls = [solve.random_admissible_lengths(dt, calls_rng, *bounds) for _ in range(n)]
+        assert block.shape == (n, 6)
+        assert block.tobytes() == oracle.tobytes() == np.array(calls).tobytes()
+        assert block_rng.uniform() == oracle_rng.uniform() == calls_rng.uniform()
+
+    def test_one_row_and_empty_stack(self, dt):
+        rng = np.random.default_rng(5)
+        assert solve.random_admissible_lengths(dt, rng).shape == (6,)
+        assert solve.random_admissible_lengths(dt, rng, size=0).shape == (0, 6)
+
+    def test_a_block_costs_one_mask_call(self, dt, monkeypatch):
+        masks = []
+        admissible = geometry._admissible
+
+        def counted(tets):
+            masks.append(np.shape(tets))
+            return admissible(tets)
+
+        monkeypatch.setattr(geometry, "_admissible", counted)
+        solve.random_admissible_lengths(dt, np.random.default_rng(424242), size=50)
+        # 50 rows, then twice the rows still missing, until 50 are admissible
+        assert masks[0] == (50, 2, 6) and len(masks) <= 3
+
+    def test_no_admissible_row_raises(self, dt):
+        with pytest.raises(RuntimeError, match="failed to sample"):
+            solve.random_admissible_lengths(dt, np.random.default_rng(0), -2.0, -1.0, size=3)
