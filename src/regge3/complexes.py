@@ -20,6 +20,7 @@ import ast
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -171,6 +172,13 @@ class Complex:
         if size != 1:
             idx = (idx + E * np.arange(size)[:, None]).ravel()
         return np.bincount(idx, per_tet.ravel(), minlength=size * E).reshape(batch + (E,))
+
+    @cached_property
+    def _edge_cells(self) -> np.ndarray:
+        """Flat (V, V) cells (4E,) of the edges (a, b): (a, b), then (b, a), (a, a), (b, b)."""
+        n = self.num_vertices
+        a, b = self.edge_vertices.T
+        return np.concatenate([a * n + b, b * n + a, a * (n + 1), b * (n + 1)])
 
 
 def _has_bool(rows) -> bool:

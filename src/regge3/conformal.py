@@ -43,6 +43,13 @@ class ConformalClass:
         object.__setattr__(self, "background", bg)
         geometry.assert_admissible(self.complex, bg)
 
+    def _factors(self, factors) -> np.ndarray:
+        """Factors (V,) as floats; ``ValueError`` on any other shape."""
+        f = np.asarray(factors, dtype=float)
+        if f.shape != (self.complex.num_vertices,):
+            raise ValueError(f"expected {self.complex.num_vertices} factors, got shape {f.shape}")
+        return f
+
     def apply(self, factors):
         """Induced lengths for per-vertex factors; returns (lengths, admissible).
 
@@ -50,11 +57,7 @@ class ConformalClass:
         reports whether every tetrahedron still has positive
         Cayley-Menger determinant.
         """
-        f = np.asarray(factors, dtype=float)
-        if f.shape != (self.complex.num_vertices,):
-            raise ValueError(
-                f"expected {self.complex.num_vertices} factors, got shape {f.shape}")
-        lengths = induced_lengths(self.complex, self.background, f)
+        lengths = induced_lengths(self.complex, self.background, self._factors(factors))
         return lengths, geometry.is_admissible(self.complex, lengths)
 
 

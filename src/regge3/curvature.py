@@ -181,14 +181,14 @@ class CurvatureReport:
                 G, n, tv = self.geometry.cm_inverse, c.num_vertices, c.tet_vertices
                 a = G[:, 0, 1:]
                 blocks = 1.0 - a[:, :, None] - a[:, None, :] - G[:, :1, :1] * G[:, 1:, 1:]
-                blocks[:, range(4), range(4)] += a
+                blocks.reshape(-1, 16)[:, ::5] += a    # the diagonals
                 blocks *= (4.0 * lam) * self.geometry.volume[:, None, None]
                 H -= np.bincount((tv[:, :, None] * n + tv[:, None, :]).ravel(), blocks.ravel(),
                                  minlength=n * n).reshape(n, n)
             H /= N
-            H -= np.outer(grad, g) + np.outer(g, grad)
+            H -= grad[:, None] * g + g[:, None] * grad
             if which == "vehr":    # grad V = 3V g = s g
-                H += (2.0 * lam * s / N) * np.outer(g, g)
+                H += (2.0 * lam * s / N) * (g[:, None] * g)
         return 0.5 * (H + H.T)
 
     def csc_jacobian(self, which: str) -> np.ndarray:
@@ -205,7 +205,7 @@ class CurvatureReport:
         if which == "ehr":
             return J
         g = n_vertex / (self.length if which == "lehr" else 3.0 * self.volume)
-        return J + np.outer(self.k_vertex - lam * n_vertex, g)
+        return J + (self.k_vertex - lam * n_vertex)[:, None] * g
 
     def bounds(self) -> BoundsReport:
         """The edge-degree bounds on LEHR and the fatness bound on VEHR."""
@@ -244,21 +244,15 @@ def _curvatures(c: Complex, lengths, tets=None):
 
 def _vertex_half_sums(c: Complex, per_edge) -> np.ndarray:
     half = 0.5 * np.asarray(per_edge, dtype=float)
-    return np.bincount(c.edge_vertices.ravel(), np.repeat(half, 2),
-                       minlength=c.num_vertices)
+    return np.bincount(c.edge_vertices.ravel(), half.repeat(2), minlength=c.num_vertices)
 
 
 def _edge_matrix(c: Complex, off, diag=None) -> np.ndarray:
     """(V, V) sum over edges (a, b) of ``off`` at (a, b) and (b, a) and of
     ``diag`` at (a, a) and (b, b); one ``np.bincount``."""
     n = c.num_vertices
-    a, b = c.edge_vertices.T
-    idx, w = [a * n + b, b * n + a], [off, off]
-    if diag is not None:
-        idx += [a * (n + 1), b * (n + 1)]
-        w += [diag, diag]
-    return np.bincount(np.concatenate(idx), np.concatenate(w),
-                       minlength=n * n).reshape(n, n)
+    w = np.concatenate([off, off] if diag is None else [off, off, diag, diag])
+    return np.bincount(c._edge_cells[:len(w)], w, minlength=n * n).reshape(n, n)
 
 
 def ehr_value(c: Complex, lengths):
@@ -268,7 +262,7 @@ def ehr_value(c: Complex, lengths):
 
 def lehr_value(c: Complex, lengths):
     """LEHR = EHR / L: lengths (..., E) -> (...)."""
-    return ehr_value(c, lengths) / np.sum(lengths, axis=-1)
+    return ehr_value(c, lengths) / np.add.reduce(lengths, -1)
 
 
 def vehr_value(c: Complex, lengths):
@@ -327,7 +321,7 @@ def _report(c: Complex, lengths, geo, k_edge) -> CurvatureReport:
     """The report of one metric from its read-only lengths (E,) and its kernel output."""
     for a in (*vars(geo).values(), k_edge):    # the six kernel arrays and K_e
         _read_only(a)
-    length, volume, ehr = float(lengths.sum()), float(geo.volume.sum()), float(k_edge.sum())
+    length, volume, ehr = (float(np.add.reduce(a)) for a in (lengths, geo.volume, k_edge))
     return CurvatureReport(c, geo, lengths, k_edge, length, volume, ehr, ehr / length,
                            ehr / volume ** (1.0 / 3.0))
 

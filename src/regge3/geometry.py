@@ -5,11 +5,12 @@ by local vertex pair (0,1), (0,2), (0,3), (1,2), (1,3), (2,3), and
 broadcast over the leading axes, so a whole triangulation's tetrahedra can
 be processed in one call.
 
-A length vector is *admissible* when its Cayley-Menger determinant is
-positive, i.e. the lengths are realized by a nondegenerate Euclidean
-tetrahedron.  Operations that require admissibility raise
-:class:`InadmissibleMetricError` instead of clamping, so optimization
-paths can detect the boundary of the metric space exactly.
+A length vector is *admissible* when its face margins (sum of two sides
+less the third) and its Cayley-Menger determinant are positive, i.e. the
+lengths are realized by a nondegenerate Euclidean tetrahedron.  Operations
+that require admissibility raise :class:`InadmissibleMetricError` instead of
+clamping, so optimization paths can detect the boundary of the metric space
+exactly.
 
 Every per-tet quantity comes from one kernel, :func:`tet_geometry`: the inverse
 G of the 5x5 bordered Cayley-Menger matrix A of squared lengths, rows and
@@ -35,16 +36,17 @@ import numpy as np
 from .complexes import Complex, EDGE_FACES, FACE_EDGES, LOCAL_PAIRS, set_fields
 
 # rows of the bordered matrix for the two ends (I, J) of each local edge and
-# for the two vertices (K, L) off it
+# for the two vertices (K, L) off it; the flat cells of G_KL, G_KK, G_LL and G_IJ
 _I, _J = np.array(LOCAL_PAIRS).T + 1
 _K, _L = np.array([[v for v in range(4) if v not in p] for p in LOCAL_PAIRS]).T + 1
-# the two (face, slot) incidences of each local edge, as index arrays (6, 2)
-_EF_FACE, _EF_SLOT = np.moveaxis(np.array(EDGE_FACES), -1, 0)
+_EDGE_ENTRIES = 5 * np.concatenate([_K, _K, _L, _I]) + np.concatenate([_L, _K, _L, _J])
+_EDGE_SLOTS = np.array(EDGE_FACES) @ [3, 1]    # slots 3 face + slot of each local edge
 _FACE_EDGES = np.array(FACE_EDGES)
-# 2g as (11, 22, 33, 12, 13, 23) is q[_GRAM] summed, less q_ij off the diagonal;
+_FACE_CYCLE = _FACE_EDGES[:, [0, 1, 2, 0, 1]]    # sides k + 1, k + 2 (mod 3) as slices
+# 2g as (11, 22, 33, 12, 13, 23) is q[_GRAM]'s halves summed, less q_ij off the diagonal;
 # its cofactors (11, 12, 13, 22, 23, 33) are x[a] x[b] - x[c] x[d] for the rows
 # a..d of _COF, whose row 4 is the first row of 2g, to expand det 2g along
-_GRAM = np.array([[0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]])
+_GRAM = np.array([0, 1, 2, 0, 0, 1, 0, 1, 2, 1, 2, 2])
 _COF = np.array([[1, 4, 3, 0, 3, 0], [2, 5, 5, 2, 4, 1], [5, 3, 4, 4, 0, 3],
                  [5, 2, 1, 4, 5, 3], [0, 3, 4, 0, 0, 0]])
 _SYM5 = np.zeros((5, 5), dtype=int)    # G from its upper triangle, row by row
@@ -78,11 +80,12 @@ def _as_lengths(lengths) -> np.ndarray:
 def _gram_cofactors(l, n):
     """2g (..., 6), the first ``n`` of its cofactors, and det 2g = 8 det g = CM3."""
     q = l * l
-    g2 = q[..., _GRAM].sum(-2)
+    t = q[..., _GRAM]
+    g2 = t[..., :6] + t[..., 6:]
     g2[..., 3:] -= q[..., 3:]
     t = g2[..., _COF[:, :n]]
     adj = t[..., 0, :] * t[..., 1, :] - t[..., 2, :] * t[..., 3, :]
-    return g2, adj, (t[..., 4, :3] * adj[..., :3]).sum(-1)
+    return g2, adj, np.add.reduce(t[..., 4, :3] * adj[..., :3], -1)
 
 
 def cayley_menger(lengths) -> np.ndarray:
@@ -109,9 +112,10 @@ def _tet_tests(l, n):
     admissible (ok) when its face margins (sum of two sides less the third) and CM3 are
     positive, which rules out nonpositive and non-finite lengths (NaN fails), warning-free."""
     with np.errstate(over="ignore", invalid="ignore"):
-        # CM3 > 0 alone does not rule out faces that violate the triangle inequality
+        # CM3 > 0 alone does not rule out faces that violate the triangle inequality; with a
+        # Gram minor > 0 it does (Sylvester), but the CM3 of a collinear face rounds either way
         sides = l[..., _FACE_EDGES]
-        margins = (sides.sum(-1) - 2.0 * sides.max(-1)).min(-1)
+        margins = (np.add.reduce(sides, -1) - 2.0 * np.maximum.reduce(sides, -1)).min(-1)
         g2, adj, cm = _gram_cofactors(l, n)
         return np.minimum(margins, cm) > 0.0, margins, cm, g2, adj
 
@@ -144,16 +148,16 @@ def _admissible_cm(l, n=3):
 
     For one axis of tets, as in ``Complex.tet_lengths`` output of one
     metric, the worst tet is named by its tet id; in a batch of metrics,
-    by its index tuple.
+    by its index tuple.  The message is worked out when it is read.
     """
     ok, margins, cm, g2, adj = _tet_tests(l, n)
     if not ok.all():
-        if not (l.min(initial=np.inf) > 0.0 and l.max(initial=0.0) < np.inf):
-            raise InadmissibleMetricError("edge lengths must be positive and finite")
-        if not margins.min() > 0.0:    # NaN fails too, as from inf - inf
-            raise InadmissibleMetricError(lambda: (
-                f"metric not admissible: tet {_worst_tet(margins)} has a degenerate face triangle"))
+        l = l.copy()
         raise InadmissibleMetricError(lambda: (
+            "edge lengths must be positive and finite"
+            if not (l.min(initial=np.inf) > 0.0 and l.max(initial=0.0) < np.inf) else
+            f"metric not admissible: tet {_worst_tet(margins)} has a degenerate face triangle"
+            if not margins.min() > 0.0 else    # NaN fails too, as from inf - inf
             f"metric not admissible: tet {_worst_tet(cm)} has CM3 = {float(cm.min()):.6g} <= 0"))
     return cm, g2, adj
 
@@ -192,38 +196,45 @@ class TetGeometry:
         distance from the face circumcenter to the edge, positive on the side
         of the opposite vertex; it equals (l/2) cot(opposite angle).
         """
-        sides = self.lengths[..., _FACE_EDGES]
-        a, b, c = sides[..., 0], sides[..., 1], sides[..., 2]
+        cycle = self.lengths[..., _FACE_CYCLE]
+        sides, sq = cycle[..., :3], cycle * cycle
+        a, b, c = cycle[..., 0], cycle[..., 1], cycle[..., 2]
         s = 0.5 * (a + b + c)
         areas = np.sqrt(s * (s - a) * (s - b) * (s - c))
         # (l_e/2) cot(opposite angle) without trig: cot = (b^2+c^2-a^2)/(4A)
-        sq = sides * sides
-        h_edge = sides * (sq[..., [1, 2, 0]] + sq[..., [2, 0, 1]] - sq) / (8.0 * areas[..., None])
+        h_edge = sides * (sq[..., 1:4] + sq[..., 2:] - sq[..., :3]) / (8.0 * areas[..., None])
         h_face = self.cm_inverse[..., 0, 1:] * (3.0 * self.volume[..., None] / areas)
-        return 0.5 * np.sum(h_edge[..., _EF_FACE, _EF_SLOT] * h_face[..., _EF_FACE], axis=-1)
+        pieces = (h_edge * h_face[..., None]).reshape(h_face.shape[:-1] + (12,))
+        return 0.5 * np.add.reduce(pieces[..., _EDGE_SLOTS], -1)
+
+
+def _cm_inverse(cm, g2, adj):
+    """G (..., 5, 5) by the module docstring's Gram identities, -adj(2g) / CM3 = -g^-1 / 2."""
+    h = -adj / cm[..., None]
+    H, d = h[..., _SYM3], 0.5 * g2[..., :3]
+    y, r = -np.add.reduce(H * d[..., None, :], -1), np.add.reduce(H, -1)
+    return np.concatenate([-np.add.reduce(y * d, -1, keepdims=True),
+                           1.0 - np.add.reduce(y, -1, keepdims=True), y,
+                           np.add.reduce(r, -1, keepdims=True), -r, h], axis=-1)[..., _SYM5]
 
 
 def tet_geometry(lengths) -> TetGeometry:
     """Compute the :class:`TetGeometry` bundle for admissible lengths.
 
-    G follows the module docstring's Gram identities from 2g: det 2g = CM3, and
-    -adj(2g) / CM3 = -g^-1 / 2.  With (k, l) the vertices off edge ij: cos beta_ij
-    = G_kl / sqrt(G_kk G_ll) and dV/dl_ij = 2 l_ij V G_ij.  Tets kept by
-    :func:`_admissible_rows` are not tested a second time.
+    With (k, l) the vertices off edge ij: cos beta_ij = G_kl / sqrt(G_kk G_ll) and
+    dV/dl_ij = 2 l_ij V G_ij.  Tets kept by :func:`_admissible_rows` are not tested a
+    second time.
     """
     tests = getattr(lengths, "tests", None)
     l = _as_lengths(lengths)
     cm, g2, adj = _admissible_cm(l, 6) if tests is None else tests
     volume = np.sqrt(cm / 288.0)
-    h = -adj / cm[..., None]
-    H, d = h[..., _SYM3], 0.5 * g2[..., :3]
-    y, r = -(H * d[..., None, :]).sum(-1), H.sum(-1)
-    G = np.concatenate([-(y * d).sum(-1, keepdims=True), 1.0 - y.sum(-1, keepdims=True), y,
-                        r.sum(-1, keepdims=True), -r, h], axis=-1)[..., _SYM5]
-    cos = G[..., _K, _L] / np.sqrt(G[..., _K, _K] * G[..., _L, _L])
-    return TetGeometry(
-        lengths=l, cm3=cm, volume=volume, dihedrals=np.arccos(np.clip(cos, -1.0, 1.0)),
-        dvolume=2.0 * l * volume[..., None] * G[..., _I, _J], cm_inverse=G)
+    G = _cm_inverse(cm, g2, adj)
+    e = G.reshape(cm.shape + (25,))[..., _EDGE_ENTRIES]
+    cos = e[..., :6] / np.sqrt(e[..., 6:12] * e[..., 12:18])
+    return TetGeometry(lengths=l, cm3=cm, volume=volume, cm_inverse=G,
+                       dihedrals=np.arccos(np.minimum(np.maximum(cos, -1.0), 1.0)),
+                       dvolume=2.0 * l * volume[..., None] * e[..., 18:])
 
 
 # ---------------------------------------------------------------------------

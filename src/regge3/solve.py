@@ -32,12 +32,14 @@ class Spectrum:
 def eig_sym(A) -> Spectrum:
     """Full spectral decomposition of a symmetric matrix (LAPACK ``eigh``).
 
-    Deterministic: eigenvalues ascending, each eigenvector's largest
-    component made positive.  Raises on non-symmetric input.
+    Deterministic: eigenvalues ascending, each eigenvector's largest component
+    made positive; a (0, 0) matrix has an empty spectrum.  Raises on non-symmetric input.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    if not A.size:
+        return Spectrum(eigenvalues=np.zeros(0), eigenvectors=np.zeros((0, 0)))
     scale = max(1.0, float(np.abs(A).max()))
     if np.abs(A - A.T).max() > 1e-12 * scale:
         raise ValueError("matrix is not symmetric to 1e-12 relative")
@@ -104,6 +106,8 @@ def solve_csc(cls: ConformalClass, which: str = "L", f0=None,
         raise geometry.InadmissibleMetricError("starting point is not admissible")
     rep = curvature.functionals(c, lengths)
     r = rep.csc_residual(which)
+    K, rhs = np.ones((n + 1, n + 1)), np.zeros(n + 1)    # the bordered system
+    K[n, n] = 0.0
 
     for _ in range(max_iter):
         rn = float(np.abs(r).max())
@@ -112,10 +116,9 @@ def solve_csc(cls: ConformalClass, which: str = "L", f0=None,
             trace.reason = "converged"
             return f, trace
 
-        K = np.block([[rep.csc_jacobian(which), np.ones((n, 1))],
-                      [np.ones((1, n)), np.zeros((1, 1))]])
+        K[:n, :n], rhs[:n] = rep.csc_jacobian(which), -r
         try:
-            delta = np.linalg.solve(K, np.append(-r, 0.0))[:n]
+            delta = np.linalg.solve(K, rhs)[:n]
         except np.linalg.LinAlgError:
             trace.reason = "singular-jacobian"
             return f, trace
@@ -286,7 +289,7 @@ def _point(rep, which: str, gradient, newton=None):
     """``evaluate`` of :func:`descend` from the point's report: (value, gradient, at_boundary,
     newton).  At the boundary, the worst tet's CM3 is below 1e-8 (mean length)^6.
     ``newton(rep, g)``, if given, returns the Newton direction at an accepted point."""
-    at_boundary = np.min(rep.geometry.cm3) < 1e-8 * float(np.mean(rep.lengths)) ** 6
+    at_boundary = np.minimum.reduce(rep.geometry.cm3) < 1e-8 * (rep.length / rep.lengths.size) ** 6
     g = gradient(rep, which)
     return (getattr(rep, which), g, bool(at_boundary),
             None if newton is None else lambda: newton(rep, g))
@@ -388,6 +391,7 @@ def descend_conformal(cls: ConformalClass, which: str, f0, max_iter: int = 1000)
     steps from there can lead a start into another basin than its gradient
     descent (and, on the double tetrahedron, to a higher final value).
     """
+    f0 = cls._factors(f0)    # before any kernel call
     c = cls.complex
     n = c.num_vertices
     mean = np.full((n, n), 1.0 / n)    # 1 1^T / n
@@ -397,7 +401,7 @@ def descend_conformal(cls: ConformalClass, which: str, f0, max_iter: int = 1000)
         return induced_lengths(c, cls.background, f)
 
     def project(f):
-        return f - f.mean()
+        return f - np.add.reduce(f) / n
 
     def newton(rep, g):
         Hp = P @ (0.25 * rep.conformal_hessian(which)) @ P + mean
@@ -410,8 +414,7 @@ def descend_conformal(cls: ConformalClass, which: str, f0, max_iter: int = 1000)
 
     guard, evaluate = _evaluator(c, which, induced,
                                  curvature.CurvatureReport.grad_conformal, newton)
-    return descend(evaluate, guard, np.asarray(f0, dtype=float), project=project,
-                   max_iter=max_iter)
+    return descend(evaluate, guard, f0, project=project, max_iter=max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +601,8 @@ def sweep_family(c: Complex, family, t_values, quantities) -> SweepTable:
     eigenvalue crossings do not swap columns.
     """
     quantities = list(quantities)
-    unknown = [q for q in quantities if q not in sweep_quantities()]
+    known = sweep_quantities()
+    unknown = [q for q in quantities if q not in known]
     if unknown:
         raise ValueError(f"unknown quantities: {unknown}")
     columns = ["t", "admissible"] + quantities
@@ -651,7 +655,7 @@ def _scalar(rep, name: str) -> float:
     if name == "fatness":
         return rep.volume / rep.length ** 3
     if name == "min_cm3":
-        return float(np.min(rep.geometry.cm3))
+        return float(rep.geometry.cm3.min())
     residual = rep.einstein_residual if name.startswith("einstein") else rep.csc_residual
     return float(np.abs(residual(name[-1])).max())
 

@@ -723,6 +723,82 @@ class TestMetricMask:
             [is_admissible(dt, x) for x in stack] == [True, False, True]
 
 
+class TestBoundaryVerdicts:
+    """At the boundary of the metric space the mask, ``is_admissible`` and the raised
+    messages agree with an oracle of face margins and CM3: on metrics within 3 ulp of where
+    random rays from seeded metrics leave it, and on metrics with a collinear face, whose
+    CM3 has no sign beyond roundoff (there CM3 > 0 with a positive 2 x 2 Gram minor does
+    not decide the verdict; the face margin does)."""
+
+    DT = double_tetrahedron()
+
+    def oracle(self, m):
+        """The verdicts (N,) of the dt metrics m (N, 6), their face margins and CM3 (N, 2)."""
+        tets = m[:, self.DT.tet_edges]
+        with np.errstate(over="ignore", invalid="ignore"):
+            sides = tets[..., np.array(FACE_EDGES)]
+            margins = (sides.sum(-1) - 2.0 * sides.max(-1)).min(-1)
+            cm = cayley_menger(tets)
+        return ((margins > 0.0) & (cm > 0.0)).all(-1), margins, cm
+
+    def messages(self, m):
+        """The message of each rejected metric, by its row."""
+        ok, margins, cm = self.oracle(m)
+        positive = (m.min(-1) > 0.0) & (m.max(-1) < np.inf)
+        face, tet_m, tet_c = margins.min(-1) > 0.0, margins.argmin(-1), cm.argmin(-1)
+        return {i: "edge lengths must be positive and finite" if not positive[i] else
+                f"metric not admissible: tet {tet_m[i]} has a degenerate face triangle"
+                if not face[i] else
+                f"metric not admissible: tet {tet_c[i]} has CM3 = {cm[i].min():.6g} <= 0"
+                for i in np.flatnonzero(~ok)}
+
+    def crossings(self, rng, count):
+        """Where rays from seeded admissible metrics leave the admissible set, bisected with
+        the oracle to the last admissible point (count, 6)."""
+        start = random_admissible_lengths(self.DT, rng, size=count)
+        ray = rng.standard_normal(start.shape)
+        lo, hi = np.zeros(count), np.ones(count)
+        while (grow := self.oracle(start + hi[:, None] * ray)[0]).any():
+            hi[grow] *= 2.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            ok = self.oracle(start + mid[:, None] * ray)[0]
+            lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+        return start + lo[:, None] * ray
+
+    def collinear_faces(self, rng, count):
+        """Lengths (4 count, 6) of tets whose face f (off vertex f) has its third vertex on
+        the line through the other two, f = 0..3."""
+        rows = []
+        for face in range(4):
+            p = rng.standard_normal((count, 4, 3))
+            i, j, k = [v for v in range(4) if v != face]
+            p[:, k] = p[:, i] + rng.uniform(-0.5, 1.5, (count, 1)) * (p[:, j] - p[:, i])
+            rows.append(np.stack([np.linalg.norm(p[:, a] - p[:, b], axis=-1)
+                                  for a, b in LOCAL_PAIRS], axis=-1))
+        return np.concatenate(rows)
+
+    def test_verdicts_and_messages(self):
+        rng = np.random.default_rng(82)
+        x = self.crossings(rng, 1400)
+        one = rng.integers(0, 6, len(x))
+        metrics = [self.collinear_faces(rng, 500)]
+        for k in range(-3, 4):
+            metrics.append(x + k * np.spacing(x))
+            nudged = x.copy()
+            nudged[np.arange(len(x)), one] += k * np.spacing(x[np.arange(len(x)), one])
+            metrics.append(nudged)
+        m = np.concatenate(metrics)
+        ok, messages = self.oracle(m)[0], self.messages(m)
+        assert 0.3 < ok.mean() < 0.7 and len(m) > 20000
+        assert geometry._admissible(self.DT.tet_lengths(m)).tolist() == ok.tolist()
+        assert [is_admissible(self.DT, x) for x in m] == ok.tolist()
+        for i, message in messages.items():
+            with pytest.raises(InadmissibleMetricError) as info:
+                geometry.assert_admissible(self.DT, m[i])
+            assert str(info.value) == message
+
+
 def test_no_lapack_in_the_kernel(monkeypatch):
     dt, cell = double_tetrahedron(), six_hundred_cell()
     l6 = 1.0 + 0.02 * np.random.default_rng(74).standard_normal(cell.num_edges)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,10 @@ class TestEigSym:
         A = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="symmetric"):
             eig_sym(A)
+
+    def test_empty_matrix_has_empty_spectrum(self):
+        spec = eig_sym(np.zeros((0, 0)))
+        assert spec.eigenvalues.shape == (0,) and spec.eigenvectors.shape == (0, 0)
 
     def test_deterministic(self):
         rng = np.random.default_rng(52)
@@ -209,6 +215,13 @@ class TestDescend:
         assert np.abs(x - target).max() < 1e-15
         # called at the start only: the accepted point is converged
         assert len(newton_calls) == 1
+
+    @pytest.mark.parametrize("shape", [(3,), (5,), (1, 4), (2, 2)])
+    def test_conformal_factors_checked_before_any_kernel_call(self, unit_class, kernel_calls,
+                                                              shape):
+        with pytest.raises(ValueError, match=re.escape(f"expected 4 factors, got shape {shape}")):
+            descend_conformal(unit_class, "lehr", np.zeros(shape))
+        assert kernel_calls == []
 
     def test_vehr_descent_returns_equal_lengths(self, dt):
         rng = np.random.default_rng(53)
@@ -698,3 +711,23 @@ class TestBlockSampler:
     def test_no_admissible_row_raises(self, dt):
         with pytest.raises(RuntimeError, match="failed to sample"):
             solve.random_admissible_lengths(dt, np.random.default_rng(0), -2.0, -1.0, size=3)
+
+
+def test_no_numpy_wrappers_on_the_dt_hot_path(monkeypatch, dt):
+    # the per-call Python of these wrappers is a fixed cost of every evaluation on a small
+    # complex; the kernel, the reports, their Hessians and the solvers use ufuncs and methods
+    bg = np.array([1.02, 0.97, 1.05, 0.95, 1.01, 0.99])
+    cls = ConformalClass(dt, bg)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy wrapper called")
+
+    for name in ("clip", "mean", "block", "outer", "append"):
+        monkeypatch.setattr(np, name, refuse)
+    rep = curvature.functionals(dt, bg)
+    for which in ("ehr", "lehr", "vehr"):
+        rep.conformal_hessian(which)
+        rep.csc_jacobian(which)
+    assert descend_conformal(cls, "lehr", np.array([0.2, -0.1, 0.0, -0.1]))[1].newton_steps
+    assert solve_csc(cls, "L", np.array([0.1, -0.1, 0.05, -0.05]))[1].reason == "converged"
+    assert len(descend_lengths(dt, "lehr", bg, max_iter=20)[1].values) > 1
