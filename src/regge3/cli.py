@@ -201,6 +201,7 @@ def cmd_sweep(args) -> int:
 
 def _print_trace(trace) -> None:
     print("trace:")
+    print(f"  points: {trace.points}  rejected: {trace.rejected}")
     for i, rn in enumerate(trace.residual_norms):
         step = trace.step_sizes[i] if i < len(trace.step_sizes) else ""
         val = trace.values[i] if i < len(trace.values) else ""

@@ -138,10 +138,13 @@ class Complex:
         v, e, f, t = self.counts()
         return v - e + f - t
 
-    @property
+    @cached_property
     def edge_degrees(self) -> np.ndarray:
-        """(E,) number of tets incident to each edge, with multiplicity."""
-        return np.bincount(self.tet_edges.ravel(), minlength=self.num_edges)
+        """(E,) number of tets incident to each edge, with multiplicity; read-only, computed
+        once per complex."""
+        degrees = np.bincount(self.tet_edges.ravel(), minlength=self.num_edges)
+        degrees.flags.writeable = False
+        return degrees
 
     # -- convenience ------------------------------------------------------
 
@@ -326,17 +329,23 @@ def from_simplicial_tets(num_vertices: int, tets) -> Complex:
     tv = np.array(list(tets))
     if tv.size and tv.dtype.kind not in "iu":
         raise ComplexError(f"tet vertex ids must be integers, got {tv.dtype} entries")
-    tv = np.sort(tv.astype(np.intp).reshape(-1, 4), axis=1)
+    c = _simplicial(num_vertices, tv.astype(np.intp).reshape(-1, 4))
+    validate(c)
+    return c
+
+
+def _simplicial(num_vertices: int, tv: np.ndarray) -> Complex:
+    """:func:`from_simplicial_tets` of the tets ``tv`` (T, 4), an integer array, without
+    :func:`validate`: for generators whose output the tests validate."""
+    tv = np.sort(tv, axis=1)
     edge_vertices, tet_edges = _number_rows(tv[:, _PAIRS])
     # combinations order lists the face opposite local vertex 3 first
     face_vertices, tet_faces = _number_rows(tv[:, FACE_VERTICES[::-1]])
     tet_faces = tet_faces[:, ::-1]
     face_edges = np.empty_like(face_vertices)
     face_edges[tet_faces] = tet_edges[:, FACE_EDGES]
-    c = Complex(num_vertices, edge_vertices, face_edges, face_vertices,
-                tv, tet_edges, tet_faces)
-    validate(c)
-    return c
+    return Complex(num_vertices, edge_vertices, face_edges, face_vertices,
+                   tv, tet_edges, tet_faces)
 
 
 def _binary_icosahedral_vertices() -> np.ndarray:
@@ -371,7 +380,8 @@ def six_hundred_cell() -> Complex:
 
     Vertices are the binary icosahedral unit quaternions, edges join
     nearest-neighbour pairs, faces are the 3-cliques and tets the
-    4-cliques of the resulting graph.
+    4-cliques of the resulting graph.  Numbered as :func:`from_simplicial_tets`
+    numbers these tets, but not validated on each build (the tests validate it).
     """
     pts = _binary_icosahedral_vertices()
     n = len(pts)
@@ -385,7 +395,7 @@ def six_hundred_cell() -> Complex:
     e, k = np.nonzero(up[i] & up[j])
     a, b, c = i[e], j[e], k
     t, m = np.nonzero(up[a] & up[b] & up[c])
-    return from_simplicial_tets(n, np.stack([a[t], b[t], c[t], m], axis=1))
+    return _simplicial(n, np.stack([a[t], b[t], c[t], m], axis=1))
 
 
 # ---------------------------------------------------------------------------

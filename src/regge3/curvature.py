@@ -121,36 +121,40 @@ class CurvatureReport:
         w = self.dual_length / self.lengths
         return _edge_matrix(self.complex, w, -w)
 
-    def _normalization(self, which: str, per_vertex: bool):
-        """(N, lambda, N_x) of F = EHR / N for EHR, LEHR or VEHR, N_x per vertex (N_v) or per
-        edge (N_e): dF/dl_e = (K_e - lambda N_e) / (l_e N), dF/df_v = (K_v - lambda N_v) / N,
-        and the equations K_e = lambda N_e and K_v = lambda N_v."""
-        which = _functional(which)
-        if which == "ehr":
+    def _normalization(self, name: str, per_vertex: bool):
+        """(N, lambda, N_x) of F = EHR / N for the ``FUNCTIONALS`` key ``name``, N_x per vertex
+        (N_v) or per edge (N_e): dF/dl_e = (K_e - lambda N_e) / (l_e N), dF/df_v =
+        (K_v - lambda N_v) / N, and the equations K_e = lambda N_e and K_v = lambda N_v."""
+        if name == "ehr":
             return 1.0, 0.0, 0.0
-        if which == "lehr":
+        if name == "lehr":
             return self.length, self.lehr, self.l_vertex if per_vertex else self.lengths
         return (self.volume ** (1.0 / 3.0), self.ehr / (3.0 * self.volume),
                 self.v_vertex if per_vertex else self.v_edge)
 
+    def _gradient(self, name: str, per_vertex: bool) -> np.ndarray:
+        """dF/df (V,) or dF/dl (E,) of the functional of the ``FUNCTIONALS`` key ``name``."""
+        N, lam, n_x = self._normalization(name, per_vertex)
+        if per_vertex:
+            return (self.k_vertex - lam * n_x) / N
+        return (self.k_edge - lam * n_x) / (self.lengths * N)
+
     def grad_lengths(self, which: str) -> np.ndarray:
         """Length-space gradient, (E,); see :func:`grad_lengths`."""
-        N, lam, n_edge = self._normalization(which, False)
-        return (self.k_edge - lam * n_edge) / (self.lengths * N)
+        return self._gradient(_functional(which), False)
 
     def grad_conformal(self, which: str) -> np.ndarray:
         """Gradient in the conformal factors, (V,); see :func:`grad_conformal`."""
-        N, lam, n_vertex = self._normalization(which, True)
-        return (self.k_vertex - lam * n_vertex) / N
+        return self._gradient(_functional(which), True)
 
     def einstein_residual(self, which: str) -> np.ndarray:
         """Per-edge residual K_e - lambda N_e; see :func:`einstein_residual`."""
-        _, lam, n_edge = self._normalization(which, False)
+        _, lam, n_edge = self._normalization(_functional(which), False)
         return self.k_edge - lam * n_edge
 
     def csc_residual(self, which: str) -> np.ndarray:
         """Per-vertex residual K_v - lambda N_v; see :func:`csc_residual`."""
-        _, lam, n_vertex = self._normalization(which, True)
+        _, lam, n_vertex = self._normalization(_functional(which), True)
         return self.k_vertex - lam * n_vertex
 
     def conformal_hessian(self, which: str) -> np.ndarray:
@@ -176,7 +180,7 @@ class CurvatureReport:
         H = _edge_matrix(c, x - w, x + w)
         if which != "ehr":
             s = self.length if which == "lehr" else 3.0 * self.volume
-            grad, g = 2.0 * self.grad_conformal(which), 2.0 * n_vertex / s
+            grad, g = 2.0 * self._gradient(which, True), 2.0 * n_vertex / s
             if which == "vehr":
                 G, n, tv = self.geometry.cm_inverse, c.num_vertices, c.tet_vertices
                 a = G[:, 0, 1:]
@@ -312,18 +316,33 @@ def functionals(c: Complex, lengths) -> CurvatureReport:
     if rep is not None and rep.complex is c and rep.lengths.tobytes() == lengths.tobytes():
         return rep
     lengths = _read_only(lengths.copy())
-    rep = _report(c, lengths, *_curvatures(c, lengths))
+    rep = _make_reports(c, lengths, *_curvatures(c, lengths))[0]
     _live = weakref.ref(rep)
     return rep
 
 
-def _report(c: Complex, lengths, geo, k_edge) -> CurvatureReport:
-    """The report of one metric from its read-only lengths (E,) and its kernel output."""
-    for a in (*vars(geo).values(), k_edge):    # the six kernel arrays and K_e
+def _make_reports(c: Complex, lengths, geo, k_edge) -> list:
+    """The reports of read-only metrics, one (E,) or a stack (S, E), from their kernel output:
+    one report per metric, the place where every report is built.
+
+    Each total is one ``np.add.reduce`` over the last axis of a stacked array, which sums
+    each row in the order it sums that row alone (pairwise beyond 8 terms); the kernel arrays
+    and K_e are made read-only once, and the rows, being views, inherit it.  One metric
+    keeps its kernel output; a row of a stack gets a :class:`geometry.TetGeometry` of views.
+    """
+    fields = vars(geo).values()
+    for a in (*fields, k_edge):    # the six kernel arrays and K_e
         _read_only(a)
-    length, volume, ehr = (float(np.add.reduce(a)) for a in (lengths, geo.volume, k_edge))
-    return CurvatureReport(c, geo, lengths, k_edge, length, volume, ehr, ehr / length,
-                           ehr / volume ** (1.0 / 3.0))
+    totals = (np.add.reduce(lengths, -1), np.add.reduce(geo.volume, -1),
+              np.add.reduce(k_edge, -1))
+    if lengths.ndim == 1:    # float() of a numpy scalar is cheaper than its tolist()
+        rows = [(lengths, k_edge, *map(float, totals), geo)]
+    else:
+        rows = zip(lengths, k_edge, *(t.tolist() for t in totals),
+                   map(geometry.TetGeometry, *fields))
+    return [CurvatureReport(c, tets, l, k, length, volume, ehr, ehr / length,
+                            ehr / volume ** (1.0 / 3.0))
+            for l, k, length, volume, ehr, tets in rows]
 
 
 def _reports(c: Complex, lengths) -> list:
@@ -333,13 +352,11 @@ def _reports(c: Complex, lengths) -> list:
     An empty stack gives no report."""
     lengths = np.asarray(lengths, dtype=float)
     ok, tets = geometry._admissible_rows(c.tet_lengths(lengths))
-    reports = [None] * len(lengths)
-    if ok.any():
-        kept = _read_only(lengths[ok])
-        geo, k_edge = _curvatures(c, kept, tets)
-        for i, (l, k, *tet) in zip(np.flatnonzero(ok), zip(kept, k_edge, *vars(geo).values())):
-            reports[i] = _report(c, l, geometry.TetGeometry(*tet), k)
-    return reports
+    if not ok.any():
+        return [None] * len(lengths)
+    kept = _read_only(lengths[ok])
+    made = iter(_make_reports(c, kept, *_curvatures(c, kept, tets)))
+    return [next(made) if admissible else None for admissible in ok.tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ def eig_sym(A) -> Spectrum:
 
 @dataclass
 class SolveTrace:
-    """Iterate history of a solver run."""
+    """Iterate history of a solver run, and the points it tested."""
 
     iterates: list = field(default_factory=list)
     residual_norms: list = field(default_factory=list)
@@ -63,6 +63,8 @@ class SolveTrace:
     values: list = field(default_factory=list)
     reason: str = "max-iters"
     newton_steps: int = 0      # accepted Newton steps of a descent
+    points: int = 0            # points evaluated or rejected, the start included
+    rejected: int = 0          # points found inadmissible
 
     def record(self, x, residual_norm, value=None):
         self.iterates.append(np.array(x, dtype=float))
@@ -92,14 +94,15 @@ def solve_csc(cls: ConformalClass, which: str = "L", f0=None,
     raises :class:`geometry.InadmissibleMetricError`) or does not reduce
     the residual: ||r_t||^2 <= (1 - 1e-4 * step) ||r||^2 accepts it.
     Exhaustion terminates with reason "boundary-hit" if a trial was
-    inadmissible, else "stall".
+    inadmissible, else "stall".  ``trace.points`` counts the start and the
+    trials, ``trace.rejected`` the inadmissible trials.
 
     Returns (factors, SolveTrace).
     """
     c = cls.complex
     n = c.num_vertices
     f = np.zeros(n) if f0 is None else np.asarray(f0, dtype=float).copy()
-    trace = SolveTrace()
+    trace = SolveTrace(points=1)
 
     lengths, ok = cls.apply(f)
     if not ok:
@@ -127,10 +130,12 @@ def solve_csc(cls: ConformalClass, which: str = "L", f0=None,
         step = 1.0
         blocked = False
         for _ in range(_CSC_MAX_HALVINGS):
+            trace.points += 1
             try:
                 trial = curvature.functionals(
                     c, induced_lengths(c, cls.background, f + step * delta))
             except geometry.InadmissibleMetricError:
+                trace.rejected += 1
                 blocked = True
             else:
                 r_trial = trial.csc_residual(which)
@@ -157,6 +162,7 @@ _GTOL = 1e-9          # sup-norm of the gradient at convergence
 _ARMIJO = 1e-4        # sufficient-decrease constant of the line search
 _MAX_HALVINGS = 40    # step halvings of one line search
 _NEWTON_RADIUS = 0.5  # longest conformal Newton step taken, in sup-norm
+_ROUNDOFF = 20.0 * np.finfo(float).eps    # relative decrease at the roundoff level
 
 
 def descend(evaluate, guard, x0, project=None, max_iter: int = 1000):
@@ -190,7 +196,8 @@ def descend(evaluate, guard, x0, project=None, max_iter: int = 1000):
     an iterate at the boundary), "stall" (no decrease found away from the
     boundary, or five decreases in a row at the roundoff level of the
     values), or "max-iters".  ``trace.newton_steps`` counts the accepted
-    Newton steps.
+    Newton steps, ``trace.points`` the points handed to ``guard`` (the start
+    included) and ``trace.rejected`` those it rejected.
 
     Returns (x, SolveTrace), from :func:`_descent` fed the guard's verdicts.
     """
@@ -209,11 +216,11 @@ def _descent(evaluate, x0, project, max_iter):
     x = np.asarray(x0, dtype=float).copy()
     if project is not None:
         x = project(x)
+    trace = SolveTrace(points=1)
     if not (yield x):
         raise geometry.InadmissibleMetricError("starting point fails the guard")
     fx, g, at_boundary, newton = evaluate(x)
     alpha = 1.0
-    trace = SolveTrace()
     tiny_streak = 0
 
     def candidate(direction, step):
@@ -237,21 +244,26 @@ def _descent(evaluate, x0, project, max_iter):
             step = 1.0
             for _ in range(_MAX_HALVINGS):
                 cand = candidate(d, step)
+                trace.points += 1
                 if (yield cand):
                     fc, gc, bc, nc = evaluate(cand)
                     if not bc and fc <= fx + _ARMIJO * step * slope:
                         accepted = True
                         break
+                else:
+                    trace.rejected += 1
                 step *= 0.5
 
         newton_step = accepted
         if not accepted:
-            gg = float(g @ g)
+            gg, down = float(g @ g), -g
             alpha = min(2.0 * alpha, 1e6)
             guard_blocked = False
             for _ in range(_MAX_HALVINGS):
-                cand = candidate(-g, alpha)
+                cand = candidate(down, alpha)
+                trace.points += 1
                 if not (yield cand):
+                    trace.rejected += 1
                     guard_blocked = True
                     alpha *= 0.5
                     continue
@@ -268,7 +280,7 @@ def _descent(evaluate, x0, project, max_iter):
         # decreases at the roundoff level of the objective values mean the
         # numerical optimum is reached (relative scale, so objectives that
         # approach zero keep converging)
-        if fx - fc <= 20.0 * np.finfo(float).eps * max(abs(fx), abs(fc)):
+        if fx - fc <= _ROUNDOFF * max(abs(fx), abs(fc)):
             tiny_streak += 1
             if tiny_streak >= 5:
                 x, fx = cand, fc
@@ -285,17 +297,19 @@ def _descent(evaluate, x0, project, max_iter):
     return x, trace
 
 
-def _point(rep, which: str, gradient, newton=None):
+def _point(rep, name: str, conformal: bool, newton=None):
     """``evaluate`` of :func:`descend` from the point's report: (value, gradient, at_boundary,
-    newton).  At the boundary, the worst tet's CM3 is below 1e-8 (mean length)^6.
-    ``newton(rep, g)``, if given, returns the Newton direction at an accepted point."""
+    newton), for the ``curvature.FUNCTIONALS`` key ``name`` and the gradient in the conformal
+    factors or in the lengths.  At the boundary, the worst tet's CM3 is below
+    1e-8 (mean length)^6.  ``newton(rep, g)``, if given, returns the Newton direction at an
+    accepted point."""
     at_boundary = np.minimum.reduce(rep.geometry.cm3) < 1e-8 * (rep.length / rep.lengths.size) ** 6
-    g = gradient(rep, which)
-    return (getattr(rep, which), g, bool(at_boundary),
+    g = rep._gradient(name, conformal)
+    return (getattr(rep, name), g, bool(at_boundary),
             None if newton is None else lambda: newton(rep, g))
 
 
-def _evaluator(c: Complex, which: str, metric, gradient, newton=None):
+def _evaluator(c: Complex, which: str, metric, conformal: bool, newton=None):
     """``guard, evaluate`` of :func:`descend` from one report at the metric ``metric(x)``.
 
     The guard is the kernel call: it builds the report (rejecting x when the
@@ -316,7 +330,7 @@ def _evaluator(c: Complex, which: str, metric, gradient, newton=None):
         return True
 
     def evaluate(x):
-        return _point(kept[0], which, gradient, newton)
+        return _point(kept[0], which, conformal, newton)
 
     return guard, evaluate
 
@@ -325,9 +339,9 @@ def _descend_lockstep(c: Complex, which: str, starts, gauge, max_iter):
     """The (x, SolveTrace) of a :func:`_descent` in length space from each start (S, E),
     projected by ``gauge(start)``.  Each round builds the reports of the points that the
     live starts propose with one kernel call (:func:`curvature._reports`; None rejects)."""
-    which, grad = curvature._functional(which), curvature.CurvatureReport.grad_lengths
+    which = curvature._functional(which)
     kept = [None] * len(starts)    # the report of each start's pending point
-    runs = [_descent(lambda x, i=i: _point(kept[i], which, grad), x0, gauge(x0), max_iter)
+    runs = [_descent(lambda x, i=i: _point(kept[i], which, False), x0, gauge(x0), max_iter)
             for i, x0 in enumerate(starts)]
     pending = {i: next(run) for i, run in enumerate(runs)}
     out = [None] * len(runs)
@@ -361,17 +375,18 @@ def descend_lengths(c: Complex, which: str, l0, normalize: str = "L",
     l0 = np.asarray(l0, dtype=float)
 
     def gauge(start):
-        target_len = float(start.sum())
+        target_len = float(np.add.reduce(start))
         if normalize.upper() == "L":
-            return lambda l: l * (target_len / l.sum())
+            return lambda l: l * (target_len / np.add.reduce(l))
         if normalize.upper() == "V":
-            return lambda l: l / float(geometry.tet_volume(c.tet_lengths(l)).sum()) ** (1 / 3)
+            return lambda l: l / float(
+                np.add.reduce(geometry.tet_volume(c.tet_lengths(l)))) ** (1 / 3)
         raise ValueError(f"unknown normalization {normalize!r}")
 
     if l0.ndim == 2:
         runs = _descend_lockstep(c, which, l0, gauge, max_iter)
         return np.array([x for x, _ in runs]).reshape(l0.shape), tuple(t for _, t in runs)
-    guard, evaluate = _evaluator(c, which, lambda l: l, curvature.CurvatureReport.grad_lengths)
+    guard, evaluate = _evaluator(c, which, lambda l: l, False)
     return descend(evaluate, guard, l0, project=gauge(l0), max_iter=max_iter)
 
 
@@ -412,8 +427,7 @@ def descend_conformal(cls: ConformalClass, which: str, f0, max_iter: int = 1000)
         d = -np.linalg.solve(Hp, P @ g)
         return d if np.abs(d).max() <= _NEWTON_RADIUS else None
 
-    guard, evaluate = _evaluator(c, which, induced,
-                                 curvature.CurvatureReport.grad_conformal, newton)
+    guard, evaluate = _evaluator(c, which, induced, True, newton)
     return descend(evaluate, guard, f0, project=project, max_iter=max_iter)
 
 

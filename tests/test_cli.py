@@ -260,6 +260,25 @@ class TestSolverCommands:
         assert "reason: stall" in out
         assert code == 0
 
+    @pytest.mark.parametrize("argv", [
+        ("find-einstein", "--which", "L", "--lengths", "1.3,0.9,1.1,0.8,1.2,0.7"),
+        ("find-csc", "--class", "uniform:1", "--which", "L", "--start", "-1,-1,0,0"),
+    ])
+    def test_trace_prints_the_point_counts(self, capsys, monkeypatch, argv):
+        traces = []
+        solver = solve.descend_lengths if argv[0] == "find-einstein" else solve.solve_csc
+
+        def recorded(*args, **kwargs):
+            out = solver(*args, **kwargs)
+            traces.append(out[1])
+            return out
+
+        monkeypatch.setattr(solve, solver.__name__, recorded)
+        _, out, _ = run_cli(capsys, *argv, "--trace")
+        trace, = traces
+        assert trace.points > len(trace.step_sizes)
+        assert f"trace:\n  points: {trace.points}  rejected: {trace.rejected}\n" in out
+
     def test_max_iters_exit_code(self, capsys):
         code, out, _ = run_cli(capsys, "find-csc", "--class", "uniform:1",
                                "--which", "L", "--start", "0.3,-0.2,0.1,0",

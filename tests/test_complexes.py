@@ -73,6 +73,20 @@ class TestSixHundredCell:
         pairs = {tuple(sorted(e)) for e in cell600.edge_vertices.tolist()}
         assert len(pairs) == 720
 
+    def test_build_equals_the_validated_build(self, cell600):
+        # the generator skips validate; from_simplicial_tets validates its tets
+        ref = from_simplicial_tets(120, cell600.tet_vertices.tolist())
+        for name in INCIDENCE_FIELDS:
+            a, b = getattr(cell600, name), getattr(ref, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        validate(cell600)
+
+    def test_edge_degrees_are_computed_once_and_read_only(self, cell600):
+        degrees = cell600.edge_degrees
+        assert cell600.edge_degrees is degrees
+        with pytest.raises(ValueError, match="read-only"):
+            degrees[0] = 4
+
 
 class TestSyntheticComplexes:
     def test_boundary_of_4_simplex_counts(self):

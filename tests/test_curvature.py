@@ -216,6 +216,31 @@ class TestReportStack:
             with pytest.raises(ValueError, match="read-only"):
                 rep.lengths[0] = 1.0
 
+    def test_600_cell_rows_equal_functionals_bitwise(self, cell600, kernel_calls):
+        stack = 1.0 + 0.02 * np.random.default_rng(1).standard_normal((3, 720))
+        reports = curvature._reports(cell600, stack)
+        assert kernel_calls == [(3, 600, 6)]
+        for l, rep in zip(stack, reports):
+            one = functionals(cell600, l)
+            totals = [(rep.length, one.length, one.lengths), (rep.volume, one.volume,
+                      one.geometry.volume), (rep.ehr, one.ehr, one.k_edge)]
+            for total, single, terms in totals:
+                # pairwise summation: a running sum of these rows differs from it
+                assert total == single and np.cumsum(terms)[-1] != single
+            assert [rep.lehr, rep.vehr] == [one.lehr, one.vehr]
+            for name in ("lengths", "k_edge", "dual_length"):
+                assert getattr(rep, name).tobytes() == getattr(one, name).tobytes()
+            for f in dataclasses.fields(one.geometry):
+                assert getattr(rep.geometry, f.name).tobytes() == \
+                    getattr(one.geometry, f.name).tobytes()
+            arrays = [getattr(rep, name) for name in ("lengths", "k_edge", "k_vertex",
+                                                      "l_vertex", "v_vertex", "v_edge",
+                                                      "dual_length")]
+            arrays += [getattr(rep.geometry, f.name) for f in dataclasses.fields(rep.geometry)]
+            for a in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    a[...] = 0.0
+
     def test_inadmissible_stack_makes_no_kernel_call(self, dt, kernel_calls):
         # rejected without a RuntimeWarning (an error under this suite)
         stack = np.array([[np.nan] + [1.0] * 5, diagonal_family(1.5), np.full(6, 1e200)])

@@ -438,6 +438,15 @@ class TestLockstepDescents:
         with pytest.raises(geometry.InadmissibleMetricError, match="starting point"):
             descend_lengths(dt, "lehr", starts)
 
+    @pytest.mark.parametrize("which", ["lehr", "vehr"])
+    def test_point_counts_are_those_of_single_starts(self, dt, which):
+        starts = seeded_starts(dt, 58, 12)
+        _, traces = descend_lengths(dt, which, starts, normalize="L", max_iter=300)
+        assert sum(t.rejected for t in traces) > 0
+        for start, trace in zip(starts, traces):
+            _, single = descend_lengths(dt, which, start, normalize="L", max_iter=300)
+            assert (trace.points, trace.rejected) == (single.points, single.rejected)
+
     def test_a_stack_of_one_is_the_single_start(self, dt):
         start = seeded_starts(dt, 61, 1)
         ends, traces = descend_lengths(dt, "vehr", start, normalize="L", max_iter=200)
@@ -446,6 +455,56 @@ class TestLockstepDescents:
         assert (traces[0].reason, traces[0].step_sizes, traces[0].values) == \
             (single.reason, single.step_sizes, single.values)
         assert [i.tobytes() for i in traces[0].iterates] == [i.tobytes() for i in single.iterates]
+
+
+class TestSolverCounters:
+    """``SolveTrace.points`` and ``.rejected`` count the points a solver run tests."""
+
+    def test_criterion_9_totals(self, dt, monkeypatch):
+        rows = []
+        reports = curvature._reports
+
+        def counted(c, lengths):
+            rows.append(len(lengths))
+            return reports(c, lengths)
+
+        monkeypatch.setattr(curvature, "_reports", counted)
+        starts = solve.random_admissible_lengths(dt, np.random.default_rng(424242), size=50)
+        _, traces = descend_lengths(dt, "lehr", starts, normalize="L", max_iter=800)
+        assert sum(t.points for t in traces) == sum(rows) == 3052
+        assert sum(t.rejected for t in traces) == 2261
+        assert sum(len(t.step_sizes) for t in traces) == 741
+
+    @pytest.mark.parametrize("kind", ["lengths", "conformal"])
+    def test_single_descents_count_the_guard_outcomes(self, dt, kind, guard_calls):
+        rng = np.random.default_rng(57)
+        l0 = solve.random_admissible_lengths(dt, rng)
+        if kind == "lengths":
+            _, trace = descend_lengths(dt, "lehr", l0, normalize="L", max_iter=50)
+            assert trace.rejected > 0
+        else:
+            _, trace = descend_conformal(ConformalClass(dt, l0), "vehr",
+                                         0.1 * rng.normal(size=4), max_iter=50)
+        assert (trace.points, trace.rejected) == (len(guard_calls), guard_calls.count(False))
+
+    def test_csc_counts_its_start_and_trials(self, dt, monkeypatch):
+        calls, raised = [], []
+        functionals = curvature.functionals
+
+        def counted(c, lengths):
+            calls.append(1)
+            try:
+                return functionals(c, lengths)
+            except geometry.InadmissibleMetricError:
+                raised.append(1)
+                raise
+
+        monkeypatch.setattr(curvature, "functionals", counted)
+        rng = np.random.default_rng(13)
+        cls = ConformalClass(dt, solve.random_admissible_lengths(dt, rng))
+        f, trace = solve_csc(cls, "L", rng.normal(0.0, 0.6, 4))
+        assert trace.reason == "converged" and trace.rejected > 0
+        assert (trace.points, trace.rejected) == (len(calls), len(raised))
 
 
 class TestYamabe:
