@@ -24,7 +24,7 @@ from .conformal import (ConformalClass, EquihedralPoint, induced_lengths,
                         cross_ratios, equihedral_point, is_equihedral,
                         random_equihedral_lengths)
 from .solve import (Spectrum, SolveTrace, SweepTable, YamabeEstimate, eig_sym,
-                    solve_csc, descend, descend_lengths, descend_conformal,
+                    solve_csc, descend_lengths, descend_conformal,
                     yamabe_constant_estimate, bisect_zero, sweep_family,
                     sweep_quantities, diagonal_family, find_tstar,
                     find_conformal_crossing, random_admissible_lengths,

@@ -165,67 +165,45 @@ _NEWTON_RADIUS = 0.5  # longest conformal Newton step taken, in sup-norm
 _ROUNDOFF = 20.0 * np.finfo(float).eps    # relative decrease at the roundoff level
 
 
-def descend(evaluate, guard, x0, project=None, max_iter: int = 1000):
-    """Minimize a function by Newton or gradient steps with Armijo backtracking.
+def _descent(x0, project, max_iter):
+    """Minimize a function from one start by Newton or gradient steps with Armijo backtracking.
 
-    ``evaluate(x)`` returns ``(value, gradient, at_boundary, newton)`` at x,
-    all from one evaluation; ``at_boundary`` flags a point that sits against
-    the admissible boundary to within numerical resolution, where
-    derivatives are meaningless.  ``newton`` is None or a zero-argument
-    callable that returns a descent direction d (or None); it is called
-    only at accepted iterates, so a line-search candidate costs exactly
-    one evaluation.  ``evaluate`` runs on the start and on every
-    line-search candidate that passes ``guard``, and the accepted
-    candidate's evaluation supplies the next gradient, boundary flag and
-    Newton callable.  ``guard`` must return True on admissible points;
-    candidates failing it are never evaluated, and ``evaluate`` is handed the
-    very object that ``guard`` passed last, so a guard may keep an evaluation
-    for it (:func:`_evaluator`'s does).  ``project`` (optional)
-    renormalizes each candidate before the guard sees it, e.g. to fix a
+    A generator: it yields the start and each line-search candidate, and is sent that point's
+    ``(value, gradient, at_boundary, newton)`` (:func:`_point`), or None when the point is
+    inadmissible.  ``at_boundary`` flags a point that sits against the admissible boundary to
+    within numerical resolution, where derivatives are meaningless.  ``newton`` is None or a
+    zero-argument callable that returns a descent direction d (or None); it is called only at
+    accepted iterates, so a candidate costs exactly one evaluation, and the accepted
+    candidate's evaluation supplies the next gradient, boundary flag and Newton callable.
+    ``project`` renormalizes the start and each candidate before it is yielded, e.g. to fix a
     scale gauge; it must preserve both the value and admissibility.
 
     Each iteration first tries the Newton direction d when there is one
     and it descends (g . d < 0): the step starts at 1 and is halved until
-    Armijo's test on the slope g . d holds; a candidate that fails the
-    guard or sits at the boundary halves the step too.  Otherwise, or when
-    that search fails, a gradient step is searched from the previous
-    gradient step size, doubled (Armijo backtracking along -g).
+    Armijo's test on the slope g . d holds; a candidate that is inadmissible
+    or sits at the boundary halves the step too.  Otherwise, or when that
+    search fails, a gradient step is searched from the previous gradient
+    step size, doubled (Armijo backtracking along -g).
 
     Termination reasons: "converged" (sup-norm of the gradient below
-    1e-9), "boundary-hit" (gradient line search blocked by the guard, or
-    an iterate at the boundary), "stall" (no decrease found away from the
-    boundary, or five decreases in a row at the roundoff level of the
-    values), or "max-iters".  ``trace.newton_steps`` counts the accepted
-    Newton steps, ``trace.points`` the points handed to ``guard`` (the start
-    included) and ``trace.rejected`` those it rejected.
+    1e-9), "boundary-hit" (gradient line search blocked by inadmissible
+    candidates, or an iterate at the boundary), "stall" (no decrease found
+    away from the boundary, or five decreases in a row at the roundoff level
+    of the values), or "max-iters".  ``trace.newton_steps`` counts the
+    accepted Newton steps, ``trace.points`` the points yielded (the start
+    included) and ``trace.rejected`` the inadmissible ones.  An inadmissible
+    start raises :class:`geometry.InadmissibleMetricError`.
 
-    Returns (x, SolveTrace), from :func:`_descent` fed the guard's verdicts.
+    Returns (x, SolveTrace).
     """
-    run, verdict = _descent(evaluate, x0, project, max_iter), None
-    try:
-        while True:
-            verdict = guard(run.send(verdict))
-    except StopIteration as stop:
-        return stop.value
-
-
-def _descent(evaluate, x0, project, max_iter):
-    """:func:`descend` from one start as a generator: it yields the start and each line-search
-    candidate, is sent the guard's verdict on it (True: admissible), calls ``evaluate`` on
-    the points that pass and returns (x, SolveTrace)."""
-    x = np.asarray(x0, dtype=float).copy()
-    if project is not None:
-        x = project(x)
+    x = project(np.asarray(x0, dtype=float).copy())
     trace = SolveTrace(points=1)
-    if not (yield x):
-        raise geometry.InadmissibleMetricError("starting point fails the guard")
-    fx, g, at_boundary, newton = evaluate(x)
+    point = yield x
+    if point is None:
+        raise geometry.InadmissibleMetricError("starting point is not admissible")
+    fx, g, at_boundary, newton = point
     alpha = 1.0
     tiny_streak = 0
-
-    def candidate(direction, step):
-        cand = x + step * direction
-        return cand if project is None else project(cand)
 
     for _ in range(max_iter):
         gnorm = float(np.abs(g).max())
@@ -237,45 +215,24 @@ def _descent(evaluate, x0, project, max_iter):
             trace.reason = "boundary-hit"
             return x, trace
 
-        accepted = False
+        point = None
         d = newton() if newton is not None else None
         slope = float(g @ d) if d is not None else 0.0
         if slope < 0.0:
-            step = 1.0
-            for _ in range(_MAX_HALVINGS):
-                cand = candidate(d, step)
-                trace.points += 1
-                if (yield cand):
-                    fc, gc, bc, nc = evaluate(cand)
-                    if not bc and fc <= fx + _ARMIJO * step * slope:
-                        accepted = True
-                        break
-                else:
-                    trace.rejected += 1
-                step *= 0.5
-
-        newton_step = accepted
-        if not accepted:
-            gg, down = float(g @ g), -g
-            alpha = min(2.0 * alpha, 1e6)
-            guard_blocked = False
-            for _ in range(_MAX_HALVINGS):
-                cand = candidate(down, alpha)
-                trace.points += 1
-                if not (yield cand):
-                    trace.rejected += 1
-                    guard_blocked = True
-                    alpha *= 0.5
-                    continue
-                fc, gc, bc, nc = evaluate(cand)
-                if fc <= fx - _ARMIJO * alpha * gg:
-                    accepted = True
-                    break
-                alpha *= 0.5
-            if not accepted:
-                trace.reason = "boundary-hit" if guard_blocked else "stall"
+            step, cand, point = yield from _line_search(
+                x, d, 1.0, project, trace,
+                lambda s, p: not p[2] and p[0] <= fx + _ARMIJO * s * slope)
+        newton_step = point is not None
+        if point is None:
+            gg, rejected = float(g @ g), trace.rejected
+            alpha, cand, point = yield from _line_search(
+                x, -g, min(2.0 * alpha, 1e6), project, trace,
+                lambda s, p: p[0] <= fx - _ARMIJO * s * gg)
+            if point is None:
+                trace.reason = "boundary-hit" if trace.rejected > rejected else "stall"
                 return x, trace
             step = alpha
+        fc, gc, bc, nc = point
 
         # decreases at the roundoff level of the objective values mean the
         # numerical optimum is reached (relative scale, so objectives that
@@ -297,10 +254,27 @@ def _descent(evaluate, x0, project, max_iter):
     return x, trace
 
 
+def _line_search(x, d, step, project, trace, armijo):
+    """A backtracking line search of :func:`_descent` from x along d: it yields the candidate
+    ``project(x + step * d)``, halving the step up to ``_MAX_HALVINGS`` times until
+    ``armijo(step, point)`` holds for the point sent back (None, inadmissible, halves it too).
+    Returns (step, candidate, point), with point None when no step passed."""
+    for _ in range(_MAX_HALVINGS):
+        cand = project(x + step * d)
+        trace.points += 1
+        point = yield cand
+        if point is None:
+            trace.rejected += 1
+        elif armijo(step, point):
+            return step, cand, point
+        step *= 0.5
+    return step, cand, None
+
+
 def _point(rep, name: str, conformal: bool, newton=None):
-    """``evaluate`` of :func:`descend` from the point's report: (value, gradient, at_boundary,
-    newton), for the ``curvature.FUNCTIONALS`` key ``name`` and the gradient in the conformal
-    factors or in the lengths.  At the boundary, the worst tet's CM3 is below
+    """What :func:`_descent` is sent for a point, from its report: (value, gradient,
+    at_boundary, newton), for the ``curvature.FUNCTIONALS`` key ``name`` and the gradient in
+    the conformal factors or in the lengths.  At the boundary, the worst tet's CM3 is below
     1e-8 (mean length)^6.  ``newton(rep, g)``, if given, returns the Newton direction at an
     accepted point."""
     at_boundary = np.minimum.reduce(rep.geometry.cm3) < 1e-8 * (rep.length / rep.lengths.size) ** 6
@@ -309,49 +283,35 @@ def _point(rep, name: str, conformal: bool, newton=None):
             None if newton is None else lambda: newton(rep, g))
 
 
-def _evaluator(c: Complex, which: str, metric, conformal: bool, newton=None):
-    """``guard, evaluate`` of :func:`descend` from one report at the metric ``metric(x)``.
+def _descend(c: Complex, which: str, starts, metric, gauge, conformal: bool, newton, max_iter):
+    """The (x, SolveTrace) of a :func:`_descent` from each start, projected by
+    ``gauge(start)``, with the point x at the metric ``metric(x)``.
 
-    The guard is the kernel call: it builds the report (rejecting x when the
-    kernel raises :class:`geometry.InadmissibleMetricError`) and keeps it for
-    ``evaluate`` (:func:`_point`), which :func:`descend` calls next on that
-    same x, so a candidate costs one call, passed or rejected."""
-    which = curvature._functional(which)
-    kept = [None]    # the report of the last candidate the guard passed
-
-    def guard(x):
-        # a long conformal gradient candidate may overflow to infinite lengths,
-        # or to face sums inf - inf = NaN, which the kernel rejects
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                kept[0] = curvature.functionals(c, metric(x))
-        except geometry.InadmissibleMetricError:
-            return False
-        return True
-
-    def evaluate(x):
-        return _point(kept[0], which, conformal, newton)
-
-    return guard, evaluate
-
-
-def _descend_lockstep(c: Complex, which: str, starts, gauge, max_iter):
-    """The (x, SolveTrace) of a :func:`_descent` in length space from each start (S, E),
-    projected by ``gauge(start)``.  Each round builds the reports of the points that the
-    live starts propose with one kernel call (:func:`curvature._reports`; None rejects)."""
-    which = curvature._functional(which)
-    kept = [None] * len(starts)    # the report of each start's pending point
-    runs = [_descent(lambda x, i=i: _point(kept[i], which, False), x0, gauge(x0), max_iter)
-            for i, x0 in enumerate(starts)]
+    The descents run in rounds: each round evaluates the point that every live start proposes
+    (:func:`_point`, with ``newton``), and each start follows the path it takes alone.  One
+    start costs one kernel call per point (:func:`curvature.functionals`; a rejection is a call
+    that raises).  Several starts cost one kernel call per round (:func:`curvature._reports`,
+    which masks the inadmissible points out before the kernel).
+    """
+    name = curvature._functional(which)
+    runs = [_descent(x0, gauge(x0), max_iter) for x0 in starts]
     pending = {i: next(run) for i, run in enumerate(runs)}
     out = [None] * len(runs)
     while pending:
+        # a long conformal gradient candidate may overflow to infinite lengths,
+        # or to face sums inf - inf = NaN, which the kernel rejects
         with np.errstate(over="ignore", invalid="ignore"):
-            reports = curvature._reports(c, np.array(list(pending.values())))
+            if len(runs) > 1:
+                reports = curvature._reports(c, metric(np.array(list(pending.values()))))
+            else:
+                try:
+                    reports = [curvature.functionals(c, metric(pending[0]))]
+                except geometry.InadmissibleMetricError:
+                    reports = [None]
         for i, rep in zip(list(pending), reports):
-            kept[i] = rep
             try:
-                pending[i] = runs[i].send(rep is not None)
+                pending[i] = runs[i].send(
+                    None if rep is None else _point(rep, name, conformal, newton))
             except StopIteration as stop:
                 out[i] = stop.value
                 del pending[i]
@@ -370,24 +330,29 @@ def descend_lengths(c: Complex, which: str, l0, normalize: str = "L",
     (S, E), which returns the endpoints (S, E) and a tuple of S traces: its
     descents run in lockstep, with one kernel call per round for the
     candidates of every live start, and each follows its own call bitwise.
-    An inadmissible start raises :class:`geometry.InadmissibleMetricError`.
+    Steps are gradient steps (:func:`_descent`); there is no Newton
+    direction in length space.  A start of another shape, or an unknown
+    ``normalize``, raises ``ValueError`` before any kernel call; an
+    inadmissible start raises :class:`geometry.InadmissibleMetricError`.
     """
     l0 = np.asarray(l0, dtype=float)
+    E = c.num_edges
+    if l0.ndim not in (1, 2) or l0.shape[-1] != E:
+        raise ValueError(f"expected a start ({E},) or a stack (S, {E}), got shape {l0.shape}")
+    if normalize.upper() not in ("L", "V"):
+        raise ValueError(f"unknown normalization {normalize!r}")
 
     def gauge(start):
         target_len = float(np.add.reduce(start))
         if normalize.upper() == "L":
             return lambda l: l * (target_len / np.add.reduce(l))
-        if normalize.upper() == "V":
-            return lambda l: l / float(
-                np.add.reduce(geometry.tet_volume(c.tet_lengths(l)))) ** (1 / 3)
-        raise ValueError(f"unknown normalization {normalize!r}")
+        return lambda l: l / float(
+            np.add.reduce(geometry.tet_volume(c.tet_lengths(l)))) ** (1 / 3)
 
-    if l0.ndim == 2:
-        runs = _descend_lockstep(c, which, l0, gauge, max_iter)
-        return np.array([x for x, _ in runs]).reshape(l0.shape), tuple(t for _, t in runs)
-    guard, evaluate = _evaluator(c, which, lambda l: l, False)
-    return descend(evaluate, guard, l0, project=gauge(l0), max_iter=max_iter)
+    runs = _descend(c, which, l0.reshape(-1, E), lambda l: l, gauge, False, None, max_iter)
+    if l0.ndim == 1:
+        return runs[0]
+    return np.array([x for x, _ in runs]).reshape(l0.shape), tuple(t for _, t in runs)
 
 
 def descend_conformal(cls: ConformalClass, which: str, f0, max_iter: int = 1000):
@@ -400,20 +365,18 @@ def descend_conformal(cls: ConformalClass, which: str, f0, max_iter: int = 1000)
     call) and P the projection onto mean-zero factors, the direction is
     d = -Hp^-1 P g with Hp = P H_f P + 1 1^T / n, when Hp has a Cholesky
     factor and d moves no factor by more than ``_NEWTON_RADIUS`` = 0.5.
-    Otherwise :func:`descend` takes a gradient step: where H_f is not
+    Otherwise :func:`_descent` takes a gradient step: where H_f is not
     positive definite on the complement, and where the quadratic model's
     minimum lies farther away than the radius, since scaled-down Newton
     steps from there can lead a start into another basin than its gradient
     descent (and, on the double tetrahedron, to a higher final value).
+    Each point the descent tests costs one kernel call.  Returns (factors, SolveTrace).
     """
     f0 = cls._factors(f0)    # before any kernel call
     c = cls.complex
     n = c.num_vertices
     mean = np.full((n, n), 1.0 / n)    # 1 1^T / n
     P = np.eye(n) - mean
-
-    def induced(f):
-        return induced_lengths(c, cls.background, f)
 
     def project(f):
         return f - np.add.reduce(f) / n
@@ -427,8 +390,8 @@ def descend_conformal(cls: ConformalClass, which: str, f0, max_iter: int = 1000)
         d = -np.linalg.solve(Hp, P @ g)
         return d if np.abs(d).max() <= _NEWTON_RADIUS else None
 
-    guard, evaluate = _evaluator(c, which, induced, True, newton)
-    return descend(evaluate, guard, f0, project=project, max_iter=max_iter)
+    return _descend(c, which, [f0], lambda f: induced_lengths(c, cls.background, f),
+                    lambda start: project, True, newton, max_iter)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -679,11 +642,9 @@ def _match_by_overlap(prev: np.ndarray, new: np.ndarray) -> np.ndarray:
     n = prev.shape[1]
     overlap = np.abs(prev.T @ new)
     order = np.full(n, -1)
-    used = np.zeros(n, dtype=bool)
     for _ in range(n):
         i, j = np.unravel_index(np.argmax(overlap), overlap.shape)
         order[i] = j
-        used[j] = True
         overlap[i, :] = -1.0
         overlap[:, j] = -1.0
     return order
@@ -735,8 +696,7 @@ def find_tstar(c: Complex | None = None, bracket=(1.0, 1.3),
                tol: float = 1e-6) -> float:
     """Parameter where the family Hessian eigenvalue along (0,1,-1,-1,1,0)
     for the volume-normalized functional crosses zero."""
-    if c is None:
-        c = double_tetrahedron()
+    c = double_tetrahedron() if c is None else c
     v = FAMILY_DIRECTIONS["v"]
 
     def g(t):
@@ -749,8 +709,7 @@ def find_conformal_crossing(c: Complex | None = None, bracket=(1.0, 1.35),
                             tol: float = 1e-6) -> float:
     """Parameter where the conformal Hessian eigenvalue along (1,1,-1,-1)
     crosses zero on the equihedral family."""
-    if c is None:
-        c = double_tetrahedron()
+    c = double_tetrahedron() if c is None else c
     v = CONFORMAL_DIRECTIONS["lam2"]
 
     def g(t):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from regge3 import geometry, solve
+from regge3 import geometry
 
 
 @pytest.fixture
@@ -17,19 +17,3 @@ def kernel_calls(monkeypatch):
     monkeypatch.setattr(geometry, "tet_geometry", counted)
     return calls
 
-
-@pytest.fixture
-def guard_calls(monkeypatch):
-    """Outcomes of the guards handed to ``solve.descend``, one per candidate seen."""
-    outcomes = []
-    descend = solve.descend
-
-    def counted(evaluate, guard, x0, **kwargs):
-        def counted_guard(x):
-            outcomes.append(guard(x))
-            return outcomes[-1]
-
-        return descend(evaluate, counted_guard, x0, **kwargs)
-
-    monkeypatch.setattr(solve, "descend", counted)
-    return outcomes

@@ -7,7 +7,7 @@ from regge3 import curvature, geometry, solve
 from regge3.complexes import double_tetrahedron, six_hundred_cell
 from regge3.conformal import ConformalClass, equihedral_point, induced_lengths
 from regge3.curvature import hessian_fd_lengths
-from regge3.solve import (bisect_zero, descend, descend_conformal, descend_lengths,
+from regge3.solve import (bisect_zero, descend_conformal, descend_lengths,
                           diagonal_family, eig_sym, solve_csc, sweep_family,
                           yamabe_constant_estimate)
 
@@ -185,14 +185,26 @@ class TestSolveCsc:
         lengths, _ = cls.apply(f)
         assert np.abs(curvature.csc_residual(dt, lengths, "L")).max() < 1e-10
 
+
+def run_descent(evaluate, x0, max_iter=1000):
+    """(x, SolveTrace) of ``solve._descent`` sent ``evaluate(x)`` at every point it yields."""
+    run = solve._descent(x0, lambda x: x, max_iter)
+    try:
+        x = next(run)
+        while True:
+            x = run.send(evaluate(x))
+    except StopIteration as stop:
+        return stop.value
+
+
 class TestDescend:
     def test_quadratic_bowl(self):
         Q = np.diag([1.0, 4.0, 9.0])
         target = np.array([1.0, -2.0, 0.5])
 
-        x, trace = descend(lambda x: (0.5 * (x - target) @ Q @ (x - target),
-                                      Q @ (x - target), False, None),
-                           lambda x: True, np.zeros(3), max_iter=4000)
+        x, trace = run_descent(lambda x: (0.5 * (x - target) @ Q @ (x - target),
+                                          Q @ (x - target), False, None),
+                               np.zeros(3), max_iter=4000)
         assert trace.reason in ("converged", "stall")
         assert np.abs(x - target).max() < 1e-8
 
@@ -210,7 +222,7 @@ class TestDescend:
 
             return 0.5 * (x - target) @ g, g, False, newton
 
-        x, trace = descend(evaluate, lambda x: True, np.zeros(3))
+        x, trace = run_descent(evaluate, np.zeros(3))
         assert (trace.reason, trace.step_sizes, trace.newton_steps) == ("converged", [1.0], 1)
         assert np.abs(x - target).max() < 1e-15
         # called at the start only: the accepted point is converged
@@ -221,6 +233,19 @@ class TestDescend:
                                                               shape):
         with pytest.raises(ValueError, match=re.escape(f"expected 4 factors, got shape {shape}")):
             descend_conformal(unit_class, "lehr", np.zeros(shape))
+        assert kernel_calls == []
+
+    @pytest.mark.parametrize("shape", [(), (5,), (7,), (3, 5), (2, 2, 6)])
+    def test_length_starts_checked_before_any_kernel_call(self, dt, kernel_calls, shape):
+        message = f"expected a start (6,) or a stack (S, 6), got shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            descend_lengths(dt, "lehr", np.ones(shape))
+        assert kernel_calls == []
+
+    @pytest.mark.parametrize("shape", [(6,), (3, 6), (0, 6)])
+    def test_unknown_normalization_rejected_before_any_start(self, dt, kernel_calls, shape):
+        with pytest.raises(ValueError, match="unknown normalization 'X'"):
+            descend_lengths(dt, "lehr", np.ones(shape), normalize="X")
         assert kernel_calls == []
 
     def test_vehr_descent_returns_equal_lengths(self, dt):
@@ -250,7 +275,7 @@ class TestDescend:
 
     @pytest.mark.parametrize("kind", ["lengths", "conformal"])
     def test_one_kernel_call_per_evaluated_candidate(self, dt, kind, kernel_calls,
-                                                     guard_calls, monkeypatch):
+                                                     monkeypatch):
         rng = np.random.default_rng(57)
         l0 = solve.random_admissible_lengths(dt, rng)
         checks = []
@@ -271,31 +296,39 @@ class TestDescend:
         else:
             _, trace = descend_conformal(ConformalClass(dt, l0), "vehr",
                                          0.1 * rng.normal(size=4), max_iter=50)
-        # the start and at least five line-search candidates were checked
-        assert len(guard_calls) > 5
+        # the start and at least five line-search candidates were tested
+        assert trace.points > 5
         if kind == "lengths":    # it ends against the boundary
-            assert guard_calls.count(False) > 0
-        # the guard is the kernel: one call per candidate it sees, passed or
-        # rejected, and no separate admissibility test
-        assert len(kernel_calls) == len(guard_calls)
+            assert trace.rejected > 0
+        # the test is the kernel: one call per point, admissible or rejected,
+        # and no separate admissibility test
+        assert len(kernel_calls) == trace.points
         assert checks == []
 
+    # (reason, steps) and, of the conformal descents, the final value and the endpoint
     @pytest.mark.parametrize("kind, seed, which, expected", [
         ("lengths", 61, "lehr", ("boundary-hit", 21)),
         ("lengths", 62, "vehr", ("stall", 36)),
-        ("conformal", 62, "lehr", ("converged", 5)),
-        ("conformal", 64, "lehr", ("boundary-hit", 18)),
+        ("conformal", 62, "lehr", ("converged", 5, 3.8061744326209053,
+                                   [-0.10809488124939734, 0.317563597374347,
+                                    0.07100344045560376, -0.2804721565805534])),
+        ("conformal", 64, "lehr", ("boundary-hit", 18, 3.7182708425451154,
+                                   [-0.34223686703217937, -0.1096343077476646,
+                                    0.07930448286559265, 0.3725666919142513])),
     ])
     def test_seeded_descents_keep_their_paths(self, dt, kind, seed, which, expected):
         rng = np.random.default_rng(seed)
         l0 = solve.random_admissible_lengths(dt, rng)
         if kind == "lengths":
             _, trace = descend_lengths(dt, which, l0, normalize="L", max_iter=300)
+            assert (trace.reason, len(trace.step_sizes)) == expected
         else:
             f0 = rng.normal(0.0, 0.2, 4)
-            _, trace = descend_conformal(ConformalClass(dt, l0), which,
-                                         f0 - f0.mean(), max_iter=300)
-        assert (trace.reason, len(trace.step_sizes)) == expected
+            fend, trace = descend_conformal(ConformalClass(dt, l0), which,
+                                            f0 - f0.mean(), max_iter=300)
+            # floats repr exactly, so these compare bit for bit
+            assert (trace.reason, len(trace.step_sizes), trace.values[-1],
+                    fend.tolist()) == expected
 
     @pytest.mark.parametrize("seed, which, value, steps_total, end", [
         (61, "lehr", 3.595310340212935, 6.54385339608416,
@@ -317,8 +350,7 @@ class TestDescend:
         assert sum(trace.step_sizes) == steps_total
         assert lend.tolist() == end
 
-    def test_conformal_hessian_adds_no_kernel_call(self, dt, kernel_calls, guard_calls,
-                                                   monkeypatch):
+    def test_conformal_hessian_adds_no_kernel_call(self, dt, kernel_calls, monkeypatch):
         rng = np.random.default_rng(63)
         cls = ConformalClass(dt, solve.random_admissible_lengths(dt, rng))
         hessians = []
@@ -335,28 +367,37 @@ class TestDescend:
         _, trace = descend_conformal(cls, "lehr", f0 - f0.mean(), max_iter=50)
         assert trace.reason == "converged" and trace.newton_steps > 0
         # one Hessian per iterate short of convergence, each read from the
-        # iterate's report: the kernel runs once per candidate the guard sees
+        # iterate's report: the kernel runs once per point the descent tests
         assert len(hessians) == len(trace.step_sizes)
         assert hessians == [0] * len(hessians)
-        assert len(kernel_calls) == len(guard_calls)
+        assert len(kernel_calls) == trace.points
+
+    @staticmethod
+    def assert_rejected_silently(dt, factors):
+        # ``solve._descend`` evaluates a round's points alike, the starts and the
+        # line-search candidates: a one-start round through ``functionals``,
+        # a stacked round through the masked ``_reports``
+        bg = np.array([1.0725, 1.1493, 0.9347, 0.9760, 0.9788, 0.9013])
+        admissible = np.zeros(4)
+        for starts in ([factors], [factors, admissible], [admissible, factors]):
+            with pytest.raises(geometry.InadmissibleMetricError, match="starting point"):
+                solve._descend(dt, "lehr", np.array(starts),
+                               lambda f: induced_lengths(dt, bg, f), lambda f0: (lambda f: f),
+                               True, None, 10)
 
     def test_conformal_guard_rejects_overflowing_candidate_silently(self, dt):
         # a long gradient step can reach factors near 709: the lengths are about
-        # 1e308, and the kernel's products overflow; the guard rejects the
-        # candidate without a RuntimeWarning (an error under this suite)
-        bg = np.array([1.0725, 1.1493, 0.9347, 0.9760, 0.9788, 0.9013])
-        guard, _ = solve._evaluator(dt, "lehr", lambda f: induced_lengths(dt, bg, f),
-                                    curvature.CurvatureReport.grad_conformal)
-        assert not guard(np.array([709.7, 709.7, -709.7, -709.7]))
+        # 1e308, and the kernel's products overflow; the kernel rejects the
+        # point without a RuntimeWarning (an error under this suite).  Past 709.78
+        # the factor map itself overflows to infinite lengths
+        self.assert_rejected_silently(dt, [709.7, 709.7, -709.7, -709.7])
+        self.assert_rejected_silently(dt, [720.0, 720.0, -720.0, -720.0])
 
     def test_conformal_guard_rejects_nan_face_margins_silently(self, dt):
         # three lengths near 9e307 are finite, but their face sums overflow and
-        # inf - inf leaves NaN margins: the kernel rejects the candidate, and the
-        # guard passes on no RuntimeWarning
-        bg = np.array([1.0725, 1.1493, 0.9347, 0.9760, 0.9788, 0.9013])
-        guard, _ = solve._evaluator(dt, "lehr", lambda f: induced_lengths(dt, bg, f),
-                                    curvature.CurvatureReport.grad_conformal)
-        assert not guard(np.array([709.0, 709.0, 709.0, -2127.0]))
+        # inf - inf leaves NaN margins: the kernel rejects the point, and the
+        # descent passes on no RuntimeWarning
+        self.assert_rejected_silently(dt, [709.0, 709.0, 709.0, -2127.0])
 
     # starts of the multi-start estimate whose parent-gradient descents end at
     # these values; Newton steps without the radius end on the boundary above them
@@ -476,7 +517,19 @@ class TestSolverCounters:
         assert sum(len(t.step_sizes) for t in traces) == 741
 
     @pytest.mark.parametrize("kind", ["lengths", "conformal"])
-    def test_single_descents_count_the_guard_outcomes(self, dt, kind, guard_calls):
+    def test_single_descents_count_the_guard_outcomes(self, dt, kind, monkeypatch):
+        calls, raised = [], []
+        functionals = curvature.functionals
+
+        def counted(c, lengths):
+            calls.append(1)
+            try:
+                return functionals(c, lengths)
+            except geometry.InadmissibleMetricError:
+                raised.append(1)
+                raise
+
+        monkeypatch.setattr(curvature, "functionals", counted)
         rng = np.random.default_rng(57)
         l0 = solve.random_admissible_lengths(dt, rng)
         if kind == "lengths":
@@ -485,7 +538,8 @@ class TestSolverCounters:
         else:
             _, trace = descend_conformal(ConformalClass(dt, l0), "vehr",
                                          0.1 * rng.normal(size=4), max_iter=50)
-        assert (trace.points, trace.rejected) == (len(guard_calls), guard_calls.count(False))
+        # one ``functionals`` call per point tested, which raises on the rejected ones
+        assert (trace.points, trace.rejected) == (len(calls), len(raised))
 
     def test_csc_counts_its_start_and_trials(self, dt, monkeypatch):
         calls, raised = [], []
