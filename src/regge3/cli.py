@@ -184,9 +184,13 @@ def cmd_sweep(args) -> int:
         raise UsageError("the diag family is defined on the double tetrahedron")
     try:
         a, b, n = args.t.split(":")
-        ts = np.linspace(float(a), float(b), int(n))
+        start, stop, steps = float(a), float(b), int(n)
     except ValueError as exc:
         raise UsageError(f"bad --t range {args.t!r}, expected start:stop:steps") from exc
+    if steps < 1 or not (np.isfinite(start) and np.isfinite(stop)):
+        raise UsageError(f"bad --t range {args.t!r}: the bounds must be finite and the steps "
+                         "at least 1")
+    ts = np.linspace(start, stop, steps)
     quantities = [q.strip() for q in args.quantities.split(",") if q.strip()]
     try:
         table = solve.sweep_family(c, solve.diagonal_family, ts, quantities)

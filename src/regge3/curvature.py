@@ -48,7 +48,6 @@ import dataclasses
 import math
 import weakref
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -56,6 +55,20 @@ from .complexes import Complex, set_fields
 from . import geometry
 from .conformal import induced_lengths
 from .geometry import InadmissibleMetricError
+
+
+class _cached:
+    """``functools.cached_property`` without the lock that it takes on every first read
+    before Python 3.12: a field computed when first read, then kept in the instance."""
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 @dataclass(frozen=True, init=False)
@@ -86,17 +99,17 @@ class CurvatureReport:
     def __init__(self, complex, geometry, lengths, k_edge, length, volume, ehr, lehr, vehr):
         set_fields(locals())
 
-    @cached_property
+    @_cached
     def k_vertex(self) -> np.ndarray:
         """(V,) vertex curvatures K_v = (1/2) sum of incident K_e."""
         return _read_only(_vertex_half_sums(self.complex, self.k_edge))
 
-    @cached_property
+    @_cached
     def l_vertex(self) -> np.ndarray:
         """(V,) L_v = (1/2) sum of incident lengths."""
         return _read_only(_vertex_half_sums(self.complex, self.lengths))
 
-    @cached_property
+    @_cached
     def v_vertex(self) -> np.ndarray:
         """(V,) V_v = (1/3) sum of h_{f<t} A_f = 3 V_t alpha_f over the faces f at v of its
         tets t, i.e. sum_t V_t (1 - alpha_v), alpha = G[0, 1:] (sum 1, see geometry)."""
@@ -106,12 +119,12 @@ class CurvatureReport:
             (geo.volume[:, None] * (1.0 - geo.cm_inverse[:, 0, 1:])).ravel(),
             minlength=self.complex.num_vertices))
 
-    @cached_property
+    @_cached
     def v_edge(self) -> np.ndarray:
         """(E,) V_e = l_e dV/dl_e."""
         return _read_only(self.lengths * self.complex.edge_sum(self.geometry.dvolume))
 
-    @cached_property
+    @_cached
     def dual_length(self) -> np.ndarray:
         """(E,) signed dual areas l*_e, summed from :attr:`TetGeometry.dual`."""
         return _read_only(self.complex.edge_sum(self.geometry.dual))
@@ -332,7 +345,7 @@ def _make_reports(c: Complex, lengths, geo, k_edge) -> list:
     """
     fields = vars(geo).values()
     for a in (*fields, k_edge):    # the six kernel arrays and K_e
-        _read_only(a)
+        a.setflags(False)
     totals = (np.add.reduce(lengths, -1), np.add.reduce(geo.volume, -1),
               np.add.reduce(k_edge, -1))
     if lengths.ndim == 1:    # float() of a numpy scalar is cheaper than its tolist()
@@ -347,16 +360,43 @@ def _make_reports(c: Complex, lengths, geo, k_edge) -> list:
 
 def _reports(c: Complex, lengths) -> list:
     """The report of each metric of a stack (S, E) of floats, or None where it is
-    inadmissible (nothing raises): one admissibility test of the stack and one kernel call
-    on its admissible metrics, and each report equals that of :func:`functionals` bitwise.
-    An empty stack gives no report."""
+    inadmissible (nothing raises), from one :func:`_first_reports` call with runs of one
+    metric.  An empty stack gives no report."""
     lengths = np.asarray(lengths, dtype=float)
-    ok, tets = geometry._admissible_rows(c.tet_lengths(lengths))
-    if not ok.any():
-        return [None] * len(lengths)
-    kept = _read_only(lengths[ok])
-    made = iter(_make_reports(c, kept, *_curvatures(c, kept, tets)))
-    return [next(made) if admissible else None for admissible in ok.tolist()]
+    return [rep for _, rep in _first_reports(c, lengths, [1] * len(lengths))]
+
+
+def _first_reports(c: Complex, lengths, runs) -> list:
+    """(k, report) for each run of a stack (S, E) of floats cut into consecutive runs of
+    ``runs`` metrics: k is the index in the run of its first admissible metric, and the
+    report is that metric's; a run with none gives (its size, None), and nothing raises.
+
+    One admissibility test of the stack and at most one kernel call, on the first admissible
+    metric of each run, which reuses that test: one such metric is a metric (E,), several a
+    stack.  Each report equals that of :func:`functionals` bitwise and owns a read-only copy
+    of its lengths.
+    """
+    if len(lengths) == 1:    # tested without the stack's axis: a descent's usual round
+        ok, take = geometry._admissible_rows(c.tet_lengths(lengths[0]))
+        if not ok:
+            return [(1, None)]
+        kept = _read_only(lengths[0].copy())
+        return [(0, _make_reports(c, kept, *_curvatures(c, kept, take(...)))[0])]
+    ok, take = geometry._admissible_rows(c.tet_lengths(lengths))
+    flags, firsts, rows, start = ok.tolist(), [], [], 0
+    for size in runs:
+        run = flags[start:start + size]
+        k = run.index(True) if True in run else size
+        firsts.append(k)
+        if k < size:
+            rows.append(start + k)
+        start += size
+    if not rows:
+        return [(k, None) for k in firsts]
+    rows = rows[0] if len(rows) == 1 else rows
+    kept = _read_only(lengths[rows].copy())
+    made = iter(_make_reports(c, kept, *_curvatures(c, kept, take(rows))))
+    return [(k, next(made) if k < size else None) for k, size in zip(firsts, runs)]
 
 
 # ---------------------------------------------------------------------------

@@ -133,13 +133,18 @@ class _Tested(np.ndarray):
 
 
 def _admissible_rows(tets):
-    """The mask (S,) of the admissible metrics of tets (S, T, 6), and their tets (k, T, 6)
-    as a :class:`_Tested` array, from one test pass that :func:`tet_geometry` reuses."""
+    """The mask (S,) of the admissible metrics of tets (S, T, 6) from one test pass, and
+    ``take``: ``take(rows)`` gives the tets of admissible rows (an index, a list of them or
+    a mask) as a :class:`_Tested` array that carries that pass for :func:`tet_geometry`.
+    The tets (T, 6) of one metric give its verdict, and ``take(...)`` its tets."""
     ok, _, cm, g2, adj = _tet_tests(tets, 6)
-    mask = ok.all(-1)
-    kept = tets[mask].view(_Tested)
-    kept.tests = cm[mask], g2[mask], adj[mask]
-    return mask, kept
+
+    def take(rows):
+        kept = tets[rows].view(_Tested)
+        kept.tests = cm[rows], g2[rows], adj[rows]
+        return kept
+
+    return ok.all(-1), take
 
 
 def _admissible_cm(l, n=3):
@@ -152,14 +157,20 @@ def _admissible_cm(l, n=3):
     """
     ok, margins, cm, g2, adj = _tet_tests(l, n)
     if not ok.all():
-        l = l.copy()
-        raise InadmissibleMetricError(lambda: (
-            "edge lengths must be positive and finite"
-            if not (l.min(initial=np.inf) > 0.0 and l.max(initial=0.0) < np.inf) else
-            f"metric not admissible: tet {_worst_tet(margins)} has a degenerate face triangle"
-            if not margins.min() > 0.0 else    # NaN fails too, as from inf - inf
-            f"metric not admissible: tet {_worst_tet(cm)} has CM3 = {float(cm.min()):.6g} <= 0"))
+        raise _inadmissible(l, margins, cm)
     return cm, g2, adj
+
+
+def _inadmissible(l, margins, cm) -> InadmissibleMetricError:
+    """The error for tets ``l`` (..., 6) that fail the test of :func:`_tet_tests`, from its
+    margins and CM3: it names the worst tet (see :func:`_admissible_cm`) when read."""
+    l = l.copy()
+    return InadmissibleMetricError(lambda: (
+        "edge lengths must be positive and finite"
+        if not (l.min(initial=np.inf) > 0.0 and l.max(initial=0.0) < np.inf) else
+        f"metric not admissible: tet {_worst_tet(margins)} has a degenerate face triangle"
+        if not margins.min() > 0.0 else    # NaN fails too, as from inf - inf
+        f"metric not admissible: tet {_worst_tet(cm)} has CM3 = {float(cm.min()):.6g} <= 0"))
 
 
 def tet_volume(lengths) -> np.ndarray:

@@ -161,6 +161,8 @@ def solve_csc(cls: ConformalClass, which: str = "L", f0=None,
 _GTOL = 1e-9          # sup-norm of the gradient at convergence
 _ARMIJO = 1e-4        # sufficient-decrease constant of the line search
 _MAX_HALVINGS = 40    # step halvings of one line search
+_RUNGS = 8            # rungs of a line search's halving ladder formed and tested per round
+_LADDER = 0.5 ** np.arange(_MAX_HALVINGS)[:, None]    # the halvings 2^-k, exact, as a column
 _NEWTON_RADIUS = 0.5  # longest conformal Newton step taken, in sup-norm
 _ROUNDOFF = 20.0 * np.finfo(float).eps    # relative decrease at the roundoff level
 
@@ -168,15 +170,18 @@ _ROUNDOFF = 20.0 * np.finfo(float).eps    # relative decrease at the roundoff le
 def _descent(x0, project, max_iter):
     """Minimize a function from one start by Newton or gradient steps with Armijo backtracking.
 
-    A generator: it yields the start and each line-search candidate, and is sent that point's
-    ``(value, gradient, at_boundary, newton)`` (:func:`_point`), or None when the point is
-    inadmissible.  ``at_boundary`` flags a point that sits against the admissible boundary to
+    A generator: it yields the points to test as ladders (K, n), rows in the order a
+    sequential search tests them (the start is a ladder of one row), and is sent ``(k,
+    point)``: the index k of the ladder's first admissible row and that row's ``(value,
+    gradient, at_boundary, newton)`` (:func:`_point`), or ``(K, None)`` when no row is
+    admissible.  ``at_boundary`` flags a point that sits against the admissible boundary to
     within numerical resolution, where derivatives are meaningless.  ``newton`` is None or a
     zero-argument callable that returns a descent direction d (or None); it is called only at
     accepted iterates, so a candidate costs exactly one evaluation, and the accepted
     candidate's evaluation supplies the next gradient, boundary flag and Newton callable.
-    ``project`` renormalizes the start and each candidate before it is yielded, e.g. to fix a
-    scale gauge; it must preserve both the value and admissibility.
+    ``project`` renormalizes a point (n,) or a ladder (K, n) row by row, e.g. to fix a scale
+    gauge; it must preserve both the value and admissibility, and may return only the rows
+    before one it cannot project (it raises when that is the first).
 
     Each iteration first tries the Newton direction d when there is one
     and it descends (g . d < 0): the step starts at 1 and is halved until
@@ -190,19 +195,22 @@ def _descent(x0, project, max_iter):
     candidates, or an iterate at the boundary), "stall" (no decrease found
     away from the boundary, or five decreases in a row at the roundoff level
     of the values), or "max-iters".  ``trace.newton_steps`` counts the
-    accepted Newton steps, ``trace.points`` the points yielded (the start
-    included) and ``trace.rejected`` the inadmissible ones.  An inadmissible
-    start raises :class:`geometry.InadmissibleMetricError`.
+    accepted Newton steps, ``trace.points`` the points tested (the start
+    included): the rows up to and including a ladder's first admissible one, and a whole
+    ladder without one; ``trace.rejected`` counts the inadmissible ones.  These are the
+    points a search testing one candidate at a time tests.  An inadmissible start raises
+    :class:`geometry.InadmissibleMetricError`.
 
     Returns (x, SolveTrace).
     """
-    x = project(np.asarray(x0, dtype=float).copy())
+    ladder = project(np.array(x0, dtype=float, ndmin=2))
     trace = SolveTrace(points=1)
-    point = yield x
+    _, point = yield ladder
     if point is None:
         raise geometry.InadmissibleMetricError("starting point is not admissible")
+    x = ladder[0]
     fx, g, at_boundary, newton = point
-    alpha = 1.0
+    alpha, first = 1.0, 1    # rungs first tested by the next gradient search
     tiny_streak = 0
 
     for _ in range(max_iter):
@@ -218,16 +226,18 @@ def _descent(x0, project, max_iter):
         point = None
         d = newton() if newton is not None else None
         slope = float(g @ d) if d is not None else 0.0
-        if slope < 0.0:
+        if slope < 0.0:    # a Newton step is most often taken at once: one rung first
             step, cand, point = yield from _line_search(
-                x, d, 1.0, project, trace,
+                x, d, 1.0, 1, project, trace,
                 lambda s, p: not p[2] and p[0] <= fx + _ARMIJO * s * slope)
         newton_step = point is not None
         if point is None:
             gg, rejected = float(g @ g), trace.rejected
             alpha, cand, point = yield from _line_search(
-                x, -g, min(2.0 * alpha, 1e6), project, trace,
+                x, -g, min(2.0 * alpha, 1e6), first, project, trace,
                 lambda s, p: p[0] <= fx - _ARMIJO * s * gg)
+            # one rung, or a full chunk after a gradient search that met the boundary
+            first = _RUNGS if trace.rejected > rejected else 1
             if point is None:
                 trace.reason = "boundary-hit" if trace.rejected > rejected else "stall"
                 return x, trace
@@ -254,21 +264,38 @@ def _descent(x0, project, max_iter):
     return x, trace
 
 
-def _line_search(x, d, step, project, trace, armijo):
-    """A backtracking line search of :func:`_descent` from x along d: it yields the candidate
-    ``project(x + step * d)``, halving the step up to ``_MAX_HALVINGS`` times until
-    ``armijo(step, point)`` holds for the point sent back (None, inadmissible, halves it too).
-    Returns (step, candidate, point), with point None when no step passed."""
-    for _ in range(_MAX_HALVINGS):
-        cand = project(x + step * d)
-        trace.points += 1
-        point = yield cand
+def _line_search(x, d, step, first, project, trace, armijo):
+    """A backtracking line search of :func:`_descent` from x along d over the halving
+    ladder ``project(x + step 2^-k d)``, k < ``_MAX_HALVINGS``, until ``armijo(step 2^-k,
+    point)`` holds for the point of rung k (None, inadmissible, fails too).
+
+    It yields the ladder in chunks (K, n), one array op per chunk, and is sent ``(k, point)``
+    for the chunk's first admissible rung, or ``(K, None)``; the search resumes at the next
+    rung.  The first chunk has ``first`` rungs, a chunk after one without an admissible rung
+    ``_RUNGS``, and a chunk after a rung that failed ``armijo`` one.  Halving by 0.5 is exact,
+    so each rung is bitwise the candidate of k successive halvings, and the rungs tested are
+    those of a search that tests one at a time.  Returns (step, candidate, point), with point
+    None when no rung passed."""
+    rung, rungs = 0, first
+    while rung < _MAX_HALVINGS:
+        if rungs == 1:    # one point: scalar arithmetic is cheaper than broadcasting
+            ladder = project(x + (step * 0.5 ** rung) * d)[None]
+        else:
+            ladder = project(x + (step * _LADDER[rung:rung + rungs]) * d)
+        k, point = yield ladder
+        trace.points += k + (point is not None)
+        trace.rejected += k
+        rung += k
         if point is None:
-            trace.rejected += 1
-        elif armijo(step, point):
-            return step, cand, point
-        step *= 0.5
-    return step, cand, None
+            rungs = _RUNGS
+        else:
+            s = step * 0.5 ** rung
+            if armijo(s, point):
+                return s, ladder[k], point
+            # the shorter steps past an admissible point are most likely admissible, and each
+            # costs its own evaluation: the next chunk is one rung
+            rung, rungs = rung + 1, 1
+    return step, x, None
 
 
 def _point(rep, name: str, conformal: bool, newton=None):
@@ -287,31 +314,27 @@ def _descend(c: Complex, which: str, starts, metric, gauge, conformal: bool, new
     """The (x, SolveTrace) of a :func:`_descent` from each start, projected by
     ``gauge(start)``, with the point x at the metric ``metric(x)``.
 
-    The descents run in rounds: each round evaluates the point that every live start proposes
-    (:func:`_point`, with ``newton``), and each start follows the path it takes alone.  One
-    start costs one kernel call per point (:func:`curvature.functionals`; a rejection is a call
-    that raises).  Several starts cost one kernel call per round (:func:`curvature._reports`,
-    which masks the inadmissible points out before the kernel).
+    The descents run in rounds: each round stacks the ladders that the live starts yield, tests
+    the stack once for admissibility and evaluates only the first admissible row of each ladder
+    (:func:`curvature._first_reports`, then :func:`_point` with ``newton``), in at most one
+    kernel call.  A rejected point costs no kernel call and no round of its own, and each start
+    follows the path it takes alone, one start or many.
     """
     name = curvature._functional(which)
     runs = [_descent(x0, gauge(x0), max_iter) for x0 in starts]
     pending = {i: next(run) for i, run in enumerate(runs)}
     out = [None] * len(runs)
     while pending:
+        ladders = list(pending.values())
+        stack = ladders[0] if len(ladders) == 1 else np.concatenate(ladders)
         # a long conformal gradient candidate may overflow to infinite lengths,
-        # or to face sums inf - inf = NaN, which the kernel rejects
+        # or to face sums inf - inf = NaN, which the test rejects
         with np.errstate(over="ignore", invalid="ignore"):
-            if len(runs) > 1:
-                reports = curvature._reports(c, metric(np.array(list(pending.values()))))
-            else:
-                try:
-                    reports = [curvature.functionals(c, metric(pending[0]))]
-                except geometry.InadmissibleMetricError:
-                    reports = [None]
-        for i, rep in zip(list(pending), reports):
+            tested = curvature._first_reports(c, metric(stack), list(map(len, ladders)))
+        for i, (k, rep) in zip(list(pending), tested):
             try:
                 pending[i] = runs[i].send(
-                    None if rep is None else _point(rep, name, conformal, newton))
+                    (k, None if rep is None else _point(rep, name, conformal, newton)))
             except StopIteration as stop:
                 out[i] = stop.value
                 del pending[i]
@@ -324,13 +347,15 @@ def descend_lengths(c: Complex, which: str, l0, normalize: str = "L",
 
     ``normalize="L"`` rescales each iterate to total length = its initial
     value; ``normalize="V"`` rescales to unit total volume.  Both leave
-    the scale-invariant objectives unchanged.
+    the scale-invariant objectives unchanged.  The volume gauge scales a ladder of
+    candidates only up to its first inadmissible one, and raises
+    :class:`geometry.InadmissibleMetricError` when a line search reaches that one.
 
     ``l0`` is one start (E,), which returns (lengths, SolveTrace), or a stack
     (S, E), which returns the endpoints (S, E) and a tuple of S traces: its
-    descents run in lockstep, with one kernel call per round for the
-    candidates of every live start, and each follows its own call bitwise.
-    Steps are gradient steps (:func:`_descent`); there is no Newton
+    descents run in lockstep (:func:`_descend`), with one admissibility test and at most one
+    kernel call per round for the candidates of every live start, and each follows its own
+    call bitwise.  Steps are gradient steps (:func:`_descent`); there is no Newton
     direction in length space.  A start of another shape, or an unknown
     ``normalize``, raises ``ValueError`` before any kernel call; an
     inadmissible start raises :class:`geometry.InadmissibleMetricError`.
@@ -342,12 +367,23 @@ def descend_lengths(c: Complex, which: str, l0, normalize: str = "L",
     if normalize.upper() not in ("L", "V"):
         raise ValueError(f"unknown normalization {normalize!r}")
 
+    def by_volume(l):
+        ladder = l.reshape(-1, E)    # a point is a ladder of one row
+        tets = c.tet_lengths(ladder)
+        ok, margins, cm, _, _ = geometry._tet_tests(tets, 3)
+        rows = ok.all(-1).tolist()
+        k = rows.index(False) if False in rows else len(rows)
+        if k == 0:    # as a one-row projection raises, naming the worst tet
+            raise geometry._inadmissible(tets[0], margins[0], cm[0])
+        volume = np.add.reduce(np.sqrt(cm[:k] / 288.0), -1).tolist()
+        scaled = ladder[:k] / np.array([v ** (1 / 3) for v in volume])[:, None]
+        return scaled if l.ndim > 1 else scaled[0]
+
     def gauge(start):
         target_len = float(np.add.reduce(start))
         if normalize.upper() == "L":
-            return lambda l: l * (target_len / np.add.reduce(l))
-        return lambda l: l / float(
-            np.add.reduce(geometry.tet_volume(c.tet_lengths(l)))) ** (1 / 3)
+            return lambda l: l * (target_len / np.add.reduce(l, -1, None, None, l.ndim > 1))
+        return by_volume
 
     runs = _descend(c, which, l0.reshape(-1, E), lambda l: l, gauge, False, None, max_iter)
     if l0.ndim == 1:
@@ -370,7 +406,8 @@ def descend_conformal(cls: ConformalClass, which: str, f0, max_iter: int = 1000)
     minimum lies farther away than the radius, since scaled-down Newton
     steps from there can lead a start into another basin than its gradient
     descent (and, on the double tetrahedron, to a higher final value).
-    Each point the descent tests costs one kernel call.  Returns (factors, SolveTrace).
+    Each admissible point the descent tests costs one kernel call, and a rejected one
+    none (:func:`_descend`).  Returns (factors, SolveTrace).
     """
     f0 = cls._factors(f0)    # before any kernel call
     c = cls.complex
@@ -379,7 +416,7 @@ def descend_conformal(cls: ConformalClass, which: str, f0, max_iter: int = 1000)
     P = np.eye(n) - mean
 
     def project(f):
-        return f - np.add.reduce(f) / n
+        return f - np.add.reduce(f, -1, None, None, f.ndim > 1) / n    # keepdims on a ladder
 
     def newton(rep, g):
         Hp = P @ (0.25 * rep.conformal_hessian(which)) @ P + mean

@@ -65,8 +65,9 @@ def test_criterion_10_reads_one_report(kernel_calls):
 
 
 def test_criterion_9_descends_in_lockstep(kernel_calls, monkeypatch):
-    # 50 starts share one kernel call per round (3052 calls, one per candidate, before),
-    # and a rejected candidate is masked out before the kernel, which raises on none
+    # 50 starts share at most one kernel call per round (3052 calls, one per candidate,
+    # before lockstep rounds; 70, one per round of single candidates, before halving
+    # ladders), and a rejected candidate is masked out before the kernel, which raises on none
     raised = []
     kernel = geometry.tet_geometry
 
@@ -79,12 +80,12 @@ def test_criterion_9_descends_in_lockstep(kernel_calls, monkeypatch):
 
     monkeypatch.setattr(geometry, "tet_geometry", watched)
     assert all(r.passed for r in reproduce.criterion_9_uniqueness_evidence())
-    assert len(kernel_calls) <= 80 and raised == []
+    assert len(kernel_calls) <= 21 and raised == []
 
 
 #: kernel calls of each criterion at most: criteria 6, 7 and 8 stack their independent
 #: metrics (102, 41 and 441 calls when each metric had its own), the others as measured
-KERNEL_CALL_BUDGET = {1: 1, 2: 1, 3: 26, 4: 27, 5: 12, 6: 3, 7: 4, 8: 25, 9: 70, 10: 1,
+KERNEL_CALL_BUDGET = {1: 1, 2: 1, 3: 26, 4: 27, 5: 12, 6: 3, 7: 4, 8: 25, 9: 21, 10: 1,
                       11: 51}
 
 
@@ -95,10 +96,11 @@ def test_criterion_kernel_call_budget(kernel_calls, number):
 
 
 def test_criterion_9_tests_each_metric_once(kernel_calls, monkeypatch):
-    # each round's stack is tested once, and its kernel call reuses that test, so the
-    # only other tests are the start sampler's mask calls
+    # each round's stack of ladders is tested once, and its kernel call reuses that test,
+    # so the only other tests are the start sampler's mask calls
     tests, masks, rounds = [], [], []
-    tet_tests, admissible, reports = geometry._tet_tests, geometry._admissible, curvature._reports
+    tet_tests, admissible = geometry._tet_tests, geometry._admissible
+    reports = curvature._first_reports
 
     def counted_tests(l, n):
         tests.append(np.shape(l))
@@ -108,13 +110,13 @@ def test_criterion_9_tests_each_metric_once(kernel_calls, monkeypatch):
         masks.append(np.shape(tets))
         return admissible(tets)
 
-    def counted_round(c, lengths):
+    def counted_round(c, lengths, runs):
         rounds.append(np.shape(lengths))
-        return reports(c, lengths)
+        return reports(c, lengths, runs)
 
     monkeypatch.setattr(geometry, "_tet_tests", counted_tests)
     monkeypatch.setattr(geometry, "_admissible", counted_mask)
-    monkeypatch.setattr(curvature, "_reports", counted_round)
+    monkeypatch.setattr(curvature, "_first_reports", counted_round)
     assert all(r.passed for r in reproduce.criterion_9_uniqueness_evidence())
     assert len(kernel_calls) <= len(rounds)
     assert len(tests) == len(rounds) + len(masks) and len(masks) <= 3

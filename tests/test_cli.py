@@ -172,6 +172,13 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", "--family", "diag", "--t", "oops")
         assert code == 1
 
+    @pytest.mark.parametrize("t", ["1:1.2:0", "1:nan:3", "1:1.2:-3", "inf:1.2:3"])
+    def test_empty_or_non_finite_range_usage_error(self, capsys, t):
+        # no header-only table, and no NaN rows reported as inadmissible metrics
+        code, out, err = run_cli(capsys, "sweep", "--family", "diag", "--t", t)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error") and repr(t) in err
+
     def test_unknown_quantity_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--family", "diag",
                                "--t", "1:1.2:3", "--quantities", "bogus")

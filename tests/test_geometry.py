@@ -818,7 +818,8 @@ def test_no_lapack_in_the_kernel(monkeypatch):
 
 
 class TestAdmissibleRows:
-    """``geometry._admissible_rows`` masks a stack with one test pass that the kernel reuses."""
+    """``geometry._admissible_rows`` tests a stack with one pass that the kernel reuses on the
+    rows it takes."""
 
     def test_kept_tets_are_tested_once(self, monkeypatch):
         dt = double_tetrahedron()
@@ -831,9 +832,11 @@ class TestAdmissibleRows:
             return tet_tests(l, n)
 
         monkeypatch.setattr(geometry, "_tet_tests", counted)
-        mask, kept = geometry._admissible_rows(dt.tet_lengths(stack))
+        mask, take = geometry._admissible_rows(dt.tet_lengths(stack))
+        kept = take(mask)
         assert mask.tolist() == [True, False, True] and kept.shape == (2, 2, 6)
         reused = tet_geometry(kept)
+        assert take(2).shape == (2, 6) and tet_geometry(take(2)).cm3.shape == (2,)
         assert tests == [(3, 2, 6)]
         # any other array, an equal copy too, is tested by the kernel itself
         alone = tet_geometry(kept.copy())
@@ -843,8 +846,8 @@ class TestAdmissibleRows:
 
     def test_an_edited_copy_is_tested_again(self):
         dt = double_tetrahedron()
-        _, kept = geometry._admissible_rows(dt.tet_lengths(np.array([REGULAR, REGULAR])))
-        edited = kept[1:].copy()
+        mask, take = geometry._admissible_rows(dt.tet_lengths(np.array([REGULAR, REGULAR])))
+        edited = take(mask)[1:].copy()
         edited[0, 0, 0] = -1.0
         with pytest.raises(InadmissibleMetricError):
             tet_geometry(edited)

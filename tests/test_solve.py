@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -187,12 +188,15 @@ class TestSolveCsc:
 
 
 def run_descent(evaluate, x0, max_iter=1000):
-    """(x, SolveTrace) of ``solve._descent`` sent ``evaluate(x)`` at every point it yields."""
+    """(x, SolveTrace) of ``solve._descent``, sent for each ladder it yields the index of the
+    first row x where ``evaluate(x)`` is not None, and that point."""
     run = solve._descent(x0, lambda x: x, max_iter)
     try:
-        x = next(run)
+        ladder = next(run)
         while True:
-            x = run.send(evaluate(x))
+            points = (evaluate(x) for x in ladder)
+            ladder = run.send(next(((k, p) for k, p in enumerate(points) if p is not None),
+                                   (len(ladder), None)))
     except StopIteration as stop:
         return stop.value
 
@@ -289,8 +293,19 @@ class TestDescend:
             checks.append(np.shape(lengths))
             return cayley_menger(lengths)
 
+        raised = []
+        kernel = geometry.tet_geometry
+
+        def watched(lengths):
+            try:
+                return kernel(lengths)
+            except geometry.InadmissibleMetricError:
+                raised.append(np.shape(lengths))
+                raise
+
         monkeypatch.setattr(geometry, "is_admissible", counted_check)
         monkeypatch.setattr(geometry, "cayley_menger", counted_det)
+        monkeypatch.setattr(geometry, "tet_geometry", watched)
         if kind == "lengths":
             _, trace = descend_lengths(dt, "lehr", l0, normalize="L", max_iter=50)
         else:
@@ -300,10 +315,10 @@ class TestDescend:
         assert trace.points > 5
         if kind == "lengths":    # it ends against the boundary
             assert trace.rejected > 0
-        # the test is the kernel: one call per point, admissible or rejected,
-        # and no separate admissibility test
-        assert len(kernel_calls) == trace.points
-        assert checks == []
+        # one kernel call per admissible point, none on a rejected one (a round's
+        # test masks it out), and no separate public admissibility test
+        assert len(kernel_calls) == trace.points - trace.rejected
+        assert checks == [] and raised == []
 
     # (reason, steps) and, of the conformal descents, the final value and the endpoint
     @pytest.mark.parametrize("kind, seed, which, expected", [
@@ -367,10 +382,10 @@ class TestDescend:
         _, trace = descend_conformal(cls, "lehr", f0 - f0.mean(), max_iter=50)
         assert trace.reason == "converged" and trace.newton_steps > 0
         # one Hessian per iterate short of convergence, each read from the
-        # iterate's report: the kernel runs once per point the descent tests
+        # iterate's report: the kernel runs once per admissible point the descent tests
         assert len(hessians) == len(trace.step_sizes)
         assert hessians == [0] * len(hessians)
-        assert len(kernel_calls) == trace.points
+        assert len(kernel_calls) == trace.points - trace.rejected
 
     @staticmethod
     def assert_rejected_silently(dt, factors):
@@ -430,6 +445,28 @@ class TestDescend:
             assert is_admissible(dt, it)
 
 
+def watch_rounds(monkeypatch):
+    """The rounds of the descents run after the call: per ``curvature._first_reports`` call,
+    one (k, found) per ladder, k its rejected rows and found whether a row was admissible."""
+    rounds = []
+    first_reports = curvature._first_reports
+
+    def counted(c, lengths, runs):
+        out = first_reports(c, lengths, runs)
+        rounds.append([(k, rep is not None) for k, rep in out])
+        return out
+
+    monkeypatch.setattr(curvature, "_first_reports", counted)
+    return rounds
+
+
+def points_of(rounds):
+    """The rows the rounds tested, up to the first admissible row of each ladder, and the
+    rejected ones among them."""
+    ladders = [ladder for r in rounds for ladder in r]
+    return sum(k + found for k, found in ladders), sum(k for k, _ in ladders)
+
+
 def seeded_starts(dt, seed, count):
     rng = np.random.default_rng(seed)
     return np.array([solve.random_admissible_lengths(dt, rng) for _ in range(count)])
@@ -458,17 +495,23 @@ class TestLockstepDescents:
         self.assert_single_paths(dt, which, seeded_starts(dt, 58, 40), normalize="L",
                                  max_iter=300)
 
-    def test_one_kernel_call_per_round(self, dt, kernel_calls):
+    def test_one_kernel_call_per_round(self, dt, kernel_calls, monkeypatch):
+        rounds = watch_rounds(monkeypatch)
         starts = seeded_starts(dt, 59, 8)
-        singles = []
+        singles, calls = [], []
         for start in starts:
+            rounds.clear()
             kernel_calls.clear()
             descend_lengths(dt, "lehr", start, normalize="L", max_iter=800)
-            singles.append(len(kernel_calls))    # one per point the start proposes
+            singles.append(len(rounds))    # one per ladder the start yields
+            calls.append(len(kernel_calls))
+        rounds.clear()
         kernel_calls.clear()
         descend_lengths(dt, "lehr", starts, normalize="L", max_iter=800)
-        # a round per point of the longest start, less those that reject every point
-        assert len(kernel_calls) <= max(singles) < sum(singles)
+        # a round per ladder of the longest start, and a kernel call in each round
+        # that finds an admissible row
+        assert len(rounds) == max(singles)
+        assert len(kernel_calls) <= max(singles) < sum(calls)
         assert kernel_calls[0] == (len(starts), 2, 6)
 
     def test_a_stack_with_an_inadmissible_start_raises(self, dt):
@@ -498,38 +541,79 @@ class TestLockstepDescents:
         assert [i.tobytes() for i in traces[0].iterates] == [i.tobytes() for i in single.iterates]
 
 
+class TestPinnedDescents:
+    """Descents pinned bit for bit: reason, steps, points, rejected points, final value and
+    endpoint, as a search that tests one candidate per kernel call found them.  Floats repr
+    exactly, so these compare bit for bit."""
+
+    def test_lengths_rejecting_candidates_to_the_boundary(self, dt):
+        l0 = solve.random_admissible_lengths(dt, np.random.default_rng(70))
+        x, t = descend_lengths(dt, "lehr", l0, normalize="L", max_iter=300)
+        assert (t.reason, len(t.step_sizes), t.points, t.rejected, t.values[-1], x.tolist()) == (
+            "boundary-hit", 15, 61, 45, 3.677313961593062,
+            [0.7826999042652738, 1.3439547723389573, 0.9077887945553239, 1.2766037153509073,
+             1.340390502298395, 0.8209611951851504])
+
+    def test_volume_gauge_descent_that_completes(self, dt):
+        l0 = ONES * (1 + 0.03 * np.random.default_rng(91).uniform(-1, 1, 6))
+        x, t = descend_lengths(dt, "vehr", l0, normalize="V", max_iter=300)
+        assert (t.reason, len(t.step_sizes), t.points, t.rejected, t.values[-1], x.tolist()) == (
+            "stall", 30, 66, 0, 37.11681125433325,
+            [1.6188704116528116, 1.6188703954991475, 1.618870413429741, 1.6188704134297411,
+             1.6188703954991477, 1.6188704116528116])
+
+    def test_volume_gauge_raises_mid_descent(self, dt, kernel_calls):
+        # the gauge cannot scale a candidate with a negative length; the message, and the
+        # points evaluated before it, are those of the search testing one at a time
+        l0 = solve.random_admissible_lengths(dt, np.random.default_rng(61), 0.97, 1.03)
+        with pytest.raises(geometry.InadmissibleMetricError) as raised:
+            descend_lengths(dt, "lehr", l0, normalize="V", max_iter=300)
+        assert str(raised.value) == "edge lengths must be positive and finite"
+        assert len(kernel_calls) == 5
+
+    def test_conformal_descent_with_gradient_fallbacks(self, dt):
+        rng = np.random.default_rng(78)
+        cls = ConformalClass(dt, solve.random_admissible_lengths(dt, rng))
+        f0 = rng.normal(0.0, 0.3, 4)
+        f, t = descend_conformal(cls, "lehr", f0 - f0.mean(), max_iter=300)
+        assert (t.reason, len(t.step_sizes), t.newton_steps, t.points, t.rejected, t.values[-1],
+                f.tolist()) == (
+            "converged", 6, 3, 7, 0, 3.8130962273803544,
+            [-0.02440492805819425, 0.145696825845475, -0.37009030340434845, 0.24879840561706773])
+
+    def test_a_twelve_start_lockstep_stack(self, dt):
+        starts = solve.random_admissible_lengths(dt, np.random.default_rng(58), size=12)
+        ends, traces = descend_lengths(dt, "lehr", starts, normalize="L", max_iter=300)
+        assert [(t.reason, len(t.step_sizes), t.points, t.rejected) for t in traces] == [
+            ("boundary-hit", 16, 64, 47), ("boundary-hit", 15, 63, 47),
+            ("boundary-hit", 12, 56, 43), ("boundary-hit", 17, 65, 47),
+            ("boundary-hit", 12, 56, 43), ("boundary-hit", 15, 61, 45),
+            ("boundary-hit", 13, 57, 43), ("boundary-hit", 17, 66, 48),
+            ("boundary-hit", 11, 52, 40), ("boundary-hit", 14, 56, 41),
+            ("boundary-hit", 19, 71, 51), ("boundary-hit", 18, 68, 49)]
+        assert [t.values[-1] for t in traces] == [
+            3.6897120539528374, 3.6996315882000945, 3.7251149730722695, 3.6813715947618753,
+            3.6333093868673787, 3.6855829868620553, 3.7343951097978585, 3.6723800719125563,
+            3.664846770948763, 3.686584399147356, 3.686640692378864, 3.681743167814645]
+        assert hashlib.sha256(ends.tobytes()).hexdigest() == \
+            "1ae164e6d89e2d1a06e6d7257a3c1dc5a8d5496eccbc4a6bb9bab8d424bf45d7"
+
+
 class TestSolverCounters:
     """``SolveTrace.points`` and ``.rejected`` count the points a solver run tests."""
 
     def test_criterion_9_totals(self, dt, monkeypatch):
-        rows = []
-        reports = curvature._reports
-
-        def counted(c, lengths):
-            rows.append(len(lengths))
-            return reports(c, lengths)
-
-        monkeypatch.setattr(curvature, "_reports", counted)
+        rounds = watch_rounds(monkeypatch)
         starts = solve.random_admissible_lengths(dt, np.random.default_rng(424242), size=50)
         _, traces = descend_lengths(dt, "lehr", starts, normalize="L", max_iter=800)
-        assert sum(t.points for t in traces) == sum(rows) == 3052
-        assert sum(t.rejected for t in traces) == 2261
+        tested, rejected = points_of(rounds)
+        assert sum(t.points for t in traces) == tested == 3052
+        assert sum(t.rejected for t in traces) == rejected == 2261
         assert sum(len(t.step_sizes) for t in traces) == 741
 
     @pytest.mark.parametrize("kind", ["lengths", "conformal"])
     def test_single_descents_count_the_guard_outcomes(self, dt, kind, monkeypatch):
-        calls, raised = [], []
-        functionals = curvature.functionals
-
-        def counted(c, lengths):
-            calls.append(1)
-            try:
-                return functionals(c, lengths)
-            except geometry.InadmissibleMetricError:
-                raised.append(1)
-                raise
-
-        monkeypatch.setattr(curvature, "functionals", counted)
+        rounds = watch_rounds(monkeypatch)
         rng = np.random.default_rng(57)
         l0 = solve.random_admissible_lengths(dt, rng)
         if kind == "lengths":
@@ -538,8 +622,11 @@ class TestSolverCounters:
         else:
             _, trace = descend_conformal(ConformalClass(dt, l0), "vehr",
                                          0.1 * rng.normal(size=4), max_iter=50)
-        # one ``functionals`` call per point tested, which raises on the rejected ones
-        assert (trace.points, trace.rejected) == (len(calls), len(raised))
+        # the rows the rounds tested, up to each ladder's first admissible one, and
+        # the rejected ones among them
+        assert (trace.points, trace.rejected) == points_of(rounds)
+        if kind == "lengths":    # rejected rows share the rounds of the rows after them
+            assert len(rounds) < trace.points
 
     def test_csc_counts_its_start_and_trials(self, dt, monkeypatch):
         calls, raised = [], []
@@ -844,3 +931,8 @@ def test_no_numpy_wrappers_on_the_dt_hot_path(monkeypatch, dt):
     assert descend_conformal(cls, "lehr", np.array([0.2, -0.1, 0.0, -0.1]))[1].newton_steps
     assert solve_csc(cls, "L", np.array([0.1, -0.1, 0.05, -0.05]))[1].reason == "converged"
     assert len(descend_lengths(dt, "lehr", bg, max_iter=20)[1].values) > 1
+    # halving ladders: a descent that rejects many candidates, and a lockstep stack
+    l0 = solve.random_admissible_lengths(dt, np.random.default_rng(70))
+    assert descend_lengths(dt, "lehr", l0, normalize="L", max_iter=300)[1].rejected > 20
+    starts = solve.random_admissible_lengths(dt, np.random.default_rng(58), size=12)
+    assert sum(t.rejected for t in descend_lengths(dt, "lehr", starts, max_iter=300)[1]) > 100
