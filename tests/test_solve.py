@@ -598,6 +598,66 @@ class TestPinnedDescents:
         assert hashlib.sha256(ends.tobytes()).hexdigest() == \
             "1ae164e6d89e2d1a06e6d7257a3c1dc5a8d5496eccbc4a6bb9bab8d424bf45d7"
 
+    def test_criterion_9_outcome(self, dt):
+        # per start: reason, steps, points, rejected points and final value
+        starts = solve.random_admissible_lengths(dt, np.random.default_rng(424242), size=50)
+        ends, traces = descend_lengths(dt, "lehr", starts, normalize="L", max_iter=800)
+        assert [(t.reason, len(t.step_sizes), t.points, t.rejected, t.values[-1])
+                for t in traces] == [
+            ("boundary-hit", 15, 63, 47, 3.6827880865802647),
+            ("boundary-hit", 16, 64, 47, 3.7116162173927885),
+            ("boundary-hit", 16, 62, 45, 3.67481073815729),
+            ("boundary-hit", 13, 51, 37, 3.6427427493768754),
+            ("boundary-hit", 15, 63, 47, 3.715029847141919),
+            ("boundary-hit", 14, 58, 43, 3.671429997827101),
+            ("boundary-hit", 17, 66, 48, 3.708134500592609),
+            ("boundary-hit", 16, 62, 45, 3.703627097590476),
+            ("boundary-hit", 15, 63, 47, 3.6808449242377352),
+            ("boundary-hit", 18, 68, 49, 3.711475986419438),
+            ("boundary-hit", 12, 56, 43, 3.7224742658779246),
+            ("boundary-hit", 14, 61, 46, 3.7094665579773403),
+            ("boundary-hit", 13, 57, 43, 3.7029016462962923),
+            ("boundary-hit", 16, 63, 46, 3.728163756569199),
+            ("boundary-hit", 16, 64, 47, 3.6857180433299894),
+            ("boundary-hit", 16, 64, 47, 3.6909255910926304),
+            ("boundary-hit", 19, 71, 51, 3.686874683379237),
+            ("boundary-hit", 11, 52, 40, 3.7572574392587454),
+            ("boundary-hit", 13, 59, 45, 3.697546024549284),
+            ("boundary-hit", 14, 59, 44, 3.6629913433560763),
+            ("boundary-hit", 17, 64, 46, 3.671206692769799),
+            ("boundary-hit", 18, 69, 50, 3.6645878288176763),
+            ("boundary-hit", 14, 59, 44, 3.689051086059326),
+            ("boundary-hit", 15, 62, 46, 3.6742006697076306),
+            ("boundary-hit", 14, 57, 42, 3.700577877481234),
+            ("boundary-hit", 17, 66, 48, 3.6875322395687755),
+            ("boundary-hit", 17, 66, 48, 3.6493315093939582),
+            ("boundary-hit", 15, 61, 45, 3.472868275470055),
+            ("boundary-hit", 16, 64, 47, 3.6717565402923094),
+            ("boundary-hit", 9, 50, 40, 3.7126135016181405),
+            ("boundary-hit", 16, 63, 46, 3.6223619478401643),
+            ("boundary-hit", 16, 64, 47, 3.682656410061783),
+            ("boundary-hit", 14, 61, 46, 3.6893043362661366),
+            ("boundary-hit", 13, 58, 44, 3.6755624580450057),
+            ("boundary-hit", 15, 62, 46, 3.691176806084609),
+            ("boundary-hit", 13, 56, 42, 3.6355706004868513),
+            ("boundary-hit", 16, 62, 45, 3.6778019763602225),
+            ("boundary-hit", 14, 60, 45, 3.6851448247745138),
+            ("boundary-hit", 16, 64, 47, 3.618943118806589),
+            ("boundary-hit", 15, 58, 42, 3.5707534743275224),
+            ("boundary-hit", 17, 67, 49, 3.71951184817661),
+            ("boundary-hit", 16, 65, 48, 3.6840212293752277),
+            ("boundary-hit", 14, 60, 45, 3.7298156232717665),
+            ("boundary-hit", 14, 61, 46, 3.690070221910237),
+            ("boundary-hit", 12, 56, 43, 3.7372494391734876),
+            ("boundary-hit", 12, 55, 42, 3.663146628344364),
+            ("boundary-hit", 12, 52, 39, 3.7337089582644474),
+            ("boundary-hit", 15, 62, 46, 3.6896190326561307),
+            ("boundary-hit", 18, 68, 49, 3.6779217962127895),
+            ("boundary-hit", 12, 54, 41, 3.7273018009337444),
+        ]
+        assert hashlib.sha256(ends.tobytes()).hexdigest() == \
+            "aaf908a22945e4805f774a06bd2cb2ca013c2c2d15f1c8ff797cc4c660acffa1"
+
 
 class TestSolverCounters:
     """``SolveTrace.points`` and ``.rejected`` count the points a solver run tests."""
