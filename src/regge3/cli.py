@@ -270,6 +270,13 @@ def cmd_yamabe(args) -> int:
     print("runs:")
     for val, reason in est.runs:
         print(f"  {_fmt(val) if np.isfinite(val) else 'nan'}  {reason}")
+    if args.trace:
+        print("trace:")
+        for i, trace in enumerate(est._traces):
+            print(f"  start {i}: " + ("inadmissible-start" if trace is None else
+                                       f"steps {len(trace.step_sizes)}  newton_steps "
+                                       f"{trace.newton_steps}  points {trace.points}  "
+                                       f"rejected {trace.rejected}"))
     return EXIT_OK
 
 
@@ -337,6 +344,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--which", choices=("L", "V"), default="L")
     sp.add_argument("--starts", type=int, default=32)
     sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--trace", action="store_true",
+                    help="print each start's steps, Newton steps and tested points")
     sp.set_defaults(fn=cmd_yamabe)
 
     sp = sub.add_parser("reproduce", help="run the reference-value suite")

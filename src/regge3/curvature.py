@@ -146,11 +146,17 @@ class CurvatureReport:
                 self.v_vertex if per_vertex else self.v_edge)
 
     def _gradient(self, name: str, per_vertex: bool) -> np.ndarray:
-        """dF/df (V,) or dF/dl (E,) of the functional of the ``FUNCTIONALS`` key ``name``."""
-        N, lam, n_x = self._normalization(name, per_vertex)
-        if per_vertex:
-            return (self.k_vertex - lam * n_x) / N
-        return (self.k_edge - lam * n_x) / (self.lengths * N)
+        """dF/df (V,) or dF/dl (E,) of the functional of the ``FUNCTIONALS`` key ``name``,
+        computed when first read and then kept, read-only: a descent's conformal Newton point
+        reads it, then its Hessian does."""
+        key = f"_gradient_{name}_{per_vertex}"
+        g = self.__dict__.get(key)
+        if g is None:
+            N, lam, n_x = self._normalization(name, per_vertex)
+            g = (self.k_vertex - lam * n_x) / N if per_vertex else \
+                (self.k_edge - lam * n_x) / (self.lengths * N)
+            g = self.__dict__[key] = _read_only(g)
+        return g
 
     def grad_lengths(self, which: str) -> np.ndarray:
         """Length-space gradient, (E,); see :func:`grad_lengths`."""
@@ -334,25 +340,27 @@ def functionals(c: Complex, lengths) -> CurvatureReport:
     return rep
 
 
-def _make_reports(c: Complex, lengths, geo, k_edge) -> list:
+def _make_reports(c: Complex, lengths, geo, k_edge, totals=None) -> list:
     """The reports of read-only metrics, one (E,) or a stack (S, E), from their kernel output:
     one report per metric, the place where every report is built.
 
     Each total is one ``np.add.reduce`` over the last axis of a stacked array, which sums
-    each row in the order it sums that row alone (pairwise beyond 8 terms); the kernel arrays
-    and K_e are made read-only once, and the rows, being views, inherit it.  One metric
-    keeps its kernel output; a row of a stack gets a :class:`geometry.TetGeometry` of views.
+    each row in the order it sums that row alone (pairwise beyond 8 terms); ``totals``, the
+    lists of the metrics' lengths, volumes and EHR, are those reductions when the caller has
+    taken them already.  The kernel arrays and K_e are made read-only once, and the rows,
+    being views, inherit it.  One metric keeps its kernel output; a row of a stack gets a
+    :class:`geometry.TetGeometry` of views.
     """
     fields = vars(geo).values()
     for a in (*fields, k_edge):    # the six kernel arrays and K_e
         a.setflags(False)
-    totals = (np.add.reduce(lengths, -1), np.add.reduce(geo.volume, -1),
-              np.add.reduce(k_edge, -1))
-    if lengths.ndim == 1:    # float() of a numpy scalar is cheaper than its tolist()
-        rows = [(lengths, k_edge, *map(float, totals), geo)]
+    if totals is None:    # float() of a numpy scalar is cheaper than its tolist()
+        totals = [np.add.reduce(a, -1) for a in (lengths, geo.volume, k_edge)]
+        totals = [[float(t)] if lengths.ndim == 1 else t.tolist() for t in totals]
+    if lengths.ndim == 1:
+        rows = [(lengths, k_edge, *(t[0] for t in totals), geo)]
     else:
-        rows = zip(lengths, k_edge, *(t.tolist() for t in totals),
-                   map(geometry.TetGeometry, *fields))
+        rows = zip(lengths, k_edge, *totals, map(geometry.TetGeometry, *fields))
     return [CurvatureReport(c, tets, l, k, length, volume, ehr, ehr / length,
                             ehr / volume ** (1.0 / 3.0))
             for l, k, length, volume, ehr, tets in rows]
@@ -360,43 +368,47 @@ def _make_reports(c: Complex, lengths, geo, k_edge) -> list:
 
 def _reports(c: Complex, lengths) -> list:
     """The report of each metric of a stack (S, E) of floats, or None where it is
-    inadmissible (nothing raises), from one :func:`_first_reports` call with runs of one
+    inadmissible (nothing raises), from one :func:`_first_admissible` call with runs of one
     metric.  An empty stack gives no report."""
     lengths = np.asarray(lengths, dtype=float)
-    return [rep for _, rep in _first_reports(c, lengths, [1] * len(lengths))]
+    k, _, kept, geo, k_edge = _first_admissible(c, lengths, [1] * len(lengths))
+    made = iter(_make_reports(c, kept, geo, k_edge) if geo is not None else ())
+    return [None if rejected else next(made) for rejected in k]
 
 
-def _first_reports(c: Complex, lengths, runs) -> list:
-    """(k, report) for each run of a stack (S, E) of floats cut into consecutive runs of
-    ``runs`` metrics: k is the index in the run of its first admissible metric, and the
-    report is that metric's; a run with none gives (its size, None), and nothing raises.
-
-    One admissibility test of the stack and at most one kernel call, on the first admissible
-    metric of each run, which reuses that test: one such metric is a metric (E,), several a
-    stack.  Each report equals that of :func:`functionals` bitwise and owns a read-only copy
-    of its lengths.
-    """
-    if len(lengths) == 1:    # tested without the stack's axis: a descent's usual round
-        ok, take = geometry._admissible_rows(c.tet_lengths(lengths[0]))
-        if not ok:
-            return [(1, None)]
-        kept = _read_only(lengths[0].copy())
-        return [(0, _make_reports(c, kept, *_curvatures(c, kept, take(...)))[0])]
-    ok, take = geometry._admissible_rows(c.tet_lengths(lengths))
-    flags, firsts, rows, start = ok.tolist(), [], [], 0
-    for size in runs:
+def _firsts(flags, sizes):
+    """(k, rows) for a list of flags cut into consecutive runs of ``sizes``: k the index in
+    each run of its first True flag, or the run's size where it has none, and rows the list
+    index of each such flag."""
+    k, rows, start = [], [], 0
+    for size in sizes:
         run = flags[start:start + size]
-        k = run.index(True) if True in run else size
-        firsts.append(k)
-        if k < size:
-            rows.append(start + k)
+        k.append(run.index(True) if True in run else size)
+        if k[-1] < size:
+            rows.append(start + k[-1])
         start += size
+    return k, rows
+
+
+def _first_admissible(c: Complex, lengths, sizes):
+    """The first admissible metric of each run of a stack (R, E) of floats cut into consecutive
+    runs of ``sizes`` metrics, and its kernel output: one admissibility test of the stack and
+    at most one kernel call, on those metrics, which reuses that test; nothing raises.
+
+    Returns (k, rows, kept, geo, k_edge): k (a list) the index in each run of its first
+    admissible metric, or the run's size where it has none; rows the stack indices of those
+    metrics, kept a read-only copy of them (one metric (E,), several a stack), and ``geo,
+    k_edge`` their kernel output (:func:`_curvatures`), both None when no run has one.  Each
+    row of the output equals that metric's own kernel call bitwise.
+    """
+    one = len(lengths) == 1    # tested without the stack's axis: a single descent's round
+    ok, take = geometry._admissible_rows(c.tet_lengths(lengths[0] if one else lengths))
+    k, rows = _firsts([bool(ok)] if one else ok.tolist(), sizes)
     if not rows:
-        return [(k, None) for k in firsts]
-    rows = rows[0] if len(rows) == 1 else rows
-    kept = _read_only(lengths[rows].copy())
-    made = iter(_make_reports(c, kept, *_curvatures(c, kept, take(rows))))
-    return [(k, next(made) if k < size else None) for k, size in zip(firsts, runs)]
+        return k, rows, None, None, None
+    at = rows[0] if len(rows) == 1 else rows
+    kept = _read_only(lengths[at].copy())
+    return (k, rows, kept, *_curvatures(c, kept, take(... if one else at)))
 
 
 # ---------------------------------------------------------------------------

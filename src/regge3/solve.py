@@ -9,6 +9,8 @@ is reported through ``SolveTrace.reason`` rather than raised, so callers
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import accumulate
 
 import numpy as np
 
@@ -162,183 +164,181 @@ _GTOL = 1e-9          # sup-norm of the gradient at convergence
 _ARMIJO = 1e-4        # sufficient-decrease constant of the line search
 _MAX_HALVINGS = 40    # step halvings of one line search
 _RUNGS = 8            # rungs of a line search's halving ladder formed and tested per round
-_LADDER = 0.5 ** np.arange(_MAX_HALVINGS)[:, None]    # the halvings 2^-k, exact, as a column
+_LADDER = (0.5 ** np.arange(_MAX_HALVINGS)).tolist()    # the halvings 2^-k, exact
 _NEWTON_RADIUS = 0.5  # longest conformal Newton step taken, in sup-norm
 _ROUNDOFF = 20.0 * np.finfo(float).eps    # relative decrease at the roundoff level
 
 
-def _descent(x0, project, max_iter):
-    """Minimize a function from one start by Newton or gradient steps with Armijo backtracking.
+def _index(ids):
+    """Increasing indices as a numpy index: a slice, which costs less, where consecutive."""
+    return slice(ids[0], ids[-1] + 1) if ids[-1] - ids[0] == len(ids) - 1 else np.array(ids)
 
-    A generator: it yields the points to test as ladders (K, n), rows in the order a
-    sequential search tests them (the start is a ladder of one row), and is sent ``(k,
-    point)``: the index k of the ladder's first admissible row and that row's ``(value,
-    gradient, at_boundary, newton)`` (:func:`_point`), or ``(K, None)`` when no row is
-    admissible.  ``at_boundary`` flags a point that sits against the admissible boundary to
-    within numerical resolution, where derivatives are meaningless.  ``newton`` is None or a
-    zero-argument callable that returns a descent direction d (or None); it is called only at
-    accepted iterates, so a candidate costs exactly one evaluation, and the accepted
-    candidate's evaluation supplies the next gradient, boundary flag and Newton callable.
-    ``project`` renormalizes a point (n,) or a ladder (K, n) row by row, e.g. to fix a scale
-    gauge; it must preserve both the value and admissibility, and may return only the rows
-    before one it cannot project (it raises when that is the first).
 
-    Each iteration first tries the Newton direction d when there is one
-    and it descends (g . d < 0): the step starts at 1 and is halved until
-    Armijo's test on the slope g . d holds; a candidate that is inadmissible
-    or sits at the boundary halves the step too.  Otherwise, or when that
-    search fails, a gradient step is searched from the previous gradient
-    step size, doubled (Armijo backtracking along -g).
+def _descend(starts, gauge, evaluate, max_iter):
+    """Minimize a function from each start of a stack (S, n) by Newton or gradient steps with
+    Armijo backtracking, all starts in one loop; returns the (x, SolveTrace) of each start.
 
-    Termination reasons: "converged" (sup-norm of the gradient below
-    1e-9), "boundary-hit" (gradient line search blocked by inadmissible
-    candidates, or an iterate at the boundary), "stall" (no decrease found
-    away from the boundary, or five decreases in a row at the roundoff level
-    of the values), or "max-iters".  ``trace.newton_steps`` counts the
-    accepted Newton steps, ``trace.points`` the points tested (the start
-    included): the rows up to and including a ladder's first admissible one, and a whole
-    ladder without one; ``trace.rejected`` counts the inadmissible ones.  These are the
-    points a search testing one candidate at a time tests.  An inadmissible start raises
-    :class:`geometry.InadmissibleMetricError`.
+    ``gauge(points, owners, sizes)`` renormalizes points (R, n) in chunks of ``sizes``, one
+    per start (``owners`` names each point's start), preserving value and admissibility; it
+    returns them with the chunk sizes, cut before a point it cannot project (raising when
+    that is a chunk's first).  ``evaluate(points, sizes)`` returns (k, values, at_boundary,
+    point): each chunk's index of its first admissible point (its size if none is), their
+    values and flags (against the boundary to numerical resolution), and ``point(i)``, the
+    gradients (len(i), n) and Newton callables (a list, or None) of accepted points i.
 
-    Returns (x, SolveTrace).
+    Each iteration first tries the Newton direction d when there is one and it descends
+    (g . d < 0): the step starts at 1 and is halved until Armijo's test on the slope g . d
+    holds, and a candidate that is inadmissible or at the boundary halves it too; otherwise,
+    or when that fails, a gradient step is searched from the last one, doubled.  A search
+    forms its ladder project(x + step 2^-k d), k < 40, in chunks: one rung first and after a
+    rung that failed the test, 8 after a chunk without an admissible rung and first in a
+    gradient search after one that met the boundary.  Each rung is bitwise that of k halvings.
+
+    In each round one broadcast forms the chunks of all live starts from arrays (S, n) of
+    iterates and directions, and one ``gauge`` and one ``evaluate`` call take them; a start's
+    scalars (value, step, rung) are Python numbers, a tenth of a numpy call's cost here.
+    Each quantity is elementwise or a per-start dot product, so each start follows its own
+    path bitwise.  Reasons: "converged" (sup-norm of the gradient below 1e-9),
+    "boundary-hit" (a gradient search blocked by inadmissible candidates, or an iterate at
+    the boundary), "stall" (no decrease away from the boundary, or five in a row at the
+    roundoff level of the values) or "max-iters".  ``trace.points`` counts the points a search
+    testing one at a time tests (the start, rungs up to a chunk's first admissible one, whole
+    chunks without one), ``trace.rejected`` the inadmissible ones.  An inadmissible start raises.
     """
-    ladder = project(np.array(x0, dtype=float, ndmin=2))
-    trace = SolveTrace(points=1)
-    _, point = yield ladder
-    if point is None:
+    S, n = starts.shape
+    traces = [SolveTrace(points=1, reason="") for _ in range(S)]    # a reason once it stops
+    x, g, d = np.empty((S, n)), np.empty((S, n)), np.empty((S, n))
+    fx, step, slope, alpha = [0.0] * S, [0.0] * S, [0.0] * S, [1.0] * S
+    rung, rungs, first, tiny = [0] * S, [0] * S, [1] * S, [0] * S
+    newton, blocked = [False] * S, [False] * S
+
+    def gradient_search(ids):    # from each start's iterate along -g
+        if not ids:
+            return
+        ix = _index(ids)
+        d[ix] = gs = -g[ix]
+        # g . g per start: np.vecdot is bitwise each start's own g @ g
+        for i, gg in zip(ids, np.vecdot(gs, gs).tolist()):
+            step[i], slope[i] = min(2.0 * alpha[i], 1e6), -gg
+            rung[i], rungs[i], newton[i], blocked[i] = 0, first[i], False, False
+
+    def adopt(ids, rows, at, values, at_boundary, ev, gs, newtons):
+        # the points rows[at], evaluated as ev, become iterates; returns the gradient searches
+        ix, rows = _index(ids), rows[_index(at)]
+        x[ix], g[ix] = rows, gs
+        search = []
+        for j, (i, e, gnorm) in enumerate(zip(ids, ev, np.abs(gs).max(-1).tolist())):
+            t = traces[i]
+            fx[i] = values[e]
+            t.iterates.append(rows[j])
+            t.residual_norms.append(gnorm)
+            t.values.append(values[e])
+            t.reason = ("max-iters" if len(t.step_sizes) == max_iter else "converged"
+                        if gnorm < _GTOL else "boundary-hit" if at_boundary[e] else "")
+            dj = newtons[j]() if not t.reason and newtons and newtons[j] is not None else None
+            sj = float(gs[j] @ dj) if dj is not None else 0.0
+            if sj < 0.0:    # a Newton step is most often taken at once: one rung first
+                d[i], step[i], slope[i] = dj, 1.0, sj
+                rung[i], rungs[i], newton[i], blocked[i] = 0, 1, True, False
+            elif not t.reason:
+                search.append(i)
+        return search
+
+    every = list(range(S))
+    rows, sizes = gauge(starts, every, [1] * S)
+    k, values, at_boundary, point = evaluate(rows, sizes)
+    if any(k):
         raise geometry.InadmissibleMetricError("starting point is not admissible")
-    x = ladder[0]
-    fx, g, at_boundary, newton = point
-    alpha, first = 1.0, 1    # rungs first tested by the next gradient search
-    tiny_streak = 0
+    gradient_search(adopt(every, rows, every, values, at_boundary, every, *point(every)))
+    while live := [i for i in every if not traces[i].reason]:
+        sizes = [min(rungs[i], _MAX_HALVINGS - rung[i]) for i in live]
+        own = [i for i, m in zip(live, sizes) for _ in range(m)]    # each rung's start
+        scale = [step[i] * h for i, m in zip(live, sizes) for h in _LADDER[rung[i]:rung[i] + m]]
+        rows = x.take(own, 0) + np.array(scale, ndmin=2).T * d.take(own, 0)
+        rows, sizes = gauge(rows, own, sizes)
+        k, values, at_boundary, point = evaluate(rows, sizes)
+        taken, fallback, row, e = [], [], 0, 0    # (start, row, evaluated point) of each step
+        for i, m, kj in zip(live, sizes, k):
+            t, found = traces[i], kj < m
+            t.points += kj + found
+            t.rejected += kj
+            blocked[i] |= kj > 0
+            rung[i] += kj
+            rungs[i] = 1 if found else _RUNGS
+            if found:
+                s, f0, fc = step[i] * _LADDER[rung[i]], fx[i], values[e]
+                if fc <= f0 + _ARMIJO * s * slope[i] and not (newton[i] and at_boundary[e]):
+                    # decreases at the roundoff level of the values mean the numerical optimum
+                    # (relative scale, so objectives that approach zero keep converging)
+                    tiny[i] = tiny[i] + 1 if f0 - fc <= _ROUNDOFF * max(abs(f0), abs(fc)) else 0
+                    if tiny[i] == 5:
+                        x[i], t.reason = rows[row + kj], "stall"
+                    else:
+                        t.step_sizes.append(s)
+                        t.newton_steps += newton[i]
+                        if not newton[i]:    # one rung next, or a chunk after the boundary
+                            alpha[i], first[i] = s, _RUNGS if blocked[i] else 1
+                        taken.append((i, row + kj, e))
+                else:
+                    rung[i] += 1
+                e += 1
+            if rung[i] >= _MAX_HALVINGS and newton[i]:    # the search found no step
+                fallback.append(i)
+            elif rung[i] >= _MAX_HALVINGS:
+                t.reason = "boundary-hit" if blocked[i] else "stall"
+            row += m
+        gradient_search(fallback)    # after a Newton search without a step
+        if taken:
+            ids, at, ev = zip(*taken)
+            gradient_search(adopt(ids, rows, at, values, at_boundary, ev, *point(ev)))
 
-    for _ in range(max_iter):
-        gnorm = float(np.abs(g).max())
-        trace.record(x, gnorm, value=fx)
-        if gnorm < _GTOL:
-            trace.reason = "converged"
-            return x, trace
-        if at_boundary:
-            trace.reason = "boundary-hit"
-            return x, trace
-
-        point = None
-        d = newton() if newton is not None else None
-        slope = float(g @ d) if d is not None else 0.0
-        if slope < 0.0:    # a Newton step is most often taken at once: one rung first
-            step, cand, point = yield from _line_search(
-                x, d, 1.0, 1, project, trace,
-                lambda s, p: not p[2] and p[0] <= fx + _ARMIJO * s * slope)
-        newton_step = point is not None
-        if point is None:
-            gg, rejected = float(g @ g), trace.rejected
-            alpha, cand, point = yield from _line_search(
-                x, -g, min(2.0 * alpha, 1e6), first, project, trace,
-                lambda s, p: p[0] <= fx - _ARMIJO * s * gg)
-            # one rung, or a full chunk after a gradient search that met the boundary
-            first = _RUNGS if trace.rejected > rejected else 1
-            if point is None:
-                trace.reason = "boundary-hit" if trace.rejected > rejected else "stall"
-                return x, trace
-            step = alpha
-        fc, gc, bc, nc = point
-
-        # decreases at the roundoff level of the objective values mean the
-        # numerical optimum is reached (relative scale, so objectives that
-        # approach zero keep converging)
-        if fx - fc <= _ROUNDOFF * max(abs(fx), abs(fc)):
-            tiny_streak += 1
-            if tiny_streak >= 5:
-                x, fx = cand, fc
-                trace.reason = "stall"
-                return x, trace
-        else:
-            tiny_streak = 0
-        x, fx, g, at_boundary, newton = cand, fc, gc, bc, nc
-        trace.step_sizes.append(step)
-        trace.newton_steps += newton_step
-
-    trace.record(x, float(np.abs(g).max()), value=fx)
-    trace.reason = "max-iters"
-    return x, trace
+    return [(x[i], t) for i, t in enumerate(traces)]
 
 
-def _line_search(x, d, step, first, project, trace, armijo):
-    """A backtracking line search of :func:`_descent` from x along d over the halving
-    ladder ``project(x + step 2^-k d)``, k < ``_MAX_HALVINGS``, until ``armijo(step 2^-k,
-    point)`` holds for the point of rung k (None, inadmissible, fails too).
-
-    It yields the ladder in chunks (K, n), one array op per chunk, and is sent ``(k, point)``
-    for the chunk's first admissible rung, or ``(K, None)``; the search resumes at the next
-    rung.  The first chunk has ``first`` rungs, a chunk after one without an admissible rung
-    ``_RUNGS``, and a chunk after a rung that failed ``armijo`` one.  Halving by 0.5 is exact,
-    so each rung is bitwise the candidate of k successive halvings, and the rungs tested are
-    those of a search that tests one at a time.  Returns (step, candidate, point), with point
-    None when no rung passed."""
-    rung, rungs = 0, first
-    while rung < _MAX_HALVINGS:
-        if rungs == 1:    # one point: scalar arithmetic is cheaper than broadcasting
-            ladder = project(x + (step * 0.5 ** rung) * d)[None]
-        else:
-            ladder = project(x + (step * _LADDER[rung:rung + rungs]) * d)
-        k, point = yield ladder
-        trace.points += k + (point is not None)
-        trace.rejected += k
-        rung += k
-        if point is None:
-            rungs = _RUNGS
-        else:
-            s = step * 0.5 ** rung
-            if armijo(s, point):
-                return s, ladder[k], point
-            # the shorter steps past an admissible point are most likely admissible, and each
-            # costs its own evaluation: the next chunk is one rung
-            rung, rungs = rung + 1, 1
-    return step, x, None
-
-
-def _point(rep, name: str, conformal: bool, newton=None):
-    """What :func:`_descent` is sent for a point, from its report: (value, gradient,
-    at_boundary, newton), for the ``curvature.FUNCTIONALS`` key ``name`` and the gradient in
-    the conformal factors or in the lengths.  At the boundary, the worst tet's CM3 is below
-    1e-8 (mean length)^6.  ``newton(rep, g)``, if given, returns the Newton direction at an
-    accepted point."""
-    at_boundary = np.minimum.reduce(rep.geometry.cm3) < 1e-8 * (rep.length / rep.lengths.size) ** 6
-    g = rep._gradient(name, conformal)
-    return (getattr(rep, name), g, bool(at_boundary),
-            None if newton is None else lambda: newton(rep, g))
-
-
-def _descend(c: Complex, which: str, starts, metric, gauge, conformal: bool, newton, max_iter):
-    """The (x, SolveTrace) of a :func:`_descent` from each start, projected by
-    ``gauge(start)``, with the point x at the metric ``metric(x)``.
-
-    The descents run in rounds: each round stacks the ladders that the live starts yield, tests
-    the stack once for admissibility and evaluates only the first admissible row of each ladder
-    (:func:`curvature._first_reports`, then :func:`_point` with ``newton``), in at most one
-    kernel call.  A rejected point costs no kernel call and no round of its own, and each start
-    follows the path it takes alone, one start or many.
-    """
+def _evaluate(c: Complex, which: str, metric, newton=None):
+    """The ``evaluate`` of :func:`_descend` at the metrics ``metric(x)``: one test and one kernel
+    call per round (:func:`curvature._first_admissible`).  Values, boundary flags (worst CM3
+    below 1e-8 (mean length)^6) and length gradients come from the stacked kernel output, the
+    totals, V^(1/3) and (L/E)^6 per row as in a report; with ``newton(rep, g)``, gradients
+    and Newton directions come from reports of the accepted points."""
     name = curvature._functional(which)
-    runs = [_descent(x0, gauge(x0), max_iter) for x0 in starts]
-    pending = {i: next(run) for i, run in enumerate(runs)}
-    out = [None] * len(runs)
-    while pending:
-        ladders = list(pending.values())
-        stack = ladders[0] if len(ladders) == 1 else np.concatenate(ladders)
+    E = c.num_edges
+
+    def evaluate(points, sizes):
         # a long conformal gradient candidate may overflow to infinite lengths,
         # or to face sums inf - inf = NaN, which the test rejects
         with np.errstate(over="ignore", invalid="ignore"):
-            tested = curvature._first_reports(c, metric(stack), list(map(len, ladders)))
-        for i, (k, rep) in zip(list(pending), tested):
-            try:
-                pending[i] = runs[i].send(
-                    (k, None if rep is None else _point(rep, name, conformal, newton)))
-            except StopIteration as stop:
-                out[i] = stop.value
-                del pending[i]
-    return out
+            k, _, ls, geo, k_edge = curvature._first_admissible(c, metric(points), sizes)
+        if geo is None:    # no chunk has an admissible point
+            return k, [], [], None
+        # totals (1,) for one point, (F, 1) for several: either broadcasts against its lengths
+        length, ehr = [np.add.reduce(a, -1, keepdims=True) for a in (ls, k_edge)]
+        totals = [length.ravel().tolist(), None, ehr.ravel().tolist()]
+        if name == "vehr" or newton is not None:    # the volumes, for V^(1/3) or the reports
+            volume = np.add.reduce(geo.volume, -1, keepdims=True)
+            totals[1] = volume.ravel().tolist()
+            roots = [v ** (1.0 / 3.0) for v in totals[1]]
+        values = totals[2] if name == "ehr" else [
+            e / t for e, t in zip(totals[2], totals[0] if name == "lehr" else roots)]
+        at_boundary = [cm < 1e-8 * (total / E) ** 6 for cm, total in zip(
+            np.minimum.reduce(geo.cm3, -1).ravel().tolist(), totals[0])]
+        if newton is not None:
+            def point(i):    # read from the reports, where the Newton directions are read
+                reps = curvature._make_reports(c, ls, geo, k_edge, totals)
+                gs = [reps[j]._gradient(name, True) for j in i]
+                return np.array(gs), [partial(newton, reps[j], gj) for j, gj in zip(i, gs)]
+        else:    # dF/dl = (K_e - lambda N_e) / (l_e N) of F = EHR / N
+            N, lam, n_x = (1.0, 0.0, 0.0) if name == "ehr" else (length, ehr / length, ls) \
+                if name == "lehr" else (np.reshape(roots, volume.shape), ehr / (3.0 * volume),
+                                        ls * c.edge_sum(geo.dvolume))
+            gradient = ((k_edge - lam * n_x) / (ls * N)).reshape(-1, E)
+
+            def point(i):
+                return gradient[_index(i)], None
+
+        return k, values, at_boundary, point
+
+    return evaluate
 
 
 def descend_lengths(c: Complex, which: str, l0, normalize: str = "L",
@@ -347,16 +347,14 @@ def descend_lengths(c: Complex, which: str, l0, normalize: str = "L",
 
     ``normalize="L"`` rescales each iterate to total length = its initial
     value; ``normalize="V"`` rescales to unit total volume.  Both leave
-    the scale-invariant objectives unchanged.  The volume gauge scales a ladder of
+    the scale-invariant objectives unchanged.  The volume gauge scales a chunk of
     candidates only up to its first inadmissible one, and raises
     :class:`geometry.InadmissibleMetricError` when a line search reaches that one.
 
-    ``l0`` is one start (E,), which returns (lengths, SolveTrace), or a stack
-    (S, E), which returns the endpoints (S, E) and a tuple of S traces: its
-    descents run in lockstep (:func:`_descend`), with one admissibility test and at most one
-    kernel call per round for the candidates of every live start, and each follows its own
-    call bitwise.  Steps are gradient steps (:func:`_descent`); there is no Newton
-    direction in length space.  A start of another shape, or an unknown
+    ``l0`` is one start (E,), which returns (lengths, SolveTrace), or a stack (S, E), which
+    returns the endpoints (S, E) and a tuple of S traces: the starts descend in one loop
+    (:func:`_descend`), each as in its own call, bitwise.  Steps are gradient steps; there
+    is no Newton direction in length space.  A start of another shape, or an unknown
     ``normalize``, raises ``ValueError`` before any kernel call; an
     inadmissible start raises :class:`geometry.InadmissibleMetricError`.
     """
@@ -366,26 +364,25 @@ def descend_lengths(c: Complex, which: str, l0, normalize: str = "L",
         raise ValueError(f"expected a start ({E},) or a stack (S, {E}), got shape {l0.shape}")
     if normalize.upper() not in ("L", "V"):
         raise ValueError(f"unknown normalization {normalize!r}")
+    starts = l0.reshape(-1, E)
+    targets = np.add.reduce(starts, -1, keepdims=True)
 
-    def by_volume(l):
-        ladder = l.reshape(-1, E)    # a point is a ladder of one row
-        tets = c.tet_lengths(ladder)
+    def by_length(l, own, sizes):
+        return l * (targets.take(own, 0) / np.add.reduce(l, -1, keepdims=True)), sizes
+
+    def by_volume(l, own, sizes):
+        tets = c.tet_lengths(l)
         ok, margins, cm, _, _ = geometry._tet_tests(tets, 3)
-        rows = ok.all(-1).tolist()
-        k = rows.index(False) if False in rows else len(rows)
-        if k == 0:    # as a one-row projection raises, naming the worst tet
-            raise geometry._inadmissible(tets[0], margins[0], cm[0])
-        volume = np.add.reduce(np.sqrt(cm[:k] / 288.0), -1).tolist()
-        scaled = ladder[:k] / np.array([v ** (1 / 3) for v in volume])[:, None]
-        return scaled if l.ndim > 1 else scaled[0]
+        cut, _ = curvature._firsts(np.logical_not(ok.all(-1)).tolist(), sizes)
+        if 0 in cut:    # as a one-row projection raises, naming the worst tet
+            row = sum(sizes[:cut.index(0)])
+            raise geometry._inadmissible(tets[row], margins[row], cm[row])
+        keep = [r for at, j in zip(accumulate(sizes, initial=0), cut) for r in range(at, at + j)]
+        volume = np.add.reduce(np.sqrt(cm[keep] / 288.0), -1).tolist()
+        return l[keep] / np.array([v ** (1 / 3) for v in volume])[:, None], cut
 
-    def gauge(start):
-        target_len = float(np.add.reduce(start))
-        if normalize.upper() == "L":
-            return lambda l: l * (target_len / np.add.reduce(l, -1, None, None, l.ndim > 1))
-        return by_volume
-
-    runs = _descend(c, which, l0.reshape(-1, E), lambda l: l, gauge, False, None, max_iter)
+    runs = _descend(starts, by_length if normalize.upper() == "L" else by_volume,
+                    _evaluate(c, which, lambda l: l), max_iter) if len(starts) else []
     if l0.ndim == 1:
         return runs[0]
     return np.array([x for x, _ in runs]).reshape(l0.shape), tuple(t for _, t in runs)
@@ -401,13 +398,12 @@ def descend_conformal(cls: ConformalClass, which: str, f0, max_iter: int = 1000)
     call) and P the projection onto mean-zero factors, the direction is
     d = -Hp^-1 P g with Hp = P H_f P + 1 1^T / n, when Hp has a Cholesky
     factor and d moves no factor by more than ``_NEWTON_RADIUS`` = 0.5.
-    Otherwise :func:`_descent` takes a gradient step: where H_f is not
+    Otherwise :func:`_descend` takes a gradient step: where H_f is not
     positive definite on the complement, and where the quadratic model's
     minimum lies farther away than the radius, since scaled-down Newton
     steps from there can lead a start into another basin than its gradient
     descent (and, on the double tetrahedron, to a higher final value).
-    Each admissible point the descent tests costs one kernel call, and a rejected one
-    none (:func:`_descend`).  Returns (factors, SolveTrace).
+    Returns (factors, SolveTrace).
     """
     f0 = cls._factors(f0)    # before any kernel call
     c = cls.complex
@@ -415,8 +411,8 @@ def descend_conformal(cls: ConformalClass, which: str, f0, max_iter: int = 1000)
     mean = np.full((n, n), 1.0 / n)    # 1 1^T / n
     P = np.eye(n) - mean
 
-    def project(f):
-        return f - np.add.reduce(f, -1, None, None, f.ndim > 1) / n    # keepdims on a ladder
+    def project(f, own, sizes):
+        return f - np.add.reduce(f, -1, keepdims=True) / n, sizes
 
     def newton(rep, g):
         Hp = P @ (0.25 * rep.conformal_hessian(which)) @ P + mean
@@ -427,8 +423,8 @@ def descend_conformal(cls: ConformalClass, which: str, f0, max_iter: int = 1000)
         d = -np.linalg.solve(Hp, P @ g)
         return d if np.abs(d).max() <= _NEWTON_RADIUS else None
 
-    return _descend(c, which, [f0], lambda f: induced_lengths(c, cls.background, f),
-                    lambda start: project, True, newton, max_iter)[0]
+    evaluate = _evaluate(c, which, lambda f: induced_lengths(c, cls.background, f), newton)
+    return _descend(f0[None], project, evaluate, max_iter)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +439,9 @@ class YamabeEstimate:
     Yamabe constant.  ``attained_interior`` reports whether the best run
     converged at an interior critical point; a False value with
     decreasing objectives suggests the infimum is approached at the
-    boundary of the admissible set.  ``iterations`` and ``newton_steps``
-    total the accepted descent steps, and the Newton steps among them,
-    over all starts.
+    boundary of the admissible set.  ``iterations`` and ``newton_steps`` total the accepted
+    descent steps, and the Newton steps among them, over all starts; ``_traces`` holds each
+    start's SolveTrace as ``runs`` lists them (None if inadmissible), for ``yamabe --trace``.
     """
 
     value: float
@@ -480,7 +476,7 @@ def yamabe_constant_estimate(cls: ConformalClass, which: str = "L",
     best_val = np.inf
     best_f = np.zeros(n)
     best_reason = "none"
-    runs = []
+    runs, traces = [], []
     iterations = newton_steps = 0
     for s in range(max(1, starts)):
         if s == 0:
@@ -491,16 +487,18 @@ def yamabe_constant_estimate(cls: ConformalClass, which: str = "L",
             lengths, ok = cls.apply(f0)
             if not ok:
                 runs.append((np.nan, "inadmissible-start"))
+                traces.append(None)
                 continue
         f, trace = descend_conformal(cls, functional, f0, max_iter=max_iter)
         val = trace.values[-1] if trace.values else np.inf
         runs.append((val, trace.reason))
+        traces.append(trace)
         # a stand-in trace without step counts (as tests substitute) adds none
         iterations += len(getattr(trace, "step_sizes", ()))
         newton_steps += getattr(trace, "newton_steps", 0)
         if val < best_val:
             best_val, best_f, best_reason = val, f, trace.reason
-    return YamabeEstimate(
+    estimate = YamabeEstimate(
         value=float(best_val),
         factors=best_f,
         which="L" if functional == "lehr" else "V",
@@ -511,6 +509,8 @@ def yamabe_constant_estimate(cls: ConformalClass, which: str = "L",
         iterations=iterations,
         newton_steps=newton_steps,
     )
+    estimate.__dict__["_traces"] = tuple(traces)    # not a field: runs stay (value, reason)
+    return estimate
 
 
 # ---------------------------------------------------------------------------

@@ -100,7 +100,7 @@ def test_criterion_9_tests_each_metric_once(kernel_calls, monkeypatch):
     # so the only other tests are the start sampler's mask calls
     tests, masks, rounds = [], [], []
     tet_tests, admissible = geometry._tet_tests, geometry._admissible
-    reports = curvature._first_reports
+    first_admissible = curvature._first_admissible
 
     def counted_tests(l, n):
         tests.append(np.shape(l))
@@ -110,13 +110,13 @@ def test_criterion_9_tests_each_metric_once(kernel_calls, monkeypatch):
         masks.append(np.shape(tets))
         return admissible(tets)
 
-    def counted_round(c, lengths, runs):
+    def counted_round(c, lengths, sizes):
         rounds.append(np.shape(lengths))
-        return reports(c, lengths, runs)
+        return first_admissible(c, lengths, sizes)
 
     monkeypatch.setattr(geometry, "_tet_tests", counted_tests)
     monkeypatch.setattr(geometry, "_admissible", counted_mask)
-    monkeypatch.setattr(curvature, "_first_reports", counted_round)
+    monkeypatch.setattr(curvature, "_first_admissible", counted_round)
     assert all(r.passed for r in reproduce.criterion_9_uniqueness_evidence())
     assert len(kernel_calls) <= len(rounds)
     assert len(tests) == len(rounds) + len(masks) and len(masks) <= 3

@@ -6,6 +6,7 @@ import pytest
 
 from regge3 import cli, curvature, solve
 from regge3.complexes import double_tetrahedron, from_simplicial_tets, save_complex
+from regge3.conformal import ConformalClass
 
 
 def run_cli(capsys, *argv):
@@ -221,6 +222,23 @@ class TestSolverCommands:
         totals = dict(item.split(": ") for item in
                       out.split("\n")[4].split("  "))
         assert 0 < int(totals["newton_steps"]) <= int(totals["iterations"])
+
+    def test_yamabe_trace(self, capsys):
+        argv = ("yamabe", "--class", "uniform:1", "--which", "L", "--starts", "4", "--seed", "7")
+        _, plain, _ = run_cli(capsys, *argv)
+        code, out, _ = run_cli(capsys, *argv, "--trace")
+        # the output without --trace, then one line per start
+        assert code == 0 and out.startswith(plain)
+        lines = out[len(plain):].splitlines()
+        assert lines[0] == "trace:" and [line.split()[:2] for line in lines[1:]] == [
+            ["start", f"{i}:"] for i in range(4)]
+        starts = [dict(zip(line.split()[2::2], map(int, line.split()[3::2])))
+                  for line in lines[1:]]
+        est = solve.yamabe_constant_estimate(
+            ConformalClass(double_tetrahedron(), np.ones(6)), "L", starts=4, seed=7)
+        assert sum(s["steps"] for s in starts) == est.iterations
+        assert sum(s["newton_steps"] for s in starts) == est.newton_steps
+        assert all(s["points"] >= s["steps"] + 1 + s["rejected"] for s in starts)
 
     def test_boundary_hit_exit_code(self, capsys):
         # descent on the length-normalized functional runs to the boundary

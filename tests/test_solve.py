@@ -188,17 +188,22 @@ class TestSolveCsc:
 
 
 def run_descent(evaluate, x0, max_iter=1000):
-    """(x, SolveTrace) of ``solve._descent``, sent for each ladder it yields the index of the
-    first row x where ``evaluate(x)`` is not None, and that point."""
-    run = solve._descent(x0, lambda x: x, max_iter)
-    try:
-        ladder = next(run)
-        while True:
-            points = (evaluate(x) for x in ladder)
-            ladder = run.send(next(((k, p) for k, p in enumerate(points) if p is not None),
-                                   (len(ladder), None)))
-    except StopIteration as stop:
-        return stop.value
+    """(x, SolveTrace) of ``solve._descend`` from one start, where ``evaluate(x)`` gives a
+    point's (value, gradient, at_boundary, newton), or None where x is inadmissible: each
+    chunk's points are evaluated up to its first admissible one."""
+    def stacked(points, sizes):
+        k, found, start = [], [], 0
+        for size in sizes:
+            chunk = (evaluate(x) for x in points[start:start + size])
+            j, p = next(((j, p) for j, p in enumerate(chunk) if p is not None), (size, None))
+            k.append(j)
+            found += [] if p is None else [p]
+            start += size
+        return (k, [p[0] for p in found], [p[2] for p in found],
+                lambda i: (np.array([found[j][1] for j in i]), [found[j][3] for j in i]))
+
+    return solve._descend(np.array(x0, dtype=float, ndmin=2), lambda x, owners, sizes: (x, sizes),
+                          stacked, max_iter)[0]
 
 
 class TestDescend:
@@ -387,18 +392,46 @@ class TestDescend:
         assert hessians == [0] * len(hessians)
         assert len(kernel_calls) == trace.points - trace.rejected
 
+    def test_one_gradient_per_conformal_newton_point(self, dt, monkeypatch):
+        # the descent reads an accepted point's gradient, and its Hessian reads it again:
+        # the report computes it once, so both reads return the same array
+        rng = np.random.default_rng(63)
+        cls = ConformalClass(dt, solve.random_admissible_lengths(dt, rng))
+        reads, hessians = {}, []
+        gradient = curvature.CurvatureReport._gradient
+        conformal_hessian = curvature.CurvatureReport.conformal_hessian
+
+        def recorded(rep, name, per_vertex):
+            g = gradient(rep, name, per_vertex)
+            reads.setdefault(id(rep), (rep, []))[1].append(g)
+            return g
+
+        def counted_hessian(rep, which):
+            hessians.append(rep)
+            return conformal_hessian(rep, which)
+
+        monkeypatch.setattr(curvature.CurvatureReport, "_gradient", recorded)
+        monkeypatch.setattr(curvature.CurvatureReport, "conformal_hessian", counted_hessian)
+        f0 = rng.normal(0.0, 0.2, 4)
+        _, trace = descend_conformal(cls, "lehr", f0 - f0.mean(), max_iter=50)
+        assert trace.newton_steps > 0 and len(hessians) == len(trace.step_sizes)
+        for rep in hessians:
+            read = reads[id(rep)][1]
+            assert len(read) == 2 and read[0] is read[1]
+
     @staticmethod
     def assert_rejected_silently(dt, factors):
         # ``solve._descend`` evaluates a round's points alike, the starts and the
-        # line-search candidates: a one-start round through ``functionals``,
-        # a stacked round through the masked ``_reports``
+        # line-search candidates, one start or several: one admissibility test of
+        # the round's stack (``curvature._first_admissible``)
         bg = np.array([1.0725, 1.1493, 0.9347, 0.9760, 0.9788, 0.9013])
         admissible = np.zeros(4)
+        evaluate = solve._evaluate(dt, "lehr", lambda f: induced_lengths(dt, bg, f),
+                                   lambda rep, g: None)
         for starts in ([factors], [factors, admissible], [admissible, factors]):
             with pytest.raises(geometry.InadmissibleMetricError, match="starting point"):
-                solve._descend(dt, "lehr", np.array(starts),
-                               lambda f: induced_lengths(dt, bg, f), lambda f0: (lambda f: f),
-                               True, None, 10)
+                solve._descend(np.array(starts), lambda f, owners, sizes: (f, sizes),
+                               evaluate, 10)
 
     def test_conformal_guard_rejects_overflowing_candidate_silently(self, dt):
         # a long gradient step can reach factors near 709: the lengths are about
@@ -446,17 +479,18 @@ class TestDescend:
 
 
 def watch_rounds(monkeypatch):
-    """The rounds of the descents run after the call: per ``curvature._first_reports`` call,
-    one (k, found) per ladder, k its rejected rows and found whether a row was admissible."""
+    """The rounds of the descents run after the call: per ``curvature._first_admissible``
+    call, one (k, found) per chunk, k its rejected rows and found whether a row was
+    admissible."""
     rounds = []
-    first_reports = curvature._first_reports
+    first_admissible = curvature._first_admissible
 
-    def counted(c, lengths, runs):
-        out = first_reports(c, lengths, runs)
-        rounds.append([(k, rep is not None) for k, rep in out])
+    def counted(c, lengths, sizes):
+        out = first_admissible(c, lengths, sizes)
+        rounds.append([(k, k < size) for k, size in zip(out[0], sizes)])
         return out
 
-    monkeypatch.setattr(curvature, "_first_reports", counted)
+    monkeypatch.setattr(curvature, "_first_admissible", counted)
     return rounds
 
 
@@ -530,6 +564,10 @@ class TestLockstepDescents:
         for start, trace in zip(starts, traces):
             _, single = descend_lengths(dt, which, start, normalize="L", max_iter=300)
             assert (trace.points, trace.rejected) == (single.points, single.rejected)
+
+    def test_an_empty_stack_descends_nowhere(self, dt, kernel_calls):
+        ends, traces = descend_lengths(dt, "lehr", np.zeros((0, 6)))
+        assert ends.shape == (0, 6) and traces == () and kernel_calls == []
 
     def test_a_stack_of_one_is_the_single_start(self, dt):
         start = seeded_starts(dt, 61, 1)
@@ -657,6 +695,20 @@ class TestPinnedDescents:
         ]
         assert hashlib.sha256(ends.tobytes()).hexdigest() == \
             "aaf908a22945e4805f774a06bd2cb2ca013c2c2d15f1c8ff797cc4c660acffa1"
+
+
+    def test_a_twelve_start_stack_reversed(self, dt):
+        # each start of the stack follows its own path wherever it stands in the stack
+        starts = solve.random_admissible_lengths(dt, np.random.default_rng(58), size=12)
+        ends, traces = descend_lengths(dt, "lehr", starts, normalize="L", max_iter=300)
+        back, back_traces = descend_lengths(dt, "lehr", starts[::-1], normalize="L",
+                                            max_iter=300)
+        for end, t, end_back, t_back in zip(ends, traces, back[::-1], back_traces[::-1]):
+            assert end.tobytes() == end_back.tobytes()
+            assert (t.reason, t.step_sizes, t.values, t.residual_norms, t.points, t.rejected) == (
+                t_back.reason, t_back.step_sizes, t_back.values, t_back.residual_norms,
+                t_back.points, t_back.rejected)
+            assert [i.tobytes() for i in t.iterates] == [i.tobytes() for i in t_back.iterates]
 
 
 class TestSolverCounters:
