@@ -45,13 +45,6 @@ class ComplexError(ValueError):
     """Malformed or non-manifold incidence data."""
 
 
-def _gather(a, index) -> np.ndarray:
-    """``a[..., index]``: ``take`` on a small array, such as the tets of one double tetrahedron,
-    where it costs a fraction of fancy indexing, and fancy indexing on a large one, where
-    ``take`` costs a few times as much.  Either copies the same values."""
-    return a.take(index, -1) if a.size <= 192 else a[..., index]
-
-
 def set_fields(args: dict) -> None:
     """Store the arguments of an ``__init__`` as the fields of its ``self``.
 
@@ -164,7 +157,7 @@ class Complex:
         if lengths.shape[-1:] != (self.num_edges,):
             raise ValueError(f"expected {self.num_edges} edge lengths, got shape {lengths.shape}")
         # a plain gather is cheaper than the Ellipsis form for one metric
-        return lengths[self.tet_edges] if lengths.ndim == 1 else _gather(lengths, self.tet_edges)
+        return lengths[self.tet_edges] if lengths.ndim == 1 else lengths[..., self.tet_edges]
 
     def edge_sum(self, per_tet) -> np.ndarray:
         """Sum a per-tet edge quantity over the tets at each edge: (..., T, 6) -> (..., E).

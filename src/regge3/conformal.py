@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import Complex, OPPOSITE_EDGE, _gather
+from .complexes import Complex, OPPOSITE_EDGE
 from . import geometry
 
 
@@ -28,7 +28,7 @@ def induced_lengths(c: Complex, background, factors) -> np.ndarray:
     """
     ev = c.edge_vertices
     f = np.asarray(factors, dtype=float)
-    return np.exp(0.5 * (_gather(f, ev[:, 0]) + _gather(f, ev[:, 1]))) * background
+    return np.exp(0.5 * (f[..., ev[:, 0]] + f[..., ev[:, 1]])) * background
 
 
 @dataclass(frozen=True)

@@ -122,7 +122,7 @@ class CurvatureReport:
     @_cached
     def v_edge(self) -> np.ndarray:
         """(E,) V_e = l_e dV/dl_e."""
-        return _read_only(self.lengths * self.complex.edge_sum(self.geometry.dvolume))
+        return _read_only(_v_edge(self.complex, self.lengths, self.geometry))
 
     @_cached
     def dual_length(self) -> np.ndarray:
@@ -138,33 +138,32 @@ class CurvatureReport:
         """(N, lambda, N_x) of F = EHR / N for the ``FUNCTIONALS`` key ``name``, N_x per vertex
         (N_v) or per edge (N_e): dF/dl_e = (K_e - lambda N_e) / (l_e N), dF/df_v =
         (K_v - lambda N_v) / N, and the equations K_e = lambda N_e and K_v = lambda N_v."""
+        _, N, lam = _scalars(name, self.length, self.volume, self.ehr)
         if name == "ehr":
-            return 1.0, 0.0, 0.0
+            return N, lam, 0.0
         if name == "lehr":
-            return self.length, self.lehr, self.l_vertex if per_vertex else self.lengths
-        return (self.volume ** (1.0 / 3.0), self.ehr / (3.0 * self.volume),
-                self.v_vertex if per_vertex else self.v_edge)
+            return N, lam, self.l_vertex if per_vertex else self.lengths
+        return N, lam, self.v_vertex if per_vertex else self.v_edge
 
     def _gradient(self, name: str, per_vertex: bool) -> np.ndarray:
-        """dF/df (V,) or dF/dl (E,) of the functional of the ``FUNCTIONALS`` key ``name``,
-        computed when first read and then kept, read-only: a descent's conformal Newton point
-        reads it, then its Hessian does."""
+        """dF/df (V,) or dF/dl (E,) of the functional of the ``FUNCTIONALS`` key ``name``, kept
+        read-only once computed: a conformal Newton point reads it, then its Hessian."""
         key = f"_gradient_{name}_{per_vertex}"
         g = self.__dict__.get(key)
         if g is None:
             N, lam, n_x = self._normalization(name, per_vertex)
             g = (self.k_vertex - lam * n_x) / N if per_vertex else \
-                (self.k_edge - lam * n_x) / (self.lengths * N)
+                _length_gradient(self.k_edge, self.lengths, N, lam, n_x)
             g = self.__dict__[key] = _read_only(g)
         return g
 
     def grad_lengths(self, which: str) -> np.ndarray:
-        """Length-space gradient, (E,); see :func:`grad_lengths`."""
-        return self._gradient(_functional(which), False)
+        """Length-space gradient, (E,), a writable copy; see :func:`grad_lengths`."""
+        return self._gradient(_functional(which), False).copy()
 
     def grad_conformal(self, which: str) -> np.ndarray:
-        """Gradient in the conformal factors, (V,); see :func:`grad_conformal`."""
-        return self._gradient(_functional(which), True)
+        """Gradient in the conformal factors, (V,), a writable copy; see :func:`grad_conformal`."""
+        return self._gradient(_functional(which), True).copy()
 
     def einstein_residual(self, which: str) -> np.ndarray:
         """Per-edge residual K_e - lambda N_e; see :func:`einstein_residual`."""
@@ -341,29 +340,57 @@ def functionals(c: Complex, lengths) -> CurvatureReport:
 
 
 def _make_reports(c: Complex, lengths, geo, k_edge, totals=None) -> list:
-    """The reports of read-only metrics, one (E,) or a stack (S, E), from their kernel output:
-    one report per metric, the place where every report is built.
-
-    Each total is one ``np.add.reduce`` over the last axis of a stacked array, which sums
-    each row in the order it sums that row alone (pairwise beyond 8 terms); ``totals``, the
-    lists of the metrics' lengths, volumes and EHR, are those reductions when the caller has
-    taken them already.  The kernel arrays and K_e are made read-only once, and the rows,
-    being views, inherit it.  One metric keeps its kernel output; a row of a stack gets a
+    """The reports of read-only metrics, one (E,) or a stack (S, E), from their kernel output
+    (and their :func:`_totals`, if taken): one report per metric, the place where every
+    report is built.  The kernel arrays and K_e are made read-only once, and the rows, being
+    views, inherit it.  One metric keeps its kernel output; a row of a stack gets a
     :class:`geometry.TetGeometry` of views.
     """
     fields = vars(geo).values()
     for a in (*fields, k_edge):    # the six kernel arrays and K_e
         a.setflags(False)
-    if totals is None:    # float() of a numpy scalar is cheaper than its tolist()
-        totals = [np.add.reduce(a, -1) for a in (lengths, geo.volume, k_edge)]
-        totals = [[float(t)] if lengths.ndim == 1 else t.tolist() for t in totals]
+    if totals is None:
+        totals = _totals(lengths, geo, k_edge)
     if lengths.ndim == 1:
-        rows = [(lengths, k_edge, *(t[0] for t in totals), geo)]
+        rows = [(lengths, k_edge, geo)]
     else:
-        rows = zip(lengths, k_edge, *totals, map(geometry.TetGeometry, *fields))
-    return [CurvatureReport(c, tets, l, k, length, volume, ehr, ehr / length,
-                            ehr / volume ** (1.0 / 3.0))
-            for l, k, length, volume, ehr, tets in rows]
+        rows = zip(lengths, k_edge, map(geometry.TetGeometry, *fields))
+    return [CurvatureReport(c, tets, l, k, length, volume, ehr,
+                            _scalars("lehr", length, volume, ehr)[0],
+                            _scalars("vehr", length, volume, ehr)[0])
+            for (l, k, tets), length, volume, ehr in zip(rows, *totals)]
+
+
+def _totals(lengths, geo, k_edge) -> tuple:
+    """Lists of the total length, volume and EHR of metrics (E,) or (S, E): one reduction of
+    each stacked array, which sums each row in the order it sums that row alone."""
+    length, volume, ehr = (np.add.reduce(lengths, -1), np.add.reduce(geo.volume, -1),
+                           np.add.reduce(k_edge, -1))
+    if lengths.ndim == 1:    # float() of a numpy scalar is cheaper than its tolist()
+        return [float(length)], [float(volume)], [float(ehr)]
+    return length.tolist(), volume.tolist(), ehr.tolist()
+
+
+def _scalars(name: str, length: float, volume: float, ehr: float):
+    """(F, N, lambda) at totals L, V, EHR (floats) of the ``FUNCTIONALS`` key ``name``: F =
+    EHR / N with N = 1, L or V^(1/3), and lambda = 0, EHR / L or EHR / (3V).  Reports and
+    descents take every value and normalization from here, one metric at a time."""
+    if name == "ehr":
+        return ehr, 1.0, 0.0
+    if name == "lehr":
+        return ehr / length, length, ehr / length
+    N = volume ** (1.0 / 3.0)
+    return ehr / N, N, ehr / (3.0 * volume)
+
+
+def _v_edge(c: Complex, lengths, geo) -> np.ndarray:
+    """V_e = l_e dV/dl_e of metrics (..., E) with kernel output ``geo``."""
+    return lengths * c.edge_sum(geo.dvolume)
+
+
+def _length_gradient(k_edge, lengths, N, lam, n_edge) -> np.ndarray:
+    """dF/dl_e = (K_e - lambda N_e) / (l_e N), for one metric or a stack (N, lambda (S, 1))."""
+    return (k_edge - lam * n_edge) / (lengths * N)
 
 
 def _reports(c: Complex, lengths) -> list:
@@ -371,15 +398,14 @@ def _reports(c: Complex, lengths) -> list:
     inadmissible (nothing raises), from one :func:`_first_admissible` call with runs of one
     metric.  An empty stack gives no report."""
     lengths = np.asarray(lengths, dtype=float)
-    k, _, kept, geo, k_edge = _first_admissible(c, lengths, [1] * len(lengths))
+    k, kept, geo, k_edge = _first_admissible(c, lengths, [1] * len(lengths))
     made = iter(_make_reports(c, kept, geo, k_edge) if geo is not None else ())
     return [None if rejected else next(made) for rejected in k]
 
 
 def _firsts(flags, sizes):
-    """(k, rows) for a list of flags cut into consecutive runs of ``sizes``: k the index in
-    each run of its first True flag, or the run's size where it has none, and rows the list
-    index of each such flag."""
+    """(k, rows) for flags cut into runs of ``sizes``: each run's index of its first True
+    (its size if none), and the list index of each such flag."""
     k, rows, start = [], [], 0
     for size in sizes:
         run = flags[start:start + size]
@@ -395,20 +421,52 @@ def _first_admissible(c: Complex, lengths, sizes):
     runs of ``sizes`` metrics, and its kernel output: one admissibility test of the stack and
     at most one kernel call, on those metrics, which reuses that test; nothing raises.
 
-    Returns (k, rows, kept, geo, k_edge): k (a list) the index in each run of its first
-    admissible metric, or the run's size where it has none; rows the stack indices of those
-    metrics, kept a read-only copy of them (one metric (E,), several a stack), and ``geo,
-    k_edge`` their kernel output (:func:`_curvatures`), both None when no run has one.  Each
-    row of the output equals that metric's own kernel call bitwise.
+    Returns (k, kept, geo, k_edge): each run's index of its first admissible metric (its size
+    if none), a read-only copy of those metrics ((E,) for one) and their kernel output
+    (:func:`_curvatures`), each row bitwise that metric's own; None without any.
     """
-    one = len(lengths) == 1    # tested without the stack's axis: a single descent's round
-    ok, take = geometry._admissible_rows(c.tet_lengths(lengths[0] if one else lengths))
-    k, rows = _firsts([bool(ok)] if one else ok.tolist(), sizes)
+    if len(lengths) == 1:    # tested without the stack's axis: a single descent's round
+        ok, take = geometry._admissible_rows(c.tet_lengths(lengths[0]))
+        if not ok:
+            return [1], None, None, None
+        kept = _read_only(lengths[0].copy())
+        return ([0], kept, *_curvatures(c, kept, take(...)))
+    ok, take = geometry._admissible_rows(c.tet_lengths(lengths))
+    k, rows = _firsts(ok.tolist(), sizes)
     if not rows:
-        return k, rows, None, None, None
+        return k, None, None, None
     at = rows[0] if len(rows) == 1 else rows
     kept = _read_only(lengths[at].copy())
-    return (k, rows, kept, *_curvatures(c, kept, take(... if one else at)))
+    return (k, kept, *_curvatures(c, kept, take(at)))
+
+
+def _first_points(c: Complex, name: str, lengths, sizes, per_vertex: bool):
+    """What a descent reads of the ``FUNCTIONALS`` key ``name`` at the first admissible metric
+    of each run (:func:`_first_admissible`): (k, values, at_boundary, gradients, reports).
+
+    Values come from each metric's totals as its report takes them.  A metric is at the
+    boundary, where derivatives mean nothing, when its worst CM3 is below 1e-8 (mean
+    length)^6.  The gradients (F, E) are in the lengths, without reports; with
+    ``per_vertex`` they are in the factors (F, V), read from the metrics' reports.
+    """
+    k, kept, geo, k_edge = _first_admissible(c, lengths, sizes)
+    if geo is None:
+        return k, [], [], None, None
+    one, E = kept.ndim == 1, c.num_edges
+    totals = _totals(kept, geo, k_edge)
+    worst = np.minimum.reduce(geo.cm3, -1)
+    at_boundary = [cm < 1e-8 * (length / E) ** 6 for cm, length in
+                   zip([float(worst)] if one else worst.tolist(), totals[0])]
+    if per_vertex:    # a report takes its values from the same totals
+        reps = _make_reports(c, kept, geo, k_edge, totals)
+        gs = [rep._gradient(name, True) for rep in reps]
+        return (k, [getattr(rep, name) for rep in reps], at_boundary,
+                gs[0][None] if one else np.array(gs), reps)
+    values, N, lam = zip(*[_scalars(name, *t) for t in zip(*totals)])
+    N, lam = (N[0], lam[0]) if one else (np.array(N)[:, None], np.array(lam)[:, None])
+    n_edge = 0.0 if name == "ehr" else kept if name == "lehr" else _v_edge(c, kept, geo)
+    gradients = _length_gradient(k_edge, kept, N, lam, n_edge).reshape(-1, E)
+    return k, values, at_boundary, gradients, None
 
 
 # ---------------------------------------------------------------------------

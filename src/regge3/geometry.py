@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import Complex, EDGE_FACES, FACE_EDGES, LOCAL_PAIRS, _gather, set_fields
+from .complexes import Complex, EDGE_FACES, FACE_EDGES, LOCAL_PAIRS, set_fields
 
 # rows of the bordered matrix for the two ends (I, J) of each local edge and
 # for the two vertices (K, L) off it; the flat cells of G_KL, G_KK, G_LL and G_IJ
@@ -80,10 +80,10 @@ def _as_lengths(lengths) -> np.ndarray:
 def _gram_cofactors(l, n):
     """2g (..., 6), the first ``n`` of its cofactors, and det 2g = 8 det g = CM3."""
     q = l * l
-    t = _gather(q, _GRAM)
+    t = q[..., _GRAM]
     g2 = t[..., :6] + t[..., 6:]
     g2[..., 3:] -= q[..., 3:]
-    t = _gather(g2, _COF[:, :n])
+    t = g2[..., _COF[:, :n]]
     adj = t[..., 0, :] * t[..., 1, :] - t[..., 2, :] * t[..., 3, :]
     return g2, adj, np.add.reduce(t[..., 4, :3] * adj[..., :3], -1)
 
@@ -114,7 +114,7 @@ def _tet_tests(l, n):
     with np.errstate(over="ignore", invalid="ignore"):
         # CM3 > 0 alone does not rule out faces that violate the triangle inequality; with a
         # Gram minor > 0 it does (Sylvester), but the CM3 of a collinear face rounds either way
-        sides = _gather(l, _FACE_EDGES)
+        sides = l[..., _FACE_EDGES]
         margins = (np.add.reduce(sides, -1) - 2.0 * np.maximum.reduce(sides, -1)).min(-1)
         g2, adj, cm = _gram_cofactors(l, n)
         return np.minimum(margins, cm) > 0.0, margins, cm, g2, adj
@@ -207,7 +207,7 @@ class TetGeometry:
         distance from the face circumcenter to the edge, positive on the side
         of the opposite vertex; it equals (l/2) cot(opposite angle).
         """
-        cycle = _gather(self.lengths, _FACE_CYCLE)
+        cycle = self.lengths[..., _FACE_CYCLE]
         sides, sq = cycle[..., :3], cycle * cycle
         a, b, c = cycle[..., 0], cycle[..., 1], cycle[..., 2]
         s = 0.5 * (a + b + c)
@@ -216,17 +216,17 @@ class TetGeometry:
         h_edge = sides * (sq[..., 1:4] + sq[..., 2:] - sq[..., :3]) / (8.0 * areas[..., None])
         h_face = self.cm_inverse[..., 0, 1:] * (3.0 * self.volume[..., None] / areas)
         pieces = (h_edge * h_face[..., None]).reshape(h_face.shape[:-1] + (12,))
-        return 0.5 * np.add.reduce(_gather(pieces, _EDGE_SLOTS), -1)
+        return 0.5 * np.add.reduce(pieces[..., _EDGE_SLOTS], -1)
 
 
 def _cm_inverse(cm, g2, adj):
     """G (..., 5, 5) by the module docstring's Gram identities, -adj(2g) / CM3 = -g^-1 / 2."""
     h = -adj / cm[..., None]
-    H, d = _gather(h, _SYM3), 0.5 * g2[..., :3]
+    H, d = h[..., _SYM3], 0.5 * g2[..., :3]
     y, r = -np.add.reduce(H * d[..., None, :], -1), np.add.reduce(H, -1)
-    return _gather(np.concatenate([-np.add.reduce(y * d, -1, keepdims=True),
-                                   1.0 - np.add.reduce(y, -1, keepdims=True), y,
-                                   np.add.reduce(r, -1, keepdims=True), -r, h], axis=-1), _SYM5)
+    return np.concatenate([-np.add.reduce(y * d, -1, keepdims=True),
+                           1.0 - np.add.reduce(y, -1, keepdims=True), y,
+                           np.add.reduce(r, -1, keepdims=True), -r, h], axis=-1)[..., _SYM5]
 
 
 def tet_geometry(lengths) -> TetGeometry:
@@ -241,7 +241,7 @@ def tet_geometry(lengths) -> TetGeometry:
     cm, g2, adj = _admissible_cm(l, 6) if tests is None else tests
     volume = np.sqrt(cm / 288.0)
     G = _cm_inverse(cm, g2, adj)
-    e = _gather(G.reshape(cm.shape + (25,)), _EDGE_ENTRIES)
+    e = G.reshape(cm.shape + (25,))[..., _EDGE_ENTRIES]
     cos = e[..., :6] / np.sqrt(e[..., 6:12] * e[..., 12:18])
     return TetGeometry(lengths=l, cm3=cm, volume=volume, cm_inverse=G,
                        dihedrals=np.arccos(np.minimum(np.maximum(cos, -1.0), 1.0)),

@@ -9,7 +9,6 @@ is reported through ``SolveTrace.reason`` rather than raised, so callers
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import accumulate
 
 import numpy as np
@@ -164,7 +163,7 @@ _GTOL = 1e-9          # sup-norm of the gradient at convergence
 _ARMIJO = 1e-4        # sufficient-decrease constant of the line search
 _MAX_HALVINGS = 40    # step halvings of one line search
 _RUNGS = 8            # rungs of a line search's halving ladder formed and tested per round
-_LADDER = (0.5 ** np.arange(_MAX_HALVINGS)).tolist()    # the halvings 2^-k, exact
+_LADDER = 0.5 ** np.arange(_MAX_HALVINGS)[:, None]    # the halvings 2^-k, exact, as a column
 _NEWTON_RADIUS = 0.5  # longest conformal Newton step taken, in sup-norm
 _ROUNDOFF = 20.0 * np.finfo(float).eps    # relative decrease at the roundoff level
 
@@ -174,17 +173,23 @@ def _index(ids):
     return slice(ids[0], ids[-1] + 1) if ids[-1] - ids[0] == len(ids) - 1 else np.array(ids)
 
 
-def _descend(starts, gauge, evaluate, max_iter):
-    """Minimize a function from each start of a stack (S, n) by Newton or gradient steps with
-    Armijo backtracking, all starts in one loop; returns the (x, SolveTrace) of each start.
+def _rows(a, ids):
+    """The rows ``ids`` (increasing) of an array: the array itself when they are all of it."""
+    return a if len(ids) == len(a) else a[_index(ids)]
 
-    ``gauge(points, owners, sizes)`` renormalizes points (R, n) in chunks of ``sizes``, one
-    per start (``owners`` names each point's start), preserving value and admissibility; it
-    returns them with the chunk sizes, cut before a point it cannot project (raising when
-    that is a chunk's first).  ``evaluate(points, sizes)`` returns (k, values, at_boundary,
-    point): each chunk's index of its first admissible point (its size if none is), their
-    values and flags (against the boundary to numerical resolution), and ``point(i)``, the
-    gradients (len(i), n) and Newton callables (a list, or None) of accepted points i.
+
+def _descend(starts, gauge, evaluate, direction, max_iter):
+    """Minimize a function from each start of a stack (S, n) by Newton or gradient steps with
+    Armijo backtracking, all starts in one array loop; returns each start's (x, SolveTrace).
+
+    ``gauge(points, owners, sizes)`` renormalizes points (R, n) in chunks of ``sizes``
+    (``owners``: each point's start, or the one start of them all), preserving value and
+    admissibility; it returns them with the chunk sizes, cut before a point it cannot
+    project (raising when that is a chunk's first).  ``evaluate(points, sizes)`` returns
+    (k, values, at_boundary, gradients, reports): each chunk's index of its first admissible
+    point (its size if none), and those points' values, boundary flags, gradients (F, n) and
+    reports (or None).  ``direction(rep, g)`` gives the Newton direction (or None) at an
+    accepted point that has a report.
 
     Each iteration first tries the Newton direction d when there is one and it descends
     (g . d < 0): the step starts at 1 and is halved until Armijo's test on the slope g . d
@@ -194,16 +199,17 @@ def _descend(starts, gauge, evaluate, max_iter):
     rung that failed the test, 8 after a chunk without an admissible rung and first in a
     gradient search after one that met the boundary.  Each rung is bitwise that of k halvings.
 
-    In each round one broadcast forms the chunks of all live starts from arrays (S, n) of
-    iterates and directions, and one ``gauge`` and one ``evaluate`` call take them; a start's
-    scalars (value, step, rung) are Python numbers, a tenth of a numpy call's cost here.
-    Each quantity is elementwise or a per-start dot product, so each start follows its own
-    path bitwise.  Reasons: "converged" (sup-norm of the gradient below 1e-9),
-    "boundary-hit" (a gradient search blocked by inadmissible candidates, or an iterate at
-    the boundary), "stall" (no decrease away from the boundary, or five in a row at the
-    roundoff level of the values) or "max-iters".  ``trace.points`` counts the points a search
-    testing one at a time tests (the start, rungs up to a chunk's first admissible one, whole
-    chunks without one), ``trace.rejected`` the inadmissible ones.  An inadmissible start raises.
+    Each round forms the chunks of all live starts from arrays (S, n) of iterates and
+    directions in one broadcast (one start's from its rows, one point by scalar arithmetic),
+    and one ``gauge`` and one ``evaluate`` call take them.  A start's scalars (value, step,
+    rung) are Python numbers, and every quantity is elementwise or a per-start dot product,
+    so each start follows its own path bitwise.  Reasons: "converged" (sup-norm of the
+    gradient below 1e-9), "boundary-hit" (a gradient search blocked by inadmissible
+    candidates, or an iterate at the boundary), "stall" (no decrease away from the boundary,
+    or five in a row at the roundoff level of the values) or "max-iters".  ``trace.points``
+    counts the points a search testing one at a time tests (the start, rungs up to a chunk's
+    first admissible one, whole chunks without one), ``trace.rejected`` the inadmissible
+    ones.  An inadmissible start raises.
     """
     S, n = starts.shape
     traces = [SolveTrace(points=1, reason="") for _ in range(S)]    # a reason once it stops
@@ -212,52 +218,59 @@ def _descend(starts, gauge, evaluate, max_iter):
     rung, rungs, first, tiny = [0] * S, [0] * S, [1] * S, [0] * S
     newton, blocked = [False] * S, [False] * S
 
-    def gradient_search(ids):    # from each start's iterate along -g
-        if not ids:
-            return
-        ix = _index(ids)
-        d[ix] = gs = -g[ix]
-        # g . g per start: np.vecdot is bitwise each start's own g @ g
-        for i, gg in zip(ids, np.vecdot(gs, gs).tolist()):
-            step[i], slope[i] = min(2.0 * alpha[i], 1e6), -gg
-            rung[i], rungs[i], newton[i], blocked[i] = 0, first[i], False, False
-
-    def adopt(ids, rows, at, values, at_boundary, ev, gs, newtons):
-        # the points rows[at], evaluated as ev, become iterates; returns the gradient searches
-        ix, rows = _index(ids), rows[_index(at)]
-        x[ix], g[ix] = rows, gs
-        search = []
-        for j, (i, e, gnorm) in enumerate(zip(ids, ev, np.abs(gs).max(-1).tolist())):
-            t = traces[i]
-            fx[i] = values[e]
-            t.iterates.append(rows[j])
-            t.residual_norms.append(gnorm)
-            t.values.append(values[e])
-            t.reason = ("max-iters" if len(t.step_sizes) == max_iter else "converged"
-                        if gnorm < _GTOL else "boundary-hit" if at_boundary[e] else "")
-            dj = newtons[j]() if not t.reason and newtons and newtons[j] is not None else None
-            sj = float(gs[j] @ dj) if dj is not None else 0.0
-            if sj < 0.0:    # a Newton step is most often taken at once: one rung first
-                d[i], step[i], slope[i] = dj, 1.0, sj
-                rung[i], rungs[i], newton[i], blocked[i] = 0, 1, True, False
-            elif not t.reason:
-                search.append(i)
-        return search
-
     every = list(range(S))
     rows, sizes = gauge(starts, every, [1] * S)
-    k, values, at_boundary, point = evaluate(rows, sizes)
+    k, values, at_boundary, gradients, reports = evaluate(rows, sizes)
     if any(k):
         raise geometry.InadmissibleMetricError("starting point is not admissible")
-    gradient_search(adopt(every, rows, every, values, at_boundary, every, *point(every)))
-    while live := [i for i in every if not traces[i].reason]:
+    ids, at, ev, search = every, every, every, []    # each step's start, row and point
+    while True:
+        if ids:    # the accepted points become iterates
+            ix, gs = _index(ids), _rows(gradients, ev)
+            x[ix], g[ix] = _rows(rows, at), gs
+            for i, a, e, gnorm, gi in zip(ids, at, ev, np.abs(gs).max(-1).tolist(), gs):
+                t = traces[i]
+                fx[i] = values[e]
+                t.iterates.append(rows[a].copy())
+                t.residual_norms.append(gnorm)
+                t.values.append(values[e])
+                t.reason = ("max-iters" if len(t.step_sizes) == max_iter else "converged"
+                            if gnorm < _GTOL else "boundary-hit" if at_boundary[e] else "")
+                dj = direction(reports[e], gi) if reports and not t.reason else None
+                sj = float(gi @ dj) if dj is not None else 0.0
+                if sj < 0.0:    # a Newton step is most often taken at once: one rung first
+                    d[i], step[i], slope[i] = dj, 1.0, sj
+                    rung[i], rungs[i], newton[i], blocked[i] = 0, 1, True, False
+                elif not t.reason:
+                    search.append(i)
+        if search:    # gradient searches from the iterates along -g
+            search.sort()
+            ix = _index(search)
+            d[ix] = gs = -g[ix]
+            # g . g per start: np.vecdot is bitwise each start's own g @ g
+            for i, gg in zip(search, np.vecdot(gs, gs).tolist()):
+                step[i], slope[i] = min(2.0 * alpha[i], 1e6), -gg
+                rung[i], rungs[i], newton[i], blocked[i] = 0, first[i], False, False
+
+        live = [i for i in every if not traces[i].reason]
+        if not live:
+            break
         sizes = [min(rungs[i], _MAX_HALVINGS - rung[i]) for i in live]
-        own = [i for i, m in zip(live, sizes) for _ in range(m)]    # each rung's start
-        scale = [step[i] * h for i, m in zip(live, sizes) for h in _LADDER[rung[i]:rung[i] + m]]
-        rows = x.take(own, 0) + np.array(scale, ndmin=2).T * d.take(own, 0)
+        if sizes == [1]:    # one point: scalar arithmetic is cheaper than broadcasting
+            i = own = live[0]
+            rows = (x[i] + (step[i] * 0.5 ** rung[i]) * d[i])[None]
+        elif len(live) == 1:    # one start: its chunk without a gather
+            i = own = live[0]
+            rows = x[i] + (step[i] * _LADDER[rung[i]:rung[i] + sizes[0]]) * d[i]
+        else:    # rung j of a chunk of start i is x_i + (step_i 2^-(rung_i + j)) d_i
+            m = np.array(sizes)
+            own = np.repeat(live, m)    # each rung's start
+            j = np.arange(len(own)) - np.repeat(np.cumsum(m) - m - [rung[i] for i in live], m)
+            scale = np.repeat([step[i] for i in live], m)[:, None] * _LADDER[j]
+            rows = x[own] + scale * d[own]
         rows, sizes = gauge(rows, own, sizes)
-        k, values, at_boundary, point = evaluate(rows, sizes)
-        taken, fallback, row, e = [], [], 0, 0    # (start, row, evaluated point) of each step
+        k, values, at_boundary, gradients, reports = evaluate(rows, sizes)
+        ids, at, ev, search, row, e = [], [], [], [], 0, 0
         for i, m, kj in zip(live, sizes, k):
             t, found = traces[i], kj < m
             t.points += kj + found
@@ -266,7 +279,7 @@ def _descend(starts, gauge, evaluate, max_iter):
             rung[i] += kj
             rungs[i] = 1 if found else _RUNGS
             if found:
-                s, f0, fc = step[i] * _LADDER[rung[i]], fx[i], values[e]
+                s, f0, fc = step[i] * 0.5 ** rung[i], fx[i], values[e]
                 if fc <= f0 + _ARMIJO * s * slope[i] and not (newton[i] and at_boundary[e]):
                     # decreases at the roundoff level of the values mean the numerical optimum
                     # (relative scale, so objectives that approach zero keep converging)
@@ -278,65 +291,35 @@ def _descend(starts, gauge, evaluate, max_iter):
                         t.newton_steps += newton[i]
                         if not newton[i]:    # one rung next, or a chunk after the boundary
                             alpha[i], first[i] = s, _RUNGS if blocked[i] else 1
-                        taken.append((i, row + kj, e))
+                        ids.append(i)
+                        at.append(row + kj)
+                        ev.append(e)
                 else:
                     rung[i] += 1
                 e += 1
-            if rung[i] >= _MAX_HALVINGS and newton[i]:    # the search found no step
-                fallback.append(i)
+            if rung[i] >= _MAX_HALVINGS and newton[i]:    # a gradient search follows
+                search.append(i)
             elif rung[i] >= _MAX_HALVINGS:
                 t.reason = "boundary-hit" if blocked[i] else "stall"
             row += m
-        gradient_search(fallback)    # after a Newton search without a step
-        if taken:
-            ids, at, ev = zip(*taken)
-            gradient_search(adopt(ids, rows, at, values, at_boundary, ev, *point(ev)))
 
     return [(x[i], t) for i, t in enumerate(traces)]
 
 
-def _evaluate(c: Complex, which: str, metric, newton=None):
-    """The ``evaluate`` of :func:`_descend` at the metrics ``metric(x)``: one test and one kernel
-    call per round (:func:`curvature._first_admissible`).  Values, boundary flags (worst CM3
-    below 1e-8 (mean length)^6) and length gradients come from the stacked kernel output, the
-    totals, V^(1/3) and (L/E)^6 per row as in a report; with ``newton(rep, g)``, gradients
-    and Newton directions come from reports of the accepted points."""
+def _evaluate(c: Complex, which: str, metric=None):
+    """The ``evaluate`` of :func:`_descend`: one test and at most one kernel call per round,
+    and the values, boundary flags and gradients that :func:`curvature._first_points` reads
+    from its output.  Without ``metric`` the points are lengths; with it they are conformal
+    factors at the metrics ``metric(x)``, and the gradients are in the factors."""
     name = curvature._functional(which)
-    E = c.num_edges
+    if metric is None:
+        return lambda points, sizes: curvature._first_points(c, name, points, sizes, False)
 
     def evaluate(points, sizes):
-        # a long conformal gradient candidate may overflow to infinite lengths,
-        # or to face sums inf - inf = NaN, which the test rejects
+        # a long gradient step can overflow the factor map to infinite lengths, or the
+        # kernel's products to inf - inf = NaN, which the test rejects
         with np.errstate(over="ignore", invalid="ignore"):
-            k, _, ls, geo, k_edge = curvature._first_admissible(c, metric(points), sizes)
-        if geo is None:    # no chunk has an admissible point
-            return k, [], [], None
-        # totals (1,) for one point, (F, 1) for several: either broadcasts against its lengths
-        length, ehr = [np.add.reduce(a, -1, keepdims=True) for a in (ls, k_edge)]
-        totals = [length.ravel().tolist(), None, ehr.ravel().tolist()]
-        if name == "vehr" or newton is not None:    # the volumes, for V^(1/3) or the reports
-            volume = np.add.reduce(geo.volume, -1, keepdims=True)
-            totals[1] = volume.ravel().tolist()
-            roots = [v ** (1.0 / 3.0) for v in totals[1]]
-        values = totals[2] if name == "ehr" else [
-            e / t for e, t in zip(totals[2], totals[0] if name == "lehr" else roots)]
-        at_boundary = [cm < 1e-8 * (total / E) ** 6 for cm, total in zip(
-            np.minimum.reduce(geo.cm3, -1).ravel().tolist(), totals[0])]
-        if newton is not None:
-            def point(i):    # read from the reports, where the Newton directions are read
-                reps = curvature._make_reports(c, ls, geo, k_edge, totals)
-                gs = [reps[j]._gradient(name, True) for j in i]
-                return np.array(gs), [partial(newton, reps[j], gj) for j, gj in zip(i, gs)]
-        else:    # dF/dl = (K_e - lambda N_e) / (l_e N) of F = EHR / N
-            N, lam, n_x = (1.0, 0.0, 0.0) if name == "ehr" else (length, ehr / length, ls) \
-                if name == "lehr" else (np.reshape(roots, volume.shape), ehr / (3.0 * volume),
-                                        ls * c.edge_sum(geo.dvolume))
-            gradient = ((k_edge - lam * n_x) / (ls * N)).reshape(-1, E)
-
-            def point(i):
-                return gradient[_index(i)], None
-
-        return k, values, at_boundary, point
+            return curvature._first_points(c, name, metric(points), sizes, True)
 
     return evaluate
 
@@ -352,9 +335,10 @@ def descend_lengths(c: Complex, which: str, l0, normalize: str = "L",
     :class:`geometry.InadmissibleMetricError` when a line search reaches that one.
 
     ``l0`` is one start (E,), which returns (lengths, SolveTrace), or a stack (S, E), which
-    returns the endpoints (S, E) and a tuple of S traces: the starts descend in one loop
-    (:func:`_descend`), each as in its own call, bitwise.  Steps are gradient steps; there
-    is no Newton direction in length space.  A start of another shape, or an unknown
+    returns the endpoints (S, E) and a tuple of S traces: the starts descend together in one
+    array loop (:func:`_descend`), with one admissibility test and at most one kernel call
+    per round for the candidates of every live start, and each start follows its own call
+    bitwise.  Steps are gradient steps; there is no Newton direction in length space.  A start of another shape, or an unknown
     ``normalize``, raises ``ValueError`` before any kernel call; an
     inadmissible start raises :class:`geometry.InadmissibleMetricError`.
     """
@@ -368,7 +352,7 @@ def descend_lengths(c: Complex, which: str, l0, normalize: str = "L",
     targets = np.add.reduce(starts, -1, keepdims=True)
 
     def by_length(l, own, sizes):
-        return l * (targets.take(own, 0) / np.add.reduce(l, -1, keepdims=True)), sizes
+        return l * (targets[own] / np.add.reduce(l, -1, keepdims=True)), sizes
 
     def by_volume(l, own, sizes):
         tets = c.tet_lengths(l)
@@ -382,7 +366,7 @@ def descend_lengths(c: Complex, which: str, l0, normalize: str = "L",
         return l[keep] / np.array([v ** (1 / 3) for v in volume])[:, None], cut
 
     runs = _descend(starts, by_length if normalize.upper() == "L" else by_volume,
-                    _evaluate(c, which, lambda l: l), max_iter) if len(starts) else []
+                    _evaluate(c, which), None, max_iter) if len(starts) else []
     if l0.ndim == 1:
         return runs[0]
     return np.array([x for x, _ in runs]).reshape(l0.shape), tuple(t for _, t in runs)
@@ -423,8 +407,8 @@ def descend_conformal(cls: ConformalClass, which: str, f0, max_iter: int = 1000)
         d = -np.linalg.solve(Hp, P @ g)
         return d if np.abs(d).max() <= _NEWTON_RADIUS else None
 
-    evaluate = _evaluate(c, which, lambda f: induced_lengths(c, cls.background, f), newton)
-    return _descend(f0[None], project, evaluate, max_iter)[0]
+    evaluate = _evaluate(c, which, lambda f: induced_lengths(c, cls.background, f))
+    return _descend(f0[None], project, evaluate, newton, max_iter)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +424,9 @@ class YamabeEstimate:
     converged at an interior critical point; a False value with
     decreasing objectives suggests the infimum is approached at the
     boundary of the admissible set.  ``iterations`` and ``newton_steps`` total the accepted
-    descent steps, and the Newton steps among them, over all starts; ``_traces`` holds each
-    start's SolveTrace as ``runs`` lists them (None if inadmissible), for ``yamabe --trace``.
+    descent steps, and the Newton steps among them, over all starts.  The private
+    ``_traces`` holds each start's SolveTrace in the order of ``runs`` (None for an
+    inadmissible start), for ``regge3 yamabe --trace``; it is not compared or printed.
     """
 
     value: float
@@ -453,9 +438,10 @@ class YamabeEstimate:
     seed: int
     iterations: int
     newton_steps: int
+    _traces: tuple = field(default=(), repr=False, compare=False)
 
     def __init__(self, value, factors, which, attained_interior, bound_kind, runs, seed,
-                 iterations, newton_steps):
+                 iterations, newton_steps, _traces=()):
         set_fields(locals())
 
 
@@ -498,7 +484,7 @@ def yamabe_constant_estimate(cls: ConformalClass, which: str = "L",
         newton_steps += getattr(trace, "newton_steps", 0)
         if val < best_val:
             best_val, best_f, best_reason = val, f, trace.reason
-    estimate = YamabeEstimate(
+    return YamabeEstimate(
         value=float(best_val),
         factors=best_f,
         which="L" if functional == "lehr" else "V",
@@ -508,9 +494,8 @@ def yamabe_constant_estimate(cls: ConformalClass, which: str = "L",
         seed=seed,
         iterations=iterations,
         newton_steps=newton_steps,
+        _traces=tuple(traces),
     )
-    estimate.__dict__["_traces"] = tuple(traces)    # not a field: runs stay (value, reason)
-    return estimate
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,19 @@ class TestSharedReport:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0.0
 
+    def test_gradients_are_writable_copies(self, dt):
+        # the report keeps each gradient it computes; a caller gets its own writable copy,
+        # and changing that copy changes neither the kept gradient nor a later read
+        rep = functionals(dt, random_admissible_lengths(dt, np.random.default_rng(77)))
+        for read in (rep.grad_lengths, rep.grad_conformal,
+                     lambda w: grad_lengths(dt, rep.lengths, w),
+                     lambda w: grad_conformal(dt, rep.lengths, w)):
+            for which in ("ehr", "L", "V"):
+                g = read(which)
+                before = g.copy()
+                g *= -1.0
+                assert read(which).tobytes() == before.tobytes()
+
     def test_other_complex_gets_its_own_report(self, dt, kernel_calls):
         rep = functionals(dt, ONES)
         other = double_tetrahedron()

@@ -199,11 +199,12 @@ def run_descent(evaluate, x0, max_iter=1000):
             k.append(j)
             found += [] if p is None else [p]
             start += size
+        # each point's newton callable stands in for its report
         return (k, [p[0] for p in found], [p[2] for p in found],
-                lambda i: (np.array([found[j][1] for j in i]), [found[j][3] for j in i]))
+                np.array([p[1] for p in found]).reshape(len(found), -1), [p[3] for p in found])
 
     return solve._descend(np.array(x0, dtype=float, ndmin=2), lambda x, owners, sizes: (x, sizes),
-                          stacked, max_iter)[0]
+                          stacked, lambda newton, g: newton and newton(), max_iter)[0]
 
 
 class TestDescend:
@@ -426,12 +427,11 @@ class TestDescend:
         # the round's stack (``curvature._first_admissible``)
         bg = np.array([1.0725, 1.1493, 0.9347, 0.9760, 0.9788, 0.9013])
         admissible = np.zeros(4)
-        evaluate = solve._evaluate(dt, "lehr", lambda f: induced_lengths(dt, bg, f),
-                                   lambda rep, g: None)
+        evaluate = solve._evaluate(dt, "lehr", lambda f: induced_lengths(dt, bg, f))
         for starts in ([factors], [factors, admissible], [admissible, factors]):
             with pytest.raises(geometry.InadmissibleMetricError, match="starting point"):
                 solve._descend(np.array(starts), lambda f, owners, sizes: (f, sizes),
-                               evaluate, 10)
+                               evaluate, lambda rep, g: None, 10)
 
     def test_conformal_guard_rejects_overflowing_candidate_silently(self, dt):
         # a long gradient step can reach factors near 709: the lengths are about
