@@ -710,6 +710,90 @@ class TestPinnedDescents:
                 t_back.points, t_back.rejected)
             assert [i.tobytes() for i in t.iterates] == [i.tobytes() for i in t_back.iterates]
 
+    # (background, f0) of the seeded classes of the benchmark's double tetrahedron
+    # workload, seeds 1 and 2; each is solved in the L and in the V normalization
+    CSC_CLASSES = [
+        ([1.0865286110285213, 0.9409584487874935, 0.9860493668441954, 0.8902125091741494,
+          0.9709338959341387, 0.9110365722028448],
+         [-0.13486348586053443, -0.055263159519370185, -0.14038668526468434, 0.330513330644589]),
+        ([1.1384971580991359, 1.06743698223206, 1.0123680566642301, 0.9330673612136112,
+          0.8981956026325381, 1.1409776239648397],
+         [-0.0746974493156902, 0.5974294777640342, -0.3715283775589645, -0.15120365088937956]),
+        ([1.033900990315912, 1.1251893114372706, 0.8618778629992608, 1.0085767789780065,
+          0.9878007648656211, 0.8687048737449626],
+         [0.17322484944127545, -0.22768499317856103, -0.06444737543935747, 0.11890751917664297]),
+        ([1.0028487644564528, 1.0032666653399598, 1.0759090623106533, 0.8943766107354869,
+          1.095888015735783, 1.0549860718009771],
+         [0.11629221568287072, -0.2254313439041905, 0.23953340944853385, -0.13039428122721408]),
+        ([0.8744657852090538, 1.106568092286121, 1.1083850488533005, 1.1129611289249741,
+          0.991572915807637, 0.9322145165841155],
+         [0.14843075019422614, 0.2140374683120991, -0.16245637091953033, -0.20001184758679494]),
+        ([0.914565450148892, 1.0417994140199762, 1.0915164499435028, 1.1391012618534913,
+          0.8951574491263532, 0.9946637164598009],
+         [-0.08155922199461879, -0.2355455436547478, 0.233371979470401, 0.0837327861789656]),
+        ([1.050789189572356, 0.9768354019810384, 1.0399553197822349, 1.1402307857481029,
+          1.0549194466928875, 0.9674874499240078],
+         [-0.3027669898331644, 0.21735471490681554, 0.02132574928997842, 0.06408652563637048]),
+        ([0.9454439801846123, 1.1272650689520471, 0.9912729656247272, 1.0581276526606689,
+          0.8821621925360764, 0.8813630675298825],
+         [0.04461657823808504, -0.16920639255589437, 0.11568164242367454, 0.008908171894134814]),
+        ([1.0433308807616553, 0.9719627193026609, 1.004973458237499, 1.0280330553267718,
+          1.1086353954722883, 0.9814558498477375],
+         [0.05781902067781608, 0.5253636222829953, -0.24440186996792423, -0.33878077299288717]),
+        ([0.951707612394793, 1.006848551177129, 0.9148670173057043, 0.880211080605543,
+          0.8615812389762906, 1.0605848429157967],
+         [-0.4284941725083353, 0.043180100392897464, 0.36183282499047104, 0.023481247124966857]),
+        ([1.1421036309115669, 1.0276186033235093, 1.0797649942645893, 0.972158307543882,
+          0.9088509735904815, 0.9015331045245503],
+         [-0.07170402768371739, -0.06630891901462063, -0.044262941300909846, 0.18227588799924788]),
+        ([0.9851753606655286, 0.9965495719251908, 1.0360817225150687, 1.0012043447204788,
+          1.1312029431186903, 1.0751189783089825],
+         [-0.10302154421147702, 0.2630038819881729, 0.09664856846711718, -0.25663090624381313]),
+    ]
+
+    def test_csc_outcomes(self, dt, unit_class):
+        # per solve: reason, steps, points, rejected points and last residual; the seeded
+        # classes in L and V, criterion 5's two starts, and a start on the 600-cell
+        cases = [(ConformalClass(dt, np.array(bg)), which, np.array(f0))
+                 for bg, f0 in self.CSC_CLASSES for which in "LV"]
+        cases += [(unit_class, "L", np.zeros(4)),
+                  (unit_class, "L", np.array([-1.0, -1.0, 0.0, 0.0])),
+                  (ConformalClass(six_hundred_cell(), np.ones(720)), "L",
+                   np.random.default_rng(44).normal(0.0, 0.02, 120))]
+        runs = [solve_csc(cls, which, f0) for cls, which, f0 in cases]
+        assert [(t.reason, len(t.step_sizes), t.points, t.rejected, t.residual_norms[-1])
+                for _, t in runs] == [
+            ("converged", 5, 6, 0, 1.7763568394002505e-15),
+            ("converged", 5, 6, 0, 3.552713678800501e-15),
+            ("converged", 7, 11, 3, 8.881784197001252e-16),
+            ("converged", 6, 7, 0, 6.217248937900877e-15),
+            ("converged", 4, 5, 0, 4.999822778017915e-11),
+            ("converged", 4, 5, 0, 5.933031843596837e-13),
+            ("converged", 5, 6, 0, 8.881784197001252e-16),
+            ("converged", 5, 6, 0, 2.6645352591003757e-15),
+            ("converged", 4, 5, 0, 9.769962616701378e-15),
+            ("converged", 4, 5, 0, 3.345856924852342e-11),
+            ("converged", 5, 6, 0, 5.524469770534779e-13),
+            ("converged", 5, 6, 0, 2.6645352591003757e-15),
+            ("converged", 4, 5, 0, 4.6638248818453576e-12),
+            ("converged", 5, 6, 0, 3.552713678800501e-15),
+            ("converged", 4, 5, 0, 6.865619184281968e-13),
+            ("converged", 4, 5, 0, 4.0234482412415673e-13),
+            ("converged", 5, 7, 0, 1.7763568394002505e-15),
+            ("converged", 5, 6, 0, 8.199663170671556e-12),
+            ("converged", 5, 6, 0, 1.2887468869848817e-12),
+            ("converged", 5, 6, 0, 1.0329515021112456e-12),
+            ("converged", 4, 5, 0, 1.7763568394002505e-15),
+            ("converged", 4, 5, 0, 1.7763568394002505e-15),
+            ("converged", 4, 5, 0, 2.994759995544882e-11),
+            ("converged", 4, 5, 0, 1.227373758183603e-11),
+            ("converged", 0, 1, 0, 8.881784197001252e-16),
+            ("converged", 6, 11, 3, 1.3322676295501878e-15),
+            ("converged", 3, 4, 0, 1.5668577546534834e-12),
+        ]
+        assert hashlib.sha256(np.concatenate([f for f, _ in runs]).tobytes()).hexdigest() == \
+            "0089481f19d6960db99bf28278d9e73f2e9402b4340c94942d16b57bf431bfe6"
+
 
 class TestSolverCounters:
     """``SolveTrace.points`` and ``.rejected`` count the points a solver run tests."""
