@@ -1,6 +1,9 @@
 """Numerical machinery: eigensolver, csc Newton solver, projected descent,
 Yamabe-constant estimation, bisection, and one-parameter family sweeps.
 
+The csc Newton solver and the descents run through one loop, :func:`_descend`: a client
+evaluates points (values and gradients) and gives, at accepted points, a Newton step and
+its slope; the csc solver's value is its merit |r|^2 / 2 and its "gradient" the residual r.
 All solvers are deterministic for fixed inputs and seeds.  Non-convergence
 is reported through ``SolveTrace.reason`` rather than raised, so callers
 (multi-start experiments in particular) can treat boundary hits as data.
@@ -67,92 +70,56 @@ class SolveTrace:
     points: int = 0            # points evaluated or rejected, the start included
     rejected: int = 0          # points found inadmissible
 
-    def record(self, x, residual_norm, value=None):
-        self.iterates.append(np.array(x, dtype=float))
-        self.residual_norms.append(float(residual_norm))
-        if value is not None:
-            self.values.append(float(value))
-
 
 # ---------------------------------------------------------------------------
 # Newton solver for constant scalar curvature in a conformal class
-
-
-_CSC_MAX_HALVINGS = 30    # step halvings of one Newton line search
 
 
 def solve_csc(cls: ConformalClass, which: str = "L", f0=None,
               tol: float = 1e-10, max_iter: int = 100):
     """Newton iteration for K_v = lambda * L_v (or lambda * V_v) in a class.
 
-    The multiplier is recomputed from the metric at every iterate, and the
-    scale gauge is fixed by constraining sum(f) to its starting value
-    through a bordered system.  Each point costs one kernel call: its
-    report (:func:`curvature.functionals`) gives the residual and, once
-    the point is accepted, the exact Jacobian
-    (:meth:`curvature.CurvatureReport.csc_jacobian`).  The step is halved
-    (up to 30 times) while the trial point is inadmissible (the kernel
-    raises :class:`geometry.InadmissibleMetricError`) or does not reduce
-    the residual: ||r_t||^2 <= (1 - 1e-4 * step) ||r||^2 accepts it.
-    Exhaustion terminates with reason "boundary-hit" if a trial was
-    inadmissible, else "stall".  ``trace.points`` counts the start and the
-    trials, ``trace.rejected`` the inadmissible trials.
+    The multiplier is recomputed from the metric at every iterate, and the scale gauge is
+    fixed by constraining sum(f) to its starting value through a bordered system
+    [[J, 1], [1^T, 0]], with J the exact Jacobian of the residual r read from the accepted
+    point's report (:meth:`curvature.CurvatureReport.csc_jacobian`).  The merit ||r||^2 / 2
+    globalizes the method (Nocedal & Wright, *Numerical Optimization*, 11.2): :func:`_descend`
+    runs it as one start with r as its gradient, so it converges where max |r_v| < ``tol``,
+    and each chunk of a step's halving ladder is tested before the kernel runs on the chunk's
+    first admissible trial.  There is no gradient step: a singular system stops it with
+    reason "singular-jacobian", an exhausted ladder with "boundary-hit" if a trial was
+    inadmissible, else "stall".  ``trace.values`` holds each iterate's merit.
 
     Returns (factors, SolveTrace).
     """
     c = cls.complex
     n = c.num_vertices
-    f = np.zeros(n) if f0 is None else np.asarray(f0, dtype=float).copy()
-    trace = SolveTrace(points=1)
-
-    lengths, ok = cls.apply(f)
-    if not ok:
+    f = np.zeros(n) if f0 is None else np.asarray(f0, dtype=float)
+    if not cls.apply(f)[1]:
         raise geometry.InadmissibleMetricError("starting point is not admissible")
-    rep = curvature.functionals(c, lengths)
-    r = rep.csc_residual(which)
     K, rhs = np.ones((n + 1, n + 1)), np.zeros(n + 1)    # the bordered system
     K[n, n] = 0.0
 
-    for _ in range(max_iter):
-        rn = float(np.abs(r).max())
-        trace.record(f, rn)
-        if rn < tol:
-            trace.reason = "converged"
-            return f, trace
+    @np.errstate(over="ignore")    # a long step overflows to lengths the test rejects
+    def evaluate(points, sizes):    # one start, so one chunk and at most one point kept
+        k, kept, geo, k_edge = curvature._first_admissible(
+            c, induced_lengths(c, cls.background, points), sizes)
+        if geo is None:
+            return k, [], [], None, None
+        rep, = curvature._make_reports(c, kept, geo, k_edge)
+        r = rep.csc_residual(which)
+        return k, [0.5 * float(r @ r)], [False], r[None], [rep]
 
+    def newton(rep, r):    # the step d and its merit slope r^T J d = -r^T (r + mu 1)
         K[:n, :n], rhs[:n] = rep.csc_jacobian(which), -r
         try:
-            delta = np.linalg.solve(K, rhs)[:n]
+            d = np.linalg.solve(K, rhs)
         except np.linalg.LinAlgError:
-            trace.reason = "singular-jacobian"
-            return f, trace
+            return None
+        return d[:n], -float(r @ (r + d[n]))
 
-        rr = float(r @ r)
-        step = 1.0
-        blocked = False
-        for _ in range(_CSC_MAX_HALVINGS):
-            trace.points += 1
-            try:
-                trial = curvature.functionals(
-                    c, induced_lengths(c, cls.background, f + step * delta))
-            except geometry.InadmissibleMetricError:
-                trace.rejected += 1
-                blocked = True
-            else:
-                r_trial = trial.csc_residual(which)
-                if float(r_trial @ r_trial) <= (1.0 - 1e-4 * step) * rr:
-                    break
-            step *= 0.5
-        else:
-            trace.reason = "boundary-hit" if blocked else "stall"
-            return f, trace
-        f = f + step * delta
-        rep, r = trial, r_trial
-        trace.step_sizes.append(step)
-
-    trace.record(f, float(np.abs(r).max()))
-    trace.reason = "max-iters"
-    return f, trace
+    return _descend(f[None], lambda f, own, sizes: (f, sizes), evaluate, newton, max_iter,
+                    tol, newton_only="singular-jacobian")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -173,12 +140,7 @@ def _index(ids):
     return slice(ids[0], ids[-1] + 1) if ids[-1] - ids[0] == len(ids) - 1 else np.array(ids)
 
 
-def _rows(a, ids):
-    """The rows ``ids`` (increasing) of an array: the array itself when they are all of it."""
-    return a if len(ids) == len(a) else a[_index(ids)]
-
-
-def _descend(starts, gauge, evaluate, direction, max_iter):
+def _descend(starts, gauge, evaluate, direction, max_iter, tol=_GTOL, newton_only=None):
     """Minimize a function from each start of a stack (S, n) by Newton or gradient steps with
     Armijo backtracking, all starts in one array loop; returns each start's (x, SolveTrace).
 
@@ -188,23 +150,25 @@ def _descend(starts, gauge, evaluate, direction, max_iter):
     project (raising when that is a chunk's first).  ``evaluate(points, sizes)`` returns
     (k, values, at_boundary, gradients, reports): each chunk's index of its first admissible
     point (its size if none), and those points' values, boundary flags, gradients (F, n) and
-    reports (or None).  ``direction(rep, g)`` gives the Newton direction (or None) at an
-    accepted point that has a report.
+    reports (or None).  ``direction(rep, g)`` gives a Newton step d and the slope of the
+    value along it (g . d for a descent), or None, at an accepted point that has a report.
 
-    Each iteration first tries the Newton direction d when there is one and it descends
-    (g . d < 0): the step starts at 1 and is halved until Armijo's test on the slope g . d
-    holds, and a candidate that is inadmissible or at the boundary halves it too; otherwise,
-    or when that fails, a gradient step is searched from the last one, doubled.  A search
-    forms its ladder project(x + step 2^-k d), k < 40, in chunks: one rung first and after a
-    rung that failed the test, 8 after a chunk without an admissible rung and first in a
-    gradient search after one that met the boundary.  Each rung is bitwise that of k halvings.
+    Each iteration first tries the Newton step d when there is one and its slope is
+    negative: the step starts at 1 and is halved until Armijo's test on that slope holds,
+    and a candidate that is inadmissible or at the boundary halves it too; otherwise, or
+    when that fails, a gradient step is searched from the last one, doubled; with
+    ``newton_only`` (a reason) a start without a Newton step stops with that reason, and one
+    whose Newton ladder runs out as a gradient search does.  A search forms its ladder
+    project(x + step 2^-k d), k < 40, in chunks: one rung first and after a rung that failed
+    the test, 8 after a chunk without an admissible rung and first in a gradient search after
+    one that met the boundary.  Each rung is bitwise that of k halvings.
 
     Each round forms the chunks of all live starts from arrays (S, n) of iterates and
     directions in one broadcast (one start's from its rows, one point by scalar arithmetic),
     and one ``gauge`` and one ``evaluate`` call take them.  A start's scalars (value, step,
     rung) are Python numbers, and every quantity is elementwise or a per-start dot product,
     so each start follows its own path bitwise.  Reasons: "converged" (sup-norm of the
-    gradient below 1e-9), "boundary-hit" (a gradient search blocked by inadmissible
+    gradient below ``tol``), "boundary-hit" (a gradient search blocked by inadmissible
     candidates, or an iterate at the boundary), "stall" (no decrease away from the boundary,
     or five in a row at the roundoff level of the values) or "max-iters".  ``trace.points``
     counts the points a search testing one at a time tests (the start, rungs up to a chunk's
@@ -213,40 +177,40 @@ def _descend(starts, gauge, evaluate, direction, max_iter):
     """
     S, n = starts.shape
     traces = [SolveTrace(points=1, reason="") for _ in range(S)]    # a reason once it stops
-    x, g, d = np.empty((S, n)), np.empty((S, n)), np.empty((S, n))
+    x, d, g = np.empty((S, n)), np.empty((S, n)), [None] * S    # g: each iterate's gradient row
     fx, step, slope, alpha = [0.0] * S, [0.0] * S, [0.0] * S, [1.0] * S
     rung, rungs, first, tiny = [0] * S, [0] * S, [1] * S, [0] * S
     newton, blocked = [False] * S, [False] * S
 
-    every = list(range(S))
+    def accept(i, a, e):    # row a of the round, its evaluated point e, is start i's iterate
+        t, gnorm = traces[i], gnorms[e]
+        x[i], g[i], fx[i] = rows[a], gradients[e], values[e]
+        t.iterates.append(rows[a].copy())
+        t.residual_norms.append(gnorm)
+        t.values.append(values[e])
+        t.reason = ("max-iters" if len(t.step_sizes) == max_iter else "converged"
+                    if gnorm < tol else "boundary-hit" if at_boundary[e] else "")
+        dj = direction(reports[e], g[i]) if reports and not t.reason else None
+        if dj and dj[1] < 0.0:    # a Newton step is most often taken at once: one rung
+            d[i], slope[i] = dj
+            step[i], rung[i], rungs[i], newton[i], blocked[i] = 1.0, 0, 1, True, False
+        elif not t.reason and newton_only:
+            t.reason = newton_only
+        elif not t.reason:
+            search.append(i)
+
+    every, search = list(range(S)), []
     rows, sizes = gauge(starts, every, [1] * S)
     k, values, at_boundary, gradients, reports = evaluate(rows, sizes)
     if any(k):
         raise geometry.InadmissibleMetricError("starting point is not admissible")
-    ids, at, ev, search = every, every, every, []    # each step's start, row and point
+    gnorms = np.maximum.reduce(np.abs(gradients), -1).tolist()
+    for i in every:
+        accept(i, i, i)
     while True:
-        if ids:    # the accepted points become iterates
-            ix, gs = _index(ids), _rows(gradients, ev)
-            x[ix], g[ix] = _rows(rows, at), gs
-            for i, a, e, gnorm, gi in zip(ids, at, ev, np.abs(gs).max(-1).tolist(), gs):
-                t = traces[i]
-                fx[i] = values[e]
-                t.iterates.append(rows[a].copy())
-                t.residual_norms.append(gnorm)
-                t.values.append(values[e])
-                t.reason = ("max-iters" if len(t.step_sizes) == max_iter else "converged"
-                            if gnorm < _GTOL else "boundary-hit" if at_boundary[e] else "")
-                dj = direction(reports[e], gi) if reports and not t.reason else None
-                sj = float(gi @ dj) if dj is not None else 0.0
-                if sj < 0.0:    # a Newton step is most often taken at once: one rung first
-                    d[i], step[i], slope[i] = dj, 1.0, sj
-                    rung[i], rungs[i], newton[i], blocked[i] = 0, 1, True, False
-                elif not t.reason:
-                    search.append(i)
         if search:    # gradient searches from the iterates along -g
             search.sort()
-            ix = _index(search)
-            d[ix] = gs = -g[ix]
+            d[_index(search)] = gs = -np.array([g[i] for i in search])
             # g . g per start: np.vecdot is bitwise each start's own g @ g
             for i, gg in zip(search, np.vecdot(gs, gs).tolist()):
                 step[i], slope[i] = min(2.0 * alpha[i], 1e6), -gg
@@ -258,7 +222,7 @@ def _descend(starts, gauge, evaluate, direction, max_iter):
         sizes = [min(rungs[i], _MAX_HALVINGS - rung[i]) for i in live]
         if sizes == [1]:    # one point: scalar arithmetic is cheaper than broadcasting
             i = own = live[0]
-            rows = (x[i] + (step[i] * 0.5 ** rung[i]) * d[i])[None]
+            rows = x[i:i + 1] + (step[i] * 0.5 ** rung[i]) * d[i:i + 1]
         elif len(live) == 1:    # one start: its chunk without a gather
             i = own = live[0]
             rows = x[i] + (step[i] * _LADDER[rung[i]:rung[i] + sizes[0]]) * d[i]
@@ -270,7 +234,8 @@ def _descend(starts, gauge, evaluate, direction, max_iter):
             rows = x[own] + scale * d[own]
         rows, sizes = gauge(rows, own, sizes)
         k, values, at_boundary, gradients, reports = evaluate(rows, sizes)
-        ids, at, ev, search, row, e = [], [], [], [], 0, 0
+        gnorms = np.maximum.reduce(np.abs(gradients), -1).tolist() if values else ()
+        search, row, e = [], 0, 0
         for i, m, kj in zip(live, sizes, k):
             t, found = traces[i], kj < m
             t.points += kj + found
@@ -291,13 +256,11 @@ def _descend(starts, gauge, evaluate, direction, max_iter):
                         t.newton_steps += newton[i]
                         if not newton[i]:    # one rung next, or a chunk after the boundary
                             alpha[i], first[i] = s, _RUNGS if blocked[i] else 1
-                        ids.append(i)
-                        at.append(row + kj)
-                        ev.append(e)
+                        accept(i, row + kj, e)
                 else:
                     rung[i] += 1
                 e += 1
-            if rung[i] >= _MAX_HALVINGS and newton[i]:    # a gradient search follows
+            if rung[i] >= _MAX_HALVINGS and newton[i] and newton_only is None:    # gradient next
                 search.append(i)
             elif rung[i] >= _MAX_HALVINGS:
                 t.reason = "boundary-hit" if blocked[i] else "stall"
@@ -405,7 +368,7 @@ def descend_conformal(cls: ConformalClass, which: str, f0, max_iter: int = 1000)
         except np.linalg.LinAlgError:
             return None
         d = -np.linalg.solve(Hp, P @ g)
-        return d if np.abs(d).max() <= _NEWTON_RADIUS else None
+        return (d, float(g @ d)) if np.abs(d).max() <= _NEWTON_RADIUS else None
 
     evaluate = _evaluate(c, which, lambda f: induced_lengths(c, cls.background, f))
     return _descend(f0[None], project, evaluate, newton, max_iter)[0]

@@ -270,6 +270,27 @@ class TestSolverCommands:
         assert "reason: stall" in out
         assert code == 4
 
+    def test_find_csc_singular_system_exit_code(self, capsys, monkeypatch):
+        def singular(K, rhs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        code, out, _ = run_cli(capsys, "find-csc", "--class", "uniform:1", "--which", "L",
+                               "--start", "-1,-1,0,0")
+        assert "reason: singular-jacobian" in out and "iterations: 1" in out
+        assert code == 4
+
+    def test_find_csc_exhausted_ladder_exit_code(self, capsys):
+        # the start of tests/test_solve.py TestSolveCsc.EXHAUSTED
+        code, out, _ = run_cli(
+            capsys, "find-csc", "--which", "L",
+            "--class", "0.7475161463583486,0.7740964026424981,0.7671788928091389,"
+                       "0.7364361890438107,0.7387347391031329,0.952083333716778",
+            "--start", "-0.6311913486016025,-0.644504492967561,-1.449885374481114,"
+                       "1.2006942996321848")
+        assert "reason: boundary-hit" in out
+        assert code == 3
+
     def test_find_einstein_stall_is_success(self, capsys, monkeypatch):
         # a descent stalls at the roundoff floor of its objective
         descend_lengths = solve.descend_lengths
@@ -303,6 +324,12 @@ class TestSolverCommands:
         trace, = traces
         assert trace.points > len(trace.step_sizes)
         assert f"trace:\n  points: {trace.points}  rejected: {trace.rejected}\n" in out
+        # each iterate's line ends with its value: the objective of a descent, the merit
+        # |r|^2 / 2 of the csc Newton iteration
+        lines = out.split("trace:\n")[1].splitlines()[1:]
+        assert len(lines) == len(trace.values) == len(trace.residual_norms)
+        for line, value in zip(lines, trace.values):
+            assert line.endswith(f"  value {cli._fmt(value)}")
 
     def test_max_iters_exit_code(self, capsys):
         code, out, _ = run_cli(capsys, "find-csc", "--class", "uniform:1",

@@ -148,29 +148,63 @@ class TestSolveCsc:
         # the factor map and its admissibility check run on the start only
         assert len(applied) == 1 and len(checked) == 1
 
-    def test_blocked_trials_are_the_kernels_raises(self, dt, monkeypatch):
+    def test_blocked_trials_are_rejected_before_the_kernel(self, dt, monkeypatch):
         # backgrounds U(0.7, 1.3) and factors N(0, 0.5): nine trials of this
-        # run leave the admissible set (measured with the factor map's flag
-        # before the kernel's raise replaced it)
+        # run leave the admissible set; the halving ladder's test rejects them,
+        # and the kernel runs on admissible trials only
         rng = np.random.default_rng(3)
         bg = rng.uniform(0.7, 1.3, 6)
         while not geometry.is_admissible(dt, bg):
             bg = rng.uniform(0.7, 1.3, 6)
         f0 = rng.normal(0.0, 0.5, 4)
-        blocked = []
-        functionals = curvature.functionals
+        raised = []
+        kernel = geometry.tet_geometry
 
-        def counted(c, lengths):
+        def watched(lengths):
             try:
-                return functionals(c, lengths)
+                return kernel(lengths)
             except geometry.InadmissibleMetricError:
-                blocked.append(1)
+                raised.append(1)
                 raise
 
-        monkeypatch.setattr(curvature, "functionals", counted)
+        monkeypatch.setattr(geometry, "tet_geometry", watched)
         f, trace = solve_csc(ConformalClass(dt, bg), "L", f0)
-        assert (trace.reason, len(trace.step_sizes), len(blocked)) == ("converged", 8, 9)
+        assert (trace.reason, len(trace.step_sizes), trace.rejected) == ("converged", 8, 9)
         assert trace.step_sizes == [0.25, 0.0078125, 0.25, 1.0, 1.0, 1.0, 1.0, 1.0]
+        assert raised == []
+
+    def test_singular_system_stops_without_a_gradient_step(self, unit_class, monkeypatch):
+        # the bordered system of the second iterate is taken to be singular: the start
+        # stops there, after its one Newton step, and tests no further point
+        systems, solve_system = [], np.linalg.solve
+
+        def singular_second(K, rhs):
+            systems.append(K.shape)
+            if len(systems) == 2:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve_system(K, rhs)
+
+        monkeypatch.setattr(np.linalg, "solve", singular_second)
+        f, trace = solve_csc(unit_class, "L", np.array([-1.0, -1.0, 0.0, 0.0]))
+        assert (trace.reason, trace.step_sizes, trace.newton_steps) == (
+            "singular-jacobian", [0.125], 1)
+        assert (trace.points, trace.rejected, len(trace.residual_norms)) == (5, 3, 2)
+        assert systems == [(5, 5), (5, 5)] and f.tobytes() == trace.iterates[-1].tobytes()
+
+    # a class and start whose last Newton ladder runs out of rungs, some of them inadmissible
+    EXHAUSTED = ([0.7475161463583486, 0.7740964026424981, 0.7671788928091389,
+                  0.7364361890438107, 0.7387347391031329, 0.952083333716778],
+                 [-0.6311913486016025, -0.644504492967561, -1.449885374481114,
+                  1.2006942996321848])
+
+    def test_exhausted_newton_ladder_stops_at_the_boundary(self, dt):
+        bg, f0 = self.EXHAUSTED
+        f, trace = solve_csc(ConformalClass(dt, np.array(bg)), "L", np.array(f0))
+        # every step a Newton step: no gradient search follows the exhausted ladder
+        assert trace.reason == "boundary-hit" and trace.rejected > 0
+        assert trace.newton_steps == len(trace.step_sizes) > 0
+        assert trace.residual_norms[-1] > 1e-3
+        assert f.tobytes() == trace.iterates[-1].tobytes()
 
     def test_residual_decrease_keeps_newton_from_diverging(self, dt):
         # from this start the full-step iteration wandered off to factors
@@ -203,8 +237,12 @@ def run_descent(evaluate, x0, max_iter=1000):
         return (k, [p[0] for p in found], [p[2] for p in found],
                 np.array([p[1] for p in found]).reshape(len(found), -1), [p[3] for p in found])
 
+    def direction(newton, g):    # the point's Newton direction and its slope g . d
+        d = newton and newton()
+        return None if d is None else (d, float(g @ d))
+
     return solve._descend(np.array(x0, dtype=float, ndmin=2), lambda x, owners, sizes: (x, sizes),
-                          stacked, lambda newton, g: newton and newton(), max_iter)[0]
+                          stacked, direction, max_iter)[0]
 
 
 class TestDescend:
@@ -825,23 +863,12 @@ class TestSolverCounters:
             assert len(rounds) < trace.points
 
     def test_csc_counts_its_start_and_trials(self, dt, monkeypatch):
-        calls, raised = [], []
-        functionals = curvature.functionals
-
-        def counted(c, lengths):
-            calls.append(1)
-            try:
-                return functionals(c, lengths)
-            except geometry.InadmissibleMetricError:
-                raised.append(1)
-                raise
-
-        monkeypatch.setattr(curvature, "functionals", counted)
+        rounds = watch_rounds(monkeypatch)
         rng = np.random.default_rng(13)
         cls = ConformalClass(dt, solve.random_admissible_lengths(dt, rng))
         f, trace = solve_csc(cls, "L", rng.normal(0.0, 0.6, 4))
         assert trace.reason == "converged" and trace.rejected > 0
-        assert (trace.points, trace.rejected) == (len(calls), len(raised))
+        assert (trace.points, trace.rejected) == points_of(rounds)
 
 
 class TestYamabe:
