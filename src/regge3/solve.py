@@ -222,7 +222,7 @@ def _descend(starts, gauge, evaluate, direction, max_iter, tol=_GTOL, newton_onl
         sizes = [min(rungs[i], _MAX_HALVINGS - rung[i]) for i in live]
         if sizes == [1]:    # one point: scalar arithmetic is cheaper than broadcasting
             i = own = live[0]
-            rows = x[i:i + 1] + (step[i] * 0.5 ** rung[i]) * d[i:i + 1]
+            rows = (x[i] + (step[i] * 0.5 ** rung[i]) * d[i])[None]
         elif len(live) == 1:    # one start: its chunk without a gather
             i = own = live[0]
             rows = x[i] + (step[i] * _LADDER[rung[i]:rung[i] + sizes[0]]) * d[i]
