@@ -253,6 +253,36 @@ class TestInadmissibleTetNames:
         copy = pickle.loads(pickle.dumps(info.value))
         assert type(copy) is InadmissibleMetricError and copy.args == (str(info.value),)
 
+    def test_messages_at_every_raise_site(self):
+        # str, repr and a pickled copy's args of the error at each place that raises it
+        from regge3 import solve
+        from regge3.conformal import ConformalClass
+        dt = double_tetrahedron()
+        stack = np.ones((5, 6))
+        stack[3] = self.FLAT
+        l0 = random_admissible_lengths(dt, np.random.default_rng(61), 0.97, 1.03)
+        cm3 = "metric not admissible: tet {} has CM3 = {} <= 0"
+        sites = [
+            (lambda: tet_geometry(np.array([REGULAR, REGULAR, self.FLAT])),
+             cm3.format(2, -0.0039128)),
+            (lambda: tet_geometry(np.array([REGULAR, self.BAD_FACE])),
+             "metric not admissible: tet 1 has a degenerate face triangle"),
+            (lambda: tet_geometry(dt.tet_lengths(stack)), cm3.format((3, 0), -0.0039128)),
+            (lambda: functionals(dt, diagonal_family(1.5)), cm3.format(0, -5.0625)),
+            (lambda: ConformalClass(dt, self.FLAT), cm3.format(0, -0.0039128)),
+            (lambda: solve.descend_lengths(dt, "lehr", l0, normalize="V", max_iter=300),
+             "edge lengths must be positive and finite"),
+            (lambda: solve.sweep_family(dt, diagonal_family, [1.4142], ["vehr_lam_v"]),
+             cm3.format((102, 0), -0.158613)),
+        ]
+        for raising, message in sites:
+            with pytest.raises(InadmissibleMetricError) as info:
+                raising()
+            assert str(info.value) == message
+            assert repr(info.value) == f"InadmissibleMetricError({message!r})"
+            copy = pickle.loads(pickle.dumps(info.value))
+            assert type(copy) is InadmissibleMetricError and copy.args == (message,)
+
 
 class TestFaceAngle:
     """The two face-angle oracles: the law of cosines, and the embedding's
