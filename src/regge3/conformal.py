@@ -57,7 +57,8 @@ class ConformalClass:
         reports whether every tetrahedron still has positive
         Cayley-Menger determinant.
         """
-        lengths = induced_lengths(self.complex, self.background, self._factors(factors))
+        with np.errstate(over="ignore"):    # overflowing factors give infinite lengths
+            lengths = induced_lengths(self.complex, self.background, self._factors(factors))
         return lengths, geometry.is_admissible(self.complex, lengths)
 
 

@@ -672,6 +672,13 @@ def normal_matrix(c: Complex, lengths) -> np.ndarray:
 _CSC_TOL = 1e-8    # largest csc residual lehr_conformal_hessian_csc accepts
 
 
+def _off_csc(rep):
+    """The max L csc residual of a report where it exceeds ``_CSC_TOL`` (the check of
+    :func:`lehr_conformal_hessian_csc`), else None."""
+    res = float(np.abs(rep.csc_residual("L")).max())
+    return res if res > _CSC_TOL else None
+
+
 def lehr_conformal_hessian_csc(c: Complex, lengths) -> np.ndarray:
     """Conformal Hessian of LEHR at a csc metric, u convention.
 
@@ -684,8 +691,7 @@ def lehr_conformal_hessian_csc(c: Complex, lengths) -> np.ndarray:
     check.
     """
     rep = functionals(c, lengths)
-    res = float(np.abs(rep.csc_residual("L")).max())
-    if res > _CSC_TOL:
+    if (res := _off_csc(rep)) is not None:
         raise ValueError(
             f"metric is not constant L-scalar curvature: max residual {res:.3e} "
             f"> {_CSC_TOL:.1e}")

@@ -55,19 +55,8 @@ _SYM3 = _SYM5[2:, 2:] - 9              # 3x3 from (11, 12, 13, 22, 23, 33)
 
 
 class InadmissibleMetricError(ValueError):
-    """Lengths do not embed as nondegenerate Euclidean simplices.  A message given as
-    a zero-argument callable (``args[0]``) is formatted when read: a discarded rejection
-    formats none.  A pickled error carries the formatted text."""
-
-    def __str__(self):
-        message = self.args[0] if len(self.args) == 1 else None
-        return message() if callable(message) else super().__str__()
-
-    def __repr__(self):
-        return f"{type(self).__name__}({str(self)!r})"
-
-    def __reduce__(self):
-        return type(self), tuple(a() if callable(a) else a for a in self.args)
+    """Lengths do not embed as nondegenerate Euclidean simplices; the message names the
+    worst tet where there is one."""
 
 
 def _as_lengths(lengths) -> np.ndarray:
@@ -153,7 +142,7 @@ def _admissible_cm(l, n=3):
 
     For one axis of tets, as in ``Complex.tet_lengths`` output of one
     metric, the worst tet is named by its tet id; in a batch of metrics,
-    by its index tuple.  The message is worked out when it is read.
+    by its index tuple.
     """
     ok, margins, cm, g2, adj = _tet_tests(l, n)
     if not ok.all():
@@ -163,14 +152,13 @@ def _admissible_cm(l, n=3):
 
 def _inadmissible(l, margins, cm) -> InadmissibleMetricError:
     """The error for tets ``l`` (..., 6) that fail the test of :func:`_tet_tests`, from its
-    margins and CM3: it names the worst tet (see :func:`_admissible_cm`) when read."""
-    l = l.copy()
-    return InadmissibleMetricError(lambda: (
+    margins and CM3: it names the worst tet (see :func:`_admissible_cm`)."""
+    return InadmissibleMetricError(
         "edge lengths must be positive and finite"
         if not (l.min(initial=np.inf) > 0.0 and l.max(initial=0.0) < np.inf) else
         f"metric not admissible: tet {_worst_tet(margins)} has a degenerate face triangle"
         if not margins.min() > 0.0 else    # NaN fails too, as from inf - inf
-        f"metric not admissible: tet {_worst_tet(cm)} has CM3 = {float(cm.min()):.6g} <= 0"))
+        f"metric not admissible: tet {_worst_tet(cm)} has CM3 = {float(cm.min()):.6g} <= 0")
 
 
 def tet_volume(lengths) -> np.ndarray:

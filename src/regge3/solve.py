@@ -170,7 +170,8 @@ def _descend(starts, gauge, evaluate, direction, max_iter, tol=_GTOL, newton_onl
     so each start follows its own path bitwise.  Reasons: "converged" (sup-norm of the
     gradient below ``tol``), "boundary-hit" (a gradient search blocked by inadmissible
     candidates, or an iterate at the boundary), "stall" (no decrease away from the boundary,
-    or five in a row at the roundoff level of the values) or "max-iters".  ``trace.points``
+    or five in a row at the roundoff level of the values) or "max-iters"; an accepted
+    iterate is tested for convergence, then the boundary, then the step budget.  ``trace.points``
     counts the points a search testing one at a time tests (the start, rungs up to a chunk's
     first admissible one, whole chunks without one), ``trace.rejected`` the inadmissible
     ones.  An inadmissible start raises.
@@ -188,8 +189,8 @@ def _descend(starts, gauge, evaluate, direction, max_iter, tol=_GTOL, newton_onl
         t.iterates.append(rows[a].copy())
         t.residual_norms.append(gnorm)
         t.values.append(values[e])
-        t.reason = ("max-iters" if len(t.step_sizes) == max_iter else "converged"
-                    if gnorm < tol else "boundary-hit" if at_boundary[e] else "")
+        t.reason = ("converged" if gnorm < tol else "boundary-hit" if at_boundary[e] else
+                    "max-iters" if len(t.step_sizes) == max_iter else "")
         dj = direction(reports[e], g[i]) if reports and not t.reason else None
         if dj and dj[1] < 0.0:    # a Newton step is most often taken at once: one rung
             d[i], slope[i] = dj
@@ -556,11 +557,11 @@ def sweep_quantities() -> tuple:
 def sweep_family(c: Complex, family, t_values, quantities) -> SweepTable:
     """Evaluate requested quantities along a one-parameter metric family.
 
-    Inadmissible parameter values produce a row flagged admissible=0 with
-    NaN entries instead of aborting the sweep.  Tracked spectrum columns
-    (``lehr_spec_i`` / ``vehr_spec_i``) follow eigenvectors by maximal
-    overlap with the previous step rather than by sorted order, so
-    eigenvalue crossings do not swap columns.
+    Every row's report comes from one kernel call on the stacked family metrics.
+    Inadmissible parameter values give a row flagged admissible=0 with NaN entries, and a
+    row off csc NaN conformal columns, instead of aborting the sweep.  Tracked spectrum
+    columns (``lehr_spec_i`` / ``vehr_spec_i``) follow eigenvectors by maximal overlap
+    with the previous step rather than by sorted order, so crossings do not swap columns.
     """
     quantities = list(quantities)
     known = sweep_quantities()
@@ -568,18 +569,16 @@ def sweep_family(c: Complex, family, t_values, quantities) -> SweepTable:
     if unknown:
         raise ValueError(f"unknown quantities: {unknown}")
     columns = ["t", "admissible"] + quantities
-    rows = []
+    rows, nan = [], float("nan")
     prev_vecs = {"lehr": None, "vehr": None}
 
     need_hess = {w: any(q.startswith(f"{w}_lam") or q.startswith(f"{w}_spec")
                         for q in quantities) for w in ("lehr", "vehr")}
-
-    for t in np.asarray(t_values, dtype=float):
-        lengths = np.asarray(family(float(t)), dtype=float)
-        try:
-            rep = curvature.functionals(c, lengths)
-        except geometry.InadmissibleMetricError:
-            rows.append([float(t), 0] + [float("nan")] * len(quantities))
+    ts = np.asarray(t_values, dtype=float).tolist()
+    metrics = np.array([family(t) for t in ts], dtype=float).reshape(len(ts), c.num_edges)
+    for t, lengths, rep in zip(ts, metrics, curvature._reports(c, metrics)):
+        if rep is None:
+            rows.append([t, 0] + [nan] * len(quantities))
             continue
         cache = {q: _scalar(rep, q) for q in quantities if q in _SCALAR_QUANTITIES}
         for w in ("lehr", "vehr"):
@@ -599,14 +598,10 @@ def sweep_family(c: Complex, family, t_values, quantities) -> SweepTable:
             for i in range(6):
                 cache[f"{w}_spec_{i + 1}"] = float(vals[i])
         if any(q in _CONF_QUANTITIES for q in quantities):
-            try:
-                Hc = curvature.lehr_conformal_hessian_csc(c, lengths)
-                for name, v in CONFORMAL_DIRECTIONS.items():
-                    cache[f"conf_lehr_{name}"] = float(v @ Hc @ v / (v @ v))
-            except ValueError:
-                cache["conf_lehr_lam1"] = float("nan")
-                cache["conf_lehr_lam2"] = float("nan")
-        rows.append([float(t), 1] + [cache[q] for q in quantities])
+            Hc = rep.conformal_hessian("lehr") if curvature._off_csc(rep) is None else None
+            for name, v in CONFORMAL_DIRECTIONS.items():
+                cache[f"conf_lehr_{name}"] = nan if Hc is None else float(v @ Hc @ v / (v @ v))
+        rows.append([t, 1] + [cache[q] for q in quantities])
     return SweepTable(columns=columns, rows=rows)
 
 

@@ -1,5 +1,6 @@
 import csv
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +64,17 @@ class TestAnalyze:
                                "--lengths", "1.4143,1,1,1,1,1.4143")
         assert code == 2
         assert "CM3" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("analyze", "--conformal"), "conformal point induces an inadmissible metric"),
+        (("find-csc", "--start"), "starting point is not admissible")])
+    def test_overflowing_factors_exit_2_without_a_warning(self, capsys, argv, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(capsys, argv[0], "--class", "1,1,1,1,1,1", argv[1],
+                                   "1e300,0,0,0")
+        assert code == 2
+        assert err == f"inadmissible metric: {message}\n"
 
     def test_cell600(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", "--complex", "cell600",
@@ -290,6 +302,11 @@ class TestSolverCommands:
                        "1.2006942996321848")
         assert "reason: boundary-hit" in out
         assert code == 3
+
+    def test_find_csc_at_a_csc_start_with_no_iterations_is_success(self, capsys):
+        code, out, _ = run_cli(capsys, "find-csc", "--class", "1,1,1,1,1,1", "--max-iters", "0")
+        assert "reason: converged" in out and "iterations: 1" in out
+        assert code == 0
 
     def test_find_einstein_stall_is_success(self, capsys, monkeypatch):
         # a descent stalls at the roundoff floor of its objective

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,12 @@ class TestApply:
         lengths, ok = cls.apply(np.array([0.5, 0.5, 0.0, 0.0]))
         assert not ok
         assert not is_admissible(dt, lengths)
+
+    def test_overflowing_factors_flagged_without_a_warning(self, unit_class):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lengths, ok = unit_class.apply(np.array([1e300, 0.0, 0.0, 0.0]))
+        assert not ok and np.isinf(lengths).sum() == 3
 
     def test_background_must_be_admissible(self, dt):
         with pytest.raises(InadmissibleMetricError):

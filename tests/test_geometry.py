@@ -249,7 +249,7 @@ class TestInadmissibleTetNames:
             tet_geometry(np.array([REGULAR, self.FLAT]))
         assert repr(info.value) == f"InadmissibleMetricError({str(info.value)!r})"
         assert str(info.value).startswith("metric not admissible: tet 1 has CM3 = -")
-        assert found    # formatted on reading
+        assert found    # formatted when raised
         copy = pickle.loads(pickle.dumps(info.value))
         assert type(copy) is InadmissibleMetricError and copy.args == (str(info.value),)
 

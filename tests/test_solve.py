@@ -206,6 +206,14 @@ class TestSolveCsc:
         assert trace.residual_norms[-1] > 1e-3
         assert f.tobytes() == trace.iterates[-1].tobytes()
 
+    def test_convergence_on_the_last_allowed_step(self, unit_class):
+        # the tolerance is tested before the iteration budget
+        f, trace = solve_csc(unit_class, "L", [-1.0, -1.0, 0.0, 0.0], max_iter=6)
+        assert trace.reason == "converged" and len(trace.step_sizes) == 6
+        assert trace.residual_norms[-1] < 1e-10
+        f, trace = solve_csc(unit_class, "L", [-1.0, -1.0, 0.0, 0.0], max_iter=5)
+        assert trace.reason == "max-iters" and len(trace.step_sizes) == 5
+
     def test_residual_decrease_keeps_newton_from_diverging(self, dt):
         # from this start the full-step iteration wandered off to factors
         # of size 30 and stopped at the iteration limit
@@ -1035,15 +1043,21 @@ class TestSweep:
         table = sweep_family(dt, diagonal_family, [1.0, 1.2, 1.5],
                              ["vehr", "ehr", "csc_res_v"])
         assert [row[1] for row in table.rows] == [1, 1, 0]
-        # one report per row, whose kernel call also decides admissibility:
-        # the t = 1.5 call raises
-        assert len(kernel_calls) == 3 and checked == []
+        # the reports of every row from one kernel call on the admissible rows of the
+        # stack, whose one test also decides admissibility: the t = 1.5 row is left out
+        assert kernel_calls == [(2, 2, 6)] and checked == []
 
     def test_conformal_row_builds_one_report(self, dt, kernel_calls):
         # the csc check and the conformal Hessian read the row's report
         sweep_family(dt, diagonal_family, [1.0, 1.2],
                      ["lehr", "csc_res_l", "conf_lehr_lam1", "conf_lehr_lam2"])
-        assert kernel_calls == [(2, 6)] * 2
+        assert kernel_calls == [(2, 2, 6)]
+
+    def test_a_hundred_row_sweep_costs_one_kernel_call(self, dt, kernel_calls):
+        table = sweep_family(dt, diagonal_family, np.linspace(1.0, 1.4142, 100),
+                             ["vehr", "ehr"])
+        assert len(table.rows) == 100 and all(row[1] == 1 for row in table.rows)
+        assert kernel_calls == [(100, 2, 6)]
 
     def test_inadmissible_rows_flagged(self, dt):
         table = sweep_family(dt, diagonal_family, [1.0, 1.5],
