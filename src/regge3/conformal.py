@@ -57,7 +57,7 @@ class ConformalClass:
         reports whether every tetrahedron still has positive
         Cayley-Menger determinant.
         """
-        with np.errstate(over="ignore"):    # overflowing factors give infinite lengths
+        with np.errstate(over="ignore", invalid="ignore"):    # inf, NaN lengths: rejected
             lengths = induced_lengths(self.complex, self.background, self._factors(factors))
         return lengths, geometry.is_admissible(self.complex, lengths)
 

@@ -65,14 +65,14 @@ class TestAnalyze:
         assert code == 2
         assert "CM3" in err
 
+    @pytest.mark.parametrize("factors", ["1e300,0,0,0", "inf,-inf,0,0"])
     @pytest.mark.parametrize("argv, message", [
         (("analyze", "--conformal"), "conformal point induces an inadmissible metric"),
         (("find-csc", "--start"), "starting point is not admissible")])
-    def test_overflowing_factors_exit_2_without_a_warning(self, capsys, argv, message):
+    def test_overflowing_factors_exit_2_without_a_warning(self, capsys, argv, message, factors):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, _, err = run_cli(capsys, argv[0], "--class", "1,1,1,1,1,1", argv[1],
-                                   "1e300,0,0,0")
+            code, _, err = run_cli(capsys, argv[0], "--class", "1,1,1,1,1,1", argv[1], factors)
         assert code == 2
         assert err == f"inadmissible metric: {message}\n"
 
