@@ -87,18 +87,17 @@ def parse_factors(spec: str, num_vertices: int) -> np.ndarray:
 
 def resolve_metric(args, c: Complex) -> np.ndarray:
     """Exactly one metric source: --lengths, or --class (+ optional --conformal)."""
-    has_lengths = getattr(args, "lengths", None) is not None
-    has_class = getattr(args, "cls", None) is not None
-    if has_lengths and has_class:
+    conformal = getattr(args, "conformal", None)    # find-einstein takes no --conformal
+    if args.lengths is not None and args.cls is not None:
         raise UsageError("give either --lengths or --class, not both")
-    if has_lengths:
-        if getattr(args, "conformal", None) is not None:
+    if args.lengths is not None:
+        if conformal is not None:
             raise UsageError("--conformal requires --class")
         return parse_lengths(args.lengths, c.num_edges)
-    if has_class:
+    if args.cls is not None:
         cls = ConformalClass(c, parse_lengths(args.cls, c.num_edges))
-        f = np.zeros(c.num_vertices) if getattr(args, "conformal", None) is None \
-            else parse_factors(args.conformal, c.num_vertices)
+        f = np.zeros(c.num_vertices) if conformal is None \
+            else parse_factors(conformal, c.num_vertices)
         lengths, ok = cls.apply(f)
         if not ok:
             raise InadmissibleMetricError(
@@ -219,8 +218,6 @@ def _print_trace(trace) -> None:
 
 def cmd_find_csc(args) -> int:
     c = get_complex(args.complex)
-    if args.cls is None:
-        raise UsageError("find-csc requires --class")
     cls = ConformalClass(c, parse_lengths(args.cls, c.num_edges))
     f0 = np.zeros(c.num_vertices) if args.start is None \
         else parse_factors(args.start, c.num_vertices)
@@ -257,8 +254,6 @@ def cmd_find_einstein(args) -> int:
 
 def cmd_yamabe(args) -> int:
     c = get_complex(args.complex)
-    if args.cls is None:
-        raise UsageError("yamabe requires --class")
     cls = ConformalClass(c, parse_lengths(args.cls, c.num_edges))
     est = solve.yamabe_constant_estimate(cls, args.which, starts=args.starts,
                                          seed=args.seed)
@@ -288,35 +283,48 @@ def cmd_reproduce(args) -> int:
     return EXIT_OK if all(r.passed for r in rows) else EXIT_MAXITERS
 
 
+def _positive(kind):
+    """An argparse type: a finite ``kind`` (float or int) above 0."""
+    def parse(text: str):
+        value = kind(text)
+        if not (value > 0 and np.isfinite(value)):
+            raise ValueError(text)
+        return value
+    parse.__name__ = f"positive finite {kind.__name__}"    # argparse's error names it
+    return parse
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="regge3",
                 description="Curvature functionals on piecewise flat 3-manifolds")
     sub = p.add_subparsers(dest="command", required=True)
+    # the options several subcommands take, each declared only where its command reads it
+    shared = {
+        "--lengths": dict(help="comma-separated lengths or uniform:k"),
+        "--class": dict(dest="cls", help="background lengths of a conformal class"),
+        "--conformal": dict(help="comma-separated per-vertex factors"),
+        "--format": dict(choices=("human", "structured", "delimited"), default="human"),
+    }
 
-    def add_common(sp, conformal=True):
+    def add_common(sp, *flags):
         sp.add_argument("--complex", default="dt",
                         help="dt | cell600 | path to a triangulation file")
-        sp.add_argument("--lengths", help="comma-separated lengths or uniform:k")
-        sp.add_argument("--class", dest="cls",
-                        help="background lengths of a conformal class")
-        if conformal:
-            sp.add_argument("--conformal", help="comma-separated per-vertex factors")
-        sp.add_argument("--format", choices=("human", "structured", "delimited"),
-                        default="human")
+        for flag in flags:
+            sp.add_argument(flag, **shared[flag])
 
     sp = sub.add_parser("analyze", help="curvature report, bounds, residuals")
-    add_common(sp)
+    add_common(sp, "--lengths", "--class", "--conformal", "--format")
     sp.set_defaults(fn=cmd_analyze)
 
     sp = sub.add_parser("spectrum", help="Hessian spectra in length or conformal space")
-    add_common(sp)
+    add_common(sp, "--lengths", "--class", "--conformal", "--format")
     sp.add_argument("--functional", choices=("ehr", "lehr", "vehr"), default="lehr")
     sp.add_argument("--space", choices=("lengths", "conformal"), default="lengths")
     sp.add_argument("--vectors", action="store_true", help="print eigenvectors")
     sp.set_defaults(fn=cmd_spectrum)
 
     sp = sub.add_parser("sweep", help="one-parameter family sweep")
-    add_common(sp, conformal=False)
+    add_common(sp, "--format")
     sp.add_argument("--family", default="diag")
     sp.add_argument("--t", required=True, help="start:stop:steps")
     sp.add_argument("--quantities", default="ehr,lehr,vehr",
@@ -324,34 +332,37 @@ def build_parser() -> _Parser:
     sp.set_defaults(fn=cmd_sweep)
 
     sp = sub.add_parser("find-csc", help="Newton solve for constant scalar curvature")
-    add_common(sp, conformal=False)
+    add_common(sp)
+    sp.add_argument("--class", required=True, **shared["--class"])
     sp.add_argument("--which", choices=("L", "V"), default="L")
     sp.add_argument("--start", help="comma-separated starting factors")
-    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--tol", type=_positive(float), default=1e-10)
     sp.add_argument("--max-iters", type=int, default=100)
     sp.add_argument("--trace", action="store_true", help="print per-iteration trace")
     sp.set_defaults(fn=cmd_find_csc)
 
     sp = sub.add_parser("find-einstein", help="projected descent toward an Einstein metric")
-    add_common(sp, conformal=False)
+    add_common(sp, "--lengths", "--class")
     sp.add_argument("--which", choices=("L", "V"), default="V")
     sp.add_argument("--max-iters", type=int, default=2000)
     sp.add_argument("--trace", action="store_true", help="print per-iteration trace")
     sp.set_defaults(fn=cmd_find_einstein)
 
     sp = sub.add_parser("yamabe", help="multi-start Yamabe constant estimate")
-    add_common(sp, conformal=False)
+    add_common(sp)
+    sp.add_argument("--class", required=True, **shared["--class"])
     sp.add_argument("--which", choices=("L", "V"), default="L")
-    sp.add_argument("--starts", type=int, default=32)
+    sp.add_argument("--starts", type=_positive(int), default=32)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--trace", action="store_true",
                     help="print each start's steps, Newton steps and tested points")
     sp.set_defaults(fn=cmd_yamabe)
 
     sp = sub.add_parser("reproduce", help="run the reference-value suite")
-    sp.add_argument("--all", action="store_true", help="run every criterion (default)")
-    sp.add_argument("--only", help="a key such as 6 or 4b selects by row key only; "
-                    "any other string selects the criteria whose tag contains it")
+    which = sp.add_mutually_exclusive_group()
+    which.add_argument("--all", action="store_true", help="run every criterion (default)")
+    which.add_argument("--only", help="a key such as 6 or 4b selects by row key only; "
+                       "any other string selects the criteria whose tag contains it")
     sp.add_argument("--format", choices=("human", "delimited"), default="human")
     sp.set_defaults(fn=cmd_reproduce)
 

@@ -54,8 +54,10 @@ class ConformalClass:
         """Induced lengths for per-vertex factors; returns (lengths, admissible).
 
         Admissibility of the induced metric is not guaranteed; the flag
-        reports whether every tetrahedron still has positive
-        Cayley-Menger determinant.
+        reports whether it passes the whole test of
+        :func:`geometry.is_admissible`: every length positive and finite,
+        every face margin positive (strict triangle inequalities) and every
+        tetrahedron's Cayley-Menger determinant CM3 positive.
         """
         with np.errstate(over="ignore", invalid="ignore"):    # inf, NaN lengths: rejected
             lengths = induced_lengths(self.complex, self.background, self._factors(factors))

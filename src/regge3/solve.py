@@ -171,10 +171,10 @@ def _descend(starts, gauge, evaluate, direction, max_iter, tol=_GTOL, newton_onl
     gradient below ``tol``), "boundary-hit" (a gradient search blocked by inadmissible
     candidates, or an iterate at the boundary), "stall" (no decrease away from the boundary,
     or five in a row at the roundoff level of the values) or "max-iters"; an accepted
-    iterate is tested for convergence, then the boundary, then the step budget.  ``trace.points``
-    counts the points a search testing one at a time tests (the start, rungs up to a chunk's
-    first admissible one, whole chunks without one), ``trace.rejected`` the inadmissible
-    ones.  An inadmissible start raises.
+    iterate is tested for convergence, then the boundary, then the step budget (``max_iter``
+    steps, none when it is 0 or less).  ``trace.points`` counts the points a search testing
+    one at a time tests (the start, rungs up to a chunk's first admissible one, whole chunks
+    without one), ``trace.rejected`` the inadmissible ones.  An inadmissible start raises.
     """
     S, n = starts.shape
     traces = [SolveTrace(points=1, reason="") for _ in range(S)]    # a reason once it stops
@@ -190,7 +190,7 @@ def _descend(starts, gauge, evaluate, direction, max_iter, tol=_GTOL, newton_onl
         t.residual_norms.append(gnorm)
         t.values.append(values[e])
         t.reason = ("converged" if gnorm < tol else "boundary-hit" if at_boundary[e] else
-                    "max-iters" if len(t.step_sizes) == max_iter else "")
+                    "max-iters" if len(t.step_sizes) >= max_iter else "")
         dj = direction(reports[e], g[i]) if reports and not t.reason else None
         if dj and dj[1] < 0.0:    # a Newton step is most often taken at once: one rung
             d[i], slope[i] = dj

@@ -1,6 +1,9 @@
+import argparse
 import csv
 import itertools
+import shlex
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -355,6 +358,16 @@ class TestSolverCommands:
         assert code == 4
         assert "reason: max-iters" in out
 
+    @pytest.mark.parametrize("argv", [
+        ("find-csc", "--class", "1,1.1,0.9,1,1.05,0.95", "--max-iters", "-1"),
+        ("find-csc", "--class", "1,1.1,0.9,1,1.05,0.95", "--max-iters", "0"),
+        ("find-einstein", "--lengths", "1.3,0.9,1.1,0.8,1.2,0.7", "--max-iters", "-3"),
+    ])
+    def test_a_budget_below_one_takes_no_step(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert "reason: max-iters\niterations: 1\n" in out
+        assert code == 4
+
 
 class TestReproduce:
     def test_filter_tstar(self, capsys):
@@ -447,6 +460,85 @@ class TestSimplexBoundary:
         assert "reason: converged" in out
         assert int(out.split("iterations: ")[1].split("\n")[0]) <= 8
         assert float(out.split("residual: ")[1].split("\n")[0]) < 1e-12
+
+
+#: each subcommand's option strings, -h aside: exactly those its command reads
+OPTIONS = {
+    "analyze": {"--complex", "--lengths", "--class", "--conformal", "--format"},
+    "spectrum": {"--complex", "--lengths", "--class", "--conformal", "--format",
+                 "--functional", "--space", "--vectors"},
+    "sweep": {"--complex", "--format", "--family", "--t", "--quantities"},
+    "find-csc": {"--complex", "--class", "--which", "--start", "--tol", "--max-iters",
+                 "--trace"},
+    "find-einstein": {"--complex", "--lengths", "--class", "--which", "--max-iters",
+                      "--trace"},
+    "yamabe": {"--complex", "--class", "--which", "--starts", "--seed", "--trace"},
+    "reproduce": {"--all", "--only", "--format"},
+}
+
+
+def subparsers():
+    sub, = [a for a in cli.build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+#: the ``regge3 ...`` lines of README's "Command line" block, without trailing comments
+README_COMMANDS = [shlex.split(line, comments=True)[1:] for line in
+                   README.read_text().split("## Command line", 1)[1].split("```")[1].splitlines()
+                   if line.startswith("regge3 ")]
+
+
+class TestOptionSurface:
+    def test_each_subcommand_declares_the_options_it_reads(self):
+        got = {name: {s for a in sp._actions for s in a.option_strings} - {"-h", "--help"}
+               for name, sp in subparsers().items()}
+        assert got == OPTIONS
+        assert sum(map(len, got.values())) == 40
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--t", "1:1.1:2", "--lengths", "1,1,1,1,1,1"),
+        ("sweep", "--t", "1:1.1:2", "--class", "1,1,1,1,1,1"),
+        ("find-csc", "--class", "uniform:1", "--lengths", "9,9,9"),
+        ("find-csc", "--class", "uniform:1", "--format", "delimited"),
+        ("find-einstein", "--lengths", "1.01,0.99,1,1,1,1", "--max-iters", "5",
+         "--format", "structured"),
+        ("yamabe", "--class", "uniform:1", "--starts", "1", "--lengths", "9"),
+        ("yamabe", "--class", "uniform:1", "--starts", "1", "--format", "delimited"),
+        ("reproduce", "--all", "--only", "6"),
+    ])
+    def test_an_option_its_command_does_not_read_is_a_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: ")
+
+    @pytest.mark.parametrize("command", ["find-csc", "yamabe"])
+    def test_class_is_required(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--which", "L")
+        assert code == 1 and out == ""
+        assert err == "usage error: the following arguments are required: --class\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("find-csc", "--class", "1,1,1,1,1,1", "--tol", "-1"),
+        ("find-csc", "--class", "1,1,1,1,1,1", "--tol", "0"),
+        ("find-csc", "--class", "1,1,1,1,1,1", "--tol", "nan"),
+        ("find-csc", "--class", "1,1,1,1,1,1", "--tol", "inf"),
+        ("yamabe", "--class", "uniform:1", "--starts", "0"),
+        ("yamabe", "--class", "uniform:1", "--starts", "-2"),
+    ])
+    def test_meaningless_tolerance_or_start_count_is_a_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(f"usage error: argument {argv[-2]}: invalid positive finite ")
+
+    def test_readme_documents_every_subcommand(self):
+        assert {argv[0] for argv in README_COMMANDS} == set(OPTIONS)
+
+    @pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
+    def test_readme_command_line_runs(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and out and err == ""
 
 
 class TestUsage:

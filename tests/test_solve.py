@@ -229,6 +229,30 @@ class TestSolveCsc:
         assert np.abs(curvature.csc_residual(dt, lengths, "L")).max() < 1e-10
 
 
+class TestIterationBudget:
+    """A budget of max_iter <= 0 takes no step: every solver stops at its start."""
+
+    CLASS = [1.0, 1.1, 0.9, 1.0, 1.05, 0.95]
+    F0 = [0.3, -0.2, 0.1, -0.2]
+
+    def run(self, dt, solver, max_iter):
+        if solver == "descend_lengths":    # 21 steps to the boundary without a budget
+            return descend_lengths(dt, "lehr", [1.3, 0.9, 1.1, 0.8, 1.2, 0.7],
+                                   max_iter=max_iter)
+        cls = ConformalClass(dt, np.array(self.CLASS))    # converges in 5 steps
+        if solver == "solve_csc":
+            return solve_csc(cls, "L", self.F0, max_iter=max_iter)
+        return descend_conformal(cls, "lehr", self.F0, max_iter=max_iter)
+
+    @pytest.mark.parametrize("max_iter", [0, -1, -100])
+    @pytest.mark.parametrize("solver", ["descend_lengths", "solve_csc", "descend_conformal"])
+    def test_no_step_without_a_budget(self, dt, solver, max_iter):
+        x, trace = self.run(dt, solver, max_iter)
+        assert trace.reason == "max-iters"
+        assert trace.step_sizes == [] and len(trace.iterates) == 1
+        assert x.tobytes() == trace.iterates[0].tobytes()
+
+
 def run_descent(evaluate, x0, max_iter=1000):
     """(x, SolveTrace) of ``solve._descend`` from one start, where ``evaluate(x)`` gives a
     point's (value, gradient, at_boundary, newton), or None where x is inadmissible: each
