@@ -136,12 +136,12 @@ def cmd_spectrum(args) -> int:
     c = get_complex(args.complex)
     lengths = resolve_metric(args, c)
     functional = args.functional
+    rep = curvature.functionals(c, lengths)
     if args.space == "lengths":
-        H = curvature.hessian_fd_lengths(c, lengths, functional, richardson=True)
-        label = f"finite-difference length Hessian of {functional.upper()}"
+        H, kind = rep.length_hessian(functional), "length"
     else:
-        H = curvature.functionals(c, lengths).conformal_hessian(functional)
-        label = f"analytic conformal Hessian of {functional.upper()}"
+        H, kind = rep.conformal_hessian(functional), "conformal"
+    label = f"analytic {kind} Hessian of {functional.upper()}"
     spec = solve.eig_sym(H)
     if args.format == "human":
         print(label)
@@ -197,8 +197,7 @@ def cmd_sweep(args) -> int:
         raise
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    sep = {"delimited": ",", "structured": "\t", "human": "\t"}[args.format]
-    print(table.to_delimited(sep=sep), end="")
+    print(table.to_delimited(sep="," if args.format == "delimited" else "\t"), end="")
     return EXIT_OK
 
 
@@ -303,7 +302,7 @@ def build_parser() -> _Parser:
         "--lengths": dict(help="comma-separated lengths or uniform:k"),
         "--class": dict(dest="cls", help="background lengths of a conformal class"),
         "--conformal": dict(help="comma-separated per-vertex factors"),
-        "--format": dict(choices=("human", "structured", "delimited"), default="human"),
+        "--format": dict(choices=("human", "structured"), default="human"),
     }
 
     def add_common(sp, *flags):
@@ -324,7 +323,9 @@ def build_parser() -> _Parser:
     sp.set_defaults(fn=cmd_spectrum)
 
     sp = sub.add_parser("sweep", help="one-parameter family sweep")
-    add_common(sp, "--format")
+    add_common(sp)
+    sp.add_argument("--format", choices=("human", "delimited"), default="human",
+                    help="tab- or comma-separated columns")
     sp.add_argument("--family", default="diag")
     sp.add_argument("--t", required=True, help="start:stop:steps")
     sp.add_argument("--quantities", default="ehr,lehr,vehr",

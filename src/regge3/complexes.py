@@ -183,6 +183,12 @@ class Complex:
         a, b = self.edge_vertices.T
         return np.concatenate([a * n + b, b * n + a, a * (n + 1), b * (n + 1)])
 
+    @cached_property
+    def _edge_pair_cells(self) -> np.ndarray:
+        """Flat (E, E) cells (36T,) of each tet's edge pairs (m, n), tet by tet, row m first."""
+        te = self.tet_edges
+        return (te[:, :, None] * self.num_edges + te[:, None, :]).ravel()
+
 
 def _has_bool(rows) -> bool:
     """True when nested rows hold a bool, which numpy would turn into 0 or 1

@@ -13,8 +13,9 @@ The basic objects, for a complex with metric (edge length vector) l:
 is read from the report: gradients (from one normalization table; EHR has
 length gradient K_e / l_e), residuals, the bounds, the exact conformal
 Hessian and the exact Newton Jacobian of the constant scalar curvature
-equations.  The module-level gradients and residuals are one-call entry
-points; they reuse a report of their metric that a caller still holds.
+equations, and the exact length Hessian.  The module-level gradients and
+residuals are one-call entry points; they reuse a report of their metric
+that a caller still holds.
 The conformal Hessian is the paper's Laplacian formula at every metric:
 H_u(EHR) = -8 Delta + E(K), with Delta the Laplacian of the dual-length
 weights l*_e / l_e and E(K) the edge matrix of the curvatures
@@ -22,9 +23,13 @@ weights l*_e / l_e and E(K) the edge matrix of the curvatures
 piecewise flat two and three dimensional manifolds*, JDG 2011); LEHR and
 VEHR add their normalization's Hessian and rank-one terms in the
 gradients, which vanish at csc metrics, where the LEHR Hessian is
-4 (-2 Delta + N) / L.  Hessians in length space are obtained by finite
-differences: lengths (..., E) map to functional values (...) in one kernel
-call, so each stencil (``hessian_fd``, ``gradient_fd``) is one stacked call.
+4 (-2 Delta + N) / L.  The length Hessian is H(EHR) = -sum_t d(beta_t)/dl
+(Schlaefli: dEHR/dl_e = K_e / l_e) from the per-tet dihedral Jacobians of
+the kernel, with the same normalization and rank-one terms, and for VEHR the
+per-tet volume Hessians.  Finite differences remain for the sweep's Hessian
+columns and as test oracles: lengths (..., E) map to functional values (...)
+in one kernel call, so each stencil (``hessian_fd``, ``gradient_fd``) is one
+stacked call.
 
 Conventions
 -----------
@@ -34,9 +39,9 @@ on anything else.
 
 The factor map scales the edge between v and v' by exp((f_v + f_v')/2).
 First derivatives (``grad_conformal``, ``CurvatureReport.csc_jacobian``)
-are taken with respect to the factors f.  Second derivatives
-(``CurvatureReport.conformal_hessian``, ``lehr_conformal_hessian_csc`` and
-``conformal_hessian_fd``) are taken with respect to the per-vertex log
+are taken with respect to the factors f.  Conformal second
+derivatives (``CurvatureReport.conformal_hessian``, ``lehr_conformal_hessian_csc``
+and ``conformal_hessian_fd``) are taken with respect to the per-vertex log
 scale factors u = f / 2, under which the edge scales as exp(u_v + u_v');
 each entry is therefore 4 times the corresponding f-derivative.  All
 reference eigenvalues quoted in the tests use the u convention.
@@ -208,6 +213,33 @@ class CurvatureReport:
                 H -= np.bincount((tv[:, :, None] * n + tv[:, None, :]).ravel(), blocks.ravel(),
                                  minlength=n * n).reshape(n, n)
             H /= N
+            H -= grad[:, None] * g + g[:, None] * grad
+            if which == "vehr":    # grad V = 3V g = s g
+                H += (2.0 * lam * s / N) * (g[:, None] * g)
+        return 0.5 * (H + H.T)
+
+    def length_hessian(self, which: str) -> np.ndarray:
+        """The Hessian of F = EHR, LEHR or VEHR in the edge lengths, (E, E);
+        ``hessian_fd_lengths`` is its finite-difference oracle.
+
+        dEHR/dl_e = K_e / l_e (Schlaefli), so H(EHR) = -sum_t d(beta_t)/dl, each tet's
+        :attr:`geometry.TetGeometry.ddihedrals` added to the cells of its edge pairs.  For
+        F = EHR / N:  H(F) = (H(EHR) - F H(N) - grad F grad N^T - grad N grad F^T) / N, with
+        N = L and H(L) = 0, or N = V^(1/3) and H(N) = N (H(V) / (3V) - 2 grad V grad V^T /
+        (9 V^2)), H(V) the tets' :attr:`geometry.TetGeometry.d2volume` added alike.  With
+        g = grad N / N (1 / L resp. grad V / (3V)) and lambda = EHR / (3V), the VEHR terms
+        are -lambda H(V) / N in the one scatter and (2 lambda / (3 V N)) grad V grad V^T.
+        """
+        which = _functional(which)
+        c, geo, E = self.complex, self.geometry, self.complex.num_edges
+        N, lam, _ = self._normalization(which, False)
+        per_tet = geo.ddihedrals + lam * geo.d2volume if which == "vehr" else geo.ddihedrals
+        H = np.bincount(c._edge_pair_cells, per_tet.ravel(), minlength=E * E).reshape(E, E)
+        H /= -N
+        if which != "ehr":
+            s = self.length if which == "lehr" else 3.0 * self.volume
+            grad = self._gradient(which, False)
+            g = np.full(E, 1.0 / s) if which == "lehr" else c.edge_sum(geo.dvolume) / s
             H -= grad[:, None] * g + g[:, None] * grad
             if which == "vehr":    # grad V = 3V g = s g
                 H += (2.0 * lam * s / N) * (g[:, None] * g)

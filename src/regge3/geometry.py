@@ -22,9 +22,10 @@ the Gram matrix of the area-weighted outward face normals; G[0, 1:] =
 (1 - sum(y), y), y = g^-1 diag(g) / 2, are the circumcenter's barycentric
 coordinates; G[0, 0] = -2 R^2 = -y . diag(g).  Face areas and circumcentric
 heights are read only by :attr:`TetGeometry.dual`, which computes them; the
-circumcenter's height over face k times its area is 3 V G_0k.  No second
-derivative is formed here: the conformal Hessians of :mod:`regge3.curvature`
-are assembled from :attr:`TetGeometry.dual` and G.
+circumcenter's height over face k times its area is 3 V G_0k.  The second
+derivatives :attr:`TetGeometry.ddihedrals` and :attr:`TetGeometry.d2volume`,
+which the length Hessians of :mod:`regge3.curvature` read, come from the same G
+when read: for edge n = (i, j), dG_ab/dl_n = -2 l_n (G_ai G_jb + G_aj G_ib).
 """
 
 from __future__ import annotations
@@ -52,6 +53,15 @@ _COF = np.array([[1, 4, 3, 0, 3, 0], [2, 5, 5, 2, 4, 1], [5, 3, 4, 4, 0, 3],
 _SYM5 = np.zeros((5, 5), dtype=int)    # G from its upper triangle, row by row
 _SYM5[np.triu_indices(5)] = _SYM5.T[np.triu_indices(5)] = np.arange(15)
 _SYM3 = _SYM5[2:, 2:] - 9              # 3x3 from (11, 12, 13, 22, 23, 33)
+# the flat cells, each (6, 6) as [m, n] for the edges m and n, of G_(I_n K_m), G_(J_n L_m),
+# G_(J_n K_m) and G_(I_n L_m), which d(beta_m)/d(l_n) reads, and of G_(I_m I_n), G_(J_m J_n),
+# G_(I_m J_n) and G_(J_m I_n), which d^2 V/d(l_m)d(l_n) reads
+_m, _n = np.indices((6, 6))
+_DDIHEDRAL_ENTRIES = np.concatenate([_EDGE_ENTRIES[:18], (
+    5 * np.stack([_I[_n], _J[_n], _J[_n], _I[_n]])
+    + np.stack([_K[_m], _L[_m], _K[_m], _L[_m]])).ravel()])    # after G_KL, G_KK, G_LL
+_D2VOLUME_ENTRIES = (5 * np.stack([_I[_m], _J[_m], _I[_m], _J[_m]])
+                     + np.stack([_I[_n], _J[_n], _J[_n], _I[_n]])).ravel()
 
 
 class InadmissibleMetricError(ValueError):
@@ -169,7 +179,8 @@ def tet_volume(lengths) -> np.ndarray:
 @dataclass(frozen=True, init=False)
 class TetGeometry:
     """The per-tetrahedron geometry every curvature report reads, for a batch
-    of length vectors; :attr:`dual` is computed from it when read."""
+    of length vectors; :attr:`dual`, :attr:`ddihedrals` and :attr:`d2volume`
+    are computed from it when read."""
 
     lengths: np.ndarray        # (..., 6)
     cm3: np.ndarray            # (...)
@@ -205,6 +216,45 @@ class TetGeometry:
         h_face = self.cm_inverse[..., 0, 1:] * (3.0 * self.volume[..., None] / areas)
         pieces = (h_edge * h_face[..., None]).reshape(h_face.shape[:-1] + (12,))
         return 0.5 * np.add.reduce(pieces[..., _EDGE_SLOTS], -1)
+
+    def _entries(self, cells) -> np.ndarray:
+        """G at the flat cells ``cells`` of its 5x5 block, (..., len(cells)): one gather."""
+        G = self.cm_inverse
+        return G.reshape(G.shape[:-2] + (25,))[..., cells]
+
+    @property
+    def ddihedrals(self) -> np.ndarray:
+        """Jacobian d(beta_m)/d(l_n) of the dihedral angles, (..., 6, 6), row m.
+
+        With (k, l) the vertices off edge m and (i, j) the ends of edge n, the derivative
+        of cos beta_m = G_kl / sqrt(G_kk G_ll) by dG/dl_n (module docstring) is
+        -2 l_n B_mn / sqrt(G_kk G_ll), B_mn = G_ik (G_jl - a_k G_jk) + G_il (G_jk - a_l G_jl)
+        with a_k = G_kl / G_kk and a_l = G_kl / G_ll.  Jacobi's complementary minor gives
+        G_kk G_ll - G_kl^2 = 2 l_m^2 / CM3, so sin beta_m sqrt(G_kk G_ll) = l_m / (12 V)
+        and d(beta_m)/d(l_n) = 24 V (l_n / l_m) B_mn, without trigonometry.
+        """
+        e = self._entries(_DDIHEDRAL_ENTRIES)
+        kl, kk, ll = e[..., :6, None], e[..., 6:12, None], e[..., 12:18, None]
+        ik, jl, jk, il = np.moveaxis(e[..., 18:].reshape(e.shape[:-1] + (4, 6, 6)), -3, 0)
+        l = self.lengths
+        scale = (24.0 * self.volume)[..., None, None] * (l[..., None, :] / l[..., :, None])
+        return scale * (ik * (jl - (kl / kk) * jk) + il * (jk - (kl / ll) * jl))
+
+    @property
+    def d2volume(self) -> np.ndarray:
+        """Hessian d^2 V/d(l_m)d(l_n) of the volume, (..., 6, 6).
+
+        From dV/dl_m = 2 l_m V G_(i_m j_m) and dG/dl_n (module docstring):
+        delta_mn 2 V G_(i_m j_m) + dV_m dV_n / V
+        - 4 V l_m l_n (G_(i_m i_n) G_(j_m j_n) + G_(i_m j_n) G_(j_m i_n)).
+        """
+        ii, jj, ij, ji = np.moveaxis(self._entries(_D2VOLUME_ENTRIES).reshape(
+            self.cm3.shape + (4, 6, 6)), -3, 0)
+        V, l, dv = self.volume[..., None, None], self.lengths, self.dvolume
+        out = dv[..., :, None] * dv[..., None, :] / V \
+            - (4.0 * V) * (l[..., :, None] * l[..., None, :]) * (ii * jj + ij * ji)
+        out[..., range(6), range(6)] += 2.0 * self.volume[..., None] * ij[..., range(6), range(6)]
+        return out
 
 
 def _cm_inverse(cm, g2, adj):

@@ -94,7 +94,7 @@ def _eigenspace_projection_residual(spec: solve.Spectrum, target: float,
 
 def criterion_1_lehr_hessian():
     dt = double_tetrahedron()
-    H = curvature.hessian_fd_lengths(dt, np.ones(6), "lehr", richardson=True)
+    H = curvature.functionals(dt, np.ones(6)).length_hessian("lehr")
     spec = solve.eig_sym(H)
     dev = float(np.abs(spec.eigenvalues - LEHR_EIGS).max())
     proj = max(
@@ -111,7 +111,7 @@ def criterion_1_lehr_hessian():
 
 def criterion_2_vehr_hessian():
     dt = double_tetrahedron()
-    H = curvature.hessian_fd_lengths(dt, np.ones(6), "vehr", richardson=True)
+    H = curvature.functionals(dt, np.ones(6)).length_hessian("vehr")
     spec = solve.eig_sym(H)
     dev = float(np.abs(spec.eigenvalues - VEHR_EIGS).max())
     dev1 = abs(spec.eigenvalues[1] - 21.611)

@@ -1,5 +1,5 @@
 """Numerical machinery: eigensolver, csc Newton solver, projected descent,
-Yamabe-constant estimation, bisection, and one-parameter family sweeps.
+Yamabe-constant estimation, Brent's root finder, and one-parameter family sweeps.
 
 The csc Newton solver and the descents run through one loop, :func:`_descend`: a client
 evaluates points (values and gradients) and gives, at accepted points, a Newton step and
@@ -11,6 +11,7 @@ is reported through ``SolveTrace.reason`` rather than raised, so callers
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -87,8 +88,10 @@ def solve_csc(cls: ConformalClass, which: str = "L", f0=None,
     runs it as one start with r as its gradient, so it converges where max |r_v| < ``tol``,
     and each chunk of a step's halving ladder is tested before the kernel runs on the chunk's
     first admissible trial.  There is no gradient step: a singular system stops it with
-    reason "singular-jacobian", an exhausted ladder with "boundary-hit" if a trial was
-    inadmissible, else "stall".  ``trace.values`` holds each iterate's merit.
+    reason "singular-jacobian", a step along which the merit does not fall (the zero step
+    where r is already a multiple of 1) with "stall", and an exhausted ladder with
+    "boundary-hit" if a trial was inadmissible, else "stall".  ``trace.values`` holds each
+    iterate's merit.
 
     Returns (factors, SolveTrace).
     """
@@ -157,8 +160,9 @@ def _descend(starts, gauge, evaluate, direction, max_iter, tol=_GTOL, newton_onl
     negative: the step starts at 1 and is halved until Armijo's test on that slope holds,
     and a candidate that is inadmissible or at the boundary halves it too; otherwise, or
     when that fails, a gradient step is searched from the last one, doubled; with
-    ``newton_only`` (a reason) a start without a Newton step stops with that reason, and one
-    whose Newton ladder runs out as a gradient search does.  A search forms its ladder
+    ``newton_only`` (a reason) a start where ``direction`` gives None stops with that reason,
+    one whose Newton step has a slope that is not negative (a zero step) with "stall", and
+    one whose Newton ladder runs out as a gradient search does.  A search forms its ladder
     project(x + step 2^-k d), k < 40, in chunks: one rung first and after a rung that failed
     the test, 8 after a chunk without an admissible rung and first in a gradient search after
     one that met the boundary.  Each rung is bitwise that of k halvings.
@@ -195,8 +199,8 @@ def _descend(starts, gauge, evaluate, direction, max_iter, tol=_GTOL, newton_onl
         if dj and dj[1] < 0.0:    # a Newton step is most often taken at once: one rung
             d[i], slope[i] = dj
             step[i], rung[i], rungs[i], newton[i], blocked[i] = 1.0, 0, 1, True, False
-        elif not t.reason and newton_only:
-            t.reason = newton_only
+        elif not t.reason and newton_only:    # no step (a singular system), or no descent
+            t.reason = newton_only if dj is None else "stall"
         elif not t.reason:
             search.append(i)
 
@@ -463,12 +467,23 @@ def yamabe_constant_estimate(cls: ConformalClass, which: str = "L",
 
 
 # ---------------------------------------------------------------------------
-# scalar bisection
+# scalar root finding
 
 
 def bisect_zero(g, a: float, b: float, tol: float = 1e-10,
                 max_iter: int = 200) -> float:
-    """Root of a continuous scalar function by bracketing bisection."""
+    """A root of a scalar function g on a bracket [a, b] where it changes sign, by Brent's
+    method (Brent, *Algorithms for Minimization without Derivatives*, 1973, ch. 4).
+
+    Each step evaluates g once: at a secant or inverse quadratic interpolation point inside
+    the bracket, or at the bracket's midpoint where that point is not in the near three
+    quarters of the bracket or the step is not below half the step before last.  A smooth
+    simple root converges superlinearly, and any sign change still converges (a flat or a
+    discontinuous one at worst in about the square of bisection's steps).  Returns an
+    endpoint of a bracket narrower than ``tol`` (plus 4 eps times the root, for rounding),
+    a point where g is exactly 0, or the best point after ``max_iter`` evaluations past the
+    two endpoints.  Raises ``ValueError`` when g(a) and g(b) have the same sign.
+    """
     ga, gb = g(a), g(b)
     if ga == 0.0:
         return a
@@ -476,16 +491,40 @@ def bisect_zero(g, a: float, b: float, tol: float = 1e-10,
         return b
     if np.sign(ga) == np.sign(gb):
         raise ValueError(f"no sign change on [{a}, {b}]: g(a)={ga:.3g}, g(b)={gb:.3g}")
+    # b is the best point, c the other end of the bracket, a the previous b
+    c, gc, d = a, ga, b - a
+    e = d    # the step before the last: interpolation must halve it
     for _ in range(max_iter):
-        m = 0.5 * (a + b)
-        gm = g(m)
-        if gm == 0.0 or (b - a) < tol:
-            return m
-        if np.sign(gm) == np.sign(ga):
-            a, ga = m, gm
+        if abs(gc) < abs(gb):
+            a, b, c, ga, gb, gc = b, c, b, gb, gc, gb
+        tol1 = 2.0 * np.finfo(float).eps * abs(b) + 0.5 * tol
+        m = 0.5 * (c - b)
+        if abs(m) <= tol1:
+            return b
+        if abs(e) >= tol1 and abs(ga) > abs(gb):
+            s = gb / ga
+            if a == c:    # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:         # inverse quadratic through a, b and c
+                q, r = ga / gc, gb / gc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            p, q = abs(p), -q if p > 0.0 else q
+            if 2.0 * p < min(3.0 * m * q - abs(tol1 * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                e = d = m
         else:
-            b, gb = m, gm
-    return 0.5 * (a + b)
+            e = d = m
+        a, ga = b, gb
+        b += d if abs(d) > tol1 else math.copysign(tol1, m)
+        gb = g(b)
+        if gb == 0.0:
+            return b
+        if np.sign(gb) == np.sign(gc):    # the root lies between a and b
+            c, gc = a, ga
+            e = d = b - a
+    return b
 
 
 # ---------------------------------------------------------------------------
@@ -513,9 +552,10 @@ CONFORMAL_DIRECTIONS = {
 
 def family_direction_eigenvalue(c: Complex, lengths, which: str,
                                 direction) -> float:
-    """Rayleigh quotient of the Richardson FD length Hessian along an exact
-    eigen direction."""
-    H = curvature.hessian_fd_lengths(c, lengths, which, richardson=True)
+    """Rayleigh quotient of the exact length Hessian
+    (:meth:`curvature.CurvatureReport.length_hessian`) along an exact eigen direction:
+    one kernel call."""
+    H = curvature.functionals(c, lengths).length_hessian(which)
     v = np.asarray(direction, dtype=float)
     return float(v @ H @ v / (v @ v))
 
@@ -675,7 +715,8 @@ def random_admissible_lengths(c: Complex, rng: np.random.Generator,
 def find_tstar(c: Complex | None = None, bracket=(1.0, 1.3),
                tol: float = 1e-6) -> float:
     """Parameter where the family Hessian eigenvalue along (0,1,-1,-1,1,0)
-    for the volume-normalized functional crosses zero."""
+    for the volume-normalized functional crosses zero: :func:`bisect_zero` (Brent's
+    method) on :func:`family_direction_eigenvalue`, one exact length Hessian per step."""
     c = double_tetrahedron() if c is None else c
     v = FAMILY_DIRECTIONS["v"]
 

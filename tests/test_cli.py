@@ -159,6 +159,17 @@ class TestSpectrum:
         assert vals[1] == pytest.approx(75.7588, abs=1e-4)
         assert abs(vals[2] - vals[1]) < 1e-9 * vals[1]
 
+    def test_vehr_lengths_next_to_the_flat_square(self, capsys):
+        # the Richardson stencil crossed sqrt 2 here and the command exited 2; the exact
+        # Hessian needs the metric alone
+        code, out, err = run_cli(capsys, "spectrum", "--functional", "vehr", "--space",
+                                 "lengths", "--lengths", "1.413,1,1,1,1,1.413")
+        assert (code, err) == (0, "")
+        assert out.startswith("analytic length Hessian of VEHR\n")
+        vals = out.split("eigenvalues: [")[1].split("]")[0].split(",")
+        assert len(vals) == 6 and all(np.isfinite(float(x)) for x in vals)
+
+
 class TestSweep:
     def test_delimited_output(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--family", "diag",
@@ -305,6 +316,13 @@ class TestSolverCommands:
                        "1.2006942996321848")
         assert "reason: boundary-hit" in out
         assert code == 3
+
+    def test_find_csc_zero_newton_step_stalls(self, capsys):
+        # at a tolerance below the start's residual of 8.9e-16 the Newton step is zero: a
+        # stall, not a singular Jacobian
+        code, out, _ = run_cli(capsys, "find-csc", "--class", "uniform:1", "--tol", "1e-300")
+        assert "reason: stall" in out and "iterations: 1" in out
+        assert code == 4
 
     def test_find_csc_at_a_csc_start_with_no_iterations_is_success(self, capsys):
         code, out, _ = run_cli(capsys, "find-csc", "--class", "1,1,1,1,1,1", "--max-iters", "0")
@@ -512,6 +530,28 @@ class TestOptionSurface:
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""
         assert err.startswith("usage error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "--lengths", "uniform:1", "--format", "delimited"),
+        ("spectrum", "--lengths", "uniform:1", "--format", "delimited"),
+        ("sweep", "--t", "1:1.1:2", "--format", "structured"),
+    ])
+    def test_a_format_that_printed_another_ones_output_is_a_usage_error(self, capsys, argv):
+        # analyze and spectrum printed delimited as structured, sweep structured as human
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: argument --format: invalid choice")
+
+    @pytest.mark.parametrize("command, formats", [
+        ("analyze", ("human", "structured")), ("spectrum", ("human", "structured")),
+        ("sweep", ("human", "delimited")), ("reproduce", ("human", "delimited"))])
+    def test_each_format_prints_its_own_output(self, capsys, command, formats):
+        argv = {"analyze": ("--lengths", "uniform:1"), "spectrum": ("--lengths", "uniform:1"),
+                "sweep": ("--t", "1:1.1:2"), "reproduce": ("--only", "1a")}[command]
+        outputs = [run_cli(capsys, command, *argv, "--format", f)[1] for f in formats]
+        assert [a.choices for a in subparsers()[command]._actions
+                if "--format" in a.option_strings] == [formats]
+        assert outputs[0] != outputs[1]
 
     @pytest.mark.parametrize("command", ["find-csc", "yamabe"])
     def test_class_is_required(self, capsys, command):

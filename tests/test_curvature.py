@@ -506,10 +506,10 @@ def paper_formula(c, lengths):
 
 
 def mp_functionals(mpmath, c, lengths, u):
-    """(EHR, L, V) at the metric exp(u_a + u_b) l_e, in mpmath at its working
-    precision: CM3 and G = A^-1 by mpmath's det and inverse, cos beta_ij =
+    """(EHR, L, V) at the metric exp(u_a + u_b) l_e (lengths floats or mpf), in mpmath at
+    its working precision: CM3 and G = A^-1 by mpmath's det and inverse, cos beta_ij =
     G_kl / sqrt(G_kk G_ll) for the vertices k, l off edge ij."""
-    l = [mpmath.mpf(float(lengths[e])) * mpmath.exp(u[a] + u[b])
+    l = [mpmath.mpf(lengths[e]) * mpmath.exp(u[a] + u[b])
          for e, (a, b) in enumerate(c.edge_vertices)]
     angle_sum, volume = [mpmath.mpf(0)] * len(l), mpmath.mpf(0)
     for edges in c.tet_edges:
@@ -529,15 +529,28 @@ def mp_functionals(mpmath, c, lengths, u):
 
 def mp_conformal_hessians(mpmath, c, lengths, h):
     """Central-difference u-Hessians of EHR, LEHR and VEHR with step ``h``."""
-    n = c.num_vertices
+    return mp_hessians(mpmath, c.num_vertices, h,
+                       lambda u: mp_functionals(mpmath, c, lengths, u))
+
+
+def mp_length_hessians(mpmath, c, lengths, h):
+    """Central-difference length Hessians of EHR, LEHR and VEHR with step ``h``."""
+    zeros = [mpmath.mpf(0)] * c.num_vertices
+    return mp_hessians(mpmath, c.num_edges, h, lambda dl: mp_functionals(
+        mpmath, c, [mpmath.mpf(float(x)) + d for x, d in zip(lengths, dl)], zeros))
+
+
+def mp_hessians(mpmath, n, h, totals):
+    """Central-difference Hessians (n, n) of EHR, LEHR and VEHR in n coordinates x with
+    step ``h`` around x = 0, from ``totals(x)``, the (EHR, L, V) at x (a list of mpf)."""
     memo = {}
 
     def F(steps):
         if steps not in memo:
-            u = [mpmath.mpf(0)] * n
+            x = [mpmath.mpf(0)] * n
             for i, s in steps:
-                u[i] += s * h
-            ehr, L, V = mp_functionals(mpmath, c, lengths, u)
+                x[i] += s * h
+            ehr, L, V = totals(x)
             memo[steps] = (ehr, ehr / L, ehr / mpmath.cbrt(V))
         return memo[steps]
 
@@ -614,6 +627,76 @@ class TestExactConformalHessian:
         functionals(cell600, np.ones(720)).conformal_hessian("vehr")
         functionals(cell600, np.ones(720)).conformal_hessian("ehr")
         assert kernel_calls == [(600, 6)] * 3
+
+
+class TestExactLengthHessian:
+    @pytest.mark.parametrize("case, bound", [("t1.3", 1e-12), ("t1.4142", 1e-10),
+                                             ("seed60", 1e-12), ("seed61", 1e-12)])
+    def test_against_40_digit_differences(self, dt, case, bound):
+        # central differences of the functionals in the lengths in 40 digits, step 1e-12;
+        # the random metrics are not Einstein, so the rank-one terms are exercised, and
+        # t = 1.4142 is next to the flat square, where CM3 is 3e-4
+        mpmath = pytest.importorskip("mpmath")
+        if case.startswith("t"):
+            l = diagonal_family(float(case[1:]))
+        else:
+            l = random_admissible_lengths(dt, np.random.default_rng(int(case[4:])))
+        with mpmath.workdps(40):
+            ref = mp_length_hessians(mpmath, dt, l, mpmath.mpf("1e-12"))
+        rep = functionals(dt, l)
+        for which in ("ehr", "lehr", "vehr"):
+            err = np.abs(rep.length_hessian(which) - ref[which]).max() \
+                / np.abs(ref[which]).max()
+            assert err < bound, (which, err)
+
+    @pytest.mark.parametrize("which", ["ehr", "lehr", "vehr"])
+    def test_matches_richardson_on_random_metrics(self, dt, which):
+        # lengths in [0.8, 1.2], where the Richardson oracle's truncation error is small
+        rng = np.random.default_rng(62)
+        for _ in range(12):
+            l = random_admissible_lengths(dt, rng, 0.8, 1.2)
+            Ha = functionals(dt, l).length_hessian(which)
+            Hf = hessian_fd_lengths(dt, l, which, richardson=True)
+            assert np.abs(Ha - Hf).max() < 1e-6 * np.abs(Ha).max()
+            assert np.array_equal(Ha, Ha.T)
+
+    @pytest.mark.parametrize("which, expect", [
+        ("lehr", [-2 * np.sqrt(2) / 3] * 2 + [0.0] + [2 * np.sqrt(2) / 9] * 3),
+        ("vehr", [0.0]
+         + [2 ** (7 / 6) * 3 ** (-2 / 3) * (2 ** 1.5 + 9 * np.pi - 9 * ACOS13)] * 3
+         + [2 ** (7 / 6) * 3 ** (1 / 3) * (7 * np.pi - 2 ** 1.5 - 7 * ACOS13)] * 2)])
+    def test_equal_length_spectra_to_roundoff(self, dt, which, expect):
+        # the closed forms of reproduce rows 1a and 2a, which the Richardson Hessians
+        # met to 4.2e-10 and 5.8e-8
+        vals = solve.eig_sym(functionals(dt, ONES).length_hessian(which)).eigenvalues
+        assert np.abs(vals - np.array(expect)).max() < 1e-12
+
+    @pytest.mark.parametrize("case", ["dt", "cell600"])
+    def test_euler_identities(self, dt, cell600, case):
+        # EHR is 1-homogeneous in the lengths, LEHR and VEHR 0-homogeneous: by Euler,
+        # H(EHR) l = 0 and H(F) l = -grad F
+        rng = np.random.default_rng(63)
+        if case == "dt":
+            c, metrics = dt, random_admissible_lengths(dt, rng, size=5)
+        else:
+            c, metrics = cell600, [1.0 + 0.05 * rng.standard_normal(720) for _ in range(2)]
+        for l in metrics:
+            rep = functionals(c, l)
+            for which in ("ehr", "lehr", "vehr"):
+                H = rep.length_hessian(which)
+                g = 0.0 if which == "ehr" else rep.grad_lengths(which)
+                scale = np.abs(H).max() * np.abs(l).max()
+                assert np.abs(H @ l + g).max() < 1e-12 * scale, which
+
+    def test_one_kernel_call_on_cell600(self, cell600, kernel_calls):
+        rep = functionals(cell600, np.ones(720))
+        for which in ("ehr", "lehr", "vehr"):
+            assert rep.length_hessian(which).shape == (720, 720)
+        assert kernel_calls == [(600, 6)]
+
+    def test_unknown_functional_rejected(self, dt):
+        with pytest.raises(ValueError, match="unknown functional"):
+            functionals(dt, ONES).length_hessian("nope")
 
 
 class TestCscJacobian:

@@ -7,7 +7,7 @@ import pytest
 
 from regge3 import geometry
 from regge3.complexes import (EDGE_FACES, FACE_EDGES, FACE_VERTICES, LOCAL_PAIRS,
-                              double_tetrahedron, six_hundred_cell)
+                              OPPOSITE_EDGE, double_tetrahedron, six_hundred_cell)
 from regge3.conformal import induced_lengths, random_equihedral_lengths
 from regge3.curvature import functionals
 from regge3.geometry import (InadmissibleMetricError, cayley_menger,
@@ -367,6 +367,84 @@ class TestDihedralAngles:
                 assert abs(float(l @ db)) < 1e-6
 
 
+def central_jacobian(l, field, h=1e-6):
+    """d(field_m)/d(l_n) (..., 6, 6), row m, of a (..., 6) kernel field at tets ``l``
+    (..., 6), by central differences from one kernel call on l +- h e_n."""
+    e = h * np.eye(6)
+    f = getattr(tet_geometry(np.concatenate([l[..., None, :] + e, l[..., None, :] - e],
+                                            axis=-2)), field)
+    return np.swapaxes((f[..., :6, :] - f[..., 6:, :]) / (2 * h), -1, -2)
+
+
+class TestSecondDerivatives:
+    """ddihedrals and d2volume against central differences of the kernel's dihedrals and
+    dvolume, Schlaefli's identity per tet, and their symmetry and scaling."""
+
+    @pytest.fixture(scope="class")
+    def tets(self):
+        # 100 random double-tetrahedron metrics (200 tets) and a perturbed 600-cell; lengths
+        # in [0.8, 1.2], since next to the admissibility boundary the truncation error of
+        # central differences exceeds the bound
+        rng = np.random.default_rng(73)
+        dt, c = double_tetrahedron(), six_hundred_cell()
+        metrics = random_admissible_lengths(dt, rng, 0.8, 1.2, size=100)
+        return np.concatenate([dt.tet_lengths(metrics).reshape(200, 6),
+                               c.tet_lengths(1.0 + 0.02 * rng.standard_normal(c.num_edges))])
+
+    @pytest.mark.parametrize("second, first", [("ddihedrals", "dihedrals"),
+                                               ("d2volume", "dvolume")])
+    def test_match_central_differences(self, tets, second, first):
+        got, ref = getattr(tet_geometry(tets), second), central_jacobian(tets, first)
+        assert worst_rel(got, ref, 1) < 1e-8
+
+    def test_schlaefli_per_tet(self, tets):
+        # sum_m l_m d(beta_m)/d(l_n) = 0 for every n, to roundoff
+        db = tet_geometry(tets).ddihedrals
+        residual = np.abs(np.einsum("tm,tmn->tn", tets, db)).max(-1)
+        assert np.all(residual <= 1e-13 * np.abs(db).max((-2, -1)) * tets.max(-1))
+
+    @pytest.mark.parametrize("field", ["ddihedrals", "d2volume"])
+    def test_symmetric(self, tets, field):
+        # second derivatives of sum_m l_m beta_m (Schlaefli) and of V
+        a = getattr(tet_geometry(tets), field)
+        assert worst_rel(a, np.swapaxes(a, -1, -2), 1) < 1e-13
+
+    def test_scaling(self, tets):
+        # the dihedrals are scale invariant and the volume cubic in the lengths
+        a, b = tet_geometry(tets), tet_geometry(1.7 * tets)
+        assert worst_rel(b.ddihedrals, a.ddihedrals / 1.7, 1) < 1e-12
+        assert worst_rel(b.d2volume, 1.7 * a.d2volume, 1) < 1e-12
+
+    def test_regular_tet(self):
+        # at the regular tet the Jacobian takes three values, by symmetry: on an edge's own
+        # length, on its opposite edge's and on the four adjacent ones, and Schlaefli's
+        # identity ties them
+        db = tet_geometry(REGULAR).ddihedrals
+        own, opposite = np.diag(db), db[range(6), OPPOSITE_EDGE]
+        adjacent = db[~(np.eye(6, dtype=bool) | np.eye(6, dtype=bool)[::-1])]
+        for values in (own, opposite, adjacent):
+            assert np.ptp(values) < 1e-15
+        assert own[0] > 0 and opposite[0] > 0 > adjacent[0]
+        assert abs(own[0] + opposite[0] + 4 * adjacent[0]) < 1e-15
+
+    def test_descents_do_not_read_them(self, monkeypatch):
+        # computed only when read: the conformal and length descents and the csc
+        # Newton iteration never pay for them
+        from regge3.conformal import ConformalClass
+        from regge3.solve import descend_conformal, descend_lengths, solve_csc
+
+        def unread(self):
+            raise AssertionError("second derivative read")
+
+        for name in ("ddihedrals", "d2volume"):
+            monkeypatch.setattr(geometry.TetGeometry, name, property(unread))
+        dt = double_tetrahedron()
+        cls = ConformalClass(dt, REGULAR)
+        assert solve_csc(cls, "L", np.array([-1.0, -1.0, 0.0, 0.0]))[1].reason == "converged"
+        descend_conformal(cls, "V", np.array([0.1, -0.1, 0.05, -0.05]), max_iter=20)
+        descend_lengths(dt, "lehr", np.array([1.1, 1, 1, 1, 1, 0.9]), max_iter=20)
+
+
 class TestEmbedding:
     def test_regular_apex_height(self):
         p = embed_tet(REGULAR)
@@ -525,7 +603,8 @@ class TestDualLengths:
 
 _I, _J = np.array(LOCAL_PAIRS).T + 1
 _K, _L = np.array([[v for v in range(4) if v not in p] for p in LOCAL_PAIRS]).T + 1
-FIELDS = ("cm3", "cm_inverse", "volume", "dihedrals", "dual", "dvolume")
+FIELDS = ("cm3", "cm_inverse", "volume", "dihedrals", "dual", "dvolume", "ddihedrals",
+          "d2volume")
 
 
 def cm_matrix(l):

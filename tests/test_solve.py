@@ -191,6 +191,14 @@ class TestSolveCsc:
         assert (trace.points, trace.rejected, len(trace.residual_norms)) == (5, 3, 2)
         assert systems == [(5, 5), (5, 5)] and f.tobytes() == trace.iterates[-1].tobytes()
 
+    def test_zero_newton_step_stalls(self, unit_class):
+        # at equal lengths the residual is -8.9e-16 at every vertex, a multiple of 1: the
+        # bordered system is well conditioned and its solution is the zero step, along which
+        # the merit cannot fall, so the start stalls instead of reporting a singular system
+        f, trace = solve_csc(unit_class, "L", tol=1e-300)
+        assert (trace.reason, trace.step_sizes, trace.points) == ("stall", [], 1)
+        assert 0.0 < trace.residual_norms[-1] < 1e-15 and not f.any()
+
     # a class and start whose last Newton ladder runs out of rungs, some of them inadmissible
     EXHAUSTED = ([0.7475161463583486, 0.7740964026424981, 0.7671788928091389,
                   0.7364361890438107, 0.7387347391031329, 0.952083333716778],
@@ -988,6 +996,58 @@ class TestBisect:
     def test_conformal_crossing(self, dt):
         cross = solve.find_conformal_crossing(dt, bracket=(1.0, 1.35), tol=1e-7)
         assert cross == pytest.approx(1.31471, abs=1e-4)
+
+
+def counted(fn, calls):
+    """``fn`` that appends its arguments to ``calls`` on each call."""
+    def wrapped(*args):
+        calls.append(args)
+        return fn(*args)
+    return wrapped
+
+
+class TestBrent:
+    # the roots the bisection of the finite-difference eigenvalues found at tol 1e-7, in
+    # 25 evaluations each
+    BISECTED = {"find_tstar": 1.2683571219444278,
+                "find_conformal_crossing": 1.314714187383652}
+
+    @pytest.mark.parametrize("finder, bracket, eigenvalue", [
+        ("find_tstar", (1.0, 1.3), "family_direction_eigenvalue"),
+        ("find_conformal_crossing", (1.0, 1.35), "conformal_direction_eigenvalue")])
+    def test_paper_crossings_in_at_most_ten_evaluations(self, dt, monkeypatch, finder,
+                                                        bracket, eigenvalue):
+        calls = []
+        monkeypatch.setattr(solve, eigenvalue, counted(getattr(solve, eigenvalue), calls))
+        root = getattr(solve, finder)(dt, bracket=bracket, tol=1e-7)
+        assert len(calls) <= 10
+        assert abs(root - self.BISECTED[finder]) < 1e-7
+
+    def test_step_function_converges_by_bisection(self):
+        # interpolation between values of equal size lands anywhere in the bracket; the
+        # bisection fallback still shrinks it to tol around the jump
+        calls = []
+        g = counted(lambda t: -1.0 if t < 1.2 else 1.0, calls)
+        root = bisect_zero(g, 1.0, 1.3, tol=1e-9)
+        assert abs(root - 1.2) <= 1e-9 and len(calls) <= 60
+
+    def test_flat_cubic_root_to_tol(self):
+        for tol in (1e-6, 1e-10):
+            root = bisect_zero(lambda t: (t - 1.2) ** 3, 1.0, 1.5, tol=tol)
+            assert abs(root - 1.2) <= tol
+
+    @pytest.mark.parametrize("a, b", [(1.2, 2.0), (0.0, 1.2)])
+    def test_endpoint_root_after_two_evaluations(self, a, b):
+        calls = []
+        assert bisect_zero(counted(lambda t: t - 1.2, calls), a, b) == 1.2
+        assert calls == [(a,), (b,)]
+
+    @pytest.mark.parametrize("max_iter", [0, 1, 5])
+    def test_max_iter_bounds_the_evaluations(self, max_iter):
+        calls = []
+        root = bisect_zero(counted(lambda t: -1.0 if t < 1.2 else 1.0, calls), 1.0, 1.3,
+                           tol=1e-12, max_iter=max_iter)
+        assert len(calls) == 2 + max_iter and 1.0 <= root <= 1.3
 
 
 class TestFamilyStructure:
