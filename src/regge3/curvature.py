@@ -53,6 +53,7 @@ import dataclasses
 import math
 import weakref
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -213,7 +214,8 @@ class CurvatureReport:
                 H -= np.bincount((tv[:, :, None] * n + tv[:, None, :]).ravel(), blocks.ravel(),
                                  minlength=n * n).reshape(n, n)
             H /= N
-            H -= grad[:, None] * g + g[:, None] * grad
+            outer = grad[:, None] * g    # g grad^T is its transpose, bitwise
+            H -= outer + outer.T
             if which == "vehr":    # grad V = 3V g = s g
                 H += (2.0 * lam * s / N) * (g[:, None] * g)
         return 0.5 * (H + H.T)
@@ -467,8 +469,8 @@ def _first_admissible(c: Complex, lengths, sizes):
     k, rows = _firsts(ok.tolist(), sizes)
     if not rows:
         return k, None, None, None
-    at = rows[0] if len(rows) == 1 else rows
-    kept = _read_only(lengths[at].copy())
+    at = rows[0] if len(rows) == 1 else np.array(rows)    # one index array for every gather
+    kept = _read_only(lengths.take(at, 0))
     return (k, kept, *_curvatures(c, kept, take(at)))
 
 
@@ -486,15 +488,15 @@ def _first_points(c: Complex, name: str, lengths, sizes, per_vertex: bool):
         return k, [], [], None, None
     one, E = kept.ndim == 1, c.num_edges
     totals = _totals(kept, geo, k_edge)
-    worst = np.minimum.reduce(geo.cm3, -1)
-    at_boundary = [cm < 1e-8 * (length / E) ** 6 for cm, length in
-                   zip([float(worst)] if one else worst.tolist(), totals[0])]
+    # every CM3 of an admissible metric is positive, so Python's min is the reduction's
+    worst = [min(geo.cm3.tolist())] if one else np.minimum.reduce(geo.cm3, -1).tolist()
+    at_boundary = [cm < 1e-8 * (length / E) ** 6 for cm, length in zip(worst, totals[0])]
     if per_vertex:    # a report takes its values from the same totals
         reps = _make_reports(c, kept, geo, k_edge, totals)
         gs = [rep._gradient(name, True) for rep in reps]
         return (k, [getattr(rep, name) for rep in reps], at_boundary,
                 gs[0][None] if one else np.array(gs), reps)
-    values, N, lam = zip(*[_scalars(name, *t) for t in zip(*totals)])
+    values, N, lam = zip(*map(_scalars, repeat(name), *totals))
     N, lam = (N[0], lam[0]) if one else (np.array(N)[:, None], np.array(lam)[:, None])
     n_edge = 0.0 if name == "ehr" else kept if name == "lehr" else _v_edge(c, kept, geo)
     gradients = _length_gradient(k_edge, kept, N, lam, n_edge).reshape(-1, E)

@@ -106,17 +106,17 @@ def _worst_tet(values) -> str:
     return str(flat) if len(index) <= 1 else str(tuple(int(k) for k in index))
 
 
+@np.errstate(over="ignore", invalid="ignore")    # made at import: a scope per call costs 3x
 def _tet_tests(l, n):
     """(ok, margins, CM3, 2g, its first ``n`` cofactors) of the tets ``l`` (..., 6): a tet is
     admissible (ok) when its face margins (sum of two sides less the third) and CM3 are
     positive, which rules out nonpositive and non-finite lengths (NaN fails), warning-free."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        # CM3 > 0 alone does not rule out faces that violate the triangle inequality; with a
-        # Gram minor > 0 it does (Sylvester), but the CM3 of a collinear face rounds either way
-        sides = l[..., _FACE_EDGES]
-        margins = (np.add.reduce(sides, -1) - 2.0 * np.maximum.reduce(sides, -1)).min(-1)
-        g2, adj, cm = _gram_cofactors(l, n)
-        return np.minimum(margins, cm) > 0.0, margins, cm, g2, adj
+    # CM3 > 0 alone does not rule out faces that violate the triangle inequality; with a
+    # Gram minor > 0 it does (Sylvester), but the CM3 of a collinear face rounds either way
+    sides = l[..., _FACE_EDGES]
+    margins = (np.add.reduce(sides, -1) - 2.0 * np.maximum.reduce(sides, -1)).min(-1)
+    g2, adj, cm = _gram_cofactors(l, n)
+    return np.minimum(margins, cm) > 0.0, margins, cm, g2, adj
 
 
 def _admissible(tets) -> np.ndarray:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .complexes import Complex, double_tetrahedron, set_fields
 from . import curvature, geometry
@@ -52,6 +53,18 @@ def eig_sym(A) -> Spectrum:
     j = np.argmax(np.abs(V), axis=0)
     V = V * np.where(V[j, np.arange(V.shape[1])] < 0, -1.0, 1.0)
     return Spectrum(eigenvalues=vals, eigenvectors=V)
+
+
+def _linalg_error(err, flag):    # numpy.linalg's handler of LAPACK's failure flag
+    raise LinAlgError("LAPACK: singular or not positive definite")
+
+
+@np.errstate(call=_linalg_error, invalid="call", over="ignore", divide="ignore", under="ignore")
+def _lapack(gufunc, *arrays):
+    """``np.linalg.cholesky`` or ``.solve`` of float64 arrays without the checks and conversions
+    around its LAPACK gufunc (most of a 4x4 call's time): the same loop under the same error
+    state, so bitwise its result, and ``LinAlgError`` where it raises."""
+    return gufunc(*arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -97,13 +110,12 @@ def solve_csc(cls: ConformalClass, which: str = "L", f0=None,
     """
     c = cls.complex
     n = c.num_vertices
-    f = np.zeros(n) if f0 is None else np.asarray(f0, dtype=float)
+    f = np.zeros(n) if f0 is None else np.array(f0, dtype=float)    # the first iterate
     if not cls.apply(f)[1]:
         raise geometry.InadmissibleMetricError("starting point is not admissible")
     K, rhs = np.ones((n + 1, n + 1)), np.zeros(n + 1)    # the bordered system
     K[n, n] = 0.0
 
-    @np.errstate(over="ignore")    # a long step overflows to lengths the test rejects
     def evaluate(points, sizes):    # one start, so one chunk and at most one point kept
         k, kept, geo, k_edge = curvature._first_admissible(
             c, induced_lengths(c, cls.background, points), sizes)
@@ -117,7 +129,7 @@ def solve_csc(cls: ConformalClass, which: str = "L", f0=None,
         K[:n, :n], rhs[:n] = rep.csc_jacobian(which), -r
         try:
             d = np.linalg.solve(K, rhs)
-        except np.linalg.LinAlgError:
+        except LinAlgError:
             return None
         return d[:n], -float(r @ (r + d[n]))
 
@@ -143,6 +155,7 @@ def _index(ids):
     return slice(ids[0], ids[-1] + 1) if ids[-1] - ids[0] == len(ids) - 1 else np.array(ids)
 
 
+@np.errstate(over="ignore", invalid="ignore")    # one scope for the run, made at import
 def _descend(starts, gauge, evaluate, direction, max_iter, tol=_GTOL, newton_only=None):
     """Minimize a function from each start of a stack (S, n) by Newton or gradient steps with
     Armijo backtracking, all starts in one array loop; returns each start's (x, SolveTrace).
@@ -179,29 +192,33 @@ def _descend(starts, gauge, evaluate, direction, max_iter, tol=_GTOL, newton_onl
     steps, none when it is 0 or less).  ``trace.points`` counts the points a search testing
     one at a time tests (the start, rungs up to a chunk's first admissible one, whole chunks
     without one), ``trace.rejected`` the inadmissible ones.  An inadmissible start raises.
+    A long step can overflow to infinite candidates, or the kernel's products to inf - inf
+    = NaN, which the test rejects: the run ignores overflow and invalid operations.
     """
     S, n = starts.shape
     traces = [SolveTrace(points=1, reason="") for _ in range(S)]    # a reason once it stops
-    x, d, g = np.empty((S, n)), np.empty((S, n)), [None] * S    # g: each iterate's gradient row
+    x, d, g = np.empty((S, n)), np.empty((S, n)), np.empty((S, n))    # iterates, steps, gradients
     fx, step, slope, alpha = [0.0] * S, [0.0] * S, [0.0] * S, [1.0] * S
     rung, rungs, first, tiny = [0] * S, [0] * S, [1] * S, [0] * S
     newton, blocked = [False] * S, [False] * S
 
     def accept(i, a, e):    # row a of the round, its evaluated point e, is start i's iterate
-        t, gnorm = traces[i], gnorms[e]
-        x[i], g[i], fx[i] = rows[a], gradients[e], values[e]
-        t.iterates.append(rows[a].copy())
+        t, gnorm, xa = traces[i], gnorms[e], rows[a]
+        x[i], g[i], fx[i] = xa, gradients[e], values[e]
+        t.iterates.append(xa)    # a view: a round's rows are a new array, never written
         t.residual_norms.append(gnorm)
-        t.values.append(values[e])
+        t.values.append(fx[i])
         t.reason = ("converged" if gnorm < tol else "boundary-hit" if at_boundary[e] else
                     "max-iters" if len(t.step_sizes) >= max_iter else "")
-        dj = direction(reports[e], g[i]) if reports and not t.reason else None
+        if t.reason:
+            return
+        dj = direction(reports[e], g[i]) if reports else None
         if dj and dj[1] < 0.0:    # a Newton step is most often taken at once: one rung
             d[i], slope[i] = dj
             step[i], rung[i], rungs[i], newton[i], blocked[i] = 1.0, 0, 1, True, False
-        elif not t.reason and newton_only:    # no step (a singular system), or no descent
+        elif newton_only:    # no step (a singular system), or no descent
             t.reason = newton_only if dj is None else "stall"
-        elif not t.reason:
+        else:
             search.append(i)
 
     every, search = list(range(S)), []
@@ -215,7 +232,8 @@ def _descend(starts, gauge, evaluate, direction, max_iter, tol=_GTOL, newton_onl
     while True:
         if search:    # gradient searches from the iterates along -g
             search.sort()
-            d[_index(search)] = gs = -np.array([g[i] for i in search])
+            at = _index(search)
+            d[at] = gs = -g[at]
             # g . g per start: np.vecdot is bitwise each start's own g @ g
             for i, gg in zip(search, np.vecdot(gs, gs).tolist()):
                 step[i], slope[i] = min(2.0 * alpha[i], 1e6), -gg
@@ -233,9 +251,9 @@ def _descend(starts, gauge, evaluate, direction, max_iter, tol=_GTOL, newton_onl
             rows = x[i] + (step[i] * _LADDER[rung[i]:rung[i] + sizes[0]]) * d[i]
         else:    # rung j of a chunk of start i is x_i + (step_i 2^-(rung_i + j)) d_i
             m = np.array(sizes)
-            own = np.repeat(live, m)    # each rung's start
-            j = np.arange(len(own)) - np.repeat(np.cumsum(m) - m - [rung[i] for i in live], m)
-            scale = np.repeat([step[i] for i in live], m)[:, None] * _LADDER[j]
+            own, ends = np.array(live).repeat(m), m.cumsum()    # each rung's start
+            j = np.arange(ends[-1]) - (ends - m - np.array([rung[i] for i in live])).repeat(m)
+            scale = np.array([step[i] for i in live]).repeat(m)[:, None] * _LADDER[j]
             rows = x[own] + scale * d[own]
         rows, sizes = gauge(rows, own, sizes)
         k, values, at_boundary, gradients, reports = evaluate(rows, sizes)
@@ -282,14 +300,7 @@ def _evaluate(c: Complex, which: str, metric=None):
     name = curvature._functional(which)
     if metric is None:
         return lambda points, sizes: curvature._first_points(c, name, points, sizes, False)
-
-    def evaluate(points, sizes):
-        # a long gradient step can overflow the factor map to infinite lengths, or the
-        # kernel's products to inf - inf = NaN, which the test rejects
-        with np.errstate(over="ignore", invalid="ignore"):
-            return curvature._first_points(c, name, metric(points), sizes, True)
-
-    return evaluate
+    return lambda points, sizes: curvature._first_points(c, name, metric(points), sizes, True)
 
 
 def descend_lengths(c: Complex, which: str, l0, normalize: str = "L",
@@ -369,11 +380,13 @@ def descend_conformal(cls: ConformalClass, which: str, f0, max_iter: int = 1000)
     def newton(rep, g):
         Hp = P @ (0.25 * rep.conformal_hessian(which)) @ P + mean
         try:
-            np.linalg.cholesky(Hp)
-        except np.linalg.LinAlgError:
+            _lapack(_umath_linalg.cholesky_lo, Hp)
+        except LinAlgError:
             return None
-        d = -np.linalg.solve(Hp, P @ g)
-        return (d, float(g @ d)) if np.abs(d).max() <= _NEWTON_RADIUS else None
+        d = -_lapack(_umath_linalg.solve1, Hp, P @ g)
+        # |d_v| <= radius for every v, and False for a NaN, as np.abs(d).max() <= radius
+        r = _NEWTON_RADIUS
+        return (d, float(g @ d)) if all(-r <= v <= r for v in d.tolist()) else None
 
     evaluate = _evaluate(c, which, lambda f: induced_lengths(c, cls.background, f))
     return _descend(f0[None], project, evaluate, newton, max_iter)[0]
@@ -477,9 +490,10 @@ def bisect_zero(g, a: float, b: float, tol: float = 1e-10,
 
     Each step evaluates g once: at a secant or inverse quadratic interpolation point inside
     the bracket, or at the bracket's midpoint where that point is not in the near three
-    quarters of the bracket or the step is not below half the step before last.  A smooth
-    simple root converges superlinearly, and any sign change still converges (a flat or a
-    discontinuous one at worst in about the square of bisection's steps).  Returns an
+    quarters of the bracket, the step is not below half the step before last, or the two
+    steps before each left more than half the bracket.  A smooth simple root converges
+    superlinearly, and any sign change still converges, a flat one (t - 1.2)^3 in 29
+    evaluations at tol 1e-6 where bisection takes 22.  Returns an
     endpoint of a bracket narrower than ``tol`` (plus 4 eps times the root, for rounding),
     a point where g is exactly 0, or the best point after ``max_iter`` evaluations past the
     two endpoints.  Raises ``ValueError`` when g(a) and g(b) have the same sign.
@@ -494,6 +508,7 @@ def bisect_zero(g, a: float, b: float, tol: float = 1e-10,
     # b is the best point, c the other end of the bracket, a the previous b
     c, gc, d = a, ga, b - a
     e = d    # the step before the last: interpolation must halve it
+    slow, width = 0, math.inf    # steps in a row that left more than half the bracket
     for _ in range(max_iter):
         if abs(gc) < abs(gb):
             a, b, c, ga, gb, gc = b, c, b, gb, gc, gb
@@ -501,7 +516,10 @@ def bisect_zero(g, a: float, b: float, tol: float = 1e-10,
         m = 0.5 * (c - b)
         if abs(m) <= tol1:
             return b
-        if abs(e) >= tol1 and abs(ga) > abs(gb):
+        slow, width = slow + 1 if abs(m) > 0.25 * width else 0, 2.0 * abs(m)
+        if slow == 2:    # bisect after two such steps: a flat root's interpolation crawls
+            slow, e, d = 0, m, m
+        elif abs(e) >= tol1 and abs(ga) > abs(gb):
             s = gb / ga
             if a == c:    # secant
                 p, q = 2.0 * m * s, 1.0 - s
