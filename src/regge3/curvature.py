@@ -496,8 +496,12 @@ def _first_points(c: Complex, name: str, lengths, sizes, per_vertex: bool):
         gs = [rep._gradient(name, True) for rep in reps]
         return (k, [getattr(rep, name) for rep in reps], at_boundary,
                 gs[0][None] if one else np.array(gs), reps)
-    values, N, lam = zip(*map(_scalars, repeat(name), *totals))
-    N, lam = (N[0], lam[0]) if one else (np.array(N)[:, None], np.array(lam)[:, None])
+    if one or name == "vehr":    # Python's V^(1/3) of one metric at a time, as in reports
+        values, N, lam = zip(*map(_scalars, repeat(name), *totals))
+        N, lam = (N[0], lam[0]) if one else (np.array(N)[:, None], np.array(lam)[:, None])
+    else:    # EHR and EHR / L elementwise, each metric's own
+        values, N, lam = _scalars(name, *(np.array(t)[:, None] for t in totals))
+        values = values.ravel().tolist()
     n_edge = 0.0 if name == "ehr" else kept if name == "lehr" else _v_edge(c, kept, geo)
     gradients = _length_gradient(k_edge, kept, N, lam, n_edge).reshape(-1, E)
     return k, values, at_boundary, gradients, None
