@@ -408,7 +408,8 @@ def _totals(lengths, geo, k_edge) -> tuple:
 def _scalars(name: str, length: float, volume: float, ehr: float):
     """(F, N, lambda) at totals L, V, EHR (floats) of the ``FUNCTIONALS`` key ``name``: F =
     EHR / N with N = 1, L or V^(1/3), and lambda = 0, EHR / L or EHR / (3V).  Reports and
-    descents take every value and normalization from here, one metric at a time."""
+    descents take every value and normalization from here, one metric at a time, but for
+    EHR and LEHR, whose arithmetic is elementwise, a stack's arrays of totals in one call."""
     if name == "ehr":
         return ehr, 1.0, 0.0
     if name == "lehr":
