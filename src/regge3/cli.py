@@ -66,22 +66,21 @@ def parse_lengths(spec: str, num_edges: int) -> np.ndarray:
         except ValueError as exc:
             raise UsageError(f"bad uniform length {spec!r}") from exc
         return np.full(num_edges, k)
-    try:
-        vals = np.asarray([float(x) for x in spec.split(",")], dtype=float)
-    except ValueError as exc:
-        raise UsageError(f"bad length list {spec!r}") from exc
-    if vals.size != num_edges:
-        raise UsageError(f"expected {num_edges} lengths, got {vals.size}")
-    return vals
+    return _parse_list(spec, num_edges, "length")
 
 
 def parse_factors(spec: str, num_vertices: int) -> np.ndarray:
+    return _parse_list(spec, num_vertices, "factor")
+
+
+def _parse_list(spec: str, size: int, noun: str) -> np.ndarray:
+    """A comma-separated list of ``size`` floats, each a ``noun``."""
     try:
         vals = np.asarray([float(x) for x in spec.split(",")], dtype=float)
     except ValueError as exc:
-        raise UsageError(f"bad factor list {spec!r}") from exc
-    if vals.size != num_vertices:
-        raise UsageError(f"expected {num_vertices} factors, got {vals.size}")
+        raise UsageError(f"bad {noun} list {spec!r}") from exc
+    if vals.size != size:
+        raise UsageError(f"expected {size} {noun}s, got {vals.size}")
     return vals
 
 

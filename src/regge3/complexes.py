@@ -20,7 +20,6 @@ import ast
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -62,6 +61,20 @@ def set_fields(args: dict) -> None:
     """
     self = args.pop("self")
     vars(self).update(args)
+
+
+class _cached:
+    """A field computed when first read, then kept in the instance: functools' cached
+    property without the lock that it takes on every first read before Python 3.12."""
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 #: each incidence array with the number of ids in one of its rows
@@ -138,7 +151,7 @@ class Complex:
         v, e, f, t = self.counts()
         return v - e + f - t
 
-    @cached_property
+    @_cached
     def edge_degrees(self) -> np.ndarray:
         """(E,) number of tets incident to each edge, with multiplicity; read-only, computed
         once per complex."""
@@ -176,14 +189,14 @@ class Complex:
             idx = (idx + E * np.arange(size)[:, None]).ravel()
         return np.bincount(idx, per_tet.ravel(), minlength=size * E).reshape(batch + (E,))
 
-    @cached_property
+    @_cached
     def _edge_cells(self) -> np.ndarray:
         """Flat (V, V) cells (4E,) of the edges (a, b): (a, b), then (b, a), (a, a), (b, b)."""
         n = self.num_vertices
         a, b = self.edge_vertices.T
         return np.concatenate([a * n + b, b * n + a, a * (n + 1), b * (n + 1)])
 
-    @cached_property
+    @_cached
     def _edge_pair_cells(self) -> np.ndarray:
         """Flat (E, E) cells (36T,) of each tet's edge pairs (m, n), tet by tet, row m first."""
         te = self.tet_edges

@@ -57,24 +57,10 @@ from itertools import repeat
 
 import numpy as np
 
-from .complexes import Complex, set_fields
+from .complexes import Complex, _cached, set_fields
 from . import geometry
 from .conformal import induced_lengths
 from .geometry import InadmissibleMetricError
-
-
-class _cached:
-    """``functools.cached_property`` without the lock that it takes on every first read
-    before Python 3.12: a field computed when first read, then kept in the instance."""
-
-    def __init__(self, fn):
-        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
 
 
 @dataclass(frozen=True, init=False)
@@ -141,15 +127,16 @@ class CurvatureReport:
         return _edge_matrix(self.complex, w, -w)
 
     def _normalization(self, name: str, per_vertex: bool):
-        """(N, lambda, N_x) of F = EHR / N for the ``FUNCTIONALS`` key ``name``, N_x per vertex
-        (N_v) or per edge (N_e): dF/dl_e = (K_e - lambda N_e) / (l_e N), dF/df_v =
-        (K_v - lambda N_v) / N, and the equations K_e = lambda N_e and K_v = lambda N_v."""
+        """(N, lambda, N_x, s) of F = EHR / N for the ``FUNCTIONALS`` key ``name``, N_x per
+        vertex (N_v) or per edge (N_e): dF/dl_e = (K_e - lambda N_e) / (l_e N), dF/df_v =
+        (K_v - lambda N_v) / N, and the equations K_e = lambda N_e and K_v = lambda N_v.  The
+        total s = L (LEHR) or 3V (VEHR), 1 for EHR, gives grad_f N / N = N_v / s."""
         _, N, lam = _scalars(name, self.length, self.volume, self.ehr)
         if name == "ehr":
-            return N, lam, 0.0
+            return N, lam, 0.0, 1.0
         if name == "lehr":
-            return N, lam, self.l_vertex if per_vertex else self.lengths
-        return N, lam, self.v_vertex if per_vertex else self.v_edge
+            return N, lam, self.l_vertex if per_vertex else self.lengths, self.length
+        return N, lam, self.v_vertex if per_vertex else self.v_edge, 3.0 * self.volume
 
     def _gradient(self, name: str, per_vertex: bool) -> np.ndarray:
         """dF/df (V,) or dF/dl (E,) of the functional of the ``FUNCTIONALS`` key ``name``, kept
@@ -157,7 +144,7 @@ class CurvatureReport:
         key = f"_gradient_{name}_{per_vertex}"
         g = self.__dict__.get(key)
         if g is None:
-            N, lam, n_x = self._normalization(name, per_vertex)
+            N, lam, n_x, _ = self._normalization(name, per_vertex)
             g = (self.k_vertex - lam * n_x) / N if per_vertex else \
                 _length_gradient(self.k_edge, self.lengths, N, lam, n_x)
             g = self.__dict__[key] = _read_only(g)
@@ -173,12 +160,12 @@ class CurvatureReport:
 
     def einstein_residual(self, which: str) -> np.ndarray:
         """Per-edge residual K_e - lambda N_e; see :func:`einstein_residual`."""
-        _, lam, n_edge = self._normalization(_functional(which), False)
+        _, lam, n_edge, _ = self._normalization(_functional(which), False)
         return self.k_edge - lam * n_edge
 
     def csc_residual(self, which: str) -> np.ndarray:
         """Per-vertex residual K_v - lambda N_v; see :func:`csc_residual`."""
-        _, lam, n_vertex = self._normalization(_functional(which), True)
+        _, lam, n_vertex, _ = self._normalization(_functional(which), True)
         return self.k_vertex - lam * n_vertex
 
     def conformal_hessian(self, which: str) -> np.ndarray:
@@ -198,27 +185,20 @@ class CurvatureReport:
         """
         which = _functional(which)
         c = self.complex
-        N, lam, n_vertex = self._normalization(which, True)
+        N, lam, _, _ = self._normalization(which, True)
         w = 8.0 * self.dual_length / self.lengths
         x = self.k_edge - lam * self.lengths if which == "lehr" else self.k_edge
         H = _edge_matrix(c, x - w, x + w)
-        if which != "ehr":
-            s = self.length if which == "lehr" else 3.0 * self.volume
-            grad, g = 2.0 * self._gradient(which, True), 2.0 * n_vertex / s
-            if which == "vehr":
-                G, n, tv = self.geometry.cm_inverse, c.num_vertices, c.tet_vertices
-                a = G[:, 0, 1:]
-                blocks = 1.0 - a[:, :, None] - a[:, None, :] - G[:, :1, :1] * G[:, 1:, 1:]
-                blocks.reshape(-1, 16)[:, ::5] += a    # the diagonals
-                blocks *= (4.0 * lam) * self.geometry.volume[:, None, None]
-                H -= np.bincount((tv[:, :, None] * n + tv[:, None, :]).ravel(), blocks.ravel(),
-                                 minlength=n * n).reshape(n, n)
-            H /= N
-            outer = grad[:, None] * g    # g grad^T is its transpose, bitwise
-            H -= outer + outer.T
-            if which == "vehr":    # grad V = 3V g = s g
-                H += (2.0 * lam * s / N) * (g[:, None] * g)
-        return 0.5 * (H + H.T)
+        if which == "vehr":
+            G, n, tv = self.geometry.cm_inverse, c.num_vertices, c.tet_vertices
+            a = G[:, 0, 1:]
+            blocks = 1.0 - a[:, :, None] - a[:, None, :] - G[:, :1, :1] * G[:, 1:, 1:]
+            blocks.reshape(-1, 16)[:, ::5] += a    # the diagonals
+            blocks *= (4.0 * lam) * self.geometry.volume[:, None, None]
+            H -= np.bincount((tv[:, :, None] * n + tv[:, None, :]).ravel(), blocks.ravel(),
+                             minlength=n * n).reshape(n, n)
+        H /= N    # N = 1 for EHR: exact
+        return self._rank_one_tail(which, True, H)
 
     def length_hessian(self, which: str) -> np.ndarray:
         """The Hessian of F = EHR, LEHR or VEHR in the edge lengths, (E, E);
@@ -233,17 +213,29 @@ class CurvatureReport:
         are -lambda H(V) / N in the one scatter and (2 lambda / (3 V N)) grad V grad V^T.
         """
         which = _functional(which)
-        c, geo, E = self.complex, self.geometry, self.complex.num_edges
-        N, lam, _ = self._normalization(which, False)
+        geo, E = self.geometry, self.complex.num_edges
+        N, lam, _, _ = self._normalization(which, False)
         per_tet = geo.ddihedrals + lam * geo.d2volume if which == "vehr" else geo.ddihedrals
-        H = np.bincount(c._edge_pair_cells, per_tet.ravel(), minlength=E * E).reshape(E, E)
+        H = np.bincount(self.complex._edge_pair_cells, per_tet.ravel(),
+                        minlength=E * E).reshape(E, E)
         H /= -N
+        return self._rank_one_tail(which, False, H)
+
+    def _rank_one_tail(self, which: str, conformal: bool, H) -> np.ndarray:
+        """Either exact Hessian of F = EHR / N from its other terms H / N, in u (grad_u = 2
+        grad_f) or in the lengths: adds -(grad F g^T + g grad F^T), g = grad N / N, and for
+        VEHR (2 lambda s / N) g g^T (grad V = s g), then symmetrizes (EHR: only that)."""
         if which != "ehr":
-            s = self.length if which == "lehr" else 3.0 * self.volume
-            grad = self._gradient(which, False)
-            g = np.full(E, 1.0 / s) if which == "lehr" else c.edge_sum(geo.dvolume) / s
-            H -= grad[:, None] * g + g[:, None] * grad
-            if which == "vehr":    # grad V = 3V g = s g
+            N, lam, n_x, s = self._normalization(which, conformal)
+            if conformal:
+                grad, g = 2.0 * self._gradient(which, True), 2.0 * n_x / s
+            else:
+                grad = self._gradient(which, False)
+                g = np.full(len(H), 1.0 / s) if which == "lehr" else \
+                    self.complex.edge_sum(self.geometry.dvolume) / s
+            outer = grad[:, None] * g    # g grad^T is its transpose, bitwise
+            H -= outer + outer.T
+            if which == "vehr":
                 H += (2.0 * lam * s / N) * (g[:, None] * g)
         return 0.5 * (H + H.T)
 
@@ -256,12 +248,11 @@ class CurvatureReport:
         resp. V_v / (3V).
         """
         which = _functional(which)
-        N, lam, n_vertex = self._normalization(which, True)
+        N, lam, n_vertex, s = self._normalization(which, True)
         J = 0.25 * N * self.conformal_hessian(which)
         if which == "ehr":
             return J
-        g = n_vertex / (self.length if which == "lehr" else 3.0 * self.volume)
-        return J + (self.k_vertex - lam * n_vertex)[:, None] * g
+        return J + (self.k_vertex - lam * n_vertex)[:, None] * (n_vertex / s)
 
     def bounds(self) -> BoundsReport:
         """The edge-degree bounds on LEHR and the fatness bound on VEHR."""

@@ -61,9 +61,9 @@ def _linalg_error(err, flag):    # numpy.linalg's handler of LAPACK's failure fl
 
 @np.errstate(call=_linalg_error, invalid="call", over="ignore", divide="ignore", under="ignore")
 def _lapack(gufunc, *arrays):
-    """``np.linalg.cholesky`` or ``.solve`` of float64 arrays without the checks and conversions
-    around its LAPACK gufunc (most of a 4x4 call's time): the same loop under the same error
-    state, so bitwise its result, and ``LinAlgError`` where it raises."""
+    """numpy.linalg's Cholesky factor or solve of float64 arrays without the checks and
+    conversions around its LAPACK gufunc (most of a 4x4 call's time): the same loop under the
+    same error state, so bitwise its result, and ``LinAlgError`` where it raises."""
     return gufunc(*arrays)
 
 
@@ -128,7 +128,7 @@ def solve_csc(cls: ConformalClass, which: str = "L", f0=None,
     def newton(rep, r):    # the step d and its merit slope r^T J d = -r^T (r + mu 1)
         K[:n, :n], rhs[:n] = rep.csc_jacobian(which), -r
         try:
-            d = np.linalg.solve(K, rhs)
+            d = _lapack(_umath_linalg.solve1, K, rhs)
         except LinAlgError:
             return None
         return d[:n], -float(r @ (r + d[n]))
@@ -292,17 +292,6 @@ def _descend(starts, gauge, evaluate, direction, max_iter, tol=_GTOL, newton_onl
     return [(x[i], t) for i, t in enumerate(traces)]
 
 
-def _evaluate(c: Complex, which: str, metric=None):
-    """The ``evaluate`` of :func:`_descend`: one test and at most one kernel call per round,
-    and the values, boundary flags and gradients that :func:`curvature._first_points` reads
-    from its output.  Without ``metric`` the points are lengths; with it they are conformal
-    factors at the metrics ``metric(x)``, and the gradients are in the factors."""
-    name = curvature._functional(which)
-    if metric is None:
-        return lambda points, sizes: curvature._first_points(c, name, points, sizes, False)
-    return lambda points, sizes: curvature._first_points(c, name, metric(points), sizes, True)
-
-
 def descend_lengths(c: Complex, which: str, l0, normalize: str = "L",
                     max_iter: int = 1000):
     """Descend a normalized functional over length space with a scale gauge.
@@ -328,6 +317,9 @@ def descend_lengths(c: Complex, which: str, l0, normalize: str = "L",
     if normalize.upper() not in ("L", "V"):
         raise ValueError(f"unknown normalization {normalize!r}")
     starts = l0.reshape(-1, E)
+    if not len(starts):    # an empty stack, before the functional's name is resolved
+        return starts.copy(), ()
+    name = curvature._functional(which)
     targets = np.add.reduce(starts, -1, keepdims=True)
 
     def by_length(l, own, sizes):
@@ -345,10 +337,11 @@ def descend_lengths(c: Complex, which: str, l0, normalize: str = "L",
         return l[keep] / np.array([v ** (1 / 3) for v in volume])[:, None], cut
 
     runs = _descend(starts, by_length if normalize.upper() == "L" else by_volume,
-                    _evaluate(c, which), None, max_iter) if len(starts) else []
+                    lambda l, sizes: curvature._first_points(c, name, l, sizes, False),
+                    None, max_iter)
     if l0.ndim == 1:
         return runs[0]
-    return np.array([x for x, _ in runs]).reshape(l0.shape), tuple(t for _, t in runs)
+    return np.array([x for x, _ in runs]), tuple(t for _, t in runs)
 
 
 def descend_conformal(cls: ConformalClass, which: str, f0, max_iter: int = 1000):
@@ -370,6 +363,7 @@ def descend_conformal(cls: ConformalClass, which: str, f0, max_iter: int = 1000)
     """
     f0 = cls._factors(f0)    # before any kernel call
     c = cls.complex
+    name = curvature._functional(which)
     n = c.num_vertices
     mean = np.full((n, n), 1.0 / n)    # 1 1^T / n
     P = np.eye(n) - mean
@@ -388,7 +382,10 @@ def descend_conformal(cls: ConformalClass, which: str, f0, max_iter: int = 1000)
         r = _NEWTON_RADIUS
         return (d, float(g @ d)) if all(-r <= v <= r for v in d.tolist()) else None
 
-    evaluate = _evaluate(c, which, lambda f: induced_lengths(c, cls.background, f))
+    def evaluate(f, sizes):    # the gradients in the factors, from the points' reports
+        return curvature._first_points(c, name, induced_lengths(c, cls.background, f), sizes,
+                                       True)
+
     return _descend(f0[None], project, evaluate, newton, max_iter)[0]
 
 
@@ -568,21 +565,22 @@ CONFORMAL_DIRECTIONS = {
 }
 
 
-def family_direction_eigenvalue(c: Complex, lengths, which: str,
-                                direction) -> float:
+def _rayleigh(H, direction) -> float:
+    """The Rayleigh quotient v^T H v / v^T v of a matrix H along a direction v."""
+    v = np.asarray(direction, dtype=float)
+    return float(v @ H @ v / (v @ v))
+
+
+def family_direction_eigenvalue(c: Complex, lengths, which: str, direction) -> float:
     """Rayleigh quotient of the exact length Hessian
     (:meth:`curvature.CurvatureReport.length_hessian`) along an exact eigen direction:
     one kernel call."""
-    H = curvature.functionals(c, lengths).length_hessian(which)
-    v = np.asarray(direction, dtype=float)
-    return float(v @ H @ v / (v @ v))
+    return _rayleigh(curvature.functionals(c, lengths).length_hessian(which), direction)
 
 
 def conformal_direction_eigenvalue(c: Complex, lengths, direction) -> float:
     """Rayleigh quotient of the analytic csc conformal Hessian along a direction."""
-    H = curvature.lehr_conformal_hessian_csc(c, lengths)
-    v = np.asarray(direction, dtype=float)
-    return float(v @ H @ v / (v @ v))
+    return _rayleigh(curvature.lehr_conformal_hessian_csc(c, lengths), direction)
 
 
 @dataclass
@@ -601,9 +599,9 @@ class SweepTable:
 _SCALAR_QUANTITIES = ("ehr", "lehr", "vehr", "length", "volume", "fatness",
                       "min_cm3", "einstein_res_l", "einstein_res_v",
                       "csc_res_l", "csc_res_v")
-_EIG_QUANTITIES = ("lehr_lam_opp", "lehr_lam_pair", "lehr_lam_v", "lehr_lam_radial",
-                   "vehr_lam_opp", "vehr_lam_pair", "vehr_lam_v", "vehr_lam_radial")
-_CONF_QUANTITIES = ("conf_lehr_lam1", "conf_lehr_lam2")
+_EIG_QUANTITIES = tuple(f"{w}_lam_{name}" for w in ("lehr", "vehr")
+                        for name in (*FAMILY_DIRECTIONS, "radial"))
+_CONF_QUANTITIES = tuple(f"conf_lehr_{name}" for name in CONFORMAL_DIRECTIONS)
 _TRACKED = ("lehr_spec", "vehr_spec")
 
 
@@ -643,10 +641,9 @@ def sweep_family(c: Complex, family, t_values, quantities) -> SweepTable:
             if not need_hess[w]:
                 continue
             H = curvature.hessian_fd_lengths(c, lengths, w, richardson=True)
-            for name, v in FAMILY_DIRECTIONS.items():
-                cache[f"{w}_lam_{name}"] = float(v @ H @ v / (v @ v))
-            vr = np.array([1.0 / t, -0.5, -0.5, -0.5, -0.5, 1.0 / t])
-            cache[f"{w}_lam_radial"] = float(vr @ H @ vr / (vr @ vr))
+            radial = np.array([1.0 / t, -0.5, -0.5, -0.5, -0.5, 1.0 / t])
+            for name, v in (*FAMILY_DIRECTIONS.items(), ("radial", radial)):
+                cache[f"{w}_lam_{name}"] = _rayleigh(H, v)
             spec = eig_sym(H)
             vals, vecs = spec.eigenvalues, spec.eigenvectors
             if prev_vecs[w] is not None:
@@ -658,7 +655,7 @@ def sweep_family(c: Complex, family, t_values, quantities) -> SweepTable:
         if any(q in _CONF_QUANTITIES for q in quantities):
             Hc = rep.conformal_hessian("lehr") if curvature._off_csc(rep) is None else None
             for name, v in CONFORMAL_DIRECTIONS.items():
-                cache[f"conf_lehr_{name}"] = nan if Hc is None else float(v @ Hc @ v / (v @ v))
+                cache[f"conf_lehr_{name}"] = nan if Hc is None else _rayleigh(Hc, v)
         rows.append([t, 1] + [cache[q] for q in quantities])
     return SweepTable(columns=columns, rows=rows)
 
@@ -735,23 +732,21 @@ def find_tstar(c: Complex | None = None, bracket=(1.0, 1.3),
     """Parameter where the family Hessian eigenvalue along (0,1,-1,-1,1,0)
     for the volume-normalized functional crosses zero: :func:`bisect_zero` (Brent's
     method) on :func:`family_direction_eigenvalue`, one exact length Hessian per step."""
-    c = double_tetrahedron() if c is None else c
     v = FAMILY_DIRECTIONS["v"]
-
-    def g(t):
-        return family_direction_eigenvalue(c, diagonal_family(t), "vehr", v)
-
-    return bisect_zero(g, bracket[0], bracket[1], tol=tol)
+    return _family_root(lambda c, l: family_direction_eigenvalue(c, l, "vehr", v), c,
+                        bracket, tol)
 
 
 def find_conformal_crossing(c: Complex | None = None, bracket=(1.0, 1.35),
                             tol: float = 1e-6) -> float:
     """Parameter where the conformal Hessian eigenvalue along (1,1,-1,-1)
     crosses zero on the equihedral family."""
-    c = double_tetrahedron() if c is None else c
     v = CONFORMAL_DIRECTIONS["lam2"]
+    return _family_root(lambda c, l: conformal_direction_eigenvalue(c, l, v), c, bracket, tol)
 
-    def g(t):
-        return conformal_direction_eigenvalue(c, diagonal_family(t), v)
 
-    return bisect_zero(g, bracket[0], bracket[1], tol=tol)
+def _family_root(eigenvalue, c, bracket, tol) -> float:
+    """:func:`bisect_zero` of t -> eigenvalue(c, diagonal_family(t)); c = None is dt."""
+    c = double_tetrahedron() if c is None else c
+    return bisect_zero(lambda t: eigenvalue(c, diagonal_family(t)), bracket[0], bracket[1],
+                       tol=tol)

@@ -297,10 +297,10 @@ class TestSolverCommands:
         assert code == 4
 
     def test_find_csc_singular_system_exit_code(self, capsys, monkeypatch):
-        def singular(K, rhs):
+        def singular(gufunc, K, rhs):    # solve_csc's bordered system, through LAPACK
             raise np.linalg.LinAlgError("Singular matrix")
 
-        monkeypatch.setattr(np.linalg, "solve", singular)
+        monkeypatch.setattr(solve, "_lapack", singular)
         code, out, _ = run_cli(capsys, "find-csc", "--class", "uniform:1", "--which", "L",
                                "--start", "-1,-1,0,0")
         assert "reason: singular-jacobian" in out and "iterations: 1" in out

@@ -671,6 +671,18 @@ class TestExactLengthHessian:
         vals = solve.eig_sym(functionals(dt, ONES).length_hessian(which)).eigenvalues
         assert np.abs(vals - np.array(expect)).max() < 1e-12
 
+    def test_opposite_pair_differences_are_one_eigenspace_on_the_family(self, dt):
+        # on (t, 1, 1, 1, 1, t) the three differences of opposite edges share one
+        # eigenvalue of every length Hessian (a sweep's Richardson Hessian splits it)
+        U = np.array([[1.0, 0, 0, 0, 0, -1], [0, 1, 0, 0, -1, 0], [0, 0, 1, -1, 0, 0]])
+        for t in np.linspace(1.0, 1.414, 30):
+            rep = functionals(dt, diagonal_family(t))
+            for which in ("ehr", "lehr", "vehr"):
+                H = rep.length_hessian(which)
+                lam = U[0] @ H @ U[0] / 2.0
+                worst = max(np.abs(H @ u - lam * u).max() for u in U)
+                assert worst <= 1e-9 * max(1.0, abs(lam)), (t, which, worst)
+
     @pytest.mark.parametrize("case", ["dt", "cell600"])
     def test_euler_identities(self, dt, cell600, case):
         # EHR is 1-homogeneous in the lengths, LEHR and VEHR 0-homogeneous: by Euler,

@@ -177,15 +177,15 @@ class TestSolveCsc:
     def test_singular_system_stops_without_a_gradient_step(self, unit_class, monkeypatch):
         # the bordered system of the second iterate is taken to be singular: the start
         # stops there, after its one Newton step, and tests no further point
-        systems, solve_system = [], np.linalg.solve
+        systems, lapack = [], solve._lapack
 
-        def singular_second(K, rhs):
+        def singular_second(gufunc, K, rhs):
             systems.append(K.shape)
             if len(systems) == 2:
                 raise np.linalg.LinAlgError("Singular matrix")
-            return solve_system(K, rhs)
+            return lapack(gufunc, K, rhs)
 
-        monkeypatch.setattr(np.linalg, "solve", singular_second)
+        monkeypatch.setattr(solve, "_lapack", singular_second)
         f, trace = solve_csc(unit_class, "L", np.array([-1.0, -1.0, 0.0, 0.0]))
         assert (trace.reason, trace.step_sizes, trace.newton_steps) == (
             "singular-jacobian", [0.125], 1)
@@ -506,7 +506,10 @@ class TestDescend:
         # the round's stack (``curvature._first_admissible``)
         bg = np.array([1.0725, 1.1493, 0.9347, 0.9760, 0.9788, 0.9013])
         admissible = np.zeros(4)
-        evaluate = solve._evaluate(dt, "lehr", lambda f: induced_lengths(dt, bg, f))
+
+        def evaluate(f, sizes):    # as descend_conformal evaluates the points of a round
+            return curvature._first_points(dt, "lehr", induced_lengths(dt, bg, f), sizes, True)
+
         for starts in ([factors], [factors, admissible], [admissible, factors]):
             with pytest.raises(geometry.InadmissibleMetricError, match="starting point"):
                 solve._descend(np.array(starts), lambda f, owners, sizes: (f, sizes),
@@ -1250,10 +1253,9 @@ def test_no_numpy_wrappers_on_the_dt_hot_path(monkeypatch, dt):
 
     for name in ("clip", "mean", "block", "outer", "append", "repeat", "cumsum"):
         monkeypatch.setattr(np, name, refuse)
-    # a conformal Newton step calls LAPACK through its gufuncs, and every floating-point
-    # error scope on the path is made once, at import, but the factor map's in solve_csc's
-    # start test
-    linalg_solve = np.linalg.solve
+    # both Newton systems call LAPACK through its gufuncs, and every floating-point error
+    # scope on the path is made once, at import, but the factor map's in solve_csc's start
+    # test
     for name in ("solve", "cholesky"):
         monkeypatch.setattr(np.linalg, name, refuse)
     scopes, errstate = [], np.errstate
@@ -1269,7 +1271,6 @@ def test_no_numpy_wrappers_on_the_dt_hot_path(monkeypatch, dt):
         rep.conformal_hessian(which)
         rep.csc_jacobian(which)
     assert descend_conformal(cls, "lehr", np.array([0.2, -0.1, 0.0, -0.1]))[1].newton_steps
-    monkeypatch.setattr(np.linalg, "solve", linalg_solve)    # solve_csc's bordered system
     assert solve_csc(cls, "L", np.array([0.1, -0.1, 0.05, -0.05]))[1].reason == "converged"
     assert len(descend_lengths(dt, "lehr", bg, max_iter=20)[1].values) > 1
     # halving ladders: a descent that rejects many candidates, and a lockstep stack

@@ -16,7 +16,12 @@ It prints one sha256 per group of outputs:
 * ``criteria``: what criteria 9 and 11 return, and the output and every trace of the
   solver calls they make;
 * ``yamabe``: ``yamabe_constant_estimate(cls, which, starts=16)`` in both normalizations
-  on 12 seeded conformal classes of the double tetrahedron.
+  on 12 seeded conformal classes of the double tetrahedron;
+* ``cli``: each line of the README's "Command line" block run through ``cli.main``, with
+  its exit code, stdout and stderr;
+* ``sweep``: the tables of ``solve.sweep_family`` on fixed grids: the README's and demo
+  04's sweeps, every quantity on the equihedral family past its flat end, and every
+  quantity on a family off constant scalar curvature.
 
 ``--per-request`` prints each item's digest before the summary.  Two runs of the same
 code print the same lines, and a change that moves any output by one ulp moves its group's
@@ -34,9 +39,11 @@ if __name__ == "__main__":
         os.environ[_var] = "1"
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import importlib
+import io
 import struct
 from pathlib import Path
 from types import SimpleNamespace
@@ -53,11 +60,44 @@ sys.dont_write_bytecode = True    # leave perfbench/ as it is
 import workloads  # noqa: E402
 sys.dont_write_bytecode = _dont_write
 
-from regge3 import complexes, conformal, curvature, reproduce, solve  # noqa: E402
+from regge3 import cli, complexes, conformal, curvature, reproduce, solve  # noqa: E402
 
-GROUPS = ("dt", "cell600", "reproduce", "criteria", "yamabe")
+GROUPS = ("dt", "cell600", "reproduce", "criteria", "yamabe", "cli", "sweep")
 YAMABE_CLASSES = 12
 YAMABE_STARTS = 16
+#: the README's "Command line" block, without the program name, the comments and the padding
+CLI_LINES = (
+    "analyze --complex dt --lengths 1,1,1,1,1,1",
+    "analyze --complex cell600 --lengths uniform:1",
+    "spectrum --functional vehr --space lengths --lengths uniform:1",
+    "spectrum --functional vehr --space lengths --lengths 1.413,1,1,1,1,1.413",
+    "spectrum --functional lehr --space conformal --class uniform:1 --conformal 0,0,0,0",
+    "sweep --family diag --t 1:1.4142:100 --quantities vehr,ehr --format delimited",
+    "find-csc --class uniform:1 --which L --start -1,-1,0,0",
+    "find-einstein --which V --lengths 1.01,0.99,1,1,1,1",
+    "yamabe --class uniform:1 --which L --starts 32 --seed 7",
+    "reproduce --all",
+    "reproduce --only tstar",
+    "reproduce --only 6",
+)
+
+
+def _off_csc_family(t):
+    """A one-parameter family of the double tetrahedron off constant scalar curvature."""
+    return np.array([t, 1.0, 1.1, 0.95, 1.05, 1.0])
+
+
+_EVERY = solve.sweep_quantities()
+#: (name, family, linspace arguments, quantities) of each sweep
+SWEEPS = (
+    ("readme", solve.diagonal_family, (1.0, 1.4142, 100), ("vehr", "ehr")),
+    ("demo-04", solve.diagonal_family, (1.0, 1.4142, 16),
+     ("ehr", "vehr", "volume", "csc_res_l", "csc_res_v")),
+    ("demo-04-spectrum", solve.diagonal_family, (1.2, 1.32, 7),
+     tuple(f"vehr_spec_{i}" for i in range(1, 7))),
+    ("every-quantity", solve.diagonal_family, (1.0, 1.45, 12), _EVERY),
+    ("off-csc", _off_csc_family, (0.9, 1.2, 8), _EVERY),
+)
 #: derived fields of a report, computed when read, that its digest includes
 _REPORT_FIELDS = ("k_vertex", "l_vertex", "v_vertex", "v_edge", "dual_length")
 
@@ -173,6 +213,19 @@ def _yamabe_items(dt):
                                              starts=YAMABE_STARTS, seed=k)
 
 
+def _cli_items():
+    for line in CLI_LINES:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = _run(cli.main, line.split())
+        yield line, (code, out.getvalue(), err.getvalue())
+
+
+def _sweep_items(dt):
+    for name, family, grid, quantities in SWEEPS:
+        yield name, _run(solve.sweep_family, dt, family, np.linspace(*grid), quantities)
+
+
 def digests(seeds, per_request=None) -> dict:
     """The sha256 of each group, in GROUPS order; ``per_request(group, name, sha)`` sees
     each item's digest."""
@@ -181,7 +234,9 @@ def digests(seeds, per_request=None) -> dict:
              "cell600": _workload_items("cell600", seeds, ctx),
              "reproduce": _reproduce_items(),
              "criteria": _criteria_items(),
-             "yamabe": _yamabe_items(ctx.dt)}
+             "yamabe": _yamabe_items(ctx.dt),
+             "cli": _cli_items(),
+             "sweep": _sweep_items(ctx.dt)}
     out = {}
     for group in GROUPS:
         h = hashlib.sha256()
