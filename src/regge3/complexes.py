@@ -49,13 +49,13 @@ def set_fields(args: dict) -> None:
 
     ``args`` is that ``__init__``'s ``locals()``, taken before any other
     local is bound; writing the instance dict directly works on frozen
-    classes too.  The record classes of seven or more fields are
-    ``dataclass(init=False)`` with an ``__init__`` that calls this, since
-    on CPython 3.11 a generated ``__init__``
-    interns one throwaway name (``_type_<field>``) per field each time its
-    module is imported; in a process that imports the package again and
-    again (three times per pass of ``perfbench/run.py``) those names
-    doubled the interpreter's table of interned strings after about a
+    classes too.  The record classes are ``dataclass(init=False)`` with an
+    ``__init__`` that calls this (all but ``solve.SolveTrace``, whose list
+    fields default to new lists), since on CPython 3.11 a generated
+    ``__init__`` interns one throwaway name (``_type_<field>``) per field
+    each time its module is imported; in a process that imports the package
+    again and again (three times per pass of ``perfbench/run.py``) those
+    names doubled the interpreter's table of interned strings after about a
     hundred imports, and the peak RSS rose by 1 MB at a pass that depended
     on the run's speed.
     """

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import Complex, OPPOSITE_EDGE
+from .complexes import Complex, OPPOSITE_EDGE, set_fields
 from . import geometry
 
 
@@ -31,12 +31,16 @@ def induced_lengths(c: Complex, background, factors) -> np.ndarray:
     return np.exp(0.5 * (f[..., ev[:, 0]] + f[..., ev[:, 1]])) * background
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ConformalClass:
     """Background lengths defining a conformal class on a complex."""
 
     complex: Complex
     background: np.ndarray   # (E,) admissible lengths
+
+    def __init__(self, complex, background):
+        set_fields(locals())
+        self.__post_init__()
 
     def __post_init__(self):
         bg = np.asarray(self.background, dtype=float)
@@ -79,13 +83,16 @@ def cross_ratios(c: Complex, lengths) -> np.ndarray:
                     axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EquihedralPoint:
     """Closed-form conformal point inducing an opposite-lengths-equal metric."""
 
     factors: np.ndarray   # (4,) with gauge factor 0 at the tet's fourth vertex
     lengths: np.ndarray   # (6,) induced lengths
     admissible: bool
+
+    def __init__(self, factors, lengths, admissible):
+        set_fields(locals())
 
 
 def equihedral_point(cls: ConformalClass) -> EquihedralPoint:

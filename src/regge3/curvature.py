@@ -14,8 +14,8 @@ is read from the report: gradients (from one normalization table; EHR has
 length gradient K_e / l_e), residuals, the bounds, the exact conformal
 Hessian and the exact Newton Jacobian of the constant scalar curvature
 equations, and the exact length Hessian.  The module-level gradients and
-residuals are one-call entry points; they reuse a report of their metric
-that a caller still holds.
+residuals are one-call entry points; they reuse the last report built, which
+:func:`functionals` keeps, so each costs one kernel call per metric.
 The conformal Hessian is the paper's Laplacian formula at every metric:
 H_u(EHR) = -8 Delta + E(K), with Delta the Laplacian of the dual-length
 weights l*_e / l_e and E(K) the edge matrix of the curvatures
@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import weakref
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -334,7 +333,7 @@ def _functional(which, normalized: bool = False) -> str:
     return name
 
 
-_live = None    # weak reference to the last report built; it keeps nothing alive
+_live = None    # the last report built; released before the next one is built
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -346,22 +345,22 @@ def functionals(c: Complex, lengths) -> CurvatureReport:
     """The :class:`CurvatureReport` of one admissible metric (E,): one kernel call.
 
     A call with the same complex object and byte-identical lengths as the last
-    report built returns that report while some caller still holds it (only a
-    weak reference is kept), so the wrappers below cost no kernel call while a
-    report is in use.  The report owns a read-only copy of its lengths.
+    report built returns that report, held or not: one report is kept, so the
+    wrappers below cost one kernel call per metric.  It is released before the
+    next one is built, so a build never overlaps the report it replaces.  The
+    report owns a read-only copy of its lengths.
     """
     global _live
     lengths = np.asarray(lengths, dtype=float)
     if lengths.shape != (c.num_edges,):
         raise ValueError(f"functionals takes one metric of shape ({c.num_edges},), got shape "
                          f"{lengths.shape}; for a batch use ehr_value, lehr_value or vehr_value")
-    rep = _live and _live()
-    if rep is not None and rep.complex is c and rep.lengths.tobytes() == lengths.tobytes():
-        return rep
+    if _live is not None and _live.complex is c and _live.lengths.tobytes() == lengths.tobytes():
+        return _live
+    _live = None
     lengths = _read_only(lengths.copy())
-    rep = _make_reports(c, lengths, *_curvatures(c, lengths))[0]
-    _live = weakref.ref(rep)
-    return rep
+    _live = _make_reports(c, lengths, *_curvatures(c, lengths))[0]
+    return _live
 
 
 def _make_reports(c: Complex, lengths, geo, k_edge, totals=None) -> list:

@@ -27,12 +27,15 @@ from .conformal import ConformalClass, induced_lengths
 # symmetric eigensolver
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Spectrum:
     """Eigenvalues in ascending order with matching orthonormal columns."""
 
     eigenvalues: np.ndarray    # (n,)
     eigenvectors: np.ndarray   # (n, n), column i pairs with eigenvalues[i]
+
+    def __init__(self, eigenvalues, eigenvectors):
+        set_fields(locals())
 
 
 def eig_sym(A) -> Spectrum:
@@ -583,10 +586,13 @@ def conformal_direction_eigenvalue(c: Complex, lengths, direction) -> float:
     return _rayleigh(curvature.lehr_conformal_hessian_csc(c, lengths), direction)
 
 
-@dataclass
+@dataclass(init=False)
 class SweepTable:
     columns: list
     rows: list   # one list of floats per step (NaN for inadmissible rows)
+
+    def __init__(self, columns, rows):
+        set_fields(locals())
 
     def to_delimited(self, sep: str = ",") -> str:
         out = [sep.join(self.columns)]

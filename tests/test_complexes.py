@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from regge3 import complexes, curvature, geometry, reproduce, solve
+from regge3 import complexes, conformal, curvature, geometry, reproduce, solve
 from regge3.complexes import (ComplexError, double_tetrahedron, from_simplicial_tets,
                               format_complex, parse_complex, six_hundred_cell, validate)
 
@@ -346,18 +346,31 @@ class TestValidate:
 
 # record classes whose __init__ is written out and stores its fields by set_fields
 RECORDS = [complexes.Complex, geometry.TetGeometry, curvature.CurvatureReport,
-           curvature.BoundsReport, solve.YamabeEstimate, reproduce.CriterionRow]
+           curvature.BoundsReport, solve.YamabeEstimate, reproduce.CriterionRow,
+           conformal.ConformalClass, conformal.EquihedralPoint, solve.Spectrum, solve.SweepTable]
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
 def test_written_out_init_takes_the_fields_in_order(cls):
     names = [f.name for f in dataclasses.fields(cls)]
     assert list(inspect.signature(cls).parameters) == names
-    if cls is complexes.Complex:
-        return  # validates its arrays; built positionally by from_simplicial_tets
+    if cls in (complexes.Complex, conformal.ConformalClass):
+        return  # each validates its arrays
     values = [object() for _ in names]
     rec = cls(*values)
     assert [getattr(rec, name) for name in names] == values
     assert dataclasses.replace(rec) == rec
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        setattr(rec, names[0], None)
+    if cls is not solve.SweepTable:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(rec, names[0], None)
+
+
+def test_solve_trace_is_the_one_generated_init():
+    # a generated __init__ interns throwaway names at every import of its module (see
+    # complexes.set_fields); SolveTrace keeps its own for the fresh lists of its fields
+    generated = {cls.__name__ for module in (complexes, geometry, curvature, conformal, solve,
+                                             reproduce)
+                 for cls in vars(module).values()
+                 if dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__
+                 and cls.__init__.__code__.co_filename == "<string>"}
+    assert generated == {"SolveTrace"}

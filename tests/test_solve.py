@@ -871,10 +871,10 @@ class TestPinnedDescents:
             ("converged", 4, 5, 0, 1.227373758183603e-11),
             ("converged", 0, 1, 0, 8.881784197001252e-16),
             ("converged", 6, 11, 3, 1.3322676295501878e-15),
-            ("converged", 3, 4, 0, 1.5668577546534834e-12),
+            ("converged", 3, 4, 0, 1.567856955375646e-12),
         ]
         assert hashlib.sha256(np.concatenate([f for f, _ in runs]).tobytes()).hexdigest() == \
-            "0089481f19d6960db99bf28278d9e73f2e9402b4340c94942d16b57bf431bfe6"
+            "cb87628849ecc8ff03b17c57825892bd23a626f9394b68e8d6ae4cb2bc6988cc"
 
 
 class TestSolverCounters:
