@@ -50,9 +50,8 @@ def set_fields(args: dict) -> None:
     ``args`` is that ``__init__``'s ``locals()``, taken before any other
     local is bound; writing the instance dict directly works on frozen
     classes too.  The record classes are ``dataclass(init=False)`` with an
-    ``__init__`` that calls this (all but ``solve.SolveTrace``, whose list
-    fields default to new lists), since on CPython 3.11 a generated
-    ``__init__`` interns one throwaway name (``_type_<field>``) per field
+    ``__init__`` that calls this, since on CPython 3.11 a generated
+    ``__init__`` interns throwaway names (``_type_<field>``, ``_dflt_<field>``)
     each time its module is imported; in a process that imports the package
     again and again (three times per pass of ``perfbench/run.py``) those
     names doubled the interpreter's table of interned strings after about a
@@ -75,6 +74,19 @@ class _cached:
             return self
         value = obj.__dict__[self.name] = self.fn(obj)
         return value
+
+
+def _bincount(bins, weights, n: int) -> np.ndarray:
+    """Sums of ``weights`` (..., *bins.shape) into n bins by ``bins``, (..., n): one
+    ``np.bincount``, the bins of batch entry k offset by k * n.  Each bin sums its weights in
+    the same order whatever the batch, so every entry equals its unbatched sum bitwise; an
+    empty batch gives an empty result."""
+    batch = weights.shape[:weights.ndim - bins.ndim]
+    if not batch:
+        return np.bincount(bins.ravel(), weights.ravel(), minlength=n)
+    size = math.prod(batch)
+    bins = (bins.ravel() + n * np.arange(size)[:, None]).ravel()
+    return np.bincount(bins, weights.ravel(), minlength=size * n).reshape(batch + (n,))
 
 
 #: each incidence array with the number of ids in one of its rows
@@ -175,19 +187,10 @@ class Complex:
     def edge_sum(self, per_tet) -> np.ndarray:
         """Sum a per-tet edge quantity over the tets at each edge: (..., T, 6) -> (..., E).
 
-        One ``np.bincount`` for the whole batch: the edge ids of batch entry
-        k are offset by k * E.  Each edge sums its tets in the same order
-        whatever the batch, so every entry equals its unbatched sum bitwise.
-        An empty batch gives an empty result.
+        One ``np.bincount`` for the whole batch (:func:`_bincount`), so every
+        entry equals its unbatched sum bitwise.
         """
-        per_tet = np.asarray(per_tet)
-        batch = per_tet.shape[:-2]
-        size = math.prod(batch)
-        E = self.num_edges
-        idx = self.tet_edges.ravel()
-        if size != 1:
-            idx = (idx + E * np.arange(size)[:, None]).ravel()
-        return np.bincount(idx, per_tet.ravel(), minlength=size * E).reshape(batch + (E,))
+        return _bincount(self.tet_edges, np.asarray(per_tet), self.num_edges)
 
     @_cached
     def _edge_cells(self) -> np.ndarray:

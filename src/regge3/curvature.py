@@ -15,7 +15,10 @@ length gradient K_e / l_e), residuals, the bounds, the exact conformal
 Hessian and the exact Newton Jacobian of the constant scalar curvature
 equations, and the exact length Hessian.  The module-level gradients and
 residuals are one-call entry points; they reuse the last report built, which
-:func:`functionals` keeps, so each costs one kernel call per metric.
+:func:`functionals` keeps, so each costs one kernel call per metric.  A stack
+of metrics (S, E) is read without a report per metric: the first-order reads
+(vertex sums, V_e, the Laplacian, gradients, residuals) are written once over
+leading axes, and each row of a stack's read is bitwise its metric's report's.
 The conformal Hessian is the paper's Laplacian formula at every metric:
 H_u(EHR) = -8 Delta + E(K), with Delta the Laplacian of the dual-length
 weights l*_e / l_e and E(K) the edge matrix of the curvatures
@@ -52,18 +55,105 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
-from .complexes import Complex, _cached, set_fields
+from .complexes import Complex, _bincount, _cached, set_fields
 from . import geometry
 from .conformal import induced_lengths
 from .geometry import InadmissibleMetricError
 
 
+class _Reads:
+    """The first-order reads of kernel output: vertex sums, V_e, dual lengths, the Laplacian,
+    gradients and residuals, each computed when first read, then kept, and read-only.
+
+    One class holds each formula, over leading axes: a :class:`CurvatureReport` reads one
+    metric (arrays (E,), totals floats) and a :class:`_Stack` S metrics (arrays (S, E), totals
+    (S, 1)), each row bitwise its metric's report.  Both have the fields ``complex``,
+    ``geometry``, ``lengths``, ``k_edge``, ``length``, ``volume`` and ``ehr``.
+    """
+
+    @_cached
+    def k_vertex(self) -> np.ndarray:
+        """(..., V) vertex curvatures K_v = (1/2) sum of incident K_e."""
+        return _read_only(_vertex_half_sums(self.complex, self.k_edge))
+
+    @_cached
+    def l_vertex(self) -> np.ndarray:
+        """(..., V) L_v = (1/2) sum of incident lengths."""
+        return _read_only(_vertex_half_sums(self.complex, self.lengths))
+
+    @_cached
+    def v_vertex(self) -> np.ndarray:
+        """(..., V) V_v = (1/3) sum of h_{f<t} A_f = 3 V_t alpha_f over the faces f at v of its
+        tets t, i.e. sum_t V_t (1 - alpha_v), alpha = G[0, 1:] (sum 1, see geometry)."""
+        geo, c = self.geometry, self.complex
+        per_tet = geo.volume[..., None] * (1.0 - geo.cm_inverse[..., 0, 1:])
+        return _read_only(_bincount(c.tet_vertices, per_tet, c.num_vertices))
+
+    @_cached
+    def v_edge(self) -> np.ndarray:
+        """(..., E) V_e = l_e dV/dl_e."""
+        return _read_only(_v_edge(self.complex, self.lengths, self.geometry))
+
+    @_cached
+    def dual_length(self) -> np.ndarray:
+        """(..., E) signed dual areas l*_e, summed from :attr:`TetGeometry.dual`."""
+        return _read_only(self.complex.edge_sum(self.geometry.dual))
+
+    def laplacian(self) -> np.ndarray:
+        """(..., V, V) discrete Laplacian; see :func:`laplacian_matrix`."""
+        w = self.dual_length / self.lengths
+        return _edge_matrix(self.complex, w, -w)
+
+    def _normalization(self, name: str, per_vertex: bool):
+        """(N, lambda, N_x, s) of F = EHR / N for the ``FUNCTIONALS`` key ``name``, N_x per
+        vertex (N_v) or per edge (N_e): dF/dl_e = (K_e - lambda N_e) / (l_e N), dF/df_v =
+        (K_v - lambda N_v) / N, and the equations K_e = lambda N_e and K_v = lambda N_v.  The
+        total s = L (LEHR) or 3V (VEHR), 1 for EHR, gives grad_f N / N = N_v / s."""
+        _, N, lam = _scalars(name, self.length, self.volume, self.ehr)
+        if name == "ehr":
+            return N, lam, 0.0, 1.0
+        if name == "lehr":
+            return N, lam, self.l_vertex if per_vertex else self.lengths, self.length
+        return N, lam, self.v_vertex if per_vertex else self.v_edge, 3.0 * self.volume
+
+    def _gradient(self, name: str, per_vertex: bool) -> np.ndarray:
+        """dF/df (..., V) or dF/dl (..., E) of the functional of the ``FUNCTIONALS`` key
+        ``name``, kept read-only once computed: a conformal Newton point reads it, then its
+        Hessian."""
+        key = f"_gradient_{name}_{per_vertex}"
+        g = self.__dict__.get(key)
+        if g is None:
+            N, lam, n_x, _ = self._normalization(name, per_vertex)
+            g = (self.k_vertex - lam * n_x) / N if per_vertex else \
+                _length_gradient(self.k_edge, self.lengths, N, lam, n_x)
+            g = self.__dict__[key] = _read_only(g)
+        return g
+
+    def grad_lengths(self, which: str) -> np.ndarray:
+        """Length-space gradient, (..., E), a writable copy; see :func:`grad_lengths`."""
+        return self._gradient(_functional(which), False).copy()
+
+    def grad_conformal(self, which: str) -> np.ndarray:
+        """Gradient in the conformal factors, (..., V), a writable copy; see
+        :func:`grad_conformal`."""
+        return self._gradient(_functional(which), True).copy()
+
+    def einstein_residual(self, which: str) -> np.ndarray:
+        """Per-edge residual K_e - lambda N_e, (..., E); see :func:`einstein_residual`."""
+        _, lam, n_edge, _ = self._normalization(_functional(which), False)
+        return self.k_edge - lam * n_edge
+
+    def csc_residual(self, which: str) -> np.ndarray:
+        """Per-vertex residual K_v - lambda N_v, (..., V); see :func:`csc_residual`."""
+        _, lam, n_vertex, _ = self._normalization(_functional(which), True)
+        return self.k_vertex - lam * n_vertex
+
+
 @dataclass(frozen=True, init=False)
-class CurvatureReport:
+class CurvatureReport(_Reads):
     """Every derived quantity of a (complex, metric) pair, from one kernel call.
 
     ``geometry`` is the :class:`TetGeometry` of that call.  The edge
@@ -89,83 +179,6 @@ class CurvatureReport:
 
     def __init__(self, complex, geometry, lengths, k_edge, length, volume, ehr, lehr, vehr):
         set_fields(locals())
-
-    @_cached
-    def k_vertex(self) -> np.ndarray:
-        """(V,) vertex curvatures K_v = (1/2) sum of incident K_e."""
-        return _read_only(_vertex_half_sums(self.complex, self.k_edge))
-
-    @_cached
-    def l_vertex(self) -> np.ndarray:
-        """(V,) L_v = (1/2) sum of incident lengths."""
-        return _read_only(_vertex_half_sums(self.complex, self.lengths))
-
-    @_cached
-    def v_vertex(self) -> np.ndarray:
-        """(V,) V_v = (1/3) sum of h_{f<t} A_f = 3 V_t alpha_f over the faces f at v of its
-        tets t, i.e. sum_t V_t (1 - alpha_v), alpha = G[0, 1:] (sum 1, see geometry)."""
-        geo = self.geometry
-        return _read_only(np.bincount(
-            self.complex.tet_vertices.ravel(),
-            (geo.volume[:, None] * (1.0 - geo.cm_inverse[:, 0, 1:])).ravel(),
-            minlength=self.complex.num_vertices))
-
-    @_cached
-    def v_edge(self) -> np.ndarray:
-        """(E,) V_e = l_e dV/dl_e."""
-        return _read_only(_v_edge(self.complex, self.lengths, self.geometry))
-
-    @_cached
-    def dual_length(self) -> np.ndarray:
-        """(E,) signed dual areas l*_e, summed from :attr:`TetGeometry.dual`."""
-        return _read_only(self.complex.edge_sum(self.geometry.dual))
-
-    def laplacian(self) -> np.ndarray:
-        """(V, V) discrete Laplacian; see :func:`laplacian_matrix`."""
-        w = self.dual_length / self.lengths
-        return _edge_matrix(self.complex, w, -w)
-
-    def _normalization(self, name: str, per_vertex: bool):
-        """(N, lambda, N_x, s) of F = EHR / N for the ``FUNCTIONALS`` key ``name``, N_x per
-        vertex (N_v) or per edge (N_e): dF/dl_e = (K_e - lambda N_e) / (l_e N), dF/df_v =
-        (K_v - lambda N_v) / N, and the equations K_e = lambda N_e and K_v = lambda N_v.  The
-        total s = L (LEHR) or 3V (VEHR), 1 for EHR, gives grad_f N / N = N_v / s."""
-        _, N, lam = _scalars(name, self.length, self.volume, self.ehr)
-        if name == "ehr":
-            return N, lam, 0.0, 1.0
-        if name == "lehr":
-            return N, lam, self.l_vertex if per_vertex else self.lengths, self.length
-        return N, lam, self.v_vertex if per_vertex else self.v_edge, 3.0 * self.volume
-
-    def _gradient(self, name: str, per_vertex: bool) -> np.ndarray:
-        """dF/df (V,) or dF/dl (E,) of the functional of the ``FUNCTIONALS`` key ``name``, kept
-        read-only once computed: a conformal Newton point reads it, then its Hessian."""
-        key = f"_gradient_{name}_{per_vertex}"
-        g = self.__dict__.get(key)
-        if g is None:
-            N, lam, n_x, _ = self._normalization(name, per_vertex)
-            g = (self.k_vertex - lam * n_x) / N if per_vertex else \
-                _length_gradient(self.k_edge, self.lengths, N, lam, n_x)
-            g = self.__dict__[key] = _read_only(g)
-        return g
-
-    def grad_lengths(self, which: str) -> np.ndarray:
-        """Length-space gradient, (E,), a writable copy; see :func:`grad_lengths`."""
-        return self._gradient(_functional(which), False).copy()
-
-    def grad_conformal(self, which: str) -> np.ndarray:
-        """Gradient in the conformal factors, (V,), a writable copy; see :func:`grad_conformal`."""
-        return self._gradient(_functional(which), True).copy()
-
-    def einstein_residual(self, which: str) -> np.ndarray:
-        """Per-edge residual K_e - lambda N_e; see :func:`einstein_residual`."""
-        _, lam, n_edge, _ = self._normalization(_functional(which), False)
-        return self.k_edge - lam * n_edge
-
-    def csc_residual(self, which: str) -> np.ndarray:
-        """Per-vertex residual K_v - lambda N_v; see :func:`csc_residual`."""
-        _, lam, n_vertex, _ = self._normalization(_functional(which), True)
-        return self.k_vertex - lam * n_vertex
 
     def conformal_hessian(self, which: str) -> np.ndarray:
         """The Hessian H_u of u -> F(exp(u_v + u_v') * l_e) at u = 0, (V, V), for F =
@@ -289,16 +302,16 @@ def _curvatures(c: Complex, lengths, tets=None):
 
 
 def _vertex_half_sums(c: Complex, per_edge) -> np.ndarray:
-    half = 0.5 * np.asarray(per_edge, dtype=float)
-    return np.bincount(c.edge_vertices.ravel(), half.repeat(2), minlength=c.num_vertices)
+    """(..., V) half sums over each vertex's edges of a per-edge array (..., E)."""
+    return _bincount(c.edge_vertices.ravel(), (0.5 * per_edge).repeat(2, -1), c.num_vertices)
 
 
 def _edge_matrix(c: Complex, off, diag=None) -> np.ndarray:
-    """(V, V) sum over edges (a, b) of ``off`` at (a, b) and (b, a) and of
+    """(..., V, V) sum over edges (a, b) of ``off`` (..., E) at (a, b) and (b, a) and of
     ``diag`` at (a, a) and (b, b); one ``np.bincount``."""
     n = c.num_vertices
-    w = np.concatenate([off, off] if diag is None else [off, off, diag, diag])
-    return np.bincount(c._edge_cells[:len(w)], w, minlength=n * n).reshape(n, n)
+    w = np.concatenate([off, off] if diag is None else [off, off, diag, diag], -1)
+    return _bincount(c._edge_cells[:w.shape[-1]], w, n * n).reshape(w.shape[:-1] + (n, n))
 
 
 def ehr_value(c: Complex, lengths):
@@ -395,16 +408,18 @@ def _totals(lengths, geo, k_edge) -> tuple:
     return length.tolist(), volume.tolist(), ehr.tolist()
 
 
-def _scalars(name: str, length: float, volume: float, ehr: float):
-    """(F, N, lambda) at totals L, V, EHR (floats) of the ``FUNCTIONALS`` key ``name``: F =
-    EHR / N with N = 1, L or V^(1/3), and lambda = 0, EHR / L or EHR / (3V).  Reports and
-    descents take every value and normalization from here, one metric at a time, but for
-    EHR and LEHR, whose arithmetic is elementwise, a stack's arrays of totals in one call."""
+def _scalars(name: str, length, volume, ehr):
+    """(F, N, lambda) at totals L, V, EHR of the ``FUNCTIONALS`` key ``name``: F = EHR / N
+    with N = 1, L or V^(1/3), and lambda = 0, EHR / L or EHR / (3V).  Reports, stacks and
+    descents take every value and normalization from here: the totals of one metric (floats)
+    or arrays of a stack's, each metric's arithmetic its own.  V^(1/3) is Python's pow, one
+    metric at a time, since numpy's vectorized pow is up to 2 ulp off."""
     if name == "ehr":
         return ehr, 1.0, 0.0
     if name == "lehr":
         return ehr / length, length, ehr / length
-    N = volume ** (1.0 / 3.0)
+    N = volume ** (1.0 / 3.0) if isinstance(volume, float) else \
+        (volume.astype(object) ** (1.0 / 3.0)).astype(float)
     return ehr / N, N, ehr / (3.0 * volume)
 
 
@@ -426,6 +441,23 @@ def _reports(c: Complex, lengths) -> list:
     k, kept, geo, k_edge = _first_admissible(c, lengths, [1] * len(lengths))
     made = iter(_make_reports(c, kept, geo, k_edge) if geo is not None else ())
     return [None if rejected else next(made) for rejected in k]
+
+
+class _Stack(_Reads):
+    """The reads of a stack (S, E) of admissible metrics without a report per metric: one
+    kernel call (which raises if a metric is inadmissible), arrays (S, ...), and the totals
+    and values ``length``, ``volume``, ``ehr``, ``lehr`` and ``vehr`` as columns (S, 1).  The
+    kernel reads the tets in C order, as :func:`_first_admissible` gathers them, so each row
+    of a per-tet array sums in the order of its metric alone."""
+
+    def __init__(self, c: Complex, lengths):
+        self.complex, self.lengths = c, _read_only(np.array(lengths, dtype=float))
+        self.geometry, self.k_edge = _curvatures(
+            c, self.lengths, np.ascontiguousarray(c.tet_lengths(self.lengths)))
+        self.length, self.volume, self.ehr = (
+            np.array(t)[:, None] for t in _totals(self.lengths, self.geometry, self.k_edge))
+        self.lehr, self.vehr = (_scalars(name, self.length, self.volume, self.ehr)[0]
+                                for name in ("lehr", "vehr"))
 
 
 def _firsts(flags, sizes):
@@ -487,12 +519,8 @@ def _first_points(c: Complex, name: str, lengths, sizes, per_vertex: bool):
         gs = [rep._gradient(name, True) for rep in reps]
         return (k, [getattr(rep, name) for rep in reps], at_boundary,
                 gs[0][None] if one else np.array(gs), reps)
-    if one or name == "vehr":    # Python's V^(1/3) of one metric at a time, as in reports
-        values, N, lam = zip(*map(_scalars, repeat(name), *totals))
-        N, lam = (N[0], lam[0]) if one else (np.array(N)[:, None], np.array(lam)[:, None])
-    else:    # EHR and EHR / L elementwise, each metric's own
-        values, N, lam = _scalars(name, *(np.array(t)[:, None] for t in totals))
-        values = values.ravel().tolist()
+    values, N, lam = _scalars(name, *(t[0] if one else np.array(t)[:, None] for t in totals))
+    values = [values] if one else values.ravel().tolist()
     n_edge = 0.0 if name == "ehr" else kept if name == "lehr" else _v_edge(c, kept, geo)
     gradients = _length_gradient(k_edge, kept, N, lam, n_edge).reshape(-1, E)
     return k, values, at_boundary, gradients, None

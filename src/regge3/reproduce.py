@@ -178,13 +178,12 @@ def criterion_6_unboundedness():
     dt = double_tetrahedron()
     # the endpoint, a 100-row sweep of the family and t = 1.414: one kernel call
     ts = np.linspace(1.0, 1.4142, 100)
-    end, *swept, at_1414 = curvature._reports(
-        dt, np.array([diagonal_family(t) for t in (1.4142, *ts, 1.414)]))
-    ehr_end = end.ehr
+    stack = curvature._Stack(dt, [diagonal_family(t) for t in (1.4142, *ts, 1.414)])
+    ehr_end = float(stack.ehr[0, 0])
     dev = abs(ehr_end - 8 * np.pi)
-    last10 = [rep.vehr for rep in swept[-10:]]
+    vehr = stack.vehr.ravel().tolist()
+    last10, vehr_1414 = vehr[-11:-1], vehr[-1]
     increasing = all(b > a for a, b in zip(last10, last10[1:]))
-    vehr_1414 = at_1414.vehr
     return [
         _row("6a", "total curvature at t=1.4142 approaches 8*pi",
              float(8 * np.pi), ehr_end, "abs 0.02", dev < 0.02),
@@ -199,25 +198,20 @@ def criterion_7_einstein_csc_structure():
     dt = double_tetrahedron()
     ones = np.ones(6)
 
-    def worst(residual):
-        return max(float(np.abs(residual(w)).max()) for w in "LV")
-
     rng = np.random.default_rng(2024)
     metrics = [random_equihedral_lengths(rng) for _ in range(20)] \
         + [diagonal_family(t) for t in (1.05, 1.15, 1.25, 1.35)]
     test_metrics = [ones] + [random_equihedral_lengths(rng) for _ in range(5)] \
         + list(solve.random_admissible_lengths(dt, rng, size=10))
-    # every metric's report from one kernel call: equal lengths, then both lists
-    reports = curvature._reports(dt, np.array([ones] + metrics + test_metrics))
-    e_lv = worst(reports[0].einstein_residual)
-    worst_csc = max(worst(rep.csc_residual) for rep in reports[1:1 + len(metrics)])
+    # one kernel call: equal lengths, then both lists; each residual's max per metric (2, S)
+    stack = curvature._Stack(dt, [ones] + metrics + test_metrics)
+    einstein, csc = (np.array([np.abs(residual(w)).max(-1) for w in "LV"])
+                     for residual in (stack.einstein_residual, stack.csc_residual))
+    e_lv = float(einstein[:, 0].max())
+    tested = 1 + len(metrics)
+    worst_csc = float(csc[:, 1:tested].max())
     # Einstein => csc on every test metric
-    implication_ok = True
-    for rep in reports[1 + len(metrics):]:
-        for which in ("L", "V"):
-            if float(np.abs(rep.einstein_residual(which)).max()) <= 1e-10:
-                if float(np.abs(rep.csc_residual(which)).max()) > 1e-9:
-                    implication_ok = False
+    implication_ok = not ((einstein[:, tested:] <= 1e-10) & (csc[:, tested:] > 1e-9)).any()
     return [
         _row("7a", "equal lengths pass both Einstein residuals",
              0.0, e_lv, "< 1e-10", e_lv < 1e-10),
@@ -245,33 +239,32 @@ def criterion_8_property_suites():
     rows.append(_row("8a", "Schlaefli identity sum_e l_e dbeta_e/dl_j = 0 (FD)",
                      0.0, worst, "abs 1e-6", worst < 1e-6))
 
-    # 8b analytic vs FD gradients, both variable spaces: one report per metric gives
-    # both analytic gradients, and per functional the 20 length-space and the 20
+    # 8b analytic vs FD gradients, both variable spaces: the analytic gradients of the 60
+    # metrics come from one stack, and per functional the 20 length-space and the 20
     # conformal stencils are one stacked call each
     ls = solve.random_admissible_lengths(dt, rng, size=60).reshape(3, 20, 6)
-    reports = curvature._reports(dt, ls.reshape(60, 6))
+    stack = curvature._Stack(dt, ls.reshape(60, 6))
     worst = 0.0
     for k, which in enumerate(("ehr", "lehr", "vehr")):
-        fun, L = curvature.FUNCTIONALS[which], ls[k]
+        fun, L, part = curvature.FUNCTIONALS[which], ls[k], slice(20 * k, 20 * k + 20)
         length_fd = curvature.gradient_fd(lambda x: fun(dt, x), L, richardson=True)
         conformal_fd = curvature.gradient_fd(
             lambda f: fun(dt, induced_lengths(dt, L[:, None, :], f)), np.zeros((20, 4)),
             richardson=True)
-        for rep, gl, gc in zip(reports[20 * k:20 * k + 20], length_fd, conformal_fd):
-            for ga, gf in ((rep.grad_lengths(which), gl), (rep.grad_conformal(which), gc)):
-                worst = max(worst, float(np.abs(ga - gf).max() / np.abs(ga).max()))
+        for ga, gf in ((stack.grad_lengths(which)[part], length_fd),
+                       (stack.grad_conformal(which)[part], conformal_fd)):
+            worst = max(worst, float((np.abs(ga - gf).max(-1) / np.abs(ga).max(-1)).max()))
     rows.append(_row("8b", "analytic vs finite-difference gradients (both spaces)",
                      0.0, worst, "rel 1e-6", worst < 1e-6))
 
-    # 8c report identities
+    # 8c report identities: a stack's row sums, then the 600-cell's report (criterion 10's)
     worst = 0.0
-    reports = curvature._reports(dt, solve.random_admissible_lengths(dt, rng, size=20))
-    reports.append(curvature.functionals(_cell600(), np.ones(720)))
-    for rep in reports:
-        worst = max(worst,
-                    abs(rep.k_vertex.sum() - rep.ehr) / abs(rep.ehr),
-                    abs(rep.l_vertex.sum() - rep.length) / rep.length,
-                    abs(rep.v_vertex.sum() - 3 * rep.volume) / (3 * rep.volume))
+    for rep in (curvature._Stack(dt, solve.random_admissible_lengths(dt, rng, size=20)),
+                curvature.functionals(_cell600(), np.ones(720))):
+        for parts, total in ((rep.k_vertex, rep.ehr), (rep.l_vertex, rep.length),
+                             (rep.v_vertex, 3 * rep.volume)):
+            worst = max(worst, float((abs(parts.sum(-1, keepdims=True) - total)
+                                      / abs(total)).max()))
     rows.append(_row("8c", "sum K_v = EHR, sum L_v = L, sum V_v = 3V",
                      0.0, worst, "rel 1e-12", worst < 1e-12))
 
@@ -282,11 +275,9 @@ def criterion_8_property_suites():
         ls.append(solve.random_admissible_lengths(dt, rng))
         scales.append(rng.uniform(0.5, 3.0))
     ls = np.array(ls)
-    reports = curvature._reports(dt, np.concatenate([ls, np.array(scales)[:, None] * ls]))
-    worst = 0.0
-    for rep, scaled in zip(reports[:20], reports[20:]):
-        worst = max(worst, abs(scaled.lehr - rep.lehr) / rep.lehr,
-                    abs(scaled.vehr - rep.vehr) / rep.vehr)
+    stack = curvature._Stack(dt, np.concatenate([ls, np.array(scales)[:, None] * ls]))
+    worst = max(0.0, *(float((abs(v[20:] - v[:20]) / v[:20]).max())
+                       for v in (stack.lehr, stack.vehr)))
     rows.append(_row("8d", "scale invariance of the normalized functionals",
                      0.0, worst, "rel 1e-12", worst < 1e-12))
 
@@ -301,12 +292,12 @@ def criterion_8_property_suites():
     rows.append(_row("8e", "cross ratios invariant under conformal change",
                      0.0, worst, "rel 1e-12", worst < 1e-12))
 
-    # 8f Laplacian negative semidefinite at random equihedral metrics
-    worst = -np.inf
-    ls = np.array([random_equihedral_lengths(rng) for _ in range(20)])
-    for rep in curvature._reports(dt, ls):
-        spec = solve.eig_sym(rep.laplacian())
-        worst = max(worst, float(spec.eigenvalues.max()))
+    # 8f Laplacian negative semidefinite at random equihedral metrics: one stack (20, 4, 4)
+    # and one batched eigh, each matrix's as eig_sym takes it (a Laplacian is exactly
+    # symmetric, so eig_sym's symmetrization leaves it as it is)
+    laplacians = curvature._Stack(dt, [random_equihedral_lengths(rng) for _ in range(20)]
+                                  ).laplacian()
+    worst = float(np.linalg.eigh(laplacians)[0].max())
     rows.append(_row("8f", "Laplacian max eigenvalue at 20 equihedral metrics",
                      "<= 0", worst, "< 1e-10", worst < 1e-10))
 

@@ -74,18 +74,23 @@ def _lapack(gufunc, *arrays):
 # traces
 
 
-@dataclass
+@dataclass(init=False)
 class SolveTrace:
-    """Iterate history of a solver run, and the points it tested."""
+    """Iterate history of a solver run, and the points it tested; each list field left out
+    is a new empty list."""
 
-    iterates: list = field(default_factory=list)
-    residual_norms: list = field(default_factory=list)
-    step_sizes: list = field(default_factory=list)
-    values: list = field(default_factory=list)
-    reason: str = "max-iters"
-    newton_steps: int = 0      # accepted Newton steps of a descent
-    points: int = 0            # points evaluated or rejected, the start included
-    rejected: int = 0          # points found inadmissible
+    iterates: list
+    residual_norms: list
+    step_sizes: list
+    values: list
+    reason: str
+    newton_steps: int          # accepted Newton steps of a descent
+    points: int                # points evaluated or rejected, the start included
+    rejected: int              # points found inadmissible
+
+    def __init__(self, iterates=None, residual_norms=None, step_sizes=None, values=None,
+                 reason="max-iters", newton_steps=0, points=0, rejected=0):
+        set_fields({name: [] if v is None else v for name, v in locals().items()})
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,28 @@ def test_criterion_kernel_call_budget(kernel_calls, number):
     assert len(kernel_calls) <= KERNEL_CALL_BUDGET[number]
 
 
+#: report constructions of each criterion whose metrics are stacks, from an empty
+#: ``functionals`` cache: criteria 6, 7 and 8 read their stacks without a report per metric
+#: (102, 41 and 141 reports when each metric had one); criterion 8's one report is the unit
+#: 600-cell's, which criterion 10 reuses
+REPORT_BUDGET = {6: 0, 7: 0, 8: 1}
+
+
+@pytest.mark.parametrize("number", sorted(REPORT_BUDGET))
+def test_criterion_report_budget(monkeypatch, number):
+    built = []
+    init = curvature.CurvatureReport.__init__
+
+    def counted(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(curvature, "_live", None)
+    monkeypatch.setattr(curvature.CurvatureReport, "__init__", counted)
+    assert all(r.passed for r in reproduce.ALL_CRITERIA[number - 1]())
+    assert len(built) == REPORT_BUDGET[number]
+
+
 def test_criterion_9_tests_each_metric_once(kernel_calls, monkeypatch):
     # each round's stack of ladders is tested once, and its kernel call reuses that test,
     # so the only other tests are the start sampler's mask calls

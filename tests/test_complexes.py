@@ -347,7 +347,8 @@ class TestValidate:
 # record classes whose __init__ is written out and stores its fields by set_fields
 RECORDS = [complexes.Complex, geometry.TetGeometry, curvature.CurvatureReport,
            curvature.BoundsReport, solve.YamabeEstimate, reproduce.CriterionRow,
-           conformal.ConformalClass, conformal.EquihedralPoint, solve.Spectrum, solve.SweepTable]
+           conformal.ConformalClass, conformal.EquihedralPoint, solve.Spectrum, solve.SweepTable,
+           solve.SolveTrace]
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
@@ -360,17 +361,25 @@ def test_written_out_init_takes_the_fields_in_order(cls):
     rec = cls(*values)
     assert [getattr(rec, name) for name in names] == values
     assert dataclasses.replace(rec) == rec
-    if cls is not solve.SweepTable:
+    if cls not in (solve.SweepTable, solve.SolveTrace):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(rec, names[0], None)
 
 
-def test_solve_trace_is_the_one_generated_init():
+def test_no_record_has_a_generated_init():
     # a generated __init__ interns throwaway names at every import of its module (see
-    # complexes.set_fields); SolveTrace keeps its own for the fresh lists of its fields
+    # complexes.set_fields)
     generated = {cls.__name__ for module in (complexes, geometry, curvature, conformal, solve,
                                              reproduce)
                  for cls in vars(module).values()
                  if dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__
                  and cls.__init__.__code__.co_filename == "<string>"}
-    assert generated == {"SolveTrace"}
+    assert generated == set()
+
+
+def test_solve_traces_never_share_a_list():
+    a, b = solve.SolveTrace(), solve.SolveTrace(points=1, reason="")
+    assert a == solve.SolveTrace(reason="max-iters", newton_steps=0, points=0, rejected=0)
+    assert (b.reason, b.points, b.iterates) == ("", 1, [])
+    lists = ("iterates", "residual_norms", "step_sizes", "values")
+    assert len({id(getattr(t, name)) for t in (a, b) for name in lists}) == 8

@@ -287,6 +287,62 @@ class TestReportStack:
         assert kernel_calls == []
 
 
+
+class TestStackedReads:
+    """``curvature._Stack`` reads a stack from one kernel call without a report per metric:
+    each row of each read is bitwise its metric's report read."""
+
+    @staticmethod
+    def reads(r):
+        """Every first-order read of a report or a stack, by name."""
+        out = {name: getattr(r, name)
+               for name in ("k_vertex", "l_vertex", "v_vertex", "v_edge", "dual_length")}
+        for which in ("ehr", "lehr", "vehr"):
+            out[f"grad_lengths {which}"] = r.grad_lengths(which)
+            out[f"grad_conformal {which}"] = r.grad_conformal(which)
+        for which in "LV":
+            out[f"einstein_residual {which}"] = r.einstein_residual(which)
+            out[f"csc_residual {which}"] = r.csc_residual(which)
+        out["laplacian"] = r.laplacian()
+        return out
+
+    def check_rows(self, c, stack, kernel_calls):
+        st = curvature._Stack(c, stack)
+        assert kernel_calls == [(len(stack), c.num_tets, 6)]
+        reads = self.reads(st)
+        eigenvalues = np.linalg.eigh(reads["laplacian"])[0]    # one batched call
+        for i, l in enumerate(stack):
+            rep = functionals(c, l)
+            assert [st.length[i, 0], st.volume[i, 0], st.ehr[i, 0], st.lehr[i, 0],
+                    st.vehr[i, 0]] == [rep.length, rep.volume, rep.ehr, rep.lehr, rep.vehr]
+            for name, read in self.reads(rep).items():
+                assert reads[name][i].tobytes() == read.tobytes(), name
+            assert eigenvalues[i].tobytes() == solve.eig_sym(rep.laplacian()).eigenvalues.tobytes()
+
+    def test_dt_rows_equal_reports_bitwise(self, dt, kernel_calls):
+        # numpy's vectorized V^(1/3) is off on some of these rows; the stack's VEHR is not
+        self.check_rows(dt, random_admissible_lengths(dt, np.random.default_rng(1), size=200),
+                        kernel_calls)
+
+    def test_600_cell_rows_equal_reports_bitwise(self, cell600, kernel_calls):
+        stack = 1.0 + 0.02 * np.random.default_rng(2).standard_normal((3, 720))
+        self.check_rows(cell600, stack, kernel_calls)
+
+    def test_one_row_stack_is_its_report(self, dt, kernel_calls):
+        self.check_rows(dt, random_admissible_lengths(dt, np.random.default_rng(3), size=1),
+                        kernel_calls)
+
+    def test_empty_stack_gives_empty_reads(self, dt):
+        st = curvature._Stack(dt, np.zeros((0, 6)))
+        shapes = {name: read.shape for name, read in self.reads(st).items()}
+        assert shapes["laplacian"] == (0, 4, 4) and st.vehr.shape == (0, 1)
+        assert {shape[0] for shape in shapes.values()} == {0}
+        assert np.linalg.eigh(st.laplacian())[0].shape == (0, 4)
+
+    def test_inadmissible_metric_raises(self, dt):
+        with pytest.raises(InadmissibleMetricError):
+            curvature._Stack(dt, [ONES, diagonal_family(1.5)])
+
 class TestNormalizationTerms:
     """A reader computes only the per-edge or the per-vertex terms it reads."""
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from regge3 import cli, complexes, solve
+from regge3 import cli, complexes, curvature, solve
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "digest.py"
 
@@ -93,3 +93,28 @@ def test_cli_and_sweep_items_see_one_changed_output(digest, monkeypatch):
     assert [name for name in cli_first if cli_moved[name] != cli_first[name]] == \
         [digest.CLI_LINES[6]]
     assert [name for name in sweep_first if sweep_moved[name] != sweep_first[name]] == ["readme"]
+
+
+def test_report_items_see_one_changed_read(digest, monkeypatch):
+    dt, c600 = complexes.double_tetrahedron(), complexes.six_hundred_cell()
+
+    def shas():
+        return {name: digest._digest(obj) for name, obj in digest._report_items(dt, c600)}
+
+    first = shas()
+    assert list(first) == [f"dt-{i}" for i in range(20)] + ["cell600-0", "cell600-1"]
+    assert shas() == first
+
+    csc_jacobian, vehr_calls = curvature.CurvatureReport.csc_jacobian, []
+
+    def one_ulp(rep, which):    # the VEHR csc Jacobian of the third report, one entry one ulp up
+        J = csc_jacobian(rep, which)
+        if which == "vehr":
+            vehr_calls.append(rep)
+            if len(vehr_calls) == 3:
+                J[0, 1] = np.nextafter(J[0, 1], np.inf)
+        return J
+
+    monkeypatch.setattr(curvature.CurvatureReport, "csc_jacobian", one_ulp)
+    moved = shas()
+    assert [name for name in first if moved[name] != first[name]] == ["dt-2"]

@@ -21,7 +21,12 @@ It prints one sha256 per group of outputs:
   its exit code, stdout and stderr;
 * ``sweep``: the tables of ``solve.sweep_family`` on fixed grids: the README's and demo
   04's sweeps, every quantity on the equihedral family past its flat end, and every
-  quantity on a family off constant scalar curvature.
+  quantity on a family off constant scalar curvature;
+* ``reports``: every read of the reports of fixed seeded stacks of double tetrahedron and
+  perturbed 600-cell metrics, at full precision: the fields, vertex sums, V_e and dual
+  lengths, the Laplacian and the bounds, and for EHR, LEHR and VEHR both gradients, both
+  residuals, the conformal and length Hessians and the csc Jacobian (``reproduce``
+  rounds each row to 10 digits, so it cannot show a 1-ulp move of these reads).
 
 ``--per-request`` prints each item's digest before the summary.  Two runs of the same
 code print the same lines, and a change that moves any output by one ulp moves its group's
@@ -62,7 +67,7 @@ sys.dont_write_bytecode = _dont_write
 
 from regge3 import cli, complexes, conformal, curvature, reproduce, solve  # noqa: E402
 
-GROUPS = ("dt", "cell600", "reproduce", "criteria", "yamabe", "cli", "sweep")
+GROUPS = ("dt", "cell600", "reproduce", "criteria", "yamabe", "cli", "sweep", "reports")
 YAMABE_CLASSES = 12
 YAMABE_STARTS = 16
 #: the README's "Command line" block, without the program name, the comments and the padding
@@ -98,6 +103,8 @@ SWEEPS = (
     ("every-quantity", solve.diagonal_family, (1.0, 1.45, 12), _EVERY),
     ("off-csc", _off_csc_family, (0.9, 1.2, 8), _EVERY),
 )
+#: (seed, size) of the report group's stacks of double tetrahedron and 600-cell metrics
+REPORT_STACKS = {"dt": (2900, 20), "cell600": (2901, 2)}
 #: derived fields of a report, computed when read, that its digest includes
 _REPORT_FIELDS = ("k_vertex", "l_vertex", "v_vertex", "v_edge", "dual_length")
 
@@ -226,6 +233,26 @@ def _sweep_items(dt):
         yield name, _run(solve.sweep_family, dt, family, np.linspace(*grid), quantities)
 
 
+def _report_reads(rep) -> dict:
+    """Every read of a report: its fields (see ``encode``), and what its methods return."""
+    reads = {"report": rep, "laplacian": rep.laplacian(), "bounds": rep.bounds()}
+    for which in ("ehr", "lehr", "vehr"):
+        reads[which] = [read(which) for read in (
+            rep.grad_lengths, rep.grad_conformal, rep.einstein_residual, rep.csc_residual,
+            rep.conformal_hessian, rep.length_hessian, rep.csc_jacobian)]
+    return reads
+
+
+def _report_items(dt, c600):
+    for name, c in (("dt", dt), ("cell600", c600)):
+        seed, size = REPORT_STACKS[name]
+        rng = np.random.default_rng(seed)
+        stack = solve.random_admissible_lengths(c, rng, size=size) if c is dt else \
+            1.0 + 0.02 * rng.standard_normal((size, c.num_edges))
+        for i, rep in enumerate(curvature._reports(c, stack)):
+            yield f"{name}-{i}", _report_reads(rep)
+
+
 def digests(seeds, per_request=None) -> dict:
     """The sha256 of each group, in GROUPS order; ``per_request(group, name, sha)`` sees
     each item's digest."""
@@ -236,7 +263,8 @@ def digests(seeds, per_request=None) -> dict:
              "criteria": _criteria_items(),
              "yamabe": _yamabe_items(ctx.dt),
              "cli": _cli_items(),
-             "sweep": _sweep_items(ctx.dt)}
+             "sweep": _sweep_items(ctx.dt),
+             "reports": _report_items(ctx.dt, ctx.c600)}
     out = {}
     for group in GROUPS:
         h = hashlib.sha256()
