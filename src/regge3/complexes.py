@@ -311,17 +311,25 @@ def validate(c: Complex) -> None:
 # generators
 
 
+#: the one instance of each standard complex, by constructor name, stored by its first call
+_instances: dict[str, Complex] = {}
+
+
 def double_tetrahedron() -> Complex:
-    """Two tetrahedra glued along all four boundary faces.
+    """Two tetrahedra glued along all four boundary faces: the process's one immutable
+    instance, built on the first call and returned by every later one.
 
     Both tets live on vertices 0..3 and reference the same six edges and
     four faces, so every edge has degree 2.  This is the smallest closed
     triangulation of the 3-sphere and is not a simplicial complex.  The
-    incidences are constants, checked by the tests rather than on each call.
+    incidences are constants, checked by the tests rather than on the build.
     """
-    return Complex(num_vertices=4, edge_vertices=LOCAL_PAIRS, face_edges=FACE_EDGES,
-                   face_vertices=FACE_VERTICES, tet_vertices=[range(4)] * 2,
-                   tet_edges=[range(6)] * 2, tet_faces=[range(4)] * 2)
+    if (dt := _instances.get("double_tetrahedron")) is None:
+        dt = _instances["double_tetrahedron"] = Complex(
+            num_vertices=4, edge_vertices=LOCAL_PAIRS, face_edges=FACE_EDGES,
+            face_vertices=FACE_VERTICES, tet_vertices=[range(4)] * 2,
+            tet_edges=[range(6)] * 2, tet_faces=[range(4)] * 2)
+    return dt
 
 
 def _number_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -398,13 +406,16 @@ def _binary_icosahedral_vertices() -> np.ndarray:
 
 
 def six_hundred_cell() -> Complex:
-    """The 600-cell: 120 vertices, 720 edges, 1200 faces, 600 tets.
+    """The 600-cell: 120 vertices, 720 edges, 1200 faces, 600 tets; the process's one
+    immutable instance, built on the first call and returned by every later one.
 
     Vertices are the binary icosahedral unit quaternions, edges join
     nearest-neighbour pairs, faces are the 3-cliques and tets the
     4-cliques of the resulting graph.  Numbered as :func:`from_simplicial_tets`
-    numbers these tets, but not validated on each build (the tests validate it).
+    numbers these tets, but not validated on the build (the tests validate it).
     """
+    if (cell := _instances.get("six_hundred_cell")) is not None:
+        return cell
     pts = _binary_icosahedral_vertices()
     n = len(pts)
     d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
@@ -417,7 +428,9 @@ def six_hundred_cell() -> Complex:
     e, k = np.nonzero(up[i] & up[j])
     a, b, c = i[e], j[e], k
     t, m = np.nonzero(up[a] & up[b] & up[c])
-    return _simplicial(n, np.stack([a[t], b[t], c[t], m], axis=1))
+    cell = _instances["six_hundred_cell"] = _simplicial(
+        n, np.stack([a[t], b[t], c[t], m], axis=1))
+    return cell
 
 
 # ---------------------------------------------------------------------------

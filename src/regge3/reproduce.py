@@ -9,7 +9,6 @@ command and the acceptance test module both run these rows.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import re
 from dataclasses import dataclass
@@ -54,12 +53,6 @@ def _row(key, description, expected, actual, tolerance, passed) -> CriterionRow:
     return CriterionRow(key=key, tag=tag, description=description,
                         expected=fmt(expected), actual=fmt(actual),
                         tolerance=fmt(tolerance), passed=bool(passed))
-
-
-@functools.cache
-def _cell600():
-    """The 600-cell of criteria 8 and 10, built once, when first read."""
-    return six_hundred_cell()
 
 
 ACOS13 = np.arccos(1.0 / 3.0)
@@ -260,7 +253,7 @@ def criterion_8_property_suites():
     # 8c report identities: a stack's row sums, then the 600-cell's report (criterion 10's)
     worst = 0.0
     for rep in (curvature._Stack(dt, solve.random_admissible_lengths(dt, rng, size=20)),
-                curvature.functionals(_cell600(), np.ones(720))):
+                curvature.functionals(six_hundred_cell(), np.ones(720))):
         for parts, total in ((rep.k_vertex, rep.ehr), (rep.l_vertex, rep.length),
                              (rep.v_vertex, 3 * rep.volume)):
             worst = max(worst, float((abs(parts.sum(-1, keepdims=True) - total)
@@ -335,7 +328,7 @@ def criterion_9_uniqueness_evidence():
 
 
 def criterion_10_six_hundred_cell():
-    c = _cell600()
+    c = six_hundred_cell()
     counts_ok = c.counts() == (120, 720, 1200, 600)
     deg = c.edge_degrees
     rep = curvature.functionals(c, np.ones(720))

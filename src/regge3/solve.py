@@ -42,15 +42,18 @@ def eig_sym(A) -> Spectrum:
     """Full spectral decomposition of a symmetric matrix (LAPACK ``eigh``).
 
     Deterministic: eigenvalues ascending, each eigenvector's largest component
-    made positive; a (0, 0) matrix has an empty spectrum.  Raises on non-symmetric input.
+    made positive; a (0, 0) matrix has an empty spectrum.  Raises on non-symmetric input
+    and on a NaN or infinite entry.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     if not A.size:
         return Spectrum(eigenvalues=np.zeros(0), eigenvectors=np.zeros((0, 0)))
-    scale = max(1.0, float(np.abs(A).max()))
-    if np.abs(A - A.T).max() > 1e-12 * scale:
+    scale = float(np.abs(A).max())
+    if not math.isfinite(scale):
+        raise ValueError("matrix has a NaN or infinite entry")
+    if np.abs(A - A.T).max() > 1e-12 * max(1.0, scale):
         raise ValueError("matrix is not symmetric to 1e-12 relative")
     vals, V = np.linalg.eigh(0.5 * (A + A.T))
     j = np.argmax(np.abs(V), axis=0)
@@ -488,6 +491,14 @@ def yamabe_constant_estimate(cls: ConformalClass, which: str = "L",
 # scalar root finding
 
 
+def _finite(g, t: float):
+    """g(t), or ``ValueError`` when it is NaN or infinite: no sign test can bracket those."""
+    value = g(t)
+    if not math.isfinite(value):
+        raise ValueError(f"g({t}) = {value} is not finite")
+    return value
+
+
 def bisect_zero(g, a: float, b: float, tol: float = 1e-10,
                 max_iter: int = 200) -> float:
     """A root of a scalar function g on a bracket [a, b] where it changes sign, by Brent's
@@ -501,9 +512,10 @@ def bisect_zero(g, a: float, b: float, tol: float = 1e-10,
     evaluations at tol 1e-6 where bisection takes 22.  Returns an
     endpoint of a bracket narrower than ``tol`` (plus 4 eps times the root, for rounding),
     a point where g is exactly 0, or the best point after ``max_iter`` evaluations past the
-    two endpoints.  Raises ``ValueError`` when g(a) and g(b) have the same sign.
+    two endpoints.  Raises ``ValueError`` when g(a) and g(b) have the same sign, and when
+    any value of g is NaN or infinite.
     """
-    ga, gb = g(a), g(b)
+    ga, gb = _finite(g, a), _finite(g, b)
     if ga == 0.0:
         return a
     if gb == 0.0:
@@ -541,7 +553,7 @@ def bisect_zero(g, a: float, b: float, tol: float = 1e-10,
             e = d = m
         a, ga = b, gb
         b += d if abs(d) > tol1 else math.copysign(tol1, m)
-        gb = g(b)
+        gb = _finite(g, b)
         if gb == 0.0:
             return b
         if np.sign(gb) == np.sign(gc):    # the root lies between a and b

@@ -10,7 +10,7 @@ that raises fails its own rows only.  Running
 import numpy as np
 import pytest
 
-from regge3 import curvature, geometry, reproduce
+from regge3 import complexes, curvature, geometry, reproduce
 
 #: row keys of each criterion, in ``reproduce.ALL_CRITERIA`` order
 ROW_KEYS = (("1a", "1b"), ("2a", "2b"), ("3a", "3b"), ("4a", "4b", "4c"),
@@ -145,20 +145,40 @@ def test_criterion_9_tests_each_metric_once(kernel_calls, monkeypatch):
     assert len(tests) == len(rounds) + len(masks) and len(masks) <= 3
 
 
-def test_one_600_cell_build_per_process(monkeypatch):
+def counted_builds(monkeypatch):
+    """The counts (V, E, F, T) of each ``Complex`` constructed from here on, in order."""
     builds = []
-    build = reproduce.six_hundred_cell
+    init = complexes.Complex.__init__
 
-    def counted():
-        builds.append(1)
-        return build()
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        builds.append(self.counts())
 
-    monkeypatch.setattr(reproduce, "six_hundred_cell", counted)
-    reproduce._cell600.cache_clear()
-    try:
-        for criterion in (reproduce.criterion_8_property_suites,
-                          reproduce.criterion_10_six_hundred_cell) * 2:
-            assert all(r.passed for r in criterion())
-    finally:
-        reproduce._cell600.cache_clear()
-    assert builds == [1]
+    monkeypatch.setattr(complexes.Complex, "__init__", counted)
+    return builds
+
+
+def test_one_600_cell_build_per_process(monkeypatch):
+    # from empty holders, criteria 8 and 10 run twice build each complex once
+    for name in ("double_tetrahedron", "six_hundred_cell"):
+        monkeypatch.delitem(complexes._instances, name, raising=False)
+    builds = counted_builds(monkeypatch)
+    for criterion in (reproduce.criterion_8_property_suites,
+                      reproduce.criterion_10_six_hundred_cell) * 2:
+        assert all(r.passed for r in criterion())
+    assert builds == [(4, 6, 4, 2), (120, 720, 1200, 600)]
+
+
+def test_run_all_builds_no_complex_once_both_exist(monkeypatch):
+    complexes.double_tetrahedron(), complexes.six_hundred_cell()
+    builds = counted_builds(monkeypatch)
+    assert all(r.passed for r in reproduce.run_all())
+    assert builds == []
+
+
+def test_criterion_2_reads_criterion_1s_report(kernel_calls):
+    # both read the length Hessian of the one double tetrahedron at equal lengths
+    assert all(r.passed for r in reproduce.criterion_1_lehr_hessian())
+    assert len(kernel_calls) == 1
+    assert all(r.passed for r in reproduce.criterion_2_vehr_hessian())
+    assert len(kernel_calls) == 1

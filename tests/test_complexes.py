@@ -88,6 +88,25 @@ class TestSixHundredCell:
             degrees[0] = 4
 
 
+@pytest.mark.parametrize("build", [double_tetrahedron, six_hundred_cell])
+class TestOneInstancePerProcess:
+    def test_every_call_returns_the_same_object(self, build):
+        c = build()
+        assert build() is c and complexes._instances[build.__name__] is c
+
+    def test_constructor_stays_a_plain_function(self, build):
+        # perfbench's tracer wraps only plain functions; functools.cache would hide it
+        assert inspect.isfunction(build) and not hasattr(build, "__wrapped__")
+        assert inspect.signature(build).parameters == {}
+
+    def test_an_emptied_holder_builds_an_equal_complex(self, build, monkeypatch):
+        c = build()
+        monkeypatch.delitem(complexes._instances, build.__name__)
+        new = build()
+        assert new is not c and build() is new
+        assert_same_complex(new, c)
+
+
 class TestSyntheticComplexes:
     def test_boundary_of_4_simplex_counts(self):
         c = boundary_of_4_simplex()

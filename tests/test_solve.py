@@ -66,6 +66,15 @@ class TestEigSym:
         with pytest.raises(ValueError, match="symmetric"):
             eig_sym(A)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("cell", [(0, 0), (0, 1)])
+    def test_non_finite_entry_rejected(self, bad, cell):
+        # a NaN used to pass the symmetry test and give NaN eigenvalues; an inf warned
+        A = np.eye(3)
+        A[cell] = A[cell[::-1]] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            eig_sym(A)
+
     def test_empty_matrix_has_empty_spectrum(self):
         spec = eig_sym(np.zeros((0, 0)))
         assert spec.eigenvalues.shape == (0,) and spec.eigenvectors.shape == (0, 0)
@@ -992,6 +1001,16 @@ class TestBisect:
     def test_no_sign_change_raises(self):
         with pytest.raises(ValueError, match="sign change"):
             bisect_zero(lambda t: 1.0 + t * t, 0.0, 1.0)
+
+    @pytest.mark.parametrize("g", [
+        lambda t: np.nan, lambda t: np.inf, lambda t: np.nan if t == 1.0 else -1.0,
+        lambda t: -1.0 if t < 0.5 else (1.0 if t == 1.0 else np.nan)],
+        ids=["nan", "inf", "nan-at-b", "nan-inside"])
+    def test_non_finite_value_raises(self, g):
+        # NaN compares unequal to every sign, so it passed the sign-change test and
+        # g = nan returned 5.82e-11 as a root
+        with pytest.raises(ValueError, match="not finite"):
+            bisect_zero(g, 0.0, 1.0)
 
     def test_tstar(self, dt):
         tstar = solve.find_tstar(dt, bracket=(1.0, 1.3), tol=1e-7)
