@@ -80,11 +80,13 @@ def _bincount(bins, weights, n: int) -> np.ndarray:
     """Sums of ``weights`` (..., *bins.shape) into n bins by ``bins``, (..., n): one
     ``np.bincount``, the bins of batch entry k offset by k * n.  Each bin sums its weights in
     the same order whatever the batch, so every entry equals its unbatched sum bitwise; an
-    empty batch gives an empty result."""
+    empty batch gives an empty result of floats (``np.bincount`` would give integers)."""
     batch = weights.shape[:weights.ndim - bins.ndim]
     if not batch:
         return np.bincount(bins.ravel(), weights.ravel(), minlength=n)
     size = math.prod(batch)
+    if not size:
+        return np.zeros(batch + (n,))
     bins = (bins.ravel() + n * np.arange(size)[:, None]).ravel()
     return np.bincount(bins, weights.ravel(), minlength=size * n).reshape(batch + (n,))
 
@@ -499,8 +501,3 @@ def parse_complex(text: str) -> Complex:
 def load_complex(path) -> Complex:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_complex(fh.read())
-
-
-def save_complex(c: Complex, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_complex(c))

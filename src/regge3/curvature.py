@@ -9,16 +9,16 @@ The basic objects, for a complex with metric (edge length vector) l:
   VEHR = EHR / V^(1/3).
 
 :func:`functionals` is the one evaluation of a metric: a
-:class:`CurvatureReport` from one kernel call.  Everything at that metric
-is read from the report: gradients (from one normalization table; EHR has
-length gradient K_e / l_e), residuals, the bounds, the exact conformal
-Hessian and the exact Newton Jacobian of the constant scalar curvature
-equations, and the exact length Hessian.  The module-level gradients and
-residuals are one-call entry points; they reuse the last report built, which
-:func:`functionals` keeps, so each costs one kernel call per metric.  A stack
-of metrics (S, E) is read without a report per metric: the first-order reads
-(vertex sums, V_e, the Laplacian, gradients, residuals) are written once over
-leading axes, and each row of a stack's read is bitwise its metric's report's.
+:class:`CurvatureReport` from one kernel call.  Each read of kernel output is
+written once, over leading axes, in :class:`_Reads`: vertex sums, V_e, dual
+lengths, the Laplacian, gradients (from one normalization table; EHR has length
+gradient K_e / l_e), residuals, and the exact conformal Hessian, csc Newton
+Jacobian and length Hessian.  A report reads one metric; the private
+:class:`_Stack` reads one metric alike or a stack (S, E) from one kernel call,
+each row bitwise its report's.  Descents, the csc solver and the sweep read
+the stack of each round's first admissible points (:func:`_first_admissible`).
+The module-level gradients and residuals reuse the last report built, which
+:func:`functionals` keeps, so each costs one kernel call per metric.
 The conformal Hessian is the paper's Laplacian formula at every metric:
 H_u(EHR) = -8 Delta + E(K), with Delta the Laplacian of the dual-length
 weights l*_e / l_e and E(K) the edge matrix of the curvatures
@@ -41,9 +41,9 @@ Every entry that takes a functional reads its name, "ehr", "lehr" or "L",
 on anything else.
 
 The factor map scales the edge between v and v' by exp((f_v + f_v')/2).
-First derivatives (``grad_conformal``, ``CurvatureReport.csc_jacobian``)
-are taken with respect to the factors f.  Conformal second
-derivatives (``CurvatureReport.conformal_hessian``, ``lehr_conformal_hessian_csc``
+First derivatives (``grad_conformal`` and the reads ``grad_conformal`` and
+``csc_jacobian``) are taken with respect to the factors f.  Conformal second
+derivatives (the read ``conformal_hessian``, ``lehr_conformal_hessian_csc``
 and ``conformal_hessian_fd``) are taken with respect to the per-vertex log
 scale factors u = f / 2, under which the edge scales as exp(u_v + u_v');
 each entry is therefore 4 times the corresponding f-derivative.  All
@@ -65,13 +65,15 @@ from .geometry import InadmissibleMetricError
 
 
 class _Reads:
-    """The first-order reads of kernel output: vertex sums, V_e, dual lengths, the Laplacian,
-    gradients and residuals, each computed when first read, then kept, and read-only.
+    """The reads of kernel output: vertex sums, V_e, dual lengths, the Laplacian, gradients,
+    residuals and the exact Hessians and csc Jacobian, each computed when first read or
+    called, and read-only where kept.
 
     One class holds each formula, over leading axes: a :class:`CurvatureReport` reads one
-    metric (arrays (E,), totals floats) and a :class:`_Stack` S metrics (arrays (S, E), totals
-    (S, 1)), each row bitwise its metric's report.  Both have the fields ``complex``,
-    ``geometry``, ``lengths``, ``k_edge``, ``length``, ``volume`` and ``ehr``.
+    metric (arrays (E,), totals floats) and a :class:`_Stack` one metric alike or S metrics
+    (arrays (S, E), totals columns (S, 1)), each row bitwise its metric's report.  Both have
+    the fields ``complex``, ``geometry``, ``lengths``, ``k_edge``, ``length``, ``volume`` and
+    ``ehr``.
     """
 
     @_cached
@@ -95,7 +97,7 @@ class _Reads:
     @_cached
     def v_edge(self) -> np.ndarray:
         """(..., E) V_e = l_e dV/dl_e."""
-        return _read_only(_v_edge(self.complex, self.lengths, self.geometry))
+        return _read_only(self.lengths * self.complex.edge_sum(self.geometry.dvolume))
 
     @_cached
     def dual_length(self) -> np.ndarray:
@@ -123,12 +125,12 @@ class _Reads:
         """dF/df (..., V) or dF/dl (..., E) of the functional of the ``FUNCTIONALS`` key
         ``name``, kept read-only once computed: a conformal Newton point reads it, then its
         Hessian."""
-        key = f"_gradient_{name}_{per_vertex}"
+        key = ("_gradient_vertex_" if per_vertex else "_gradient_edge_") + name
         g = self.__dict__.get(key)
         if g is None:
             N, lam, n_x, _ = self._normalization(name, per_vertex)
             g = (self.k_vertex - lam * n_x) / N if per_vertex else \
-                _length_gradient(self.k_edge, self.lengths, N, lam, n_x)
+                (self.k_edge - lam * n_x) / (self.lengths * N)
             g = self.__dict__[key] = _read_only(g)
         return g
 
@@ -150,6 +152,98 @@ class _Reads:
         """Per-vertex residual K_v - lambda N_v, (..., V); see :func:`csc_residual`."""
         _, lam, n_vertex, _ = self._normalization(_functional(which), True)
         return self.k_vertex - lam * n_vertex
+
+    def conformal_hessian(self, which: str) -> np.ndarray:
+        """The Hessian H_u of u -> F(exp(u_v + u_v') * l_e) at u = 0, (..., V, V), for F =
+        EHR, LEHR or VEHR; ``conformal_hessian_fd`` is its finite-difference oracle.
+
+        H_u(EHR) = -8 Delta + E(K) at every metric, with Delta the Laplacian
+        of the weights l*_e / l_e and E(x) the edge matrix of x (off-diagonal
+        x_e, diagonal the sum over incident edges).  For F = EHR / N and the
+        total M = L (LEHR) or V (VEHR), with g = grad_u M / M = 2 L_v / L
+        resp. 2 V_v / (3V):  H_u(F) = (H_u(EHR) - lambda H_u(M)) / N
+        - (grad F g^T + g grad F^T), plus (2 lambda / (3 V N)) grad V grad V^T
+        for VEHR.  H_u(L) = E(l); H_u(V) sums the 4x4 blocks
+        4 V_t [1 1^T - 1 a^T - a 1^T + diag a - G_00 G_vv], a = G[0, 1:]
+        (Blumenthal's Gram identities, see geometry).  At a csc metric
+        grad F = 0 and the LEHR Hessian is the paper's 4 (-2 Delta + N) / L.
+        """
+        which = _functional(which)
+        c = self.complex
+        N, lam, _, _ = self._normalization(which, True)
+        w = 8.0 * self.dual_length / self.lengths
+        x = self.k_edge - lam * self.lengths if which == "lehr" else self.k_edge
+        H = _edge_matrix(c, x - w, x + w)
+        if which == "vehr":
+            G, n, tv = self.geometry.cm_inverse, c.num_vertices, c.tet_vertices
+            a = G[..., 0, 1:]
+            blocks = 1.0 - a[..., :, None] - a[..., None, :] - G[..., :1, :1] * G[..., 1:, 1:]
+            blocks.reshape(-1, 16)[:, ::5] += a.reshape(-1, 4)    # the diagonals
+            blocks *= ((4.0 * lam) * self.geometry.volume)[..., None, None]
+            H -= _bincount(tv[:, :, None] * n + tv[:, None, :], blocks, n * n).reshape(H.shape)
+        H /= _lift(N, 1)    # N = 1 for EHR: exact
+        return self._rank_one_tail(which, True, H)
+
+    def length_hessian(self, which: str) -> np.ndarray:
+        """The Hessian of F = EHR, LEHR or VEHR in the edge lengths, (..., E, E);
+        ``hessian_fd_lengths`` is its finite-difference oracle.
+
+        dEHR/dl_e = K_e / l_e (Schlaefli), so H(EHR) = -sum_t d(beta_t)/dl, each tet's
+        :attr:`geometry.TetGeometry.ddihedrals` added to the cells of its edge pairs.  For
+        F = EHR / N:  H(F) = (H(EHR) - F H(N) - grad F grad N^T - grad N grad F^T) / N, with
+        N = L and H(L) = 0, or N = V^(1/3) and H(N) = N (H(V) / (3V) - 2 grad V grad V^T /
+        (9 V^2)), H(V) the tets' :attr:`geometry.TetGeometry.d2volume` added alike.  With
+        g = grad N / N (1 / L resp. grad V / (3V)) and lambda = EHR / (3V), the VEHR terms
+        are -lambda H(V) / N in the one scatter and (2 lambda / (3 V N)) grad V grad V^T.
+        """
+        which = _functional(which)
+        geo, E, batch = self.geometry, self.complex.num_edges, self.lengths.shape[:-1]
+        cells = self.complex._edge_pair_cells
+        N, lam, _, _ = self._normalization(which, False)
+        per_tet = geo.ddihedrals + _lift(lam, 2) * geo.d2volume if which == "vehr" else \
+            geo.ddihedrals
+        H = _bincount(cells, per_tet.reshape(batch + cells.shape), E * E).reshape(batch + (E, E))
+        H /= -_lift(N, 1)
+        return self._rank_one_tail(which, False, H)
+
+    def _rank_one_tail(self, which: str, conformal: bool, H) -> np.ndarray:
+        """Either exact Hessian of F = EHR / N from its other terms H / N, in u (grad_u = 2
+        grad_f) or in the lengths: adds -(grad F g^T + g grad F^T), g = grad N / N, and for
+        VEHR (2 lambda s / N) g g^T (grad V = s g), then symmetrizes (EHR: only that)."""
+        if which != "ehr":
+            N, lam, n_x, s = self._normalization(which, conformal)
+            if conformal:
+                grad, g = 2.0 * self._gradient(which, True), 2.0 * n_x / s
+            else:
+                grad = self._gradient(which, False)
+                g = np.full(grad.shape, 1.0 / s) if which == "lehr" else \
+                    self.complex.edge_sum(self.geometry.dvolume) / s
+            outer = grad[..., :, None] * g[..., None, :]    # g grad^T is its transpose, bitwise
+            H -= outer + outer.swapaxes(-1, -2)
+            if which == "vehr":
+                H += _lift(2.0 * lam * s / N, 1) * (g[..., :, None] * g[..., None, :])
+        return 0.5 * (H + H.swapaxes(-1, -2))
+
+    def csc_jacobian(self, which: str) -> np.ndarray:
+        """Jacobian of :meth:`csc_residual` with respect to the factors f, (..., V, V).
+
+        Row v holds the derivatives of r_v.  The residual is r = N grad_f F
+        with (F, N) = (EHR, 1), (LEHR, L) and (VEHR, V^(1/3)), so
+        J = (N/4) H_u(F) + r g^T with g = grad_f(N) / N, which is 0, L_v / L,
+        resp. V_v / (3V).
+        """
+        which = _functional(which)
+        N, lam, n_vertex, s = self._normalization(which, True)
+        J = 0.25 * _lift(N, 1) * self.conformal_hessian(which)
+        if which == "ehr":
+            return J
+        return J + (self.k_vertex - lam * n_vertex)[..., :, None] * (n_vertex / s)[..., None, :]
+
+
+def _lift(x, axes: int):
+    """A total of one metric (a float, returned as it is) or a stack's column (S, 1) of them
+    with ``axes`` more axes, to scale arrays that have that many more axes than (..., E)."""
+    return x.reshape(x.shape + (1,) * axes) if isinstance(x, np.ndarray) else x
 
 
 @dataclass(frozen=True, init=False)
@@ -179,92 +273,6 @@ class CurvatureReport(_Reads):
 
     def __init__(self, complex, geometry, lengths, k_edge, length, volume, ehr, lehr, vehr):
         set_fields(locals())
-
-    def conformal_hessian(self, which: str) -> np.ndarray:
-        """The Hessian H_u of u -> F(exp(u_v + u_v') * l_e) at u = 0, (V, V), for F =
-        EHR, LEHR or VEHR; ``conformal_hessian_fd`` is its finite-difference oracle.
-
-        H_u(EHR) = -8 Delta + E(K) at every metric, with Delta the Laplacian
-        of the weights l*_e / l_e and E(x) the edge matrix of x (off-diagonal
-        x_e, diagonal the sum over incident edges).  For F = EHR / N and the
-        total M = L (LEHR) or V (VEHR), with g = grad_u M / M = 2 L_v / L
-        resp. 2 V_v / (3V):  H_u(F) = (H_u(EHR) - lambda H_u(M)) / N
-        - (grad F g^T + g grad F^T), plus (2 lambda / (3 V N)) grad V grad V^T
-        for VEHR.  H_u(L) = E(l); H_u(V) sums the 4x4 blocks
-        4 V_t [1 1^T - 1 a^T - a 1^T + diag a - G_00 G_vv], a = G[0, 1:]
-        (Blumenthal's Gram identities, see geometry).  At a csc metric
-        grad F = 0 and the LEHR Hessian is the paper's 4 (-2 Delta + N) / L.
-        """
-        which = _functional(which)
-        c = self.complex
-        N, lam, _, _ = self._normalization(which, True)
-        w = 8.0 * self.dual_length / self.lengths
-        x = self.k_edge - lam * self.lengths if which == "lehr" else self.k_edge
-        H = _edge_matrix(c, x - w, x + w)
-        if which == "vehr":
-            G, n, tv = self.geometry.cm_inverse, c.num_vertices, c.tet_vertices
-            a = G[:, 0, 1:]
-            blocks = 1.0 - a[:, :, None] - a[:, None, :] - G[:, :1, :1] * G[:, 1:, 1:]
-            blocks.reshape(-1, 16)[:, ::5] += a    # the diagonals
-            blocks *= (4.0 * lam) * self.geometry.volume[:, None, None]
-            H -= np.bincount((tv[:, :, None] * n + tv[:, None, :]).ravel(), blocks.ravel(),
-                             minlength=n * n).reshape(n, n)
-        H /= N    # N = 1 for EHR: exact
-        return self._rank_one_tail(which, True, H)
-
-    def length_hessian(self, which: str) -> np.ndarray:
-        """The Hessian of F = EHR, LEHR or VEHR in the edge lengths, (E, E);
-        ``hessian_fd_lengths`` is its finite-difference oracle.
-
-        dEHR/dl_e = K_e / l_e (Schlaefli), so H(EHR) = -sum_t d(beta_t)/dl, each tet's
-        :attr:`geometry.TetGeometry.ddihedrals` added to the cells of its edge pairs.  For
-        F = EHR / N:  H(F) = (H(EHR) - F H(N) - grad F grad N^T - grad N grad F^T) / N, with
-        N = L and H(L) = 0, or N = V^(1/3) and H(N) = N (H(V) / (3V) - 2 grad V grad V^T /
-        (9 V^2)), H(V) the tets' :attr:`geometry.TetGeometry.d2volume` added alike.  With
-        g = grad N / N (1 / L resp. grad V / (3V)) and lambda = EHR / (3V), the VEHR terms
-        are -lambda H(V) / N in the one scatter and (2 lambda / (3 V N)) grad V grad V^T.
-        """
-        which = _functional(which)
-        geo, E = self.geometry, self.complex.num_edges
-        N, lam, _, _ = self._normalization(which, False)
-        per_tet = geo.ddihedrals + lam * geo.d2volume if which == "vehr" else geo.ddihedrals
-        H = np.bincount(self.complex._edge_pair_cells, per_tet.ravel(),
-                        minlength=E * E).reshape(E, E)
-        H /= -N
-        return self._rank_one_tail(which, False, H)
-
-    def _rank_one_tail(self, which: str, conformal: bool, H) -> np.ndarray:
-        """Either exact Hessian of F = EHR / N from its other terms H / N, in u (grad_u = 2
-        grad_f) or in the lengths: adds -(grad F g^T + g grad F^T), g = grad N / N, and for
-        VEHR (2 lambda s / N) g g^T (grad V = s g), then symmetrizes (EHR: only that)."""
-        if which != "ehr":
-            N, lam, n_x, s = self._normalization(which, conformal)
-            if conformal:
-                grad, g = 2.0 * self._gradient(which, True), 2.0 * n_x / s
-            else:
-                grad = self._gradient(which, False)
-                g = np.full(len(H), 1.0 / s) if which == "lehr" else \
-                    self.complex.edge_sum(self.geometry.dvolume) / s
-            outer = grad[:, None] * g    # g grad^T is its transpose, bitwise
-            H -= outer + outer.T
-            if which == "vehr":
-                H += (2.0 * lam * s / N) * (g[:, None] * g)
-        return 0.5 * (H + H.T)
-
-    def csc_jacobian(self, which: str) -> np.ndarray:
-        """Jacobian of :meth:`csc_residual` with respect to the factors f, (V, V).
-
-        Row v holds the derivatives of r_v.  The residual is r = N grad_f F
-        with (F, N) = (EHR, 1), (LEHR, L) and (VEHR, V^(1/3)), so
-        J = (N/4) H_u(F) + r g^T with g = grad_f(N) / N, which is 0, L_v / L,
-        resp. V_v / (3V).
-        """
-        which = _functional(which)
-        N, lam, n_vertex, s = self._normalization(which, True)
-        J = 0.25 * N * self.conformal_hessian(which)
-        if which == "ehr":
-            return J
-        return J + (self.k_vertex - lam * n_vertex)[:, None] * (n_vertex / s)
 
     def bounds(self) -> BoundsReport:
         """The edge-degree bounds on LEHR and the fatness bound on VEHR."""
@@ -355,13 +363,14 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def functionals(c: Complex, lengths) -> CurvatureReport:
-    """The :class:`CurvatureReport` of one admissible metric (E,): one kernel call.
+    """The :class:`CurvatureReport` of one admissible metric (E,): one kernel call, and the
+    one place where a report is built.
 
     A call with the same complex object and byte-identical lengths as the last
     report built returns that report, held or not: one report is kept, so the
     wrappers below cost one kernel call per metric.  It is released before the
     next one is built, so a build never overlaps the report it replaces.  The
-    report owns a read-only copy of its lengths.
+    report owns a read-only copy of its lengths, and its kernel arrays are read-only.
     """
     global _live
     lengths = np.asarray(lengths, dtype=float)
@@ -372,40 +381,24 @@ def functionals(c: Complex, lengths) -> CurvatureReport:
         return _live
     _live = None
     lengths = _read_only(lengths.copy())
-    _live = _make_reports(c, lengths, *_curvatures(c, lengths))[0]
+    geo, k_edge = _curvatures(c, lengths)
+    for a in (*vars(geo).values(), k_edge):    # the six kernel arrays and K_e
+        a.setflags(False)
+    length, volume, ehr = _totals(lengths, geo, k_edge)
+    _live = CurvatureReport(c, geo, lengths, k_edge, length, volume, ehr,
+                            _scalars("lehr", length, volume, ehr)[0],
+                            _scalars("vehr", length, volume, ehr)[0])
     return _live
 
 
-def _make_reports(c: Complex, lengths, geo, k_edge, totals=None) -> list:
-    """The reports of read-only metrics, one (E,) or a stack (S, E), from their kernel output
-    (and their :func:`_totals`, if taken): one report per metric, the place where every
-    report is built.  The kernel arrays and K_e are made read-only once, and the rows, being
-    views, inherit it.  One metric keeps its kernel output; a row of a stack gets a
-    :class:`geometry.TetGeometry` of views.
-    """
-    fields = vars(geo).values()
-    for a in (*fields, k_edge):    # the six kernel arrays and K_e
-        a.setflags(False)
-    if totals is None:
-        totals = _totals(lengths, geo, k_edge)
-    if lengths.ndim == 1:
-        rows = [(lengths, k_edge, geo)]
-    else:
-        rows = zip(lengths, k_edge, map(geometry.TetGeometry, *fields))
-    return [CurvatureReport(c, tets, l, k, length, volume, ehr,
-                            _scalars("lehr", length, volume, ehr)[0],
-                            _scalars("vehr", length, volume, ehr)[0])
-            for (l, k, tets), length, volume, ehr in zip(rows, *totals)]
-
-
 def _totals(lengths, geo, k_edge) -> tuple:
-    """Lists of the total length, volume and EHR of metrics (E,) or (S, E): one reduction of
-    each stacked array, which sums each row in the order it sums that row alone."""
-    length, volume, ehr = (np.add.reduce(lengths, -1), np.add.reduce(geo.volume, -1),
-                           np.add.reduce(k_edge, -1))
+    """The total length, volume and EHR of a metric (E,), as floats, or of metrics (S, E), as
+    columns (S, 1): one reduction of each array, which sums each row in the order it sums
+    that row alone."""
     if lengths.ndim == 1:    # float() of a numpy scalar is cheaper than its tolist()
-        return [float(length)], [float(volume)], [float(ehr)]
-    return length.tolist(), volume.tolist(), ehr.tolist()
+        return (float(np.add.reduce(lengths)), float(np.add.reduce(geo.volume)),
+                float(np.add.reduce(k_edge)))
+    return tuple(np.add.reduce(a, -1, keepdims=True) for a in (lengths, geo.volume, k_edge))
 
 
 def _scalars(name: str, length, volume, ehr):
@@ -423,41 +416,34 @@ def _scalars(name: str, length, volume, ehr):
     return ehr / N, N, ehr / (3.0 * volume)
 
 
-def _v_edge(c: Complex, lengths, geo) -> np.ndarray:
-    """V_e = l_e dV/dl_e of metrics (..., E) with kernel output ``geo``."""
-    return lengths * c.edge_sum(geo.dvolume)
-
-
-def _length_gradient(k_edge, lengths, N, lam, n_edge) -> np.ndarray:
-    """dF/dl_e = (K_e - lambda N_e) / (l_e N), for one metric or a stack (N, lambda (S, 1))."""
-    return (k_edge - lam * n_edge) / (lengths * N)
-
-
-def _reports(c: Complex, lengths) -> list:
-    """The report of each metric of a stack (S, E) of floats, or None where it is
-    inadmissible (nothing raises), from one :func:`_first_admissible` call with runs of one
-    metric.  An empty stack gives no report."""
-    lengths = np.asarray(lengths, dtype=float)
-    k, kept, geo, k_edge = _first_admissible(c, lengths, [1] * len(lengths))
-    made = iter(_make_reports(c, kept, geo, k_edge) if geo is not None else ())
-    return [None if rejected else next(made) for rejected in k]
-
-
 class _Stack(_Reads):
-    """The reads of a stack (S, E) of admissible metrics without a report per metric: one
-    kernel call (which raises if a metric is inadmissible), arrays (S, ...), and the totals
-    and values ``length``, ``volume``, ``ehr``, ``lehr`` and ``vehr`` as columns (S, 1).  The
-    kernel reads the tets in C order, as :func:`_first_admissible` gathers them, so each row
-    of a per-tet array sums in the order of its metric alone."""
+    """The reads of admissible metrics without a report: one metric (E,) with float totals,
+    as a report reads it, or a stack (S, E) with arrays (S, ...) and the totals and values
+    ``length``, ``volume``, ``ehr``, ``lehr`` and ``vehr`` as columns (S, 1); ``lehr`` and
+    ``vehr`` are computed when first read.
 
-    def __init__(self, c: Complex, lengths):
-        self.complex, self.lengths = c, _read_only(np.array(lengths, dtype=float))
-        self.geometry, self.k_edge = _curvatures(
-            c, self.lengths, np.ascontiguousarray(c.tet_lengths(self.lengths)))
-        self.length, self.volume, self.ehr = (
-            np.array(t)[:, None] for t in _totals(self.lengths, self.geometry, self.k_edge))
-        self.lehr, self.vehr = (_scalars(name, self.length, self.volume, self.ehr)[0]
-                                for name in ("lehr", "vehr"))
+    ``_Stack(c, lengths)`` makes one kernel call, which raises if a metric is inadmissible;
+    given the read-only metrics' kernel output (``geometry``, ``k_edge``, as
+    :func:`_first_admissible` has it), it makes none.  The kernel reads the tets in C order,
+    so each row of a per-tet array sums in the order of its metric alone.  Its lengths and
+    the reads it keeps are read-only; nothing shares a stack's kernel arrays, so they are
+    left as they are, which saves a descent round a microsecond."""
+
+    def __init__(self, c: Complex, lengths, geometry=None, k_edge=None):
+        if geometry is None:
+            lengths = _read_only(np.array(lengths, dtype=float))
+            geometry, k_edge = _curvatures(
+                c, lengths, np.ascontiguousarray(c.tet_lengths(lengths)))
+        self.complex, self.lengths, self.geometry, self.k_edge = c, lengths, geometry, k_edge
+        self.length, self.volume, self.ehr = _totals(lengths, geometry, k_edge)
+
+    @_cached
+    def lehr(self):
+        return _scalars("lehr", self.length, self.volume, self.ehr)[0]
+
+    @_cached
+    def vehr(self):
+        return _scalars("vehr", self.length, self.volume, self.ehr)[0]
 
 
 def _firsts(flags, sizes):
@@ -475,55 +461,46 @@ def _firsts(flags, sizes):
 
 def _first_admissible(c: Complex, lengths, sizes):
     """The first admissible metric of each run of a stack (R, E) of floats cut into consecutive
-    runs of ``sizes`` metrics, and its kernel output: one admissibility test of the stack and
-    at most one kernel call, on those metrics, which reuses that test; nothing raises.
+    runs of ``sizes`` metrics, and its reads: one admissibility test of the stack and at most
+    one kernel call, on those metrics, which reuses that test; nothing raises.
 
-    Returns (k, kept, geo, k_edge): each run's index of its first admissible metric (its size
-    if none), a read-only copy of those metrics ((E,) for one) and their kernel output
-    (:func:`_curvatures`), each row bitwise that metric's own; None without any.
+    Returns (k, stack): each run's index of its first admissible metric (its size if none),
+    and the :class:`_Stack` of read-only copies of those metrics, each row bitwise that
+    metric's own reads, None without any.  One metric is read without a stack axis.
     """
     if len(lengths) == 1:    # tested without the stack's axis: a single descent's round
         ok, take = geometry._admissible_rows(c.tet_lengths(lengths[0]))
         if not ok:
-            return [1], None, None, None
+            return [1], None
         kept = _read_only(lengths[0].copy())
-        return ([0], kept, *_curvatures(c, kept, take(...)))
+        return [0], _Stack(c, kept, *_curvatures(c, kept, take(...)))
     ok, take = geometry._admissible_rows(c.tet_lengths(lengths))
     k, rows = _firsts(ok.tolist(), sizes)
     if not rows:
-        return k, None, None, None
+        return k, None
     at = rows[0] if len(rows) == 1 else np.array(rows)    # one index array for every gather
     kept = _read_only(lengths.take(at, 0))
-    return (k, kept, *_curvatures(c, kept, take(at)))
+    return k, _Stack(c, kept, *_curvatures(c, kept, take(at)))
 
 
 def _first_points(c: Complex, name: str, lengths, sizes, per_vertex: bool):
     """What a descent reads of the ``FUNCTIONALS`` key ``name`` at the first admissible metric
-    of each run (:func:`_first_admissible`): (k, values, at_boundary, gradients, reports).
+    of each run (:func:`_first_admissible`): (k, values, at_boundary, gradients, stack).
 
-    Values come from each metric's totals as its report takes them.  A metric is at the
-    boundary, where derivatives mean nothing, when its worst CM3 is below 1e-8 (mean
-    length)^6.  The gradients (F, E) are in the lengths, without reports; with
-    ``per_vertex`` they are in the factors (F, V), read from the metrics' reports.
+    Values are each metric's, as its report takes them.  A metric is at the boundary, where
+    derivatives mean nothing, when its worst CM3 is below 1e-8 (mean length)^6.  The
+    gradients (F, E) are in the lengths, or with ``per_vertex`` in the factors (F, V).
     """
-    k, kept, geo, k_edge = _first_admissible(c, lengths, sizes)
-    if geo is None:
+    k, st = _first_admissible(c, lengths, sizes)
+    if st is None:
         return k, [], [], None, None
-    one, E = kept.ndim == 1, c.num_edges
-    totals = _totals(kept, geo, k_edge)
-    # every CM3 of an admissible metric is positive, so Python's min is the reduction's
-    worst = [min(geo.cm3.tolist())] if one else np.minimum.reduce(geo.cm3, -1).tolist()
-    at_boundary = [cm < 1e-8 * (length / E) ** 6 for cm, length in zip(worst, totals[0])]
-    if per_vertex:    # a report takes its values from the same totals
-        reps = _make_reports(c, kept, geo, k_edge, totals)
-        gs = [rep._gradient(name, True) for rep in reps]
-        return (k, [getattr(rep, name) for rep in reps], at_boundary,
-                gs[0][None] if one else np.array(gs), reps)
-    values, N, lam = _scalars(name, *(t[0] if one else np.array(t)[:, None] for t in totals))
-    values = [values] if one else values.ravel().tolist()
-    n_edge = 0.0 if name == "ehr" else kept if name == "lehr" else _v_edge(c, kept, geo)
-    gradients = _length_gradient(k_edge, kept, N, lam, n_edge).reshape(-1, E)
-    return k, values, at_boundary, gradients, None
+    g, value, cm3, E = st._gradient(name, per_vertex), getattr(st, name), st.geometry.cm3, \
+        c.num_edges
+    if st.lengths.ndim == 1:    # every CM3 is positive, so Python's min is the reduction's
+        return k, [value], [min(cm3.tolist()) < 1e-8 * (st.length / E) ** 6], g[None], st
+    at_boundary = [cm < 1e-8 * (length / E) ** 6 for cm, length in
+                   zip(np.minimum.reduce(cm3, -1).tolist(), st.length.ravel().tolist())]
+    return k, value.ravel().tolist(), at_boundary, g, st
 
 
 # ---------------------------------------------------------------------------
@@ -726,14 +703,7 @@ def normal_matrix(c: Complex, lengths) -> np.ndarray:
     return N
 
 
-_CSC_TOL = 1e-8    # largest csc residual lehr_conformal_hessian_csc accepts
-
-
-def _off_csc(rep):
-    """The max L csc residual of a report where it exceeds ``_CSC_TOL`` (the check of
-    :func:`lehr_conformal_hessian_csc`), else None."""
-    res = float(np.abs(rep.csc_residual("L")).max())
-    return res if res > _CSC_TOL else None
+_CSC_TOL = 1e-8    # largest csc residual lehr_conformal_hessian_csc accepts, and the sweep
 
 
 def lehr_conformal_hessian_csc(c: Complex, lengths) -> np.ndarray:
@@ -741,14 +711,15 @@ def lehr_conformal_hessian_csc(c: Complex, lengths) -> np.ndarray:
 
     Valid only at constant L-scalar curvature metrics (max residual
     checked against 1e-8); the check and the Hessian come from one
-    kernel call.  :meth:`CurvatureReport.conformal_hessian` holds at every
-    metric; at a csc metric its rank-one terms vanish and it is the formula
+    kernel call.  The report's ``conformal_hessian`` (:class:`_Reads`) holds at
+    every metric; at a csc metric its rank-one terms vanish and it is the formula
     4 (-2 Delta + N) / L of :func:`laplacian_matrix` and
     :func:`normal_matrix` (the factor 4 from d f = 2 du), which the tests
     check.
     """
     rep = functionals(c, lengths)
-    if (res := _off_csc(rep)) is not None:
+    res = float(np.abs(rep.csc_residual("L")).max())
+    if res > _CSC_TOL:
         raise ValueError(
             f"metric is not constant L-scalar curvature: max residual {res:.3e} "
             f"> {_CSC_TOL:.1e}")

@@ -171,11 +171,6 @@ def _inadmissible(l, margins, cm) -> InadmissibleMetricError:
         f"metric not admissible: tet {_worst_tet(cm)} has CM3 = {float(cm.min()):.6g} <= 0")
 
 
-def tet_volume(lengths) -> np.ndarray:
-    """Volume sqrt(CM3 / 288) of each tetrahedron."""
-    return np.sqrt(_admissible_cm(_as_lengths(lengths))[0] / 288.0)
-
-
 @dataclass(frozen=True, init=False)
 class TetGeometry:
     """The per-tetrahedron geometry every curvature report reads, for a batch

@@ -107,7 +107,7 @@ def solve_csc(cls: ConformalClass, which: str = "L", f0=None,
     The multiplier is recomputed from the metric at every iterate, and the scale gauge is
     fixed by constraining sum(f) to its starting value through a bordered system
     [[J, 1], [1^T, 0]], with J the exact Jacobian of the residual r read from the accepted
-    point's report (:meth:`curvature.CurvatureReport.csc_jacobian`).  The merit ||r||^2 / 2
+    point's reads (``csc_jacobian`` of :class:`curvature._Reads`).  The merit ||r||^2 / 2
     globalizes the method (Nocedal & Wright, *Numerical Optimization*, 11.2): :func:`_descend`
     runs it as one start with r as its gradient, so it converges where max |r_v| < ``tol``,
     and each chunk of a step's halving ladder is tested before the kernel runs on the chunk's
@@ -128,16 +128,15 @@ def solve_csc(cls: ConformalClass, which: str = "L", f0=None,
     K[n, n] = 0.0
 
     def evaluate(points, sizes):    # one start, so one chunk and at most one point kept
-        k, kept, geo, k_edge = curvature._first_admissible(
-            c, induced_lengths(c, cls.background, points), sizes)
-        if geo is None:
+        k, st = curvature._first_admissible(c, induced_lengths(c, cls.background, points),
+                                            sizes)
+        if st is None:
             return k, [], [], None, None
-        rep, = curvature._make_reports(c, kept, geo, k_edge)
-        r = rep.csc_residual(which)
-        return k, [0.5 * float(r @ r)], [False], r[None], [rep]
+        r = st.csc_residual(which)
+        return k, [0.5 * float(r @ r)], [False], r[None], st
 
-    def newton(rep, r):    # the step d and its merit slope r^T J d = -r^T (r + mu 1)
-        K[:n, :n], rhs[:n] = rep.csc_jacobian(which), -r
+    def newton(st, r):    # the step d and its merit slope r^T J d = -r^T (r + mu 1)
+        K[:n, :n], rhs[:n] = st.csc_jacobian(which), -r
         try:
             d = _lapack(_umath_linalg.solve1, K, rhs)
         except LinAlgError:
@@ -175,10 +174,12 @@ def _descend(starts, gauge, evaluate, direction, max_iter, tol=_GTOL, newton_onl
     (``owners``: each point's start, or the one start of them all), preserving value and
     admissibility; it returns them with the chunk sizes, cut before a point it cannot
     project (raising when that is a chunk's first).  ``evaluate(points, sizes)`` returns
-    (k, values, at_boundary, gradients, reports): each chunk's index of its first admissible
+    (k, values, at_boundary, gradients, stack): each chunk's index of its first admissible
     point (its size if none), and those points' values, boundary flags, gradients (F, n) and
-    reports (or None).  ``direction(rep, g)`` gives a Newton step d and the slope of the
-    value along it (g . d for a descent), or None, at an accepted point that has a report.
+    reads (:class:`curvature._Stack`, None without a point).  ``direction(stack, g)``, given
+    for a single start, whose rounds read one point without a stack axis, gives a Newton
+    step d and the slope of the value along it (g . d for a descent), or None, at an
+    accepted point.
 
     Each iteration first tries the Newton step d when there is one and its slope is
     negative: the step starts at 1 and is halved until Armijo's test on that slope holds,
@@ -223,7 +224,7 @@ def _descend(starts, gauge, evaluate, direction, max_iter, tol=_GTOL, newton_onl
                     "max-iters" if len(t.step_sizes) >= max_iter else "")
         if t.reason:
             return
-        dj = direction(reports[e], g[i]) if reports else None
+        dj = direction(stack, g[i]) if direction else None
         if dj and dj[1] < 0.0:    # a Newton step is most often taken at once: one rung
             d[i], slope[i] = dj
             step[i], rung[i], rungs[i], newton[i], blocked[i] = 1.0, 0, 1, True, False
@@ -234,7 +235,7 @@ def _descend(starts, gauge, evaluate, direction, max_iter, tol=_GTOL, newton_onl
 
     every, search = list(range(S)), []
     rows, sizes = gauge(starts, every, [1] * S)
-    k, values, at_boundary, gradients, reports = evaluate(rows, sizes)
+    k, values, at_boundary, gradients, stack = evaluate(rows, sizes)
     if any(k):
         raise geometry.InadmissibleMetricError("starting point is not admissible")
     gnorms = np.maximum.reduce(np.abs(gradients), -1).tolist()
@@ -267,7 +268,7 @@ def _descend(starts, gauge, evaluate, direction, max_iter, tol=_GTOL, newton_onl
             scale = np.array([step[i] for i in live]).repeat(m)[:, None] * _LADDER[j]
             rows = x[own] + scale * d[own]
         rows, sizes = gauge(rows, own, sizes)
-        k, values, at_boundary, gradients, reports = evaluate(rows, sizes)
+        k, values, at_boundary, gradients, stack = evaluate(rows, sizes)
         gnorms = np.maximum.reduce(np.abs(gradients), -1).tolist() if values else ()
         search, row, e = [], 0, 0
         for i, m, kj in zip(live, sizes, k):
@@ -360,8 +361,8 @@ def descend_conformal(cls: ConformalClass, which: str, f0, max_iter: int = 1000)
 
     Steps are projected (modified) Newton steps in the gauge complement
     (Nocedal & Wright, *Numerical Optimization*, 3.4): with H_f = H_u / 4
-    the exact factor Hessian from the accepted point's report
-    (:meth:`curvature.CurvatureReport.conformal_hessian`, no further kernel
+    the exact factor Hessian from the accepted point's reads
+    (``conformal_hessian`` of :class:`curvature._Reads`, no further kernel
     call) and P the projection onto mean-zero factors, the direction is
     d = -Hp^-1 P g with Hp = P H_f P + 1 1^T / n, when Hp has a Cholesky
     factor and d moves no factor by more than ``_NEWTON_RADIUS`` = 0.5.
@@ -382,8 +383,8 @@ def descend_conformal(cls: ConformalClass, which: str, f0, max_iter: int = 1000)
     def project(f, own, sizes):
         return f - np.add.reduce(f, -1, keepdims=True) / n, sizes
 
-    def newton(rep, g):
-        Hp = P @ (0.25 * rep.conformal_hessian(which)) @ P + mean
+    def newton(st, g):
+        Hp = P @ (0.25 * st.conformal_hessian(which)) @ P + mean
         try:
             _lapack(_umath_linalg.cholesky_lo, Hp)
         except LinAlgError:
@@ -393,7 +394,7 @@ def descend_conformal(cls: ConformalClass, which: str, f0, max_iter: int = 1000)
         r = _NEWTON_RADIUS
         return (d, float(g @ d)) if all(-r <= v <= r for v in d.tolist()) else None
 
-    def evaluate(f, sizes):    # the gradients in the factors, from the points' reports
+    def evaluate(f, sizes):    # the gradients in the factors
         return curvature._first_points(c, name, induced_lengths(c, cls.background, f), sizes,
                                        True)
 
@@ -592,9 +593,8 @@ def _rayleigh(H, direction) -> float:
 
 
 def family_direction_eigenvalue(c: Complex, lengths, which: str, direction) -> float:
-    """Rayleigh quotient of the exact length Hessian
-    (:meth:`curvature.CurvatureReport.length_hessian`) along an exact eigen direction:
-    one kernel call."""
+    """Rayleigh quotient of the exact length Hessian (``length_hessian`` of
+    :func:`curvature.functionals`' report) along an exact eigen direction: one kernel call."""
     return _rayleigh(curvature.functionals(c, lengths).length_hessian(which), direction)
 
 
@@ -636,11 +636,12 @@ def sweep_quantities() -> tuple:
 def sweep_family(c: Complex, family, t_values, quantities) -> SweepTable:
     """Evaluate requested quantities along a one-parameter metric family.
 
-    Every row's report comes from one kernel call on the stacked family metrics.
-    Inadmissible parameter values give a row flagged admissible=0 with NaN entries, and a
-    row off csc NaN conformal columns, instead of aborting the sweep.  Tracked spectrum
-    columns (``lehr_spec_i`` / ``vehr_spec_i``) follow eigenvectors by maximal overlap
-    with the previous step rather than by sorted order, so crossings do not swap columns.
+    Every row is read from one kernel call on the stacked family metrics, and the csc rows'
+    conformal Hessians from one stacked read.  Inadmissible parameter values give a row
+    flagged admissible=0 with NaN entries, and a row off csc NaN conformal columns, instead
+    of aborting the sweep.  Tracked spectrum columns (``lehr_spec_i`` / ``vehr_spec_i``)
+    follow eigenvectors by maximal overlap with the previous step rather than by sorted
+    order, so crossings do not swap columns.
     """
     quantities = list(quantities)
     known = sweep_quantities()
@@ -655,11 +656,16 @@ def sweep_family(c: Complex, family, t_values, quantities) -> SweepTable:
                         for q in quantities) for w in ("lehr", "vehr")}
     ts = np.asarray(t_values, dtype=float).tolist()
     metrics = np.array([family(t) for t in ts], dtype=float).reshape(len(ts), c.num_edges)
-    for t, lengths, rep in zip(ts, metrics, curvature._reports(c, metrics)):
-        if rep is None:
+    k, st = curvature._first_admissible(c, metrics, [1] * len(ts))
+    # each stacked quantity's values on the admissible rows, in order
+    stacked = {} if st is None else _columns(st, quantities)
+    row = 0
+    for t, lengths, rejected in zip(ts, metrics, k):
+        if rejected:
             rows.append([t, 0] + [nan] * len(quantities))
             continue
-        cache = {q: _scalar(rep, q) for q in quantities if q in _SCALAR_QUANTITIES}
+        cache = {q: values[row] for q, values in stacked.items()}
+        row += 1
         for w in ("lehr", "vehr"):
             if not need_hess[w]:
                 continue
@@ -675,24 +681,35 @@ def sweep_family(c: Complex, family, t_values, quantities) -> SweepTable:
             prev_vecs[w] = vecs
             for i in range(6):
                 cache[f"{w}_spec_{i + 1}"] = float(vals[i])
-        if any(q in _CONF_QUANTITIES for q in quantities):
-            Hc = rep.conformal_hessian("lehr") if curvature._off_csc(rep) is None else None
-            for name, v in CONFORMAL_DIRECTIONS.items():
-                cache[f"conf_lehr_{name}"] = nan if Hc is None else _rayleigh(Hc, v)
         rows.append([t, 1] + [cache[q] for q in quantities])
     return SweepTable(columns=columns, rows=rows)
 
 
-def _scalar(rep, name: str) -> float:
-    """The sweep column ``name`` of _SCALAR_QUANTITIES, read from a row's report."""
-    if name in ("ehr", "lehr", "vehr", "length", "volume"):
-        return getattr(rep, name)
-    if name == "fatness":
-        return rep.volume / rep.length ** 3
-    if name == "min_cm3":
-        return float(rep.geometry.cm3.min())
-    residual = rep.einstein_residual if name.startswith("einstein") else rep.csc_residual
-    return float(np.abs(residual(name[-1])).max())
+def _columns(st, quantities) -> dict:
+    """The sweep columns of _SCALAR_QUANTITIES and _CONF_QUANTITIES among ``quantities``, each
+    a list of floats over the metrics of the reads ``st`` (one metric or a stack)."""
+    def each(a):    # a float or a column of them, one per metric
+        return np.reshape(a, -1).tolist()
+
+    out, length, volume = {}, each(st.length), each(st.volume)
+    for q in quantities:
+        if q in ("ehr", "lehr", "vehr", "length", "volume"):
+            out[q] = each(getattr(st, q))
+        elif q == "fatness":
+            out[q] = [v / l ** 3 for v, l in zip(volume, length)]
+        elif q == "min_cm3":
+            out[q] = each(st.geometry.cm3.min(-1))
+        elif q in _SCALAR_QUANTITIES:
+            residual = st.einstein_residual if q.startswith("einstein") else st.csc_residual
+            out[q] = each(np.abs(residual(q[-1])).max(-1))
+    if any(q in _CONF_QUANTITIES for q in quantities):
+        off = each(np.abs(st.csc_residual("L")).max(-1) > curvature._CSC_TOL)
+        n = st.complex.num_vertices
+        hessians = st.conformal_hessian("lehr").reshape(-1, n, n)
+        for name, v in CONFORMAL_DIRECTIONS.items():
+            out[f"conf_lehr_{name}"] = [math.nan if o else _rayleigh(H, v)
+                                        for o, H in zip(off, hessians)]
+    return out
 
 
 def _match_by_overlap(prev: np.ndarray, new: np.ndarray) -> np.ndarray:

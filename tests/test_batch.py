@@ -195,7 +195,7 @@ class TestEmptyStacks:
         assert ehr_value(c, np.ones((2, 0, c.num_edges))).shape == (2, 0)
 
     def test_reports_and_gradient(self, dt, kernel_calls):
-        assert curvature._reports(dt, np.zeros((0, 6))) == []
+        assert curvature._first_admissible(dt, np.zeros((0, 6)), []) == ([], None)
         assert kernel_calls == []
         grad = gradient_fd(lambda x: lehr_value(dt, x), np.zeros((0, 6)), richardson=True)
         assert grad.shape == (0, 6)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from regge3 import cli, curvature, solve
-from regge3.complexes import double_tetrahedron, from_simplicial_tets, save_complex
+from regge3.complexes import double_tetrahedron, format_complex, from_simplicial_tets
 from regge3.conformal import ConformalClass
 
 
@@ -114,7 +114,7 @@ class TestAnalyze:
 
     def test_complex_from_file(self, capsys, tmp_path):
         path = tmp_path / "dt.tri"
-        save_complex(double_tetrahedron(), path)
+        path.write_text(format_complex(double_tetrahedron()), encoding="utf-8")
         code, out, _ = run_cli(capsys, "analyze", "--complex", str(path),
                                "--lengths", "uniform:1")
         assert code == 0
@@ -445,7 +445,7 @@ class TestSimplexBoundary:
     @pytest.fixture(scope="class")
     def complex_file(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("complexes") / "simplex_boundary.tri"
-        save_complex(boundary_of_4_simplex(), path)
+        path.write_text(format_complex(boundary_of_4_simplex()), encoding="utf-8")
         return str(path)
 
     def test_analyze(self, capsys, complex_file):

@@ -234,68 +234,78 @@ class TestSharedReport:
 
 
 class TestReportStack:
-    """``curvature._reports`` builds the report of each metric of a stack in one kernel call."""
+    """``curvature._first_admissible`` reads the admissible metrics of a stack from one kernel
+    call, as a ``curvature._Stack``, and flags the others."""
+
+    @staticmethod
+    def first(c, stack):
+        return curvature._first_admissible(c, stack, [1] * len(stack))
 
     def test_rows_equal_functionals_bitwise(self, dt, kernel_calls):
         rng = np.random.default_rng(82)
         stack = np.array([random_admissible_lengths(dt, rng) for _ in range(12)])
         stack[4] = diagonal_family(1.5)
-        reports = curvature._reports(dt, stack)
-        assert kernel_calls == [(11, 2, 6)] and reports[4] is None
-        for l, rep in zip(stack, reports):
-            if rep is None:
-                continue
+        k, st = self.first(dt, stack)
+        assert kernel_calls == [(11, 2, 6)] and k == [0] * 4 + [1] + [0] * 7
+        for i, l in enumerate(np.delete(stack, 4, 0)):
             one = functionals(dt, l)
             for name in ("lengths", "k_edge", "k_vertex", "v_vertex", "v_edge", "dual_length"):
-                assert getattr(rep, name).tobytes() == getattr(one, name).tobytes()
+                assert getattr(st, name)[i].tobytes() == getattr(one, name).tobytes()
             for f in dataclasses.fields(one.geometry):
-                assert getattr(rep.geometry, f.name).tobytes() == \
+                assert getattr(st.geometry, f.name)[i].tobytes() == \
                     getattr(one.geometry, f.name).tobytes()
-            assert [rep.length, rep.volume, rep.ehr, rep.lehr, rep.vehr] == \
-                [one.length, one.volume, one.ehr, one.lehr, one.vehr]
-            with pytest.raises(ValueError, match="read-only"):
-                rep.lengths[0] = 1.0
+            assert [st.length[i, 0], st.volume[i, 0], st.ehr[i, 0], st.lehr[i, 0],
+                    st.vehr[i, 0]] == [one.length, one.volume, one.ehr, one.lehr, one.vehr]
+        with pytest.raises(ValueError, match="read-only"):
+            st.lengths[0, 0] = 1.0
 
     def test_600_cell_rows_equal_functionals_bitwise(self, cell600, kernel_calls):
         stack = 1.0 + 0.02 * np.random.default_rng(1).standard_normal((3, 720))
-        reports = curvature._reports(cell600, stack)
-        assert kernel_calls == [(3, 600, 6)]
-        for l, rep in zip(stack, reports):
+        k, st = self.first(cell600, stack)
+        assert kernel_calls == [(3, 600, 6)] and k == [0, 0, 0]
+        for i, l in enumerate(stack):
             one = functionals(cell600, l)
-            totals = [(rep.length, one.length, one.lengths), (rep.volume, one.volume,
-                      one.geometry.volume), (rep.ehr, one.ehr, one.k_edge)]
+            totals = [(st.length[i, 0], one.length, one.lengths), (st.volume[i, 0], one.volume,
+                      one.geometry.volume), (st.ehr[i, 0], one.ehr, one.k_edge)]
             for total, single, terms in totals:
                 # pairwise summation: a running sum of these rows differs from it
                 assert total == single and np.cumsum(terms)[-1] != single
-            assert [rep.lehr, rep.vehr] == [one.lehr, one.vehr]
+            assert [st.lehr[i, 0], st.vehr[i, 0]] == [one.lehr, one.vehr]
             for name in ("lengths", "k_edge", "dual_length"):
-                assert getattr(rep, name).tobytes() == getattr(one, name).tobytes()
+                assert getattr(st, name)[i].tobytes() == getattr(one, name).tobytes()
             for f in dataclasses.fields(one.geometry):
-                assert getattr(rep.geometry, f.name).tobytes() == \
+                assert getattr(st.geometry, f.name)[i].tobytes() == \
                     getattr(one.geometry, f.name).tobytes()
-            arrays = [getattr(rep, name) for name in ("lengths", "k_edge", "k_vertex",
-                                                      "l_vertex", "v_vertex", "v_edge",
-                                                      "dual_length")]
-            arrays += [getattr(rep.geometry, f.name) for f in dataclasses.fields(rep.geometry)]
-            for a in arrays:
-                with pytest.raises(ValueError, match="read-only"):
-                    a[...] = 0.0
+        # the lengths and every kept read; the kernel arrays are the stack's own
+        for a in [getattr(st, name) for name in ("lengths", "k_vertex", "l_vertex", "v_vertex",
+                                                 "v_edge", "dual_length")]:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0.0
+
+    def test_one_admissible_metric_is_read_without_a_stack_axis(self, dt, kernel_calls):
+        l = random_admissible_lengths(dt, np.random.default_rng(85))
+        k, st = self.first(dt, np.array([diagonal_family(1.5), l]))
+        assert k == [1, 0] and kernel_calls == [(2, 6)]
+        one = functionals(dt, l)
+        assert st.lengths.shape == (6,) and [st.length, st.lehr, st.vehr] == \
+            [one.length, one.lehr, one.vehr]
+        assert st.conformal_hessian("vehr").tobytes() == one.conformal_hessian("vehr").tobytes()
 
     def test_inadmissible_stack_makes_no_kernel_call(self, dt, kernel_calls):
         # rejected without a RuntimeWarning (an error under this suite)
         stack = np.array([[np.nan] + [1.0] * 5, diagonal_family(1.5), np.full(6, 1e200)])
-        assert curvature._reports(dt, stack) == [None] * 3
+        assert self.first(dt, stack) == ([1, 1, 1], None)
         assert kernel_calls == []
-
 
 
 class TestStackedReads:
     """``curvature._Stack`` reads a stack from one kernel call without a report per metric:
-    each row of each read is bitwise its metric's report read."""
+    each row of each read, the Hessians and csc Jacobians too, is bitwise its metric's report
+    read."""
 
     @staticmethod
     def reads(r):
-        """Every first-order read of a report or a stack, by name."""
+        """Every read of a report or a stack, by name."""
         out = {name: getattr(r, name)
                for name in ("k_vertex", "l_vertex", "v_vertex", "v_edge", "dual_length")}
         for which in ("ehr", "lehr", "vehr"):
@@ -305,6 +315,10 @@ class TestStackedReads:
             out[f"einstein_residual {which}"] = r.einstein_residual(which)
             out[f"csc_residual {which}"] = r.csc_residual(which)
         out["laplacian"] = r.laplacian()
+        for which in ("ehr", "lehr", "vehr"):
+            out[f"conformal_hessian {which}"] = r.conformal_hessian(which)
+            out[f"length_hessian {which}"] = r.length_hessian(which)
+            out[f"csc_jacobian {which}"] = r.csc_jacobian(which)
         return out
 
     def check_rows(self, c, stack, kernel_calls):
@@ -337,6 +351,8 @@ class TestStackedReads:
         st = curvature._Stack(dt, np.zeros((0, 6)))
         shapes = {name: read.shape for name, read in self.reads(st).items()}
         assert shapes["laplacian"] == (0, 4, 4) and st.vehr.shape == (0, 1)
+        assert shapes["length_hessian vehr"] == (0, 6, 6)
+        assert shapes["conformal_hessian vehr"] == shapes["csc_jacobian lehr"] == (0, 4, 4)
         assert {shape[0] for shape in shapes.values()} == {0}
         assert np.linalg.eigh(st.laplacian())[0].shape == (0, 4)
 

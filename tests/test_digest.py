@@ -105,7 +105,7 @@ def test_report_items_see_one_changed_read(digest, monkeypatch):
     assert list(first) == [f"dt-{i}" for i in range(20)] + ["cell600-0", "cell600-1"]
     assert shas() == first
 
-    csc_jacobian, vehr_calls = curvature.CurvatureReport.csc_jacobian, []
+    csc_jacobian, vehr_calls = curvature._Reads.csc_jacobian, []
 
     def one_ulp(rep, which):    # the VEHR csc Jacobian of the third report, one entry one ulp up
         J = csc_jacobian(rep, which)
@@ -115,6 +115,6 @@ def test_report_items_see_one_changed_read(digest, monkeypatch):
                 J[0, 1] = np.nextafter(J[0, 1], np.inf)
         return J
 
-    monkeypatch.setattr(curvature.CurvatureReport, "csc_jacobian", one_ulp)
+    monkeypatch.setattr(curvature._Reads, "csc_jacobian", one_ulp)
     moved = shas()
     assert [name for name in first if moved[name] != first[name]] == ["dt-2"]

@@ -11,7 +11,7 @@ from regge3.complexes import (EDGE_FACES, FACE_EDGES, FACE_VERTICES, LOCAL_PAIRS
 from regge3.conformal import induced_lengths, random_equihedral_lengths
 from regge3.curvature import functionals
 from regge3.geometry import (InadmissibleMetricError, cayley_menger,
-                             is_admissible, tet_geometry, tet_volume)
+                             is_admissible, tet_geometry)
 from regge3.solve import diagonal_family, random_admissible_lengths
 
 REGULAR = np.ones(6)
@@ -191,13 +191,15 @@ class TestCayleyMenger:
                 e[i] = h
                 fd = (cayley_menger(l + e) - cayley_menger(l - e)) / (2 * h)
                 assert g[i] == pytest.approx(fd, rel=1e-6, abs=1e-8)
-                fd = (tet_volume(l + e) - tet_volume(l - e)) / (2 * h)
+                fd = (tet_geometry(l + e).volume - tet_geometry(l - e).volume) / (2 * h)
                 assert geo.dvolume[i] == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
 class TestVolume:
+    """The kernel's volume, ``tet_geometry(l).volume``."""
+
     def test_regular(self):
-        assert tet_volume(REGULAR) == pytest.approx(1 / (6 * np.sqrt(2)), abs=1e-15)
+        assert tet_geometry(REGULAR).volume == pytest.approx(1 / (6 * np.sqrt(2)), abs=1e-15)
 
     def test_cubic_homogeneity(self):
         rng = np.random.default_rng(3)
@@ -205,15 +207,16 @@ class TestVolume:
         for _ in range(5):
             l = random_admissible_lengths(dt, rng)
             c = rng.uniform(0.5, 2.0)
-            assert tet_volume(c * l) == pytest.approx(c ** 3 * tet_volume(l), rel=1e-12)
+            assert tet_geometry(c * l).volume == pytest.approx(c ** 3 * tet_geometry(l).volume,
+                                                               rel=1e-12)
 
     def test_degenerate_raises(self):
         with pytest.raises(InadmissibleMetricError):
-            tet_volume(np.array([np.sqrt(2), 1, 1, 1, 1, np.sqrt(2)]))
+            tet_geometry(np.array([np.sqrt(2), 1, 1, 1, 1, np.sqrt(2)]))
         with pytest.raises(InadmissibleMetricError):
-            tet_volume(np.array([1.4143, 1, 1, 1, 1, 1.4143]))
+            tet_geometry(np.array([1.4143, 1, 1, 1, 1, 1.4143]))
         with pytest.raises(InadmissibleMetricError):
-            tet_volume(np.array([1, 1, 1, 1, 1, 3.0]))
+            tet_geometry(np.array([1, 1, 1, 1, 1, 3.0]))
 
 
 class TestInadmissibleTetNames:
@@ -513,7 +516,7 @@ class TestHeightsAndAreas:
         for _ in range(10):
             l = random_admissible_lengths(dt, rng)
             assert np.sum(embedded_heights(l)[0] * heron_areas(l)) == pytest.approx(
-                3 * tet_volume(l), rel=1e-10)
+                3 * tet_geometry(l).volume, rel=1e-10)
 
     def test_circumcenters_equidistant(self):
         rng = np.random.default_rng(12)
@@ -690,7 +693,7 @@ class TestClosedFormAgainstLapack:
     def test_empty_batch(self):
         geo = tet_geometry(np.empty((0, 6)))
         assert geo.cm_inverse.shape == (0, 5, 5) and geo.dihedrals.shape == (0, 6)
-        assert tet_volume(np.empty((0, 6))).shape == cayley_menger(np.empty((0, 6))).shape == (0,)
+        assert geo.volume.shape == cayley_menger(np.empty((0, 6))).shape == (0,)
 
 
 def mp_cayley_menger(mpmath, l):
@@ -770,7 +773,7 @@ class TestAdmissibilityVerdicts:
         assert cayley_menger(l) == pytest.approx(ref, rel=1e-12)
         assert not is_admissible(double_tetrahedron(), l)
         with pytest.raises(InadmissibleMetricError, match=r"CM3 = -"):
-            tet_volume(l)
+            tet_geometry(l)
 
     def test_nan_face_margin_and_nan_cm3_are_rejected(self):
         # finite lengths whose face sums overflow give inf - inf = NaN margins, and
@@ -786,7 +789,7 @@ class TestAdmissibilityVerdicts:
             assert np.isnan(cayley_menger(np.full(6, 1e60)))
             assert not is_admissible(dt, np.full(6, 1e60))
             with pytest.raises(InadmissibleMetricError, match="CM3 = nan"):
-                tet_volume(np.full(6, 1e60))
+                tet_geometry(np.full(6, 1e60))
 
 
 class TestMetricMask:
@@ -921,7 +924,7 @@ def test_no_lapack_in_the_kernel(monkeypatch):
     functionals(cell, l6)
     assert is_admissible(dt, diagonal_family(1.2))
     assert not is_admissible(dt, diagonal_family(1.5))
-    assert tet_volume(REGULAR) == pytest.approx(1 / (6 * np.sqrt(2)), abs=1e-15)
+    assert tet_geometry(REGULAR).volume == pytest.approx(1 / (6 * np.sqrt(2)), abs=1e-15)
     assert cayley_menger(REGULAR) == pytest.approx(4.0, abs=1e-12)
     assert "np.linalg" not in inspect.getsource(geometry)
 

@@ -283,9 +283,11 @@ def run_descent(evaluate, x0, max_iter=1000):
             k.append(j)
             found += [] if p is None else [p]
             start += size
-        # each point's newton callable stands in for its report
+        # one start reads at most one point a round: its newton callable stands in for the
+        # point's reads
         return (k, [p[0] for p in found], [p[2] for p in found],
-                np.array([p[1] for p in found]).reshape(len(found), -1), [p[3] for p in found])
+                np.array([p[1] for p in found]).reshape(len(found), -1),
+                found[0][3] if found else None)
 
     def direction(newton, g):    # the point's Newton direction and its slope g . d
         d = newton and newton()
@@ -463,50 +465,61 @@ class TestDescend:
         rng = np.random.default_rng(63)
         cls = ConformalClass(dt, solve.random_admissible_lengths(dt, rng))
         hessians = []
-        conformal_hessian = curvature.CurvatureReport.conformal_hessian
+        conformal_hessian = curvature._Reads.conformal_hessian
 
-        def counted_hessian(rep, which):
+        def counted_hessian(reads, which):
             before = len(kernel_calls)
-            H = conformal_hessian(rep, which)
+            H = conformal_hessian(reads, which)
             hessians.append(len(kernel_calls) - before)
             return H
 
-        monkeypatch.setattr(curvature.CurvatureReport, "conformal_hessian", counted_hessian)
+        monkeypatch.setattr(curvature._Reads, "conformal_hessian", counted_hessian)
         f0 = rng.normal(0.0, 0.2, 4)
         _, trace = descend_conformal(cls, "lehr", f0 - f0.mean(), max_iter=50)
         assert trace.reason == "converged" and trace.newton_steps > 0
         # one Hessian per iterate short of convergence, each read from the
-        # iterate's report: the kernel runs once per admissible point the descent tests
+        # iterate's reads: the kernel runs once per admissible point the descent tests
         assert len(hessians) == len(trace.step_sizes)
         assert hessians == [0] * len(hessians)
         assert len(kernel_calls) == trace.points - trace.rejected
 
     def test_one_gradient_per_conformal_newton_point(self, dt, monkeypatch):
         # the descent reads an accepted point's gradient, and its Hessian reads it again:
-        # the report computes it once, so both reads return the same array
+        # the point's reads compute it once, so both reads return the same array
         rng = np.random.default_rng(63)
         cls = ConformalClass(dt, solve.random_admissible_lengths(dt, rng))
         reads, hessians = {}, []
-        gradient = curvature.CurvatureReport._gradient
-        conformal_hessian = curvature.CurvatureReport.conformal_hessian
+        gradient = curvature._Reads._gradient
+        conformal_hessian = curvature._Reads.conformal_hessian
 
-        def recorded(rep, name, per_vertex):
-            g = gradient(rep, name, per_vertex)
-            reads.setdefault(id(rep), (rep, []))[1].append(g)
+        def recorded(point, name, per_vertex):
+            g = gradient(point, name, per_vertex)
+            reads.setdefault(id(point), (point, []))[1].append(g)
             return g
 
-        def counted_hessian(rep, which):
-            hessians.append(rep)
-            return conformal_hessian(rep, which)
+        def counted_hessian(point, which):
+            hessians.append(point)
+            return conformal_hessian(point, which)
 
-        monkeypatch.setattr(curvature.CurvatureReport, "_gradient", recorded)
-        monkeypatch.setattr(curvature.CurvatureReport, "conformal_hessian", counted_hessian)
+        monkeypatch.setattr(curvature._Reads, "_gradient", recorded)
+        monkeypatch.setattr(curvature._Reads, "conformal_hessian", counted_hessian)
         f0 = rng.normal(0.0, 0.2, 4)
         _, trace = descend_conformal(cls, "lehr", f0 - f0.mean(), max_iter=50)
         assert trace.newton_steps > 0 and len(hessians) == len(trace.step_sizes)
-        for rep in hessians:
-            read = reads[id(rep)][1]
+        for point in hessians:
+            read = reads[id(point)][1]
             assert len(read) == 2 and read[0] is read[1]
+
+    def test_single_start_rounds_are_read_without_a_stack_axis(self, dt, kernel_calls):
+        # a single start's round reads at most one point, so the kernel gets that point's
+        # tets (T, 6), never a stack (1, T, 6)
+        rng = np.random.default_rng(63)
+        cls = ConformalClass(dt, solve.random_admissible_lengths(dt, rng))
+        f0 = rng.normal(0.0, 0.2, 4)
+        _, trace = descend_conformal(cls, "lehr", f0 - f0.mean(), max_iter=50)
+        _, csc = solve_csc(ConformalClass(dt, np.ones(6)), "L", np.array([-1.0, -1.0, 0, 0]))
+        assert trace.newton_steps > 0 and len(csc.step_sizes) > 1
+        assert len(kernel_calls) > 10 and set(kernel_calls) == {(2, 6)}
 
     @staticmethod
     def assert_rejected_silently(dt, factors):
@@ -522,7 +535,7 @@ class TestDescend:
         for starts in ([factors], [factors, admissible], [admissible, factors]):
             with pytest.raises(geometry.InadmissibleMetricError, match="starting point"):
                 solve._descend(np.array(starts), lambda f, owners, sizes: (f, sizes),
-                               evaluate, lambda rep, g: None, 10)
+                               evaluate, lambda stack, g: None, 10)
 
     def test_conformal_guard_rejects_overflowing_candidate_silently(self, dt):
         # a long gradient step can reach factors near 709: the lengths are about

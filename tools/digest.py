@@ -22,8 +22,9 @@ It prints one sha256 per group of outputs:
 * ``sweep``: the tables of ``solve.sweep_family`` on fixed grids: the README's and demo
   04's sweeps, every quantity on the equihedral family past its flat end, and every
   quantity on a family off constant scalar curvature;
-* ``reports``: every read of the reports of fixed seeded stacks of double tetrahedron and
-  perturbed 600-cell metrics, at full precision: the fields, vertex sums, V_e and dual
+* ``reports``: every read of the report (``curvature.functionals``) of each metric of
+  fixed seeded stacks of double tetrahedron and perturbed 600-cell metrics, at full
+  precision: the fields, vertex sums, V_e and dual
   lengths, the Laplacian and the bounds, and for EHR, LEHR and VEHR both gradients, both
   residuals, the conformal and length Hessians and the csc Jacobian (``reproduce``
   rounds each row to 10 digits, so it cannot show a 1-ulp move of these reads).
@@ -249,8 +250,8 @@ def _report_items(dt, c600):
         rng = np.random.default_rng(seed)
         stack = solve.random_admissible_lengths(c, rng, size=size) if c is dt else \
             1.0 + 0.02 * rng.standard_normal((size, c.num_edges))
-        for i, rep in enumerate(curvature._reports(c, stack)):
-            yield f"{name}-{i}", _report_reads(rep)
+        for i, lengths in enumerate(stack):
+            yield f"{name}-{i}", _report_reads(curvature.functionals(c, lengths))
 
 
 def digests(seeds, per_request=None) -> dict:
