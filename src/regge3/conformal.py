@@ -72,11 +72,12 @@ def cross_ratios(c: Complex, lengths) -> np.ndarray:
     """The two length cross ratios per tetrahedron, shape (T, 2).
 
     With local labels 1..4: column 0 is l12 l34 / (l14 l23), column 1 is
-    l12 l34 / (l13 l24).  Both depend only on the conformal class.
+    l12 l34 / (l13 l24).  Both depend only on the conformal class.  A length that is not
+    positive and finite raises ``ValueError``.
     """
     lengths = np.asarray(lengths, dtype=float)
-    if np.any(lengths <= 0):
-        raise ValueError("lengths must be positive")
+    if not (lengths.min(initial=np.inf) > 0.0 and lengths.max(initial=0.0) < np.inf):
+        raise ValueError("lengths must be positive and finite")
     tl = c.tet_lengths(lengths)
     num = tl[:, 0] * tl[:, 5]
     return np.stack([num / (tl[:, 2] * tl[:, 3]), num / (tl[:, 1] * tl[:, 4])],

@@ -13,8 +13,8 @@ The basic objects, for a complex with metric (edge length vector) l:
 written once, over leading axes, in :class:`_Reads`: vertex sums, V_e, dual
 lengths, the Laplacian, gradients (from one normalization table; EHR has length
 gradient K_e / l_e), residuals, and the exact conformal Hessian, csc Newton
-Jacobian and length Hessian.  A report reads one metric; the private
-:class:`_Stack` reads one metric alike or a stack (S, E) from one kernel call,
+Jacobian and length Hessian.  A kernel call becomes reads in one place, the
+private :class:`_Stack` of one metric (a report is one, frozen) or of a stack (S, E),
 each row bitwise its report's.  Descents, the csc solver and the sweep read
 the stack of each round's first admissible points (:func:`_first_admissible`).
 The module-level gradients and residuals reuse the last report built, which
@@ -95,9 +95,14 @@ class _Reads:
         return _read_only(_bincount(c.tet_vertices, per_tet, c.num_vertices))
 
     @_cached
+    def _grad_volume(self) -> np.ndarray:
+        """(..., E) dV/dl_e, the tets' dvolume summed: V_e and the VEHR length Hessian read it."""
+        return _read_only(self.complex.edge_sum(self.geometry.dvolume))
+
+    @_cached
     def v_edge(self) -> np.ndarray:
         """(..., E) V_e = l_e dV/dl_e."""
-        return _read_only(self.lengths * self.complex.edge_sum(self.geometry.dvolume))
+        return _read_only(self.lengths * self._grad_volume)
 
     @_cached
     def dual_length(self) -> np.ndarray:
@@ -216,8 +221,7 @@ class _Reads:
                 grad, g = 2.0 * self._gradient(which, True), 2.0 * n_x / s
             else:
                 grad = self._gradient(which, False)
-                g = np.full(grad.shape, 1.0 / s) if which == "lehr" else \
-                    self.complex.edge_sum(self.geometry.dvolume) / s
+                g = np.full(grad.shape, 1.0 / s) if which == "lehr" else self._grad_volume / s
             outer = grad[..., :, None] * g[..., None, :]    # g grad^T is its transpose, bitwise
             H -= outer + outer.swapaxes(-1, -2)
             if which == "vehr":
@@ -298,14 +302,12 @@ class CurvatureReport(_Reads):
                                       "k_vertex", "l_vertex", "v_vertex", "v_edge", "dual_length"))
 
 
-def _curvatures(c: Complex, lengths, tets=None):
-    """One kernel call: the per-tet geometry and the edge curvatures K_e.
-
-    Lengths (..., E) give K_e (..., E); ``tets`` are their per-tet lengths
-    (..., T, 6) when the caller has gathered them already.
-    """
+def _curvatures(c: Complex, lengths, geo=None):
+    """The per-tet geometry of lengths (..., E), from one kernel call unless ``geo`` is that
+    call's output already, and their edge curvatures K_e (..., E)."""
     lengths = np.asarray(lengths, dtype=float)
-    geo = geometry.tet_geometry(c.tet_lengths(lengths) if tets is None else tets)
+    if geo is None:
+        geo = geometry.tet_geometry(c.tet_lengths(lengths))
     return geo, (2.0 * np.pi - c.edge_sum(geo.dihedrals)) * lengths
 
 
@@ -380,14 +382,11 @@ def functionals(c: Complex, lengths) -> CurvatureReport:
     if _live is not None and _live.complex is c and _live.lengths.tobytes() == lengths.tobytes():
         return _live
     _live = None
-    lengths = _read_only(lengths.copy())
-    geo, k_edge = _curvatures(c, lengths)
-    for a in (*vars(geo).values(), k_edge):    # the six kernel arrays and K_e
+    st = _Stack(c, lengths)
+    for a in (*vars(st.geometry).values(), st.k_edge):    # the six kernel arrays and K_e
         a.setflags(False)
-    length, volume, ehr = _totals(lengths, geo, k_edge)
-    _live = CurvatureReport(c, geo, lengths, k_edge, length, volume, ehr,
-                            _scalars("lehr", length, volume, ehr)[0],
-                            _scalars("vehr", length, volume, ehr)[0])
+    _live = CurvatureReport(c, st.geometry, st.lengths, st.k_edge, st.length, st.volume,
+                            st.ehr, st.lehr, st.vehr)
     return _live
 
 
@@ -423,19 +422,19 @@ class _Stack(_Reads):
     ``vehr`` are computed when first read.
 
     ``_Stack(c, lengths)`` makes one kernel call, which raises if a metric is inadmissible;
-    given the read-only metrics' kernel output (``geometry``, ``k_edge``, as
-    :func:`_first_admissible` has it), it makes none.  The kernel reads the tets in C order,
-    so each row of a per-tet array sums in the order of its metric alone.  Its lengths and
-    the reads it keeps are read-only; nothing shares a stack's kernel arrays, so they are
-    left as they are, which saves a descent round a microsecond."""
+    given the read-only metrics' kernel output ``geo``, as :func:`_first_admissible` has it,
+    it makes none; either way it computes K_e.  The kernel reads the tets in C order, so each
+    row of a per-tet array sums in the order of its metric alone.  Its lengths and the reads
+    it keeps are read-only; :func:`functionals` freezes a report's kernel arrays, a stack's
+    are left as they are, which saves a descent round a microsecond."""
 
-    def __init__(self, c: Complex, lengths, geometry=None, k_edge=None):
-        if geometry is None:
+    def __init__(self, c: Complex, lengths, geo=None):
+        if geo is None:
             lengths = _read_only(np.array(lengths, dtype=float))
-            geometry, k_edge = _curvatures(
-                c, lengths, np.ascontiguousarray(c.tet_lengths(lengths)))
-        self.complex, self.lengths, self.geometry, self.k_edge = c, lengths, geometry, k_edge
-        self.length, self.volume, self.ehr = _totals(lengths, geometry, k_edge)
+            geo = geometry.tet_geometry(np.ascontiguousarray(c.tet_lengths(lengths)))
+        self.complex, self.lengths = c, lengths
+        self.geometry, self.k_edge = _curvatures(c, lengths, geo)
+        self.length, self.volume, self.ehr = _totals(lengths, self.geometry, self.k_edge)
 
     @_cached
     def lehr(self):
@@ -462,25 +461,22 @@ def _firsts(flags, sizes):
 def _first_admissible(c: Complex, lengths, sizes):
     """The first admissible metric of each run of a stack (R, E) of floats cut into consecutive
     runs of ``sizes`` metrics, and its reads: one admissibility test of the stack and at most
-    one kernel call, on those metrics, which reuses that test; nothing raises.
+    one kernel call, on those metrics, handed their CM3, 2g and cofactors; nothing raises.
 
     Returns (k, stack): each run's index of its first admissible metric (its size if none),
     and the :class:`_Stack` of read-only copies of those metrics, each row bitwise that
     metric's own reads, None without any.  One metric is read without a stack axis.
     """
-    if len(lengths) == 1:    # tested without the stack's axis: a single descent's round
-        ok, take = geometry._admissible_rows(c.tet_lengths(lengths[0]))
-        if not ok:
-            return [1], None
-        kept = _read_only(lengths[0].copy())
-        return [0], _Stack(c, kept, *_curvatures(c, kept, take(...)))
-    ok, take = geometry._admissible_rows(c.tet_lengths(lengths))
-    k, rows = _firsts(ok.tolist(), sizes)
+    one = len(lengths) == 1    # a single descent's round: its tets (T, 6), index ``...``
+    tets = c.tet_lengths(lengths[0] if one else lengths)
+    ok, _, cm, g2, adj = geometry._tet_tests(tets, 6)
+    k, rows = _firsts(ok.reshape(-1, ok.shape[-1]).all(-1).tolist(), sizes)
     if not rows:
         return k, None
-    at = rows[0] if len(rows) == 1 else np.array(rows)    # one index array for every gather
-    kept = _read_only(lengths.take(at, 0))
-    return k, _Stack(c, kept, *_curvatures(c, kept, take(at)))
+    i = rows[0] if len(rows) == 1 else np.array(rows)    # one index array for every gather
+    at = ... if one else i
+    kept = _read_only(lengths.take(i, 0))
+    return k, _Stack(c, kept, geometry._kernel(tets[at], cm[at], g2[at], adj[at]))
 
 
 def _first_points(c: Complex, name: str, lengths, sizes, per_vertex: bool):

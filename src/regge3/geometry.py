@@ -12,10 +12,13 @@ that require admissibility raise :class:`InadmissibleMetricError` instead of
 clamping, so optimization paths can detect the boundary of the metric space
 exactly.
 
-Every per-tet quantity comes from one kernel, :func:`tet_geometry`: the inverse
-G of the 5x5 bordered Cayley-Menger matrix A of squared lengths, rows and
-columns 1..4 for the vertices and 0 for the border, built from the Gram matrix
-at local vertex 0, g_ij = (l_0i^2 + l_0j^2 - l_ij^2) / 2 (Blumenthal, *Theory
+Every per-tet quantity comes from one kernel, :func:`_kernel`, which takes the tets
+and their admissibility test's CM3, 2g and cofactors (:func:`_tet_tests`) as arguments:
+:func:`tet_geometry` runs that test and then the kernel, and a caller that has tested a
+stack (``curvature._first_admissible``) hands the kernel that one pass's admissible rows.
+The kernel reads the inverse G of the 5x5 bordered Cayley-Menger matrix A of squared
+lengths, rows and columns 1..4 for the vertices and 0 for the border, built from the
+Gram matrix at local vertex 0, g_ij = (l_0i^2 + l_0j^2 - l_ij^2) / 2 (Blumenthal, *Theory
 and Applications of Distance Geometry*): det A = CM3 = 8 det g = 288 V^2; the
 vertex block of G is -1/2 T g^-1 T^T, T = [-1^T; I_3], i.e. -1/(18 V^2) times
 the Gram matrix of the area-weighted outward face normals; G[0, 1:] =
@@ -124,28 +127,6 @@ def _admissible(tets) -> np.ndarray:
     return _tet_tests(tets, 3)[0].all(-1)
 
 
-class _Tested(np.ndarray):
-    """Tets (..., 6) that passed the test of :func:`_admissible_rows` and carry its CM3, 2g
-    and cofactors as ``tests``; an array derived from them carries none."""
-
-    tests = None
-
-
-def _admissible_rows(tets):
-    """The mask (S,) of the admissible metrics of tets (S, T, 6) from one test pass, and
-    ``take``: ``take(rows)`` gives the tets of admissible rows (an index, a list of them or
-    a mask) as a :class:`_Tested` array that carries that pass for :func:`tet_geometry`.
-    The tets (T, 6) of one metric give its verdict, and ``take(...)`` its tets."""
-    ok, _, cm, g2, adj = _tet_tests(tets, 6)
-
-    def take(rows):
-        kept = tets[rows].view(_Tested)
-        kept.tests = cm[rows], g2[rows], adj[rows]
-        return kept
-
-    return ok.all(-1), take
-
-
 def _admissible_cm(l, n=3):
     """CM3, 2g and the first ``n`` cofactors of 2g for the tets ``l`` (..., 6); raise
     naming the worst tet on a nonpositive or non-finite length, a degenerate face or CM3 <= 0.
@@ -252,28 +233,28 @@ class TetGeometry:
         return out
 
 
-def _cm_inverse(cm, g2, adj):
-    """G (..., 5, 5) by the module docstring's Gram identities, -adj(2g) / CM3 = -g^-1 / 2."""
+def tet_geometry(lengths) -> TetGeometry:
+    """Compute the :class:`TetGeometry` bundle for admissible lengths: the test of
+    :func:`_admissible_cm`, which raises on inadmissible ones, then :func:`_kernel`."""
+    l = _as_lengths(lengths)
+    return _kernel(l, *_admissible_cm(l, 6))
+
+
+def _kernel(l, cm, g2, adj) -> TetGeometry:
+    """The :class:`TetGeometry` of tets ``l`` (..., 6) that passed :func:`_tet_tests`, from
+    that test's CM3, 2g and cofactors of 2g: every kernel evaluation runs here.
+
+    G (..., 5, 5) is -adj(2g) / CM3 = -g^-1 / 2 by the module docstring's Gram identities.
+    With (k, l) the vertices off edge ij: cos beta_ij = G_kl / sqrt(G_kk G_ll) and
+    dV/dl_ij = 2 l_ij V G_ij.
+    """
+    volume = np.sqrt(cm / 288.0)
     h = -adj / cm[..., None]
     H, d = h[..., _SYM3], 0.5 * g2[..., :3]
     y, r = -np.add.reduce(H * d[..., None, :], -1), np.add.reduce(H, -1)
-    return np.concatenate([-np.add.reduce(y * d, -1, keepdims=True),
-                           1.0 - np.add.reduce(y, -1, keepdims=True), y,
-                           np.add.reduce(r, -1, keepdims=True), -r, h], axis=-1)[..., _SYM5]
-
-
-def tet_geometry(lengths) -> TetGeometry:
-    """Compute the :class:`TetGeometry` bundle for admissible lengths.
-
-    With (k, l) the vertices off edge ij: cos beta_ij = G_kl / sqrt(G_kk G_ll) and
-    dV/dl_ij = 2 l_ij V G_ij.  Tets kept by :func:`_admissible_rows` are not tested a
-    second time.
-    """
-    tests = getattr(lengths, "tests", None)
-    l = _as_lengths(lengths)
-    cm, g2, adj = _admissible_cm(l, 6) if tests is None else tests
-    volume = np.sqrt(cm / 288.0)
-    G = _cm_inverse(cm, g2, adj)
+    G = np.concatenate([-np.add.reduce(y * d, -1, keepdims=True),
+                        1.0 - np.add.reduce(y, -1, keepdims=True), y,
+                        np.add.reduce(r, -1, keepdims=True), -r, h], axis=-1)[..., _SYM5]
     e = G.reshape(cm.shape + (25,))[..., _EDGE_ENTRIES]
     cos = e[..., :6] / np.sqrt(e[..., 6:12] * e[..., 12:18])
     return TetGeometry(lengths=l, cm3=cm, volume=volume, cm_inverse=G,

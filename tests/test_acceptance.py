@@ -64,23 +64,13 @@ def test_criterion_10_reads_one_report(kernel_calls):
     assert kernel_calls == [(600, 6)]
 
 
-def test_criterion_9_descends_in_lockstep(kernel_calls, monkeypatch):
+def test_criterion_9_descends_in_lockstep(kernel_calls, inadmissible_kernel_inputs):
     # 50 starts share at most one kernel call per round (3052 calls, one per candidate,
     # before lockstep rounds; 70, one per round of single candidates, before halving
-    # ladders), and a rejected candidate is masked out before the kernel, which raises on none
-    raised = []
-    kernel = geometry.tet_geometry
-
-    def watched(lengths):
-        try:
-            return kernel(lengths)
-        except geometry.InadmissibleMetricError:
-            raised.append(np.shape(lengths))
-            raise
-
-    monkeypatch.setattr(geometry, "tet_geometry", watched)
+    # ladders), and a rejected candidate is masked out before the kernel, which sees
+    # admissible tets only
     assert all(r.passed for r in reproduce.criterion_9_uniqueness_evidence())
-    assert len(kernel_calls) <= 21 and raised == []
+    assert len(kernel_calls) <= 21 and inadmissible_kernel_inputs == []
 
 
 #: kernel calls of each criterion at most, each the count it makes: criteria 6, 7 and 8

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from regge3 import curvature
+from regge3 import curvature, geometry
 from regge3.complexes import double_tetrahedron, six_hundred_cell
 from regge3.conformal import induced_lengths
 from regge3.curvature import (FUNCTIONALS, conformal_hessian_fd, ehr_value, gradient_fd,
@@ -139,10 +139,19 @@ class TestStackedStencils:
         gradient_fd(lambda x: lehr_value(dt, x), np.ones(6), richardson=True)
         assert kernel_calls == [(24, 2, 6)]
 
-    def test_stencil_across_the_boundary_raises_after_the_retry(self, dt, kernel_calls):
+    def test_stencil_across_the_boundary_raises_after_the_retry(self, dt, monkeypatch):
+        # two attempts at the kernel, each stopped by its admissibility test
+        attempts = []
+        kernel = geometry.tet_geometry
+
+        def counted(lengths):
+            attempts.append(np.shape(lengths))
+            return kernel(lengths)
+
+        monkeypatch.setattr(geometry, "tet_geometry", counted)
         with pytest.raises(InadmissibleMetricError):
             hessian_fd_lengths(dt, diagonal_family(1.4142), "lehr")
-        assert len(kernel_calls) == 2
+        assert len(attempts) == 2
 
     def test_chunks_bound_the_points_per_call(self):
         rng = np.random.default_rng(44)

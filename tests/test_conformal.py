@@ -70,6 +70,13 @@ class TestCrossRatios:
         r = cross_ratios(dt, np.array([2.0, 1, 1, 1, 1, 3.0]))
         assert r == pytest.approx(np.full((2, 2), 6.0), rel=1e-15)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_length_not_positive_and_finite_rejected(self, dt, bad):
+        lengths = np.ones(6)
+        lengths[5] = bad
+        with pytest.raises(ValueError, match="lengths must be positive"):
+            cross_ratios(dt, lengths)
+
     def test_invariant_under_conformal_change(self, dt, unit_class):
         rng = np.random.default_rng(40)
         base = cross_ratios(dt, unit_class.background)

@@ -805,6 +805,21 @@ class TestExactLengthHessian:
             assert rep.length_hessian(which).shape == (720, 720)
         assert kernel_calls == [(600, 6)]
 
+    def test_vehr_scatters_the_volume_gradient_once(self, dt, monkeypatch):
+        # its gradient (through V_e) and its rank-one term read one sum of dvolume at each
+        # edge, from a fresh report
+        monkeypatch.setattr(curvature, "_live", None)
+        rep, scattered = functionals(dt, diagonal_family(1.3)), []
+        edge_sum = complexes.Complex.edge_sum
+
+        def counted(self, per_tet):
+            scattered.append(per_tet is rep.geometry.dvolume)
+            return edge_sum(self, per_tet)
+
+        monkeypatch.setattr(complexes.Complex, "edge_sum", counted)
+        rep.length_hessian("vehr")
+        assert scattered.count(True) == 1
+
     def test_unknown_functional_rejected(self, dt):
         with pytest.raises(ValueError, match="unknown functional"):
             functionals(dt, ONES).length_hessian("nope")

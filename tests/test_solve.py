@@ -158,7 +158,7 @@ class TestSolveCsc:
         # the factor map and its admissibility check run on the start only
         assert len(applied) == 1 and len(checked) == 1
 
-    def test_blocked_trials_are_rejected_before_the_kernel(self, dt, monkeypatch):
+    def test_blocked_trials_are_rejected_before_the_kernel(self, dt, inadmissible_kernel_inputs):
         # backgrounds U(0.7, 1.3) and factors N(0, 0.5): nine trials of this
         # run leave the admissible set; the halving ladder's test rejects them,
         # and the kernel runs on admissible trials only
@@ -167,21 +167,10 @@ class TestSolveCsc:
         while not geometry.is_admissible(dt, bg):
             bg = rng.uniform(0.7, 1.3, 6)
         f0 = rng.normal(0.0, 0.5, 4)
-        raised = []
-        kernel = geometry.tet_geometry
-
-        def watched(lengths):
-            try:
-                return kernel(lengths)
-            except geometry.InadmissibleMetricError:
-                raised.append(1)
-                raise
-
-        monkeypatch.setattr(geometry, "tet_geometry", watched)
         f, trace = solve_csc(ConformalClass(dt, bg), "L", f0)
         assert (trace.reason, len(trace.step_sizes), trace.rejected) == ("converged", 8, 9)
         assert trace.step_sizes == [0.25, 0.0078125, 0.25, 1.0, 1.0, 1.0, 1.0, 1.0]
-        assert raised == []
+        assert inadmissible_kernel_inputs == []
 
     def test_singular_system_stops_without_a_gradient_step(self, unit_class, monkeypatch):
         # the bordered system of the second iterate is taken to be singular: the start
@@ -375,7 +364,7 @@ class TestDescend:
 
     @pytest.mark.parametrize("kind", ["lengths", "conformal"])
     def test_one_kernel_call_per_evaluated_candidate(self, dt, kind, kernel_calls,
-                                                     monkeypatch):
+                                                     inadmissible_kernel_inputs, monkeypatch):
         rng = np.random.default_rng(57)
         l0 = solve.random_admissible_lengths(dt, rng)
         checks = []
@@ -389,19 +378,8 @@ class TestDescend:
             checks.append(np.shape(lengths))
             return cayley_menger(lengths)
 
-        raised = []
-        kernel = geometry.tet_geometry
-
-        def watched(lengths):
-            try:
-                return kernel(lengths)
-            except geometry.InadmissibleMetricError:
-                raised.append(np.shape(lengths))
-                raise
-
         monkeypatch.setattr(geometry, "is_admissible", counted_check)
         monkeypatch.setattr(geometry, "cayley_menger", counted_det)
-        monkeypatch.setattr(geometry, "tet_geometry", watched)
         if kind == "lengths":
             _, trace = descend_lengths(dt, "lehr", l0, normalize="L", max_iter=50)
         else:
@@ -414,7 +392,7 @@ class TestDescend:
         # one kernel call per admissible point, none on a rejected one (a round's
         # test masks it out), and no separate public admissibility test
         assert len(kernel_calls) == trace.points - trace.rejected
-        assert checks == [] and raised == []
+        assert checks == [] and inadmissible_kernel_inputs == []
 
     # (reason, steps) and, of the conformal descents, the final value and the endpoint
     @pytest.mark.parametrize("kind, seed, which, expected", [
@@ -510,16 +488,35 @@ class TestDescend:
             read = reads[id(point)][1]
             assert len(read) == 2 and read[0] is read[1]
 
-    def test_single_start_rounds_are_read_without_a_stack_axis(self, dt, kernel_calls):
+    def test_single_start_rounds_are_read_without_a_stack_axis(self, dt, kernel_calls,
+                                                              monkeypatch):
         # a single start's round reads at most one point, so the kernel gets that point's
-        # tets (T, 6), never a stack (1, T, 6)
+        # tets (T, 6), never a stack (1, T, 6); each round is tested once, and its kernel
+        # call takes that test's CM3 and cofactors, so only the csc start's factor map tests
+        # anything more
         rng = np.random.default_rng(63)
         cls = ConformalClass(dt, solve.random_admissible_lengths(dt, rng))
-        f0 = rng.normal(0.0, 0.2, 4)
+        f0, unit = rng.normal(0.0, 0.2, 4), ConformalClass(dt, np.ones(6))
+        tests, rounds = [], []
+        tet_tests, first_admissible = geometry._tet_tests, curvature._first_admissible
+
+        def counted_tests(l, n):
+            tests.append(np.shape(l))
+            return tet_tests(l, n)
+
+        def counted_round(c, lengths, sizes):
+            rounds.append(len(lengths))
+            return first_admissible(c, lengths, sizes)
+
+        monkeypatch.setattr(geometry, "_tet_tests", counted_tests)
+        monkeypatch.setattr(curvature, "_first_admissible", counted_round)
         _, trace = descend_conformal(cls, "lehr", f0 - f0.mean(), max_iter=50)
-        _, csc = solve_csc(ConformalClass(dt, np.ones(6)), "L", np.array([-1.0, -1.0, 0, 0]))
+        conformal_rounds = len(rounds)
+        _, csc = solve_csc(unit, "L", np.array([-1.0, -1.0, 0, 0]))
         assert trace.newton_steps > 0 and len(csc.step_sizes) > 1
         assert len(kernel_calls) > 10 and set(kernel_calls) == {(2, 6)}
+        assert 1 in rounds[:conformal_rounds] and 1 in rounds[conformal_rounds:]
+        assert len(tests) == len(rounds) + 1
 
     @staticmethod
     def assert_rejected_silently(dt, factors):
